@@ -198,10 +198,10 @@ func BenchmarkEndToEndWorld(b *testing.B) {
 }
 
 // BenchmarkScalingWorkers measures the end-to-end world run at 1 through
-// 32 analysis workers — the worker-scaling curve for the batched analysis
-// engine. Results are identical at every width (the batch scheduler is
-// bit-deterministic); only wall clock changes. On hosts with fewer cores
-// than workers the curve flattens at the core count.
+// 32 analysis workers — the worker-scaling curve of the per-block
+// pipeline. Results are identical at every width (blocks are analyzed
+// independently); only wall clock changes. On hosts with fewer cores than
+// workers the curve flattens at the core count.
 func BenchmarkScalingWorkers(b *testing.B) {
 	start, end := Date(2020, 1, 1), Date(2020, 2, 26)
 	for _, workers := range []int{1, 2, 4, 8, 16, 32} {

@@ -201,10 +201,9 @@ func (w *World) BlocksInRegion(code string) []int {
 // plain Run behavior: no checkpointing, no per-block deadline, default
 // transient-error retries.
 type RunOptions struct {
-	// Workers bounds analysis parallelism (default GOMAXPROCS). Each
-	// worker analyzes its blocks in small batches so their classification
-	// FFTs run as one columnar pass per batch; results are identical at
-	// any worker count.
+	// Workers bounds analysis parallelism (default GOMAXPROCS). Blocks
+	// are analyzed independently, one at a time per worker; results are
+	// identical at any worker count.
 	Workers int
 	// CheckpointPath, when non-empty, journals completed blocks to this
 	// file; rerunning with the same path resumes after a crash, skipping

@@ -121,19 +121,6 @@ type Result struct {
 type Scratch struct {
 	DSP      *dsp.Scratch
 	Resample reconstruct.ResampleScratch
-
-	// Batched-classification state: segment samples are copied out of the
-	// resample scratch into a flat arena so all of a batch's segments stay
-	// live at once, then grouped by length for the batched FFT.
-	arena []float64
-	jobs  []segJob
-	rows  [][]float64
-}
-
-// segJob is one (series, segment) diurnal evaluation queued for batching.
-type segJob struct {
-	si     int // series index
-	off, n int // samples in the arena
 }
 
 // NewScratch returns an empty classification scratch.
@@ -223,146 +210,6 @@ func ClassifyScratch(series *reconstruct.Series, start, end int64, cfg Config, s
 	res.WideSwing = res.BestWindowDays >= cfg.MinSwingDays
 	res.ChangeSensitive = res.Responsive && res.Diurnal && res.WideSwing
 	return res, nil
-}
-
-// ClassifyBatch classifies many series under one configuration, batching
-// the per-segment FFTs: all segments of equal length across the whole
-// batch run through one dsp.DiurnalStatsBatch pass instead of one scalar
-// transform each. Results are bit-identical to calling ClassifyScratch on
-// each series — same segment walk, same per-series min-fold order, same
-// error-skip behaviour (a too-short segment group is skipped exactly
-// where the scalar path's per-segment error `continue` fires). A nil
-// entry in series classifies like an empty series. The pipeline's batch
-// scheduler is the main caller; sc may be nil for a one-shot call.
-func ClassifyBatch(series []*reconstruct.Series, start, end int64, cfg Config, sc *Scratch) ([]Result, error) {
-	cfg = cfg.withDefaults()
-	if sc == nil {
-		sc = NewScratch()
-	}
-	if cfg.MinSwingDays > cfg.WindowDays {
-		return nil, fmt.Errorf("blockclass: MinSwingDays %d > WindowDays %d", cfg.MinSwingDays, cfg.WindowDays)
-	}
-	if cfg.SampleStep <= 0 || cfg.SampleStep > 86400/2 {
-		return nil, fmt.Errorf("blockclass: sample step %d outside (0, 12h]", cfg.SampleStep)
-	}
-	results := make([]Result, len(series))
-
-	// Phase 1: walk every series' segments in the scalar order, resample,
-	// and queue the samples (copied into the arena — ResampleInto's buffer
-	// is reused per call) as batch jobs.
-	segLen := int64(cfg.SegmentDays) * 86400
-	arena := sc.arena[:0]
-	jobs := sc.jobs[:0]
-	for si, s := range series {
-		r := &results[si]
-		if s == nil || s.Len() == 0 {
-			continue
-		}
-		for _, c := range s.Counts {
-			if c > 0 {
-				r.Responsive = true
-				break
-			}
-		}
-		if !r.Responsive {
-			continue
-		}
-		for segStart := start; segStart < end; segStart += segLen {
-			segEnd := segStart + segLen
-			if segEnd > end {
-				segEnd = end
-			}
-			if segEnd-segStart < 2*86400 {
-				continue
-			}
-			resampled := s.ResampleInto(&sc.Resample, segStart, segEnd, cfg.SampleStep)
-			if resampled == nil {
-				continue
-			}
-			off := len(arena)
-			arena = append(arena, resampled...)
-			jobs = append(jobs, segJob{si: si, off: off, n: len(resampled)})
-		}
-	}
-	sc.arena, sc.jobs = arena, jobs
-
-	// Phase 2: group jobs by segment length (distinct lengths only arise
-	// from a trailing partial segment, so groups are few and large) and
-	// evaluate each group in one batched pass. Groups are visited in
-	// first-seen order for determinism.
-	opts := dsp.DiurnalScoreOpts{
-		SampleInterval: float64(cfg.SampleStep),
-		Period:         86400,
-		Harmonics:      cfg.Harmonics,
-	}
-	stats := make([]dsp.Stats, len(jobs))
-	evaluatedJob := make([]bool, len(jobs))
-	var lens []int
-	byLen := map[int][]int{}
-	for ji, j := range jobs {
-		if _, ok := byLen[j.n]; !ok {
-			lens = append(lens, j.n)
-		}
-		byLen[j.n] = append(byLen[j.n], ji)
-	}
-	for _, n := range lens {
-		idxs := byLen[n]
-		rows := sc.rows[:0]
-		for _, ji := range idxs {
-			j := jobs[ji]
-			rows = append(rows, arena[j.off:j.off+j.n])
-		}
-		sc.rows = rows
-		st, err := sc.DSP.DiurnalStatsBatch(rows, opts)
-		if err != nil {
-			// The scalar path `continue`s past a segment DiurnalStats
-			// rejects; every error here is length-determined, so the whole
-			// group skips identically.
-			continue
-		}
-		for k, ji := range idxs {
-			stats[ji] = st[k]
-			evaluatedJob[ji] = true
-		}
-	}
-
-	// Phase 3: fold per-series stats in job order — which is exactly the
-	// scalar walk order (series outer, segments ascending) — replicating
-	// the weakest-segment min-fold and the all-segments-pass rule.
-	evaluated := make([]bool, len(series))
-	allPass := make([]bool, len(series))
-	for i := range allPass {
-		allPass[i] = true
-	}
-	for ji, j := range jobs {
-		if !evaluatedJob[ji] {
-			continue
-		}
-		st := stats[ji]
-		r := &results[j.si]
-		if !evaluated[j.si] || st.Score < r.DiurnalScore {
-			r.DiurnalScore = st.Score
-		}
-		if !evaluated[j.si] || st.SNR < r.SNR {
-			r.SNR = st.SNR
-		}
-		evaluated[j.si] = true
-		if st.Score < cfg.DiurnalThreshold || st.SNR < cfg.DiurnalSNR {
-			allPass[j.si] = false
-		}
-	}
-	for si, s := range series {
-		r := &results[si]
-		if !r.Responsive {
-			continue
-		}
-		r.Diurnal = evaluated[si] && allPass[si]
-		days, swings := s.DailySwings()
-		r.BestWindowDays = bestWindow(days, swings, cfg.SwingThreshold, cfg.WindowDays)
-		r.WideSwing = r.BestWindowDays >= cfg.MinSwingDays
-		r.ChangeSensitive = r.Responsive && r.Diurnal && r.WideSwing
-	}
-	return results, nil
 }
 
 // bestWindow returns the maximum count of days with swing >= threshold in

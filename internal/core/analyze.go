@@ -165,6 +165,16 @@ func (c Config) validate() error {
 	return nil
 }
 
+// resolved returns the config with defaults applied, validated. The
+// exported entry points and Pipeline.Run call it once; the unexported
+// kernel methods below (collectAndAnalyze, analyzeCollected,
+// analyzeResolvedSeries) require a resolved receiver and do not repeat it
+// per block.
+func (c Config) resolved() (Config, error) {
+	c = c.withDefaults()
+	return c, c.validate()
+}
+
 // Change is one detected change in a block's activity, in wall-clock time.
 type Change struct {
 	Dir changepoint.Direction
@@ -233,50 +243,50 @@ func (cfg Config) AnalyzeRecords(perObs [][]probe.Record, eb []int) (*BlockAnaly
 // AnalyzeCollectedScratch is the shared analysis kernel: it takes
 // already-collected per-observer probe streams and runs sanitization,
 // repair, merge, reconstruction, classification, and trend/change
-// detection. Both the batch driver (AnalyzeBlockScratch, which collects
+// detection. Both the world driver (AnalyzeBlockScratch, which collects
 // then calls here) and the streaming daemon (internal/stream, which
 // accumulates rounds then calls here on every refresh) use this one entry
 // point, so a streaming run that has seen a block's full window produces
-// bit-identical results to a batch run. perObs is mutated in place
+// bit-identical results to a world run. perObs is mutated in place
 // (sanitize/repair); sc may be nil for a one-shot call.
 func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
-	return cfg.analyzeCollected(perObs, eb, sc, false)
-}
-
-// analyzeCollected is AnalyzeCollectedScratch with one internal knob:
-// trustClean skips the sanitize pre-scan for streams a clean-by-
-// construction prober produced (see cleanProber). Sanitize is a no-op on
-// clean streams, so the skip is bit-identical; only the pre-scan cost
-// goes away.
-func (cfg Config) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*BlockAnalysis, error) {
-	c := cfg.withDefaults()
-	if err := c.validate(); err != nil {
+	c, err := cfg.resolved()
+	if err != nil {
 		return nil, err
-	}
-	if len(eb) == 0 {
-		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	var san reconstruct.SanitizeReport
-	if c.SanitizeRecords && !trustClean {
-		san = c.sanitizeStreams(perObs)
+	return c.analyzeCollected(perObs, eb, sc, false)
+}
+
+// analyzeCollected is the kernel behind AnalyzeCollectedScratch on a
+// resolved config, with one internal knob: trustClean skips the sanitize
+// pre-scan for streams a clean-by-construction prober produced (see
+// cleanProber). Sanitize is a no-op on clean streams, so the skip is
+// bit-identical; only the pre-scan cost goes away.
+func (cfg Config) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*BlockAnalysis, error) {
+	if len(eb) == 0 {
+		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
-	if c.Repair {
+	var san reconstruct.SanitizeReport
+	if cfg.SanitizeRecords && !trustClean {
+		san = cfg.sanitizeStreams(perObs)
+	}
+	if cfg.Repair {
 		for _, stream := range perObs {
 			reconstruct.Repair1Loss(stream)
 		}
 	}
 	sc.merged = reconstruct.MergeInto(sc.merged, perObs)
-	if c.Integrity {
+	if cfg.Integrity {
 		sc.merged = reconstruct.ResolveContested(sc.merged)
 	}
 	series, err := reconstruct.Reconstruct(sc.merged, eb)
 	if err != nil {
 		return nil, err
 	}
-	return c.analyzeSeriesScratch(series, c.detectOutages(sc.merged), san, sc)
+	return cfg.analyzeResolvedSeries(series, cfg.detectOutages(sc.merged), san, sc)
 }
 
 // sanitizeStreams window-clips, re-sorts, and de-duplicates each observer
@@ -309,30 +319,21 @@ func (cfg Config) AnalyzeSeries(series *reconstruct.Series) (*BlockAnalysis, err
 }
 
 func (cfg Config) analyzeSeries(series *reconstruct.Series, outages []outage.Interval, san reconstruct.SanitizeReport) (*BlockAnalysis, error) {
-	return cfg.analyzeSeriesScratch(series, outages, san, nil)
-}
-
-func (cfg Config) analyzeSeriesScratch(series *reconstruct.Series, outages []outage.Interval, san reconstruct.SanitizeReport, sc *Scratch) (*BlockAnalysis, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	c, err := cfg.resolved()
+	if err != nil {
 		return nil, err
 	}
-	if sc == nil {
-		sc = NewScratch()
-	}
+	return c.analyzeResolvedSeries(series, outages, san, NewScratch())
+}
+
+// analyzeResolvedSeries is the series-level half of the per-block kernel
+// on a resolved config: classification, then for change-sensitive blocks
+// the STL/CUSUM trend stages.
+func (cfg Config) analyzeResolvedSeries(series *reconstruct.Series, outages []outage.Interval, san reconstruct.SanitizeReport, sc *Scratch) (*BlockAnalysis, error) {
 	cls, err := blockclass.ClassifyScratch(series, cfg.BaselineStart, cfg.BaselineEnd, cfg.Class, sc.class)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.finishSeriesScratch(series, outages, san, cls, sc)
-}
-
-// finishSeriesScratch is the post-classification half of the per-block
-// analysis: it assembles the BlockAnalysis and, for change-sensitive
-// blocks, runs the STL/CUSUM trend stages. The batch scheduler calls it
-// directly after a batched classification pass; cfg must already be
-// defaulted and validated.
-func (cfg Config) finishSeriesScratch(series *reconstruct.Series, outages []outage.Interval, san reconstruct.SanitizeReport, cls blockclass.Result, sc *Scratch) (*BlockAnalysis, error) {
 	out := &BlockAnalysis{
 		Series:      series,
 		Class:       cls,
@@ -617,87 +618,40 @@ func (cfg Config) AnalyzeBlockContext(ctx context.Context, eng Prober, b *netsim
 
 // AnalyzeBlockScratch is AnalyzeBlockContext reusing sc's buffers, plans
 // and workspaces across calls; sc may be nil for a one-shot analysis.
-// Callers that loop over many blocks (pipeline workers) hold one Scratch
-// per goroutine.
+// Callers that loop over many blocks hold one Scratch per goroutine.
 func (cfg Config) AnalyzeBlockScratch(ctx context.Context, eng Prober, b *netsim.Block, sc *Scratch) (*BlockAnalysis, error) {
-	c := cfg.withDefaults()
-	if err := c.validate(); err != nil {
+	c, err := cfg.resolved()
+	if err != nil {
 		return nil, err
 	}
+	if sc == nil {
+		sc = NewScratch()
+	}
+	return c.collectAndAnalyze(ctx, eng, b, sc)
+}
+
+// collectAndAnalyze is the one per-block kernel on a resolved config:
+// collect the block's streams over the analysis window, then
+// analyzeCollected. Pipeline.Run's workers call it directly, having
+// resolved the config once for the whole run.
+func (cfg Config) collectAndAnalyze(ctx context.Context, eng Prober, b *netsim.Block, sc *Scratch) (*BlockAnalysis, error) {
 	eb := b.EverActive()
 	if len(eb) == 0 {
 		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
-	if sc == nil {
-		sc = NewScratch()
-	}
 	var err error
-	sc.perObs, err = eng.CollectInto(ctx, b, c.AnalysisStart, c.AnalysisEnd, sc.perObs)
+	sc.perObs, err = eng.CollectInto(ctx, b, cfg.AnalysisStart, cfg.AnalysisEnd, sc.perObs)
 	if err != nil {
 		return nil, err
 	}
-	return c.analyzeCollected(sc.perObs, eb, sc, proberEmitsClean(eng))
-}
-
-// preparedBlock holds the collect→reconstruct half of one block's
-// analysis between a batch's prepare phase and its shared classification
-// pass. Its series and outage intervals are freshly allocated, so they
-// survive the scratch buffers being reused for the next block's prepare.
-type preparedBlock struct {
-	series  *reconstruct.Series
-	outages []outage.Interval
-	san     reconstruct.SanitizeReport
-	// empty marks a block whose target list E(b) is empty: its analysis
-	// short-circuits to an empty Series with no classification.
-	empty bool
-}
-
-// prepareBlockScratch runs everything before classification — collection,
-// sanitization, repair, merge, reconstruction, and outage detection — for
-// one block. Pairing it with a batched classify pass and
-// finishSeriesScratch reproduces AnalyzeBlockScratch bit for bit.
-func (cfg Config) prepareBlockScratch(ctx context.Context, eng Prober, b *netsim.Block, sc *Scratch) (preparedBlock, error) {
-	c := cfg.withDefaults()
-	if err := c.validate(); err != nil {
-		return preparedBlock{}, err
-	}
-	eb := b.EverActive()
-	if len(eb) == 0 {
-		return preparedBlock{empty: true}, nil
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	var err error
-	sc.perObs, err = eng.CollectInto(ctx, b, c.AnalysisStart, c.AnalysisEnd, sc.perObs)
-	if err != nil {
-		return preparedBlock{}, err
-	}
-	var san reconstruct.SanitizeReport
-	if c.SanitizeRecords && !proberEmitsClean(eng) {
-		san = c.sanitizeStreams(sc.perObs)
-	}
-	if c.Repair {
-		for _, stream := range sc.perObs {
-			reconstruct.Repair1Loss(stream)
-		}
-	}
-	sc.merged = reconstruct.MergeInto(sc.merged, sc.perObs)
-	if c.Integrity {
-		sc.merged = reconstruct.ResolveContested(sc.merged)
-	}
-	series, err := reconstruct.Reconstruct(sc.merged, eb)
-	if err != nil {
-		return preparedBlock{}, err
-	}
-	return preparedBlock{series: series, outages: c.detectOutages(sc.merged), san: san}, nil
+	return cfg.analyzeCollected(sc.perObs, eb, sc, proberEmitsClean(eng))
 }
 
 // cleanProber is an optional Prober refinement: a prober whose streams
 // satisfy reconstruct.Sanitize's invariants by construction (in-window,
 // time-ordered, no repeated (time, address) pairs per round).
-// *probe.Engine implements it; wrappers that only truncate streams
-// (excludeProber, supervisedProber) forward it, while fault injectors and
+// *probe.Engine implements it; the pipeline's settle layers, which only
+// truncate streams, forward it (see layerBase), while fault injectors and
 // replay readers — whose streams may be corrupt — do not.
 type cleanProber interface {
 	EmitsSanitizedRecords() bool

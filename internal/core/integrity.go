@@ -26,18 +26,15 @@ type IntegrityVerdict struct {
 	Reason string
 }
 
-// integrityProber is the data-integrity firewall's seam into the
-// pipeline: the innermost engine wrapper (directly around the raw
-// prober, inside the exclusion and supervision layers), so the gates
-// judge exactly what the observers reported before any policy touches
-// it. After each collection it runs integrity.Check over the raw
-// streams and empties the gated ones; verdicts stay pending until the
-// block's analysis settles — commit on success, discard on failure —
-// mirroring supervisedProber's exactly-once accounting under retries
-// and hedging.
+// integrityProber is the data-integrity firewall's layer: the innermost
+// one (directly around the raw prober, inside the exclusion and
+// supervision layers), so the gates judge exactly what the observers
+// reported before any policy touches it. After each collection it runs
+// integrity.Check over the raw streams and empties the gated ones;
+// verdicts stay pending until the block settles (see layer).
 type integrityProber struct {
-	inner Prober
-	cfg   integrity.Config
+	layerBase
+	cfg integrity.Config
 
 	mu      sync.Mutex
 	pending map[netsim.BlockID][]integrity.Verdict
@@ -48,7 +45,7 @@ type integrityProber struct {
 }
 
 func newIntegrityProber(inner Prober) *integrityProber {
-	return &integrityProber{inner: inner, pending: map[netsim.BlockID][]integrity.Verdict{}}
+	return &integrityProber{layerBase: layerBase{inner}, pending: map[netsim.BlockID][]integrity.Verdict{}}
 }
 
 func (p *integrityProber) CollectInto(ctx context.Context, b *netsim.Block, start, end int64, bufs [][]probe.Record) ([][]probe.Record, error) {
@@ -68,22 +65,18 @@ func (p *integrityProber) CollectInto(ctx context.Context, b *netsim.Block, star
 	return bufs, nil
 }
 
-// EmitsSanitizedRecords forwards the inner prober's cleanliness
-// guarantee: gating only empties streams, which cannot dirty them.
-func (p *integrityProber) EmitsSanitizedRecords() bool { return proberEmitsClean(p.inner) }
-
 // commit consumes the block's pending verdicts, folds them into the
 // run-level aggregates, and returns per-observer health samples for the
 // breaker tracker: a gated observer scores an explicit zero, an ungated
 // observer its agreement score, and an observer with no peer overlap a
 // zero-Total sample the supervisor ignores (its reply-rate sample
-// stands). Returns nil when no collection for the block was seen.
-func (p *integrityProber) commit(index int, id netsim.BlockID) []health.Sample {
+// stands). Returns no samples when no collection for the block was seen.
+func (p *integrityProber) commit(index int, id netsim.BlockID, _ []health.Sample) ([]health.Sample, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	vs, ok := p.pending[id]
 	if !ok {
-		return nil
+		return nil, 0
 	}
 	delete(p.pending, id)
 	for len(p.matches) < len(vs) {
@@ -109,7 +102,7 @@ func (p *integrityProber) commit(index int, id netsim.BlockID) []health.Sample {
 			})
 		}
 	}
-	return samples
+	return samples, 0
 }
 
 // discard drops a failed block's pending verdicts unjudged.

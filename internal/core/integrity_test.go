@@ -84,8 +84,7 @@ func TestIntegrityCleanWorldParity(t *testing.T) {
 
 // TestIntegrityGatesAttacker runs each Byzantine attack at full severity
 // and checks the attacking observer is gated with the expected reason
-// while every honest observer survives — on both the batched and the
-// per-block pipeline paths.
+// while every honest observer survives.
 func TestIntegrityGatesAttacker(t *testing.T) {
 	world := integrityWorld(t)
 	cfg := integrityConfig()
@@ -100,47 +99,45 @@ func TestIntegrityGatesAttacker(t *testing.T) {
 		"spoof":     "non-member",
 	}
 	for _, attack := range faults.AttackNames {
-		for _, batch := range []int{0, 1} {
-			plan, err := faults.AttackPlan(4, attack, 1, 99)
-			if err != nil {
-				t.Fatal(err)
+		plan, err := faults.AttackPlan(4, attack, 1, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := &faults.Engine{Inner: engine4(), Plan: plan}
+		res, err := (&Pipeline{Config: cfg, Engine: eng}).Run(context.Background(), world)
+		if err != nil {
+			t.Fatalf("%s: %v", attack, err)
+		}
+		rep := res.Report
+		if len(rep.GatedStreams) != 1 || rep.GatedStreams[0] != attacker {
+			t.Fatalf("%s: GatedStreams = %v, want [%d]", attack, rep.GatedStreams, attacker)
+		}
+		if !rep.Degraded() {
+			t.Errorf("%s: gated run not degraded", attack)
+		}
+		if len(rep.IntegrityVerdicts) == 0 {
+			t.Fatalf("%s: no verdicts attributed", attack)
+		}
+		for _, v := range rep.IntegrityVerdicts {
+			if v.Observer != attacker {
+				t.Errorf("%s: honest observer %d gated in block %d (%s)",
+					attack, v.Observer, v.Index, v.Reason)
 			}
-			eng := &faults.Engine{Inner: engine4(), Plan: plan}
-			res, err := (&Pipeline{Config: cfg, Engine: eng, BatchSize: batch}).Run(context.Background(), world)
-			if err != nil {
-				t.Fatalf("%s (batch=%d): %v", attack, batch, err)
+		}
+		want := wantReason[attack]
+		found := false
+		for _, v := range rep.IntegrityVerdicts {
+			if v.Reason == want {
+				found = true
+				break
 			}
-			rep := res.Report
-			if len(rep.GatedStreams) != 1 || rep.GatedStreams[0] != attacker {
-				t.Fatalf("%s (batch=%d): GatedStreams = %v, want [%d]", attack, batch, rep.GatedStreams, attacker)
-			}
-			if !rep.Degraded() {
-				t.Errorf("%s (batch=%d): gated run not degraded", attack, batch)
-			}
-			if len(rep.IntegrityVerdicts) == 0 {
-				t.Fatalf("%s (batch=%d): no verdicts attributed", attack, batch)
-			}
-			for _, v := range rep.IntegrityVerdicts {
-				if v.Observer != attacker {
-					t.Errorf("%s (batch=%d): honest observer %d gated in block %d (%s)",
-						attack, batch, v.Observer, v.Index, v.Reason)
-				}
-			}
-			want := wantReason[attack]
-			found := false
-			for _, v := range rep.IntegrityVerdicts {
-				if v.Reason == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("%s (batch=%d): no verdict with reason %q (got %q)",
-					attack, batch, want, rep.IntegrityVerdicts[0].Reason)
-			}
-			if len(rep.AgreementScores) != 4 {
-				t.Errorf("%s (batch=%d): AgreementScores = %v", attack, batch, rep.AgreementScores)
-			}
+		}
+		if !found {
+			t.Errorf("%s: no verdict with reason %q (got %q)",
+				attack, want, rep.IntegrityVerdicts[0].Reason)
+		}
+		if len(rep.AgreementScores) != 4 {
+			t.Errorf("%s: AgreementScores = %v", attack, rep.AgreementScores)
 		}
 	}
 }

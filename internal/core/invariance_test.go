@@ -1,0 +1,242 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"github.com/diurnalnet/diurnal/internal/dataset"
+	"github.com/diurnalnet/diurnal/internal/faults"
+	"github.com/diurnalnet/diurnal/internal/netsim"
+)
+
+// floatsSame compares float slices bitwise, so NaN gap markers compare
+// equal to themselves instead of poisoning the parity check.
+func floatsSame(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// analysesSame is bit-level equality over two BlockAnalysis values.
+func analysesSame(a, b *BlockAnalysis) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	if a == nil {
+		return true
+	}
+	if (a.Series == nil) != (b.Series == nil) {
+		return false
+	}
+	if a.Series != nil {
+		if !reflect.DeepEqual(a.Series.Times, b.Series.Times) || !floatsSame(a.Series.Counts, b.Series.Counts) {
+			return false
+		}
+	}
+	return a.Class == b.Class &&
+		floatsSame(a.Resampled, b.Resampled) &&
+		floatsSame(a.Trend, b.Trend) &&
+		floatsSame(a.Seasonal, b.Seasonal) &&
+		floatsSame(a.Normalized, b.Normalized) &&
+		reflect.DeepEqual(a.Changes, b.Changes) &&
+		reflect.DeepEqual(a.OutagePairs, b.OutagePairs) &&
+		reflect.DeepEqual(a.LowConfChanges, b.LowConfChanges) &&
+		reflect.DeepEqual(a.Confidence, b.Confidence) &&
+		a.Sanitize == b.Sanitize &&
+		reflect.DeepEqual(a.Outages, b.Outages) &&
+		a.SampleStart == b.SampleStart &&
+		a.SampleStep == b.SampleStep
+}
+
+// failedIDs returns the failed blocks' IDs in ascending order, so failure
+// lists compare across runs that saw the world in different orders.
+func failedIDs(errs []BlockError) []netsim.BlockID {
+	ids := make([]netsim.BlockID, len(errs))
+	for i, e := range errs {
+		ids[i] = e.ID
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// requireSameRun demands bit-identical outcomes, reports, and world
+// aggregates from two runs over the same set of blocks. Blocks are matched
+// by ID, so the runs may have seen the world in different orders.
+func requireSameRun(t *testing.T, label string, want, got *WorldResult, errWant, errGot error) {
+	t.Helper()
+	if (errWant == nil) != (errGot == nil) {
+		t.Fatalf("%s: error divergence: %v vs %v", label, errWant, errGot)
+	}
+	if want == nil || got == nil {
+		return
+	}
+	if len(want.Blocks) != len(got.Blocks) {
+		t.Fatalf("%s: block count %d vs %d", label, len(want.Blocks), len(got.Blocks))
+	}
+	byID := make(map[netsim.BlockID]*BlockOutcome, len(got.Blocks))
+	for i := range got.Blocks {
+		byID[got.Blocks[i].ID] = &got.Blocks[i]
+	}
+	for i := range want.Blocks {
+		w := &want.Blocks[i]
+		g := byID[w.ID]
+		if g == nil || w.Place != g.Place || w.Observers != g.Observers {
+			t.Fatalf("%s: block %s outcome metadata differs: %+v vs %+v", label, w.ID, w, g)
+		}
+		if !analysesSame(w.Analysis, g.Analysis) {
+			t.Fatalf("%s: block %s analysis differs", label, w.ID)
+		}
+	}
+	rw, rg := want.Report, got.Report
+	if rw.AnalyzedBlocks != rg.AnalyzedBlocks {
+		t.Fatalf("%s: AnalyzedBlocks %d vs %d", label, rw.AnalyzedBlocks, rg.AnalyzedBlocks)
+	}
+	if !reflect.DeepEqual(failedIDs(rw.BlockErrors), failedIDs(rg.BlockErrors)) {
+		t.Fatalf("%s: BlockErrors differ: %v vs %v", label, rw.BlockErrors, rg.BlockErrors)
+	}
+	if !reflect.DeepEqual(failedIDs(rw.DeadLettered), failedIDs(rg.DeadLettered)) {
+		t.Fatalf("%s: DeadLettered differ: %v vs %v", label, rw.DeadLettered, rg.DeadLettered)
+	}
+	shortfallIDs := func(res *WorldResult) []netsim.BlockID {
+		ids := make([]netsim.BlockID, len(res.Report.QuorumShortfalls))
+		for k, i := range res.Report.QuorumShortfalls {
+			ids[k] = res.Blocks[i].ID
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids
+	}
+	if !reflect.DeepEqual(shortfallIDs(want), shortfallIDs(got)) {
+		t.Fatalf("%s: QuorumShortfalls %v vs %v", label, rw.QuorumShortfalls, rg.QuorumShortfalls)
+	}
+	if !reflect.DeepEqual(want.CellCS, got.CellCS) ||
+		!reflect.DeepEqual(want.ContinentCS, got.ContinentCS) ||
+		!reflect.DeepEqual(want.DownDaily, got.DownDaily) ||
+		!reflect.DeepEqual(want.UpDaily, got.UpDaily) {
+		t.Fatalf("%s: world aggregates differ", label)
+	}
+}
+
+// requireRunParity checks the two invariances a per-block pipeline owes:
+// the result must not depend on how many workers share the world, nor on
+// the order the world lists its blocks in. The reference is a one-worker
+// run; it is compared against a four-worker run and against a one-worker
+// run over a seeded permutation of the world.
+func requireRunParity(t *testing.T, mk func(workers int) *Pipeline, world []*dataset.WorldBlock) {
+	t.Helper()
+	ctx := context.Background()
+	serial, errS := mk(1).Run(ctx, world)
+	parallel, errP := mk(4).Run(ctx, world)
+	requireSameRun(t, "1 vs 4 workers", serial, parallel, errS, errP)
+
+	permuted := make([]*dataset.WorldBlock, len(world))
+	for i, j := range rand.New(rand.NewSource(int64(len(world)))).Perm(len(world)) {
+		permuted[i] = world[j]
+	}
+	shuffled, errH := mk(1).Run(ctx, permuted)
+	requireSameRun(t, "world vs permuted world", serial, shuffled, errS, errH)
+}
+
+// TestRunInvarianceCleanWorld checks worker-count and block-order
+// invariance over a full simulated world on the clean engine (the racy
+// multi-worker run is what CI drives under the race detector).
+func TestRunInvarianceCleanWorld(t *testing.T) {
+	world := smallWorld(t, 36, 91)
+	mk := func(workers int) *Pipeline {
+		return &Pipeline{Config: q1Config(), Engine: engine4(), Workers: workers}
+	}
+	requireRunParity(t, mk, world)
+}
+
+// TestRunInvarianceFaultyWorld injects observer downtime, clock skew,
+// corruption, and flaky collects — producing sanitize activity and
+// NaN-bearing measurement gaps — and demands the invariances still hold.
+// The faulty engine does not advertise clean streams, so this also covers
+// the sanitize-enabled path.
+func TestRunInvarianceFaultyWorld(t *testing.T) {
+	world := smallWorld(t, 30, 92)
+	mk := func(workers int) *Pipeline {
+		eng := engine4()
+		plan := faults.DefaultPlan(len(eng.Observers), 1, q1Start, 17)
+		return &Pipeline{
+			Config:  q1Config(),
+			Engine:  &faults.Engine{Inner: eng, Plan: plan},
+			Workers: workers,
+		}
+	}
+	requireRunParity(t, mk, world)
+}
+
+// memDeadLetters is an in-memory DeadLetterer for the invariance tests.
+type memDeadLetters struct {
+	mu sync.Mutex
+	m  map[netsim.BlockID]string
+}
+
+func (d *memDeadLetters) Lookup(index int, id netsim.BlockID) (string, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	r, ok := d.m[id]
+	return r, ok
+}
+
+func (d *memDeadLetters) Record(index int, id netsim.BlockID, err error) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.m == nil {
+		d.m = map[netsim.BlockID]string{}
+	}
+	if _, ok := d.m[id]; !ok {
+		d.m[id] = err.Error()
+	}
+	return nil
+}
+
+// TestRunInvariancePoisonDeadLetter mixes panicking poison blocks into the
+// world with a dead-letter quarantine attached: each panic must stay
+// contained to its own block, and the same blocks must be dead-lettered
+// whatever the worker count or block order.
+func TestRunInvariancePoisonDeadLetter(t *testing.T) {
+	world := smallWorld(t, 30, 93)
+	mk := func(workers int) *Pipeline {
+		eng := engine4()
+		return &Pipeline{
+			Config: q1Config(),
+			Engine: &faults.Engine{
+				Inner: eng,
+				Plan:  &faults.Plan{Seed: 5, Poison: &faults.Poison{Prob: 0.2}},
+			},
+			Workers:    workers,
+			MaxRetries: -1,
+			DeadLetter: &memDeadLetters{},
+		}
+	}
+	requireRunParity(t, mk, world)
+}
+
+// TestRunInvarianceQuorumInflight runs with observer quorum tracking and
+// an admission bound tighter than the four-worker pool, checking the
+// supervised commit path reports the same observer counts either way.
+func TestRunInvarianceQuorumInflight(t *testing.T) {
+	world := smallWorld(t, 24, 94)
+	mk := func(workers int) *Pipeline {
+		return &Pipeline{
+			Config:      q1Config(),
+			Engine:      engine4(),
+			Workers:     workers,
+			Quorum:      2,
+			MaxInflight: 3,
+		}
+	}
+	requireRunParity(t, mk, world)
+}

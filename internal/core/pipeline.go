@@ -173,14 +173,10 @@ type Pipeline struct {
 	Engine Prober
 	// Workers bounds parallelism (default GOMAXPROCS).
 	Workers int
-	// BatchSize groups each worker's blocks so their classification FFTs
-	// run as batched same-length columnar passes (internal/dsp.BatchPlan)
-	// instead of one transform at a time. Zero means the default of 8;
-	// one (or negative) keeps the per-block path. Results are bit
-	// identical either way. Batching turns itself off when hedging or
-	// breakers are configured — both judge per-block latency, which
-	// batching deliberately trades away — and shrinks so that
-	// workers x batch never exceeds the admission bound (see MaxInflight).
+	// BatchSize is ignored. It used to select a cross-block batched
+	// classification pass that measured no faster than the per-block path
+	// and was removed (DESIGN §13); the field remains only because
+	// bench/scan.go still sets it, and goes when that line does.
 	BatchSize int
 	// ExcludeSuspects enables the §2.7 cross-observer health check: reply
 	// rates are sampled over up to HealthSample blocks and observers
@@ -269,8 +265,46 @@ func (p *Pipeline) Run(ctx context.Context, world []*dataset.WorldBlock) (*World
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg := p.Config.withDefaults()
-	if err := cfg.validate(); err != nil {
+	r, err := p.newRun(ctx, world)
+	if err != nil {
+		return nil, err
+	}
+	return r.execute(ctx)
+}
+
+// run is the state of one Pipeline.Run call: everything resolved once up
+// front (config, retry policy, worker count, the engine as wrapped by the
+// settle layers) plus the result under construction and the tallies the
+// workers share.
+type run struct {
+	p     *Pipeline
+	cfg   Config // resolved: defaults applied and validated once per run
+	world []*dataset.WorldBlock
+	// eng is what the workers collect through: p.Engine wrapped by layers.
+	eng Prober
+	// layers are the settle-per-block engine wrappers, innermost first.
+	layers  []layer
+	hed     *hedger
+	workers int
+	// retries is the number of extra attempts after a transient failure;
+	// backoff the delay before the first of them.
+	retries int
+	backoff time.Duration
+	res     *WorldResult
+
+	// mu guards the tallies below and the slices of res.Report that
+	// workers append to. res.Blocks needs no lock: each index is written
+	// by the one worker that owns the block.
+	mu               sync.Mutex
+	journalErr       error
+	resumed, retried int
+}
+
+// newRun validates the configuration, runs the observer pre-scan, and
+// builds the layer stack around the engine.
+func (p *Pipeline) newRun(ctx context.Context, world []*dataset.WorldBlock) (*run, error) {
+	cfg, err := p.Config.resolved()
+	if err != nil {
 		return nil, err
 	}
 	if p.Checkpoint != nil {
@@ -278,66 +312,89 @@ func (p *Pipeline) Run(ctx context.Context, world []*dataset.WorldBlock) (*World
 			return nil, err
 		}
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	r := &run{
+		p:       p,
+		cfg:     cfg,
+		world:   world,
+		eng:     p.Engine,
+		workers: p.Workers,
+		retries: p.MaxRetries,
+		backoff: p.RetryBackoff,
+		res: &WorldResult{
+			Blocks:      make([]BlockOutcome, len(world)),
+			Cells:       map[geo.CellKey]*geo.CellStats{},
+			DownDaily:   map[geo.CellKey]map[int64]int{},
+			UpDaily:     map[geo.CellKey]map[int64]int{},
+			CellCS:      map[geo.CellKey]int{},
+			ContinentCS: map[geo.Continent]int{},
+			Report:      &RunReport{},
+		},
 	}
-	res := &WorldResult{
-		Blocks:      make([]BlockOutcome, len(world)),
-		Cells:       map[geo.CellKey]*geo.CellStats{},
-		DownDaily:   map[geo.CellKey]map[int64]int{},
-		UpDaily:     map[geo.CellKey]map[int64]int{},
-		CellCS:      map[geo.CellKey]int{},
-		ContinentCS: map[geo.Continent]int{},
-		Report:      &RunReport{},
+	if r.workers <= 0 {
+		r.workers = runtime.GOMAXPROCS(0)
 	}
-	clock := p.Clock
-	if clock == nil {
-		clock = health.System
+	switch {
+	case r.retries == 0:
+		r.retries = 2
+	case r.retries < 0:
+		r.retries = 0
+	}
+	if r.backoff <= 0 {
+		r.backoff = 10 * time.Millisecond
+	}
+	// The integrity firewall wraps the raw engine directly — inside the
+	// exclusion and supervision layers — so its gates judge what the
+	// observers actually reported, and everything outside it (pre-scan
+	// drops, breaker drops, reply-rate samples) sees the gated view.
+	if cfg.Integrity {
+		r.push(newIntegrityProber(r.eng))
 	}
 	// Observer supervision. The static pre-scan always runs when enabled;
 	// with a breaker configured its verdict seeds the runtime tracker
-	// (initial scores + pre-opened breakers) instead of freezing a wrapper
-	// around the engine, so the pre-scan and the breaker agree on
-	// exclusion yet the breaker can still readmit a recovered observer.
-	eng := p.Engine
-	// The integrity firewall wraps the raw engine directly — inside the
-	// exclusion and supervision layers — so its gates judge what the
-	// observers actually reported, and everything downstream (pre-scan
-	// drops, breaker drops, reply-rate samples) sees the gated view.
-	var integ *integrityProber
-	if cfg.Integrity {
-		integ = newIntegrityProber(eng)
-		eng = integ
-	}
+	// (initial scores + pre-opened breakers) instead of freezing an
+	// exclusion layer around the engine, so the pre-scan and the breaker
+	// agree on exclusion yet the breaker can still readmit a recovered
+	// observer.
 	var tracker *health.Tracker
 	if p.Breaker != nil {
 		tracker = health.NewTracker(*p.Breaker)
 	}
 	if p.ExcludeSuspects {
-		excluded, rates := p.suspectObservers(ctx, world)
-		res.Report.ExcludedObservers = excluded
-		res.Report.ObserverRates = rates
+		excluded, rates := r.suspectObservers(ctx)
+		r.res.Report.ExcludedObservers = excluded
+		r.res.Report.ObserverRates = rates
 		if tracker != nil {
 			tracker.Seed(rates, excluded)
 		} else if len(excluded) > 0 {
-			drop := make(map[int]bool, len(excluded))
-			for _, oi := range excluded {
-				drop[oi] = true
-			}
-			eng = &excludeProber{inner: eng, drop: drop}
+			r.push(newExcludeProber(r.eng, excluded))
 		}
 	}
-	var sup *supervisedProber
 	if tracker != nil || p.Quorum > 0 {
-		sup = newSupervisedProber(eng, tracker)
-		eng = sup
+		r.push(newSupervisedProber(r.eng, tracker))
 	}
-	var hed *hedger
 	if p.Hedge != nil {
-		hed = newHedger(p, eng, *p.Hedge, clock)
-		go hed.watch(ctx)
-		defer close(hed.stop)
+		clock := p.Clock
+		if clock == nil {
+			clock = health.System
+		}
+		r.hed = newHedger(r, *p.Hedge, clock)
+	}
+	return r, nil
+}
+
+// push makes l the new outermost layer. l must already wrap r.eng.
+func (r *run) push(l layer) {
+	r.layers = append(r.layers, l)
+	r.eng = l
+}
+
+// execute drives every block through the workers and finalizes the report
+// and the world aggregates.
+func (r *run) execute(ctx context.Context) (*WorldResult, error) {
+	p, res, world := r.p, r.res, r.world
+	if r.hed != nil {
+		go r.hed.watch(ctx)
+		defer close(r.hed.stop)
 	}
 	// Bounded admission: dispatch stalls once MaxInflight blocks (or the
 	// MemoryBudget's worth of estimated collection bytes) are admitted but
@@ -347,10 +404,10 @@ func (p *Pipeline) Run(ctx context.Context, world []*dataset.WorldBlock) (*World
 	if p.MaxInflight > 0 || p.MemoryBudget > 0 {
 		inflight := p.MaxInflight
 		if inflight <= 0 {
-			inflight = workers
+			inflight = r.workers
 		}
 		if p.MemoryBudget > 0 {
-			if slots := int(p.MemoryBudget / estimateBlockBytes(cfg)); slots < 1 {
+			if slots := int(p.MemoryBudget / estimateBlockBytes(r.cfg)); slots < 1 {
 				inflight = 1
 			} else if slots < inflight {
 				inflight = slots
@@ -358,16 +415,9 @@ func (p *Pipeline) Run(ctx context.Context, world []*dataset.WorldBlock) (*World
 		}
 		admit = make(chan struct{}, inflight)
 	}
-	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		journalErr error
-		resumed    int
-		retried    int
-	)
-	batch := p.effectiveBatchSize(workers, admit)
+	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < r.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -375,14 +425,8 @@ func (p *Pipeline) Run(ctx context.Context, world []*dataset.WorldBlock) (*World
 			// locks, and the FFT-plan/workspace caches stay warm for the
 			// worker's whole share of the world.
 			sc := NewScratch()
-			if batch > 1 {
-				p.batchWorker(ctx, eng, sup, integ, res, world, jobs, admit, batch, sc,
-					&mu, &journalErr, &resumed, &retried)
-				return
-			}
 			for i := range jobs {
-				wb := world[i]
-				p.runBlock(ctx, eng, sup, integ, hed, res, i, wb, sc, &mu, &journalErr, &resumed, &retried)
+				r.runBlock(ctx, i, sc)
 				if admit != nil {
 					<-admit
 				}
@@ -409,24 +453,19 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
-	res.Report.ResumedBlocks = resumed
-	res.Report.RetriedBlocks = retried
-	if tracker != nil {
-		res.Report.BreakerTransitions = tracker.Transitions()
-		res.Report.BreakerOpen = tracker.Excluded()
-		res.Report.HealthScores = tracker.Scores()
+	res.Report.ResumedBlocks = r.resumed
+	res.Report.RetriedBlocks = r.retried
+	if r.hed != nil {
+		res.Report.HedgedBlocks, res.Report.HedgeWins = r.hed.stats()
 	}
-	if hed != nil {
-		res.Report.HedgedBlocks, res.Report.HedgeWins = hed.stats()
-	}
-	if integ != nil {
-		integ.report(res.Report)
+	for _, l := range r.layers {
+		l.report(res.Report)
 	}
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("core: run interrupted: %w", err)
 	}
-	if journalErr != nil {
-		return res, fmt.Errorf("core: checkpoint journaling failed: %w", journalErr)
+	if r.journalErr != nil {
+		return res, fmt.Errorf("core: checkpoint journaling failed: %w", r.journalErr)
 	}
 	sort.Slice(res.Report.BlockErrors, func(i, j int) bool {
 		return res.Report.BlockErrors[i].Index < res.Report.BlockErrors[j].Index
@@ -463,12 +502,9 @@ dispatch:
 }
 
 // runBlock takes one block from checkpoint lookup through analysis
-// (hedged when a watchdog is attached) to delivery: result slot, health
-// commit, and the exactly-once journal append.
-func (p *Pipeline) runBlock(ctx context.Context, eng Prober, sup *supervisedProber, integ *integrityProber,
-	hed *hedger, res *WorldResult, i int, wb *dataset.WorldBlock, sc *Scratch,
-	mu *sync.Mutex, journalErr *error, resumed, retried *int) {
-	if p.resolveWithoutAnalysis(res, i, wb, mu, resumed) {
+// (hedged when a watchdog is attached) to delivery.
+func (r *run) runBlock(ctx context.Context, i int, sc *Scratch) {
+	if r.settledWithoutAnalysis(i) {
 		return
 	}
 	var (
@@ -476,63 +512,64 @@ func (p *Pipeline) runBlock(ctx context.Context, eng Prober, sup *supervisedProb
 		attempts int
 		err      error
 	)
-	if hed != nil {
-		analysis, attempts, err = hed.run(ctx, i, wb, sc)
+	if r.hed != nil {
+		analysis, attempts, err = r.hed.run(ctx, i, r.world[i], sc)
 	} else {
-		analysis, attempts, err = p.analyzeBlock(ctx, eng, wb, sc)
+		analysis, attempts, err = r.analyzeBlock(ctx, r.world[i], sc)
 	}
-	p.deliverOutcome(ctx, sup, integ, res, i, wb, analysis, attempts, err, mu, journalErr, retried)
+	r.deliver(ctx, i, analysis, attempts, err)
 }
 
-// resolveWithoutAnalysis handles the two pre-analysis short circuits —
+// settledWithoutAnalysis handles the two pre-analysis short circuits —
 // checkpoint restore and dead-letter skip — and reports whether the block
 // is settled without analyzing it.
-func (p *Pipeline) resolveWithoutAnalysis(res *WorldResult, i int, wb *dataset.WorldBlock,
-	mu *sync.Mutex, resumed *int) bool {
-	if p.Checkpoint != nil {
-		if prior, ok := p.Checkpoint.Lookup(i, wb.ID); ok {
-			res.Blocks[i] = *prior
-			mu.Lock()
-			*resumed++
-			mu.Unlock()
+func (r *run) settledWithoutAnalysis(i int) bool {
+	wb := r.world[i]
+	if r.p.Checkpoint != nil {
+		if prior, ok := r.p.Checkpoint.Lookup(i, wb.ID); ok {
+			r.res.Blocks[i] = *prior
+			r.mu.Lock()
+			r.resumed++
+			r.mu.Unlock()
 			return true
 		}
 	}
 	// A block already dead-lettered (by this run's earlier life, or by
 	// another worker sharing the quarantine store) is skipped outright: a
 	// poison block must cost its retry budget once, not once per resume.
-	if p.DeadLetter != nil {
-		if reason, ok := p.DeadLetter.Lookup(i, wb.ID); ok {
-			mu.Lock()
-			res.Report.DeadLettered = append(res.Report.DeadLettered,
-				BlockError{Index: i, ID: wb.ID, Err: fmt.Errorf("%s", reason)})
-			mu.Unlock()
-			res.Blocks[i] = BlockOutcome{ID: wb.ID, Place: wb.Place}
+	if r.p.DeadLetter != nil {
+		if reason, ok := r.p.DeadLetter.Lookup(i, wb.ID); ok {
+			r.fail(&r.res.Report.DeadLettered, i, fmt.Errorf("%s", reason))
 			return true
 		}
 	}
 	return false
 }
 
-// deliverOutcome lands one analyzed (or failed) block: the retried tally,
-// the error path (supervision discard, dead-lettering, BlockError), or the
-// success path (integrity commit, health commit, result slot, exactly-once
-// journal append). Both the per-block worker and the batch scheduler
-// funnel through it.
-func (p *Pipeline) deliverOutcome(ctx context.Context, sup *supervisedProber, integ *integrityProber,
-	res *WorldResult, i int, wb *dataset.WorldBlock, analysis *BlockAnalysis, attempts int, err error,
-	mu *sync.Mutex, journalErr *error, retried *int) {
+// fail records block i's failure in list (Report.BlockErrors or
+// Report.DeadLettered) and leaves its result slot without an analysis.
+func (r *run) fail(list *[]BlockError, i int, err error) {
+	wb := r.world[i]
+	r.mu.Lock()
+	*list = append(*list, BlockError{Index: i, ID: wb.ID, Err: err})
+	r.mu.Unlock()
+	r.res.Blocks[i] = BlockOutcome{ID: wb.ID, Place: wb.Place}
+}
+
+// deliver lands one analyzed (or failed) block: the retried tally, then
+// either the error path (every layer discards; dead-letter or BlockError)
+// or the success path (every layer commits, innermost first; result slot;
+// exactly-once journal append).
+func (r *run) deliver(ctx context.Context, i int, analysis *BlockAnalysis, attempts int, err error) {
+	wb := r.world[i]
 	if attempts > 1 {
-		mu.Lock()
-		*retried++
-		mu.Unlock()
+		r.mu.Lock()
+		r.retried++
+		r.mu.Unlock()
 	}
 	if err != nil {
-		if integ != nil {
-			integ.discard(wb.ID)
-		}
-		if sup != nil {
-			sup.discard(wb.ID)
+		for _, l := range r.layers {
+			l.discard(wb.ID)
 		}
 		// A block killed by run-level cancellation is neither finished
 		// nor failed: leave it for the resumed run.
@@ -544,75 +581,57 @@ func (p *Pipeline) deliverOutcome(ctx context.Context, sup *supervisedProber, in
 		// later resume. Only if the quarantine itself cannot record does
 		// the failure fall back to an ordinary (retryable-on-resume)
 		// BlockError.
-		if p.DeadLetter != nil {
-			if dlErr := p.DeadLetter.Record(i, wb.ID, err); dlErr == nil {
-				mu.Lock()
-				res.Report.DeadLettered = append(res.Report.DeadLettered,
-					BlockError{Index: i, ID: wb.ID, Err: err})
-				mu.Unlock()
-				res.Blocks[i] = BlockOutcome{ID: wb.ID, Place: wb.Place}
-				return
-			}
+		if r.p.DeadLetter != nil && r.p.DeadLetter.Record(i, wb.ID, err) == nil {
+			r.fail(&r.res.Report.DeadLettered, i, err)
+			return
 		}
-		mu.Lock()
-		res.Report.BlockErrors = append(res.Report.BlockErrors, BlockError{Index: i, ID: wb.ID, Err: err})
-		mu.Unlock()
-		res.Blocks[i] = BlockOutcome{ID: wb.ID, Place: wb.Place}
+		r.fail(&r.res.Report.BlockErrors, i, err)
 		return
 	}
 	outcome := BlockOutcome{ID: wb.ID, Place: wb.Place, Analysis: analysis}
-	// Exactly one integrity/health commit per completed block, whichever
-	// attempt's collection it came from. The firewall's verdicts land in
-	// the run aggregates, and its agreement samples override the
-	// supervisor's reply-rate samples where peer overlap gave them
-	// meaning — so breakers open on persistent liars, not just dead
-	// streams.
-	var agree []health.Sample
-	if integ != nil {
-		agree = integ.commit(i, wb.ID)
-	}
-	if sup != nil {
-		if n := sup.commit(wb.ID, agree); n >= 0 && p.Quorum > 0 {
-			outcome.Observers = n
+	// Exactly one commit per layer per completed block, whichever attempt's
+	// collection it came from. Samples flow outward: the firewall's
+	// agreement samples reach the supervisor, where they override its
+	// reply-rate samples wherever peer overlap gave them meaning — so
+	// breakers open on persistent liars, not just dead streams.
+	var samples []health.Sample
+	for _, l := range r.layers {
+		var observers int
+		samples, observers = l.commit(i, wb.ID, samples)
+		if observers > 0 && r.p.Quorum > 0 {
+			outcome.Observers = observers
 		}
 	}
-	res.Blocks[i] = outcome
-	if p.Checkpoint != nil {
-		if err := p.Checkpoint.Append(i, res.Blocks[i]); err != nil {
-			mu.Lock()
-			if *journalErr == nil {
-				*journalErr = err
+	r.res.Blocks[i] = outcome
+	if r.p.Checkpoint != nil {
+		if err := r.p.Checkpoint.Append(i, outcome); err != nil {
+			r.mu.Lock()
+			if r.journalErr == nil {
+				r.journalErr = err
 			}
-			mu.Unlock()
+			r.mu.Unlock()
 		}
 	}
 }
 
-// analyzeBlock runs one block with panic containment, a per-block
-// deadline, and bounded retry-with-backoff for transient prober errors.
-// attempts reports how many attempts ran.
-func (p *Pipeline) analyzeBlock(ctx context.Context, eng Prober, wb *dataset.WorldBlock, sc *Scratch) (a *BlockAnalysis, attempts int, err error) {
-	retries := p.MaxRetries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
-	}
-	backoff := p.RetryBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
+// analyzeBlock runs one block with bounded retry-with-backoff for
+// transient prober errors. attempts reports how many attempts ran.
+func (r *run) analyzeBlock(ctx context.Context, wb *dataset.WorldBlock, sc *Scratch) (a *BlockAnalysis, attempts int, err error) {
+	backoff := r.backoff
 	for {
 		attempts++
-		a, err = p.analyzeOnce(ctx, eng, wb, sc)
-		if err == nil || !IsTransient(err) || attempts > retries || ctx.Err() != nil {
+		a, err = r.analyzeOnce(ctx, wb, sc)
+		if err == nil || !IsTransient(err) || attempts > r.retries || ctx.Err() != nil {
 			return a, attempts, err
 		}
+		// A stopped timer, unlike time.After, does not stay pending until
+		// it fires when a cancelled run abandons a long backoff.
+		t := time.NewTimer(backoff)
 		select {
 		case <-ctx.Done():
+			t.Stop()
 			return nil, attempts, ctx.Err()
-		case <-time.After(backoff):
+		case <-t.C:
 		}
 		backoff *= 2
 	}
@@ -621,18 +640,18 @@ func (p *Pipeline) analyzeBlock(ctx context.Context, eng Prober, wb *dataset.Wor
 // analyzeOnce is a single attempt: it applies the per-block deadline and
 // converts a worker panic into a PanicError, so one pathological block
 // becomes one BlockError instead of killing the world run.
-func (p *Pipeline) analyzeOnce(ctx context.Context, eng Prober, wb *dataset.WorldBlock, sc *Scratch) (a *BlockAnalysis, err error) {
-	if p.BlockTimeout > 0 {
+func (r *run) analyzeOnce(ctx context.Context, wb *dataset.WorldBlock, sc *Scratch) (a *BlockAnalysis, err error) {
+	if r.p.BlockTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.BlockTimeout)
+		ctx, cancel = context.WithTimeout(ctx, r.p.BlockTimeout)
 		defer cancel()
 	}
 	defer func() {
-		if r := recover(); r != nil {
-			a, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+		if rec := recover(); rec != nil {
+			a, err = nil, &PanicError{Value: rec, Stack: debug.Stack()}
 		}
 	}()
-	return p.Config.AnalyzeBlockScratch(ctx, eng, wb.Block, sc)
+	return r.cfg.collectAndAnalyze(ctx, r.eng, wb.Block, sc)
 }
 
 // suspectObservers samples reply rates across the world and returns the
@@ -648,7 +667,8 @@ func (p *Pipeline) analyzeOnce(ctx context.Context, eng Prober, wb *dataset.Worl
 // runtime breakers' initial health scores (see Pipeline.Breaker), so the
 // one-shot pre-scan and the continuous breaker judge observers from the
 // same evidence.
-func (p *Pipeline) suspectObservers(ctx context.Context, world []*dataset.WorldBlock) (excluded []int, rates []float64) {
+func (r *run) suspectObservers(ctx context.Context) (excluded []int, rates []float64) {
+	p, cfg, world := r.p, r.cfg, r.world
 	sample := p.HealthSample
 	if sample <= 0 {
 		sample = 64
@@ -659,7 +679,6 @@ func (p *Pipeline) suspectObservers(ctx context.Context, world []*dataset.WorldB
 	if sample == 0 {
 		return nil, nil
 	}
-	cfg := p.Config.withDefaults()
 	stride := (len(world) + sample - 1) / sample
 	if stride < 1 {
 		stride = 1
@@ -695,30 +714,6 @@ func (p *Pipeline) suspectObservers(ctx context.Context, world []*dataset.WorldB
 	}
 	return excluded, rates
 }
-
-// excludeProber drops excluded observers' record streams after collection
-// — the run proceeds as if the broken sites had never reported.
-type excludeProber struct {
-	inner Prober
-	drop  map[int]bool
-}
-
-func (p *excludeProber) CollectInto(ctx context.Context, b *netsim.Block, start, end int64, bufs [][]probe.Record) ([][]probe.Record, error) {
-	bufs, err := p.inner.CollectInto(ctx, b, start, end, bufs)
-	if err != nil {
-		return bufs, err
-	}
-	for i := range bufs {
-		if p.drop[i] {
-			bufs[i] = bufs[i][:0]
-		}
-	}
-	return bufs, nil
-}
-
-// EmitsSanitizedRecords forwards the inner prober's cleanliness guarantee:
-// truncating a stream to empty cannot dirty it.
-func (p *excludeProber) EmitsSanitizedRecords() bool { return proberEmitsClean(p.inner) }
 
 // Reaggregate rebuilds every world-level tally (cells, daily up/down
 // counts, change-sensitive totals, AnalyzedBlocks) from Blocks alone. The

@@ -11,15 +11,13 @@ import (
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
 
-// supervisedProber is the runtime seam between the pipeline and the
-// health tracker: after each collection it drops the streams of observers
-// whose breaker is currently open (the dynamic analogue of excludeProber)
-// and records a per-observer reply-rate sample for the block. The sample
-// is only folded into the tracker when the block's analysis succeeds —
-// the worker calls commit — so retried or hedged attempts for one block
-// score it exactly once.
+// supervisedProber is the layer between the pipeline and the health
+// tracker: after each collection it drops the streams of observers whose
+// breaker is currently open (the dynamic analogue of excludeProber) and
+// records a per-observer reply-rate sample for the block. The sample is
+// only folded into the tracker when the block commits (see layer).
 type supervisedProber struct {
-	inner Prober
+	layerBase
 	// tracker may be nil: then nothing is dropped or scored, but
 	// contributing-observer counts are still recorded for the quorum
 	// guard.
@@ -38,7 +36,7 @@ type observation struct {
 }
 
 func newSupervisedProber(inner Prober, tracker *health.Tracker) *supervisedProber {
-	return &supervisedProber{inner: inner, tracker: tracker, obs: map[netsim.BlockID]observation{}}
+	return &supervisedProber{layerBase: layerBase{inner}, tracker: tracker, obs: map[netsim.BlockID]observation{}}
 }
 
 func (s *supervisedProber) CollectInto(ctx context.Context, b *netsim.Block, start, end int64, bufs [][]probe.Record) ([][]probe.Record, error) {
@@ -73,34 +71,29 @@ func (s *supervisedProber) CollectInto(ctx context.Context, b *netsim.Block, sta
 	return bufs, nil
 }
 
-// EmitsSanitizedRecords forwards the inner prober's cleanliness guarantee:
-// breaker drops only truncate streams, which cannot dirty them.
-func (s *supervisedProber) EmitsSanitizedRecords() bool { return proberEmitsClean(s.inner) }
-
 // commit consumes the block's pending observation, feeds it to the
-// tracker, and returns the contributing-observer count (-1 when no
-// collection for the block was seen, e.g. a resumed block). Entries of
-// override with a positive Total replace the corresponding reply-rate
-// samples — the integrity firewall substitutes agreement scores there,
-// so a lying observer scores by how much its peers contradict it rather
-// than by how often it answers.
-func (s *supervisedProber) commit(id netsim.BlockID, override []health.Sample) int {
+// tracker, and returns the contributing-observer count (0 when no
+// collection for the block was seen). Entries of inner with a positive
+// Total replace the corresponding reply-rate samples — the integrity
+// firewall substitutes agreement scores there, so a lying observer scores
+// by how much its peers contradict it rather than by how often it answers.
+func (s *supervisedProber) commit(_ int, id netsim.BlockID, inner []health.Sample) ([]health.Sample, int) {
 	s.mu.Lock()
 	o, ok := s.obs[id]
 	delete(s.obs, id)
 	s.mu.Unlock()
 	if !ok {
-		return -1
+		return inner, 0
 	}
 	if s.tracker != nil {
 		for i := range o.samples {
-			if i < len(override) && override[i].Total > 0 {
-				o.samples[i] = override[i]
+			if i < len(inner) && inner[i].Total > 0 {
+				o.samples[i] = inner[i]
 			}
 		}
 		s.tracker.ObserveBlock(o.samples)
 	}
-	return o.contributing
+	return o.samples, o.contributing
 }
 
 // discard drops a failed block's pending observation unscored: a block
@@ -109,6 +102,16 @@ func (s *supervisedProber) discard(id netsim.BlockID) {
 	s.mu.Lock()
 	delete(s.obs, id)
 	s.mu.Unlock()
+}
+
+// report fills the breaker fields from the tracker's final state.
+func (s *supervisedProber) report(rep *RunReport) {
+	if s.tracker == nil {
+		return
+	}
+	rep.BreakerTransitions = s.tracker.Transitions()
+	rep.BreakerOpen = s.tracker.Excluded()
+	rep.HealthScores = s.tracker.Scores()
 }
 
 // flight is one block's in-flight analysis under the hedging watchdog:
@@ -141,8 +144,7 @@ type flight struct {
 // fresh attempt, cancels the loser, and funnels exactly one outcome per
 // block back to the primary worker.
 type hedger struct {
-	p     *Pipeline
-	eng   Prober
+	r     *run
 	cfg   health.HedgeConfig
 	clock health.Clock
 	lat   *health.Latency
@@ -155,11 +157,10 @@ type hedger struct {
 	wins    int
 }
 
-func newHedger(p *Pipeline, eng Prober, cfg health.HedgeConfig, clock health.Clock) *hedger {
+func newHedger(r *run, cfg health.HedgeConfig, clock health.Clock) *hedger {
 	cfg = cfg.WithDefaults()
 	return &hedger{
-		p:       p,
-		eng:     eng,
+		r:       r,
 		cfg:     cfg,
 		clock:   clock,
 		lat:     health.NewLatency(cfg),
@@ -187,7 +188,7 @@ func (h *hedger) run(ctx context.Context, i int, wb *dataset.WorldBlock, sc *Scr
 	h.flights[i] = fl
 	h.mu.Unlock()
 
-	a, attempts, err := h.p.analyzeBlock(fl.pctx, h.eng, wb, sc)
+	a, attempts, err := h.r.analyzeBlock(fl.pctx, wb, sc)
 	h.finish(fl, true, a, attempts, err)
 	<-fl.done
 
@@ -200,37 +201,40 @@ func (h *hedger) run(ctx context.Context, i int, wb *dataset.WorldBlock, sc *Scr
 // finish settles one attempt. The first success decides the flight and
 // cancels the other attempt; a failure decides it only once no other
 // attempt is still running, so a hedge can still rescue a block whose
-// primary died.
+// primary died. done closes when the last attempt has settled, not at the
+// decision: a cancelled loser may still be inside a collection, and the
+// layers must see it park its state before the block commits, never after.
 func (h *hedger) finish(fl *flight, primary bool, a *BlockAnalysis, attempts int, err error) {
 	fl.mu.Lock()
 	defer fl.mu.Unlock()
 	fl.active--
-	if fl.decided {
-		return // the loser: its result is identical anyway (analysis is deterministic)
-	}
-	if err != nil {
-		fl.err = err
-		fl.attempts += attempts
-		if fl.active > 0 {
-			return // the other attempt may still win
+	// Once decided, a later result is the loser's: identical anyway
+	// (analysis is deterministic), so it is dropped.
+	if !fl.decided {
+		if err == nil {
+			fl.decided = true
+			fl.analysis, fl.attempts, fl.err = a, attempts, nil
+			if !primary {
+				h.mu.Lock()
+				h.wins++
+				h.mu.Unlock()
+			}
+			h.lat.Observe(h.clock.Now().Sub(fl.start))
+		} else {
+			fl.err = err
+			fl.attempts += attempts
+			fl.decided = fl.active == 0 // else the other attempt may still win
 		}
-		fl.decided = true
-		fl.analysis = nil
-	} else {
-		fl.decided = true
-		fl.analysis, fl.attempts, fl.err = a, attempts, nil
-		if !primary {
-			h.mu.Lock()
-			h.wins++
-			h.mu.Unlock()
+		if fl.decided {
+			fl.pcancel()
+			if fl.hcancel != nil {
+				fl.hcancel()
+			}
 		}
-		h.lat.Observe(h.clock.Now().Sub(fl.start))
 	}
-	fl.pcancel()
-	if fl.hcancel != nil {
-		fl.hcancel()
+	if fl.active == 0 {
+		close(fl.done)
 	}
-	close(fl.done)
 }
 
 // watch polls in-flight blocks against the adaptive deadline and hedges
@@ -284,14 +288,11 @@ func (h *hedger) maybeHedge(ctx context.Context, fl *flight) {
 		select {
 		case h.sem <- struct{}{}:
 			defer func() { <-h.sem }()
-		case <-fl.done:
-			h.finish(fl, false, nil, 0, context.Canceled)
-			return
-		case <-ctx.Done():
-			h.finish(fl, false, nil, 0, ctx.Err())
+		case <-fl.hctx.Done(): // the flight was decided, or the run cancelled
+			h.finish(fl, false, nil, 0, fl.hctx.Err())
 			return
 		}
-		a, attempts, err := h.p.analyzeBlock(fl.hctx, h.eng, fl.wb, NewScratch())
+		a, attempts, err := h.r.analyzeBlock(fl.hctx, fl.wb, NewScratch())
 		h.finish(fl, false, a, attempts, err)
 	}()
 }

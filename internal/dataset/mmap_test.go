@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/diurnalnet/diurnal/internal/dsp"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
@@ -138,34 +137,6 @@ func TestAppendRecordsBytesClipping(t *testing.T) {
 	}
 }
 
-// TestBatchClasses pins the grouping contract: ascending indices within a
-// class, first-seen order across classes.
-func TestBatchClasses(t *testing.T) {
-	lens := []int{128, 256, 128, 64, 256, 128}
-	classes := BatchClasses(len(lens), func(i int) int { return lens[i] })
-	if len(classes) != 3 {
-		t.Fatalf("got %d classes, want 3", len(classes))
-	}
-	wantOrder := []int{128, 256, 64}
-	wantIdx := [][]int{{0, 2, 5}, {1, 4}, {3}}
-	for ci, c := range classes {
-		if c.PaddedLen != wantOrder[ci] {
-			t.Fatalf("class %d padded len = %d, want %d", ci, c.PaddedLen, wantOrder[ci])
-		}
-		if len(c.Indices) != len(wantIdx[ci]) {
-			t.Fatalf("class %d has %d indices", ci, len(c.Indices))
-		}
-		for j, idx := range c.Indices {
-			if idx != wantIdx[ci][j] {
-				t.Fatalf("class %d index %d = %d, want %d", ci, j, idx, wantIdx[ci][j])
-			}
-		}
-	}
-	if got := BatchClasses(0, nil); len(got) != 0 {
-		t.Fatalf("empty input produced %d classes", len(got))
-	}
-}
-
 // replayStore creates a small on-disk store for replay/leak tests.
 func replayStore(t *testing.T, dir string) (*Store, []*WorldBlock, Spec) {
 	t.Helper()
@@ -186,35 +157,6 @@ func replayStore(t *testing.T, dir string) (*Store, []*WorldBlock, Spec) {
 		t.Fatal(err)
 	}
 	return store, world, spec
-}
-
-// TestStoreBlockClasses checks the columnar iterator covers the manifest
-// exactly once and reports the padded length dsp would use.
-func TestStoreBlockClasses(t *testing.T) {
-	store, _, spec := replayStore(t, t.TempDir())
-	const step = int64(300)
-	classes, ids, err := store.BlockClasses(step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) == 0 {
-		t.Fatal("no blocks")
-	}
-	samples := int((spec.End() - spec.Start + step - 1) / step)
-	wantLen := dsp.PaddedRealLen(samples)
-	covered := 0
-	for _, c := range classes {
-		if c.PaddedLen != wantLen {
-			t.Fatalf("padded len %d, want %d", c.PaddedLen, wantLen)
-		}
-		covered += len(c.Indices)
-	}
-	if covered != len(ids) {
-		t.Fatalf("classes cover %d of %d blocks", covered, len(ids))
-	}
-	if _, _, err := store.BlockClasses(0); err == nil {
-		t.Fatal("want error for non-positive sample step")
-	}
 }
 
 // TestReplayCollectZeroCopyParity checks the mmap-backed CollectInto

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/diurnalnet/diurnal/internal/dsp"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
 	"github.com/diurnalnet/diurnal/internal/storage"
@@ -423,54 +422,4 @@ func (p *ReplayProber) CollectInto(ctx context.Context, b *netsim.Block, start, 
 		}
 	}
 	return bufs, nil
-}
-
-// BatchClass is one group of a size-classed iteration: the indices whose
-// blocks share a padded FFT butterfly length (dsp.PaddedRealLen) and can
-// therefore run through one batched transform pass.
-type BatchClass struct {
-	PaddedLen int
-	Indices   []int
-}
-
-// BatchClasses partitions indices 0..n-1 into classes by the padded FFT
-// length lenOf reports for each index, preserving ascending index order
-// inside every class and first-seen order across classes — the iteration
-// order a batch scheduler feeds to the columnar FFT passes.
-func BatchClasses(n int, lenOf func(i int) int) []BatchClass {
-	byLen := map[int]int{} // padded length -> position in out
-	var out []BatchClass
-	for i := 0; i < n; i++ {
-		pl := lenOf(i)
-		pos, ok := byLen[pl]
-		if !ok {
-			pos = len(out)
-			byLen[pl] = pos
-			out = append(out, BatchClass{PaddedLen: pl})
-		}
-		out[pos].Indices = append(out[pos].Indices, i)
-	}
-	return out
-}
-
-// BlockClasses is the store's columnar iterator: it groups the manifest's
-// blocks by the padded FFT length of their full-window resample at
-// sampleStep resolution, so a replay analysis can hand each class to the
-// batched FFT machinery as same-length columns. Indices in the returned
-// classes refer to the returned ID slice (manifest order).
-func (s *Store) BlockClasses(sampleStep int64) ([]BatchClass, []netsim.BlockID, error) {
-	idx, err := s.readIndex()
-	if err != nil {
-		return nil, nil, err
-	}
-	if sampleStep <= 0 {
-		return nil, nil, fmt.Errorf("dataset: non-positive sample step %d", sampleStep)
-	}
-	ids := make([]netsim.BlockID, len(idx.Blocks))
-	for i, b := range idx.Blocks {
-		ids[i] = netsim.BlockID(b.ID)
-	}
-	samples := int((idx.End - idx.Start + sampleStep - 1) / sampleStep)
-	classes := BatchClasses(len(ids), func(int) int { return dsp.PaddedRealLen(samples) })
-	return classes, ids, nil
 }

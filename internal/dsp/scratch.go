@@ -22,21 +22,18 @@ type Stats struct {
 // lock; the zero cost of a per-worker cache beats serializing every
 // transform.
 type Scratch struct {
-	real  map[int]*RealPlan
-	cplx  map[int]*Plan
-	batch map[int]*BatchPlan
+	real map[int]*RealPlan
+	cplx map[int]*Plan
 
 	spec  []complex128 // half-spectrum buffer
-	specM []complex128 // columnar batched-spectra matrix
 	p     []float64    // periodogram buffer
 	band  []bool       // harmonic-band membership per bin
 	neigh []float64    // neighbourhood bins for the SNR median
-	means []float64    // per-lane means for batched stats
 }
 
 // NewScratch returns an empty scratch; plans are built lazily per length.
 func NewScratch() *Scratch {
-	return &Scratch{real: map[int]*RealPlan{}, cplx: map[int]*Plan{}, batch: map[int]*BatchPlan{}}
+	return &Scratch{real: map[int]*RealPlan{}, cplx: map[int]*Plan{}}
 }
 
 // RealPlan returns the cached real-input plan for length n, building it on
@@ -59,18 +56,6 @@ func (s *Scratch) Plan(n int) *Plan {
 	p := NewPlan(n)
 	s.cplx[n] = p
 	return p
-}
-
-// BatchPlan returns the cached batched real-input plan for length n,
-// building it (over the cached RealPlan, whose tables it shares) on first
-// use.
-func (s *Scratch) BatchPlan(n int) *BatchPlan {
-	if bp, ok := s.batch[n]; ok {
-		return bp
-	}
-	bp := NewBatchPlan(s.RealPlan(n))
-	s.batch[n] = bp
-	return bp
 }
 
 // Periodogram returns the one-sided power spectral estimate |X_k|^2 / N
@@ -123,68 +108,9 @@ func (s *Scratch) DiurnalStats(x []float64, opts DiurnalScoreOpts) (Stats, error
 	return s.statsFromPeriodogram(s.Periodogram(x), n, opts), nil
 }
 
-// DiurnalStatsBatch evaluates the diurnal test for many same-length
-// series in one pass: a single batched FFT produces every periodogram,
-// then the score/SNR extraction runs per series over the columnar
-// spectra. Validation, defaults, and per-series results are bit-identical
-// to calling DiurnalStats once per series — the batch shares the exact
-// arithmetic (see BatchPlan) and the same stats kernel. The returned
-// slice is freshly allocated; the spectra live in scratch buffers.
-func (s *Scratch) DiurnalStatsBatch(xs [][]float64, opts DiurnalScoreOpts) ([]Stats, error) {
-	if opts.SampleInterval <= 0 || opts.Period <= 0 {
-		return nil, fmt.Errorf("dsp: non-positive interval or period")
-	}
-	if opts.Harmonics <= 0 {
-		opts.Harmonics = 3
-	}
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = 1
-	}
-	w := len(xs)
-	if w == 0 {
-		return nil, nil
-	}
-	n := len(xs[0])
-	for _, x := range xs[1:] {
-		if len(x) != n {
-			return nil, fmt.Errorf("dsp: batched series lengths differ (%d vs %d)", len(x), n)
-		}
-	}
-	need := int(2 * opts.Period / opts.SampleInterval)
-	if n < need {
-		return nil, fmt.Errorf("dsp: series of %d samples is shorter than two periods (%d samples)", n, need)
-	}
-	// Per-series means, same summation order as the scalar Periodogram.
-	s.means = growF(s.means, w)
-	for r, x := range xs {
-		mean := 0.0
-		for _, v := range x {
-			mean += v
-		}
-		s.means[r] = mean / float64(n)
-	}
-	half := n/2 + 1
-	s.specM = growC(s.specM, half*w)
-	s.BatchPlan(n).HalfSpectra(s.specM, xs, s.means)
-	out := make([]Stats, w)
-	s.p = growF(s.p, half)
-	for r := 0; r < w; r++ {
-		// Gather lane r's periodogram from the columnar spectra; the
-		// |X|^2/N arithmetic matches the scalar Periodogram bin for bin.
-		for k := 0; k < half; k++ {
-			re := real(s.specM[k*w+r])
-			im := imag(s.specM[k*w+r])
-			s.p[k] = (re*re + im*im) / float64(n)
-		}
-		out[r] = s.statsFromPeriodogram(s.p, n, opts)
-	}
-	return out, nil
-}
-
-// statsFromPeriodogram is the shared post-FFT kernel of DiurnalStats and
-// DiurnalStatsBatch: band membership, energy-fraction score, and
-// peak-over-median SNR from one periodogram. opts must already carry its
-// defaults.
+// statsFromPeriodogram is the post-FFT kernel of DiurnalStats: band
+// membership, energy-fraction score, and peak-over-median SNR from one
+// periodogram. opts must already carry its defaults.
 func (s *Scratch) statsFromPeriodogram(p []float64, n int, opts DiurnalScoreOpts) Stats {
 	// Harmonic band membership as a bool slice over bins: the bins of each
 	// harmonic's ±Tolerance window. Iterating bins in ascending order below

@@ -27,7 +27,7 @@ func scalingRun(t *testing.T, workers int) (time.Duration, int) {
 	return time.Since(t0), rep.ChangeSensitiveCount()
 }
 
-// TestScalingSmoke is the CI guard on the batched analysis scheduler: a
+// TestScalingSmoke is the CI guard on the pipeline's worker scheduling: a
 // 4-worker run must not regress more than 10% against a 1-worker run
 // (min of 3 to shave scheduler noise), and both must agree on the
 // result. On a single-core runner the two widths cost the same, so the
