@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
@@ -160,8 +161,15 @@ func appendRecordsBytes(buf []probe.Record, data []byte, clip bool, start, end i
 		}
 		off += n
 	}
-	if !clip {
-		buf = make([]probe.Record, 0, count)
+	// Reserve once for what the header promises, but never more than the
+	// bytes that follow could hold (a record is at least 3 bytes): the
+	// count is read before any checksum, and a corrupt one must not be
+	// able to demand gigabytes.
+	reserve := int(min(count, uint64(len(data)-off)/3))
+	if clip {
+		buf = slices.Grow(buf, reserve)
+	} else {
+		buf = make([]probe.Record, 0, reserve)
 	}
 	for i := uint64(0); i < count; i++ {
 		delta, n := binary.Uvarint(data[off:])
@@ -218,7 +226,9 @@ func ReadRecords(r io.Reader) ([]probe.Record, error) {
 	if count > maxRecords {
 		return nil, fmt.Errorf("dataset: implausible record count %d: %w", count, ErrCorruptLog)
 	}
-	records := make([]probe.Record, 0, count)
+	// The stream's length is unknown, so an unverified count reserves at
+	// most 256 KiB up front; a longer log grows as it is read.
+	records := make([]probe.Record, 0, min(count, 1<<14))
 	var prev int64
 	if count > 0 {
 		prev, err = binary.ReadVarint(cr)

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"runtime"
@@ -283,6 +284,32 @@ func TestStoreCloseNoLeak(t *testing.T) {
 		}
 		if maps1 := countMaps(t); maps1 > maps0+slack {
 			t.Errorf("mapping count climbed %d -> %d", maps0, maps1)
+		}
+	}
+}
+
+// TestDecodeImplausibleCountAllocatesLittle is the regression test for a
+// log whose header claims 2^30 records and then ends: the count is read
+// before any checksum, and reserving for it (16 GiB) killed the process —
+// fsck included — instead of reporting a corrupt log.
+func TestDecodeImplausibleCountAllocatesLittle(t *testing.T) {
+	crafted := binary.AppendUvarint([]byte(logMagic), 1<<30)
+	crafted = binary.AppendVarint(crafted, 0)
+	decoders := map[string]func() error{
+		"DecodeRecordsBytes": func() error { _, err := DecodeRecordsBytes(crafted); return err },
+		"AppendRecordsBytes": func() error { _, err := AppendRecordsBytes(nil, crafted, 0, 1<<40); return err },
+		"ReadRecords":        func() error { _, err := ReadRecords(bytes.NewReader(crafted)); return err },
+	}
+	for name, decode := range decoders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorruptLog) {
+			t.Errorf("%s: err = %v, want ErrCorruptLog", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes decoding a %d-byte log, want < 1 MiB", name, got, len(crafted))
 		}
 	}
 }

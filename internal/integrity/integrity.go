@@ -18,11 +18,25 @@
 // Check is pure: it judges streams and returns verdicts without
 // mutating anything. Callers (core's integrity prober, the streaming
 // daemon's per-round gate) zero the gated streams themselves.
+//
+// Check runs on every block of a guarded scan, so it is built to cost
+// less than the analysis it guards: no hashing and no per-address work.
+// Votes live in a dense table — one row per bucket the in-window data
+// touches, one 64-byte votes cell per judged stream — recycled through a
+// pool. Duplicates are counted with a 256-bit set of the addresses seen
+// at the current timestamp, which is exact on a stream whose timestamps
+// never decrease; only a stream found out of order is recounted with a
+// map. The agreement tally sums the credible streams' votes into
+// bit-sliced counters and scores 64 addresses per word operation. The
+// map-based implementation this replaced is the tests' oracle
+// (reference_test.go).
 package integrity
 
 import (
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
+	"sync"
 
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
@@ -133,9 +147,9 @@ func (v *Verdict) AgreementScore() float64 {
 	return float64(v.Matches) / float64(v.Comparisons)
 }
 
-// votes is one observer's per-bucket voting record: a bit per address
-// for "voted at all" and "last vote was up". The last observation of an
-// address within a bucket wins, mirroring Reconstruct's accumulator.
+// votes is one observer's voting record for one bucket: a bit per
+// address for "voted at all" and "last vote was up". The last observation
+// of an address within a bucket wins, mirroring Reconstruct's accumulator.
 type votes struct {
 	voted, up [4]uint64
 }
@@ -150,100 +164,105 @@ func (v *votes) set(addr uint8, isUp bool) {
 	}
 }
 
-func (v *votes) get(addr uint8) (voted, isUp bool) {
-	w, b := addr>>6, uint64(1)<<(addr&63)
-	return v.voted[w]&b != 0, v.up[w]&b != 0
+// scratch is the working memory of one Check call, recycled through
+// scratchPool so a steady stream of blocks allocates only the verdicts.
+type scratch struct {
+	// table is the dense vote table: one row per bucket, counted from the
+	// first bucket any judged stream has an in-window record in, holding
+	// one votes per judged stream.
+	table []votes
+	// judged lists the observer indexes of the judged streams; the i-th
+	// owns column i of table.
+	judged []int
+	// credible marks the judged streams still unsuspected after the
+	// per-stream gates: the only ones that vote in the majorities.
+	credible     []bool
+	rates, peers []float64
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Check judges each observer's raw record stream for one block against
 // the collection window [start, end) and the target list eb, and
 // returns one verdict per stream. Streams shorter than MinRecords are
 // never judged (their verdicts stay clean), and when every judged
-// stream is suspect none is gated. perObs is not modified.
+// stream is suspect none is gated. perObs is not modified and nothing of
+// it is retained.
 func Check(c Config, perObs [][]probe.Record, eb []int, start, end int64) []Verdict {
 	c = c.withDefaults()
 	out := make([]Verdict, len(perObs))
-	var member [256]bool
+	var member [4]uint64
 	for _, a := range eb {
 		if a >= 0 && a < 256 {
-			member[a] = true
+			member[a>>6] |= 1 << (a & 63)
 		}
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+
+	// Which streams are judged, and the span of their in-window
+	// timestamps: the vote table covers the buckets that span touches and
+	// no more, so a window far looser than the data costs nothing.
+	s.judged = s.judged[:0]
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for oi, records := range perObs {
+		out[oi].Observer = oi
+		out[oi].Records = len(records)
+		if len(records) < c.MinRecords {
+			continue
+		}
+		s.judged = append(s.judged, oi)
+		for i := range records {
+			if t := records[i].T; t >= start && t < end {
+				lo, hi = min(lo, t), max(hi, t)
+			}
+		}
+	}
+	judged := len(s.judged)
+	loBucket, buckets := int64(0), 0
+	if lo <= hi {
+		loBucket = lo / c.BucketSeconds
+		buckets = int(hi/c.BucketSeconds-loBucket) + 1
+	}
+	if n := buckets * judged; cap(s.table) < n {
+		s.table = make([]votes, n)
+	} else {
+		s.table = s.table[:n]
+		clear(s.table)
 	}
 
 	// Per-stream sanity tallies and per-bucket votes. Votes only count
 	// in-window member records — a record both gates reject must not
 	// also poison the agreement comparison.
-	perBucket := make([]map[int64]*votes, len(perObs))
-	judged := 0
-	for oi, records := range perObs {
-		v := &out[oi]
-		v.Observer = oi
-		v.Records = len(records)
-		if len(records) < c.MinRecords {
-			continue
-		}
-		judged++
-		seen := make(map[uint64]struct{}, len(records))
-		buckets := map[int64]*votes{}
-		up := 0
-		for _, r := range records {
-			if r.Up {
-				up++
-			}
-			key := uint64(r.T)<<8 | uint64(r.Addr)
-			if _, dup := seen[key]; dup {
-				v.Duplicates++
-			} else {
-				seen[key] = struct{}{}
-			}
-			if r.T < start || r.T >= end {
-				v.OutOfWindow++
-				continue
-			}
-			if !member[r.Addr] {
-				v.NonMember++
-				continue
-			}
-			bk := r.T / c.BucketSeconds
-			bv := buckets[bk]
-			if bv == nil {
-				bv = &votes{}
-				buckets[bk] = bv
-			}
-			bv.set(r.Addr, r.Up)
-		}
-		v.ReplyRate = float64(up) / float64(len(records))
-		perBucket[oi] = buckets
+	win := window{start, end, c.BucketSeconds, loBucket}
+	for ji, oi := range s.judged {
+		s.tally(ji, &out[oi], perObs[oi], &member, win)
 	}
 
 	// Leave-one-out peer reply-rate medians.
-	rates := make([]float64, 0, judged)
-	for oi := range out {
-		if perBucket[oi] != nil {
-			rates = append(rates, out[oi].ReplyRate)
-		}
+	s.rates = s.rates[:0]
+	for _, oi := range s.judged {
+		s.rates = append(s.rates, out[oi].ReplyRate)
 	}
 	peerMedian := func(self float64) float64 {
-		peers := make([]float64, 0, len(rates)-1)
+		s.peers = s.peers[:0]
 		removed := false
-		for _, r := range rates {
+		for _, r := range s.rates {
 			if !removed && r == self {
 				removed = true
 				continue
 			}
-			peers = append(peers, r)
+			s.peers = append(s.peers, r)
 		}
-		sort.Float64s(peers)
-		return peers[len(peers)/2]
+		slices.Sort(s.peers)
+		return s.peers[len(s.peers)/2]
 	}
 
 	// Phase one: the per-stream gates, which need no peer votes. Reason
 	// order puts physical impossibilities before statistical outliers.
-	for oi := range out {
+	s.credible = s.credible[:0]
+	for _, oi := range s.judged {
 		v := &out[oi]
-		if perBucket[oi] == nil {
-			continue
-		}
 		n := float64(v.Records)
 		switch {
 		case float64(v.OutOfWindow)/n > c.MaxOutOfWindow:
@@ -260,66 +279,16 @@ func Check(c Config, perObs [][]probe.Record, eb []int, start, end int64) []Verd
 				}
 			}
 		}
+		s.credible = append(s.credible, !v.Suspect)
 	}
 
-	// Cross-observer agreement: each observer's (bucket, addr) votes
-	// against the majority of its peers' votes on the same pair. Peer
-	// ties say nothing and are skipped. Only streams still credible
-	// after phase one vote in the majorities — a rate-limiting observer
-	// floods the stream with false negatives, and letting those votes
-	// count would tip legitimately-split pairs against honest observers
-	// (the Byzantine frame-up).
-	for oi := range perObs {
-		buckets := perBucket[oi]
-		if buckets == nil {
-			continue
-		}
-		v := &out[oi]
-		for bk, bv := range buckets {
-			for w := 0; w < 4; w++ {
-				rem := bv.voted[w]
-				for rem != 0 {
-					bit := uint8(bits.TrailingZeros64(rem))
-					rem &= rem - 1
-					addr := uint8(w<<6) | bit
-					_, mine := bv.get(addr)
-					peersUp, peersDown := 0, 0
-					for pi, pb := range perBucket {
-						if pi == oi || pb == nil || out[pi].Suspect {
-							continue
-						}
-						pv := pb[bk]
-						if pv == nil {
-							continue
-						}
-						if voted, isUp := pv.get(addr); voted {
-							if isUp {
-								peersUp++
-							} else {
-								peersDown++
-							}
-						}
-					}
-					if peersUp == peersDown {
-						continue
-					}
-					v.Comparisons++
-					if mine == (peersUp > peersDown) {
-						v.Matches++
-					}
-				}
-			}
-		}
-	}
+	s.agreement(out)
 
 	// Phase two's verdict: a stream that survived the per-stream gates
 	// but contradicts the credible-peer majority too often is suspect.
 	suspects := 0
-	for oi := range out {
+	for _, oi := range s.judged {
 		v := &out[oi]
-		if perBucket[oi] == nil {
-			continue
-		}
 		if !v.Suspect && v.Comparisons >= c.MinOverlap && v.AgreementScore() < c.MinAgreement {
 			v.Suspect, v.Reason = true, "disagreement"
 		}
@@ -336,4 +305,153 @@ func Check(c Config, perObs [][]probe.Record, eb []int, start, end int64) []Verd
 		out[oi].Gated = out[oi].Suspect
 	}
 	return out
+}
+
+// window is the collection window and how it is cut into vote buckets.
+type window struct {
+	start, end    int64
+	bucketSeconds int64
+	loBucket      int64 // the bucket (T / bucketSeconds) of the vote table's first row
+}
+
+// tally makes the one pass over the ji-th judged stream: reply rate, the
+// three sanity tallies, and the stream's votes into column ji of the
+// vote table.
+//
+// Duplicates need no memory of the whole stream when timestamps never
+// decrease: every repeat of a (T, addr) pair then lies inside the run of
+// records sharing T, so a 256-bit set of the addresses seen in the
+// current run, emptied whenever T changes, counts them exactly. A
+// stream found out of order (a replayed or time-shifted one) is
+// recounted by countDuplicates.
+func (s *scratch) tally(ji int, v *Verdict, records []probe.Record, member *[4]uint64, win window) {
+	var (
+		run     [4]uint64 // addresses seen at timestamp runT
+		runT    = records[0].T
+		ordered = true
+		up      = 0
+	)
+	for _, r := range records {
+		if r.Up {
+			up++
+		}
+		if r.T != runT {
+			if r.T < runT {
+				ordered = false
+			}
+			run, runT = [4]uint64{}, r.T
+		}
+		w, b := r.Addr>>6, uint64(1)<<(r.Addr&63)
+		if run[w]&b != 0 {
+			v.Duplicates++
+		}
+		run[w] |= b
+		if r.T < win.start || r.T >= win.end {
+			v.OutOfWindow++
+			continue
+		}
+		if member[w]&b == 0 {
+			v.NonMember++
+			continue
+		}
+		row := int(r.T/win.bucketSeconds - win.loBucket)
+		s.table[row*len(s.judged)+ji].set(r.Addr, r.Up)
+	}
+	v.ReplyRate = float64(up) / float64(len(records))
+	// The recount's key keeps 56 bits of T, so timestamps further apart
+	// than that collide in it; only the recount reproduces those.
+	const keyRange = int64(1) << 55
+	if !ordered || records[0].T < -keyRange || runT >= keyRange {
+		v.Duplicates = countDuplicates(records)
+	}
+}
+
+// countDuplicates counts the records repeating an earlier (T, addr) pair
+// of a stream in any order.
+func countDuplicates(records []probe.Record) int {
+	seen := make(map[uint64]struct{}, len(records))
+	for _, r := range records {
+		seen[uint64(r.T)<<8|uint64(r.Addr)] = struct{}{}
+	}
+	return len(records) - len(seen)
+}
+
+// agreement scores every judged stream's (bucket, addr) votes against the
+// majority of its peers' votes on the same pair, 64 addresses at a time.
+// Peer ties say nothing and are skipped. Only streams still credible
+// after phase one vote in the majorities — a rate-limiting observer
+// floods the stream with false negatives, and letting those votes count
+// would tip legitimately-split pairs against honest observers (the
+// Byzantine frame-up) — but suspects are still scored.
+//
+// Per bucket and word, the credible streams' votes are summed once into a
+// bit-sliced margin (plane i holds bit i of all 64 addresses' up-votes
+// minus down-votes, two's complement). A stream's peers' margin is that
+// sum less its own vote, so a credible up-voter sees a peer majority up
+// where the sum is at least 2 and down where it is at most 0, a credible
+// down-voter the mirror image, and a suspect, absent from the sum, reads
+// its sign directly.
+func (s *scratch) agreement(out []Verdict) {
+	judged := len(s.judged)
+	if judged == 0 {
+		return
+	}
+	var buf [65]uint64
+	margin := buf[:bits.Len(uint(judged))+1] // holds −judged … judged
+	for row := s.table; len(row) > 0; row = row[judged:] {
+		for w := 0; w < 4; w++ {
+			clear(margin)
+			var voted uint64
+			for ji, credible := range s.credible {
+				cell := &row[ji]
+				voted |= cell.voted[w]
+				if credible {
+					increment(margin, cell.up[w])
+					decrement(margin, cell.voted[w]&^cell.up[w])
+				}
+			}
+			if voted == 0 {
+				continue
+			}
+			// Address masks by margin: negative, positive, exactly ±1.
+			top := len(margin) - 1
+			neg, plusOne, minusOne := margin[top], margin[0], margin[0]
+			var high uint64
+			for _, plane := range margin[1:] {
+				high |= plane
+				minusOne &= plane
+			}
+			plusOne &^= high
+			pos := (margin[0] | high) &^ neg
+			for ji, oi := range s.judged {
+				cell := &row[ji]
+				up, down := cell.up[w], cell.voted[w]&^cell.up[w]
+				var agree, differ uint64 // with a peer majority
+				if s.credible[ji] {
+					agree = up&pos&^plusOne | down&neg&^minusOne
+					differ = up&^pos | down&^neg
+				} else {
+					agree = up&pos | down&neg
+					differ = up&neg | down&pos
+				}
+				out[oi].Matches += bits.OnesCount64(agree)
+				out[oi].Comparisons += bits.OnesCount64(agree | differ)
+			}
+		}
+	}
+}
+
+// increment adds one to the bit-sliced counters of the addresses in x, a
+// ripple carry across the planes; decrement subtracts one, rippling the
+// borrow. Both wrap like the two's-complement integers the planes spell.
+func increment(planes []uint64, x uint64) {
+	for i := 0; x != 0 && i < len(planes); i++ {
+		planes[i], x = planes[i]^x, planes[i]&x
+	}
+}
+
+func decrement(planes []uint64, x uint64) {
+	for i := 0; x != 0 && i < len(planes); i++ {
+		planes[i], x = planes[i]^x, x&^planes[i]
+	}
 }
