@@ -502,11 +502,25 @@ func runSignature(cfg Config, world []*dataset.WorldBlock) []byte {
 // of the same world and config — interrupted-and-resumed or not — must
 // produce equal fingerprints; the kill-and-resume experiment asserts
 // exactly that.
+//
+// The outcomes are hashed as a count followed by one gob message per
+// block, not as one message holding the slice: gob buffers a whole message
+// before it writes a byte, so a single message held every block's series
+// in memory at once (and grew there by doubling), while per-block messages
+// reuse one block-sized buffer. A fingerprint is only ever compared with
+// another computed by the same build — inside one process, or between
+// processes of one binary; nothing stores one — so its value may change
+// between versions of this function, and did when the framing changed.
 func (r *WorldResult) Fingerprint() (string, error) {
 	h := sha256.New()
 	enc := gob.NewEncoder(h)
-	if err := enc.Encode(r.Blocks); err != nil {
+	if err := enc.Encode(len(r.Blocks)); err != nil {
 		return "", fmt.Errorf("core: fingerprinting blocks: %w", err)
+	}
+	for i := range r.Blocks {
+		if err := enc.Encode(&r.Blocks[i]); err != nil {
+			return "", fmt.Errorf("core: fingerprinting block %d: %w", i, err)
+		}
 	}
 	errs := make([]string, 0, len(r.Report.BlockErrors))
 	for _, e := range r.Report.BlockErrors {

@@ -183,7 +183,15 @@ func MergeInto(dst []probe.Record, perObserver [][]probe.Record) []probe.Record 
 	}
 	out := dst[:0]
 	if cap(out) < total {
-		out = make([]probe.Record, 0, total)
+		// A reused buffer that has to grow will be asked to grow again:
+		// the daemon merges a stream one round longer every refresh, and
+		// an exact fit would reallocate (and zero) the buffer each time.
+		// A first use gets the exact size.
+		grown := total
+		if cap(out) > 0 {
+			grown += total / 4
+		}
+		out = make([]probe.Record, 0, grown)
 	}
 	k := len(perObserver)
 	var headsArr [8]int

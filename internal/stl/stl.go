@@ -67,10 +67,12 @@ type Result struct {
 // Workspace holds every scratch buffer an STL decomposition needs, so a
 // worker that decomposes many series of the same length reuses its
 // detrended/deseasonalized/extension/weight buffers across inner and outer
-// iterations — and across calls — instead of reallocating them. The zero
-// value is ready to use; buffers grow on demand and stick around. A
-// Workspace is not safe for concurrent use: give each goroutine its own
-// (the pipeline does, via core.Scratch).
+// iterations — and across calls — instead of reallocating them. It also
+// caches what the LOESS kernel derives from a span alone: the rows of
+// tricube weights of the last few spans smoothed with (≈ 140 kB per span
+// of ≈ 180; see loess.go). The zero value is ready to use; buffers grow on
+// demand and stick around. A Workspace is not safe for concurrent use:
+// give each goroutine its own (the pipeline does, via core.Scratch).
 type Workspace struct {
 	trend, seasonal, rho []float64
 	detrended, deseason  []float64
@@ -80,7 +82,11 @@ type Workspace struct {
 	tr                   []float64 // trend LOESS output
 	sub, subRho          []float64 // one phase's cycle subseries
 	absResid, sortBuf    []float64 // robustness-weight intermediates
-	tricube              []float64 // interior tricube weight table (loess)
+
+	// The LOESS row kernel's state (loess.go).
+	tables    [maxRowTables]rowTable // cached rows, one table per span
+	nextTable int                    // slot the next uncached span overwrites
+	row       []float64              // inline row and ramp of a series shorter than its span
 }
 
 // Decompose runs STL on y. It returns an error when the series is shorter

@@ -1,12 +1,13 @@
 package stl
 
-// Windowed refresh for the streaming daemon. STL is a whole-series
+// Settle tracking for the streaming daemon. STL is a whole-series
 // smoother: appending samples perturbs the trend near the new edge, so a
 // daemon re-decomposing a growing series cannot treat the latest trend as
-// final everywhere. Window runs the refreshes and tracks the *settled
-// prefix* — the leading samples whose trend value stopped moving between
-// consecutive refreshes — which is what an online change detector may
-// safely consume early. Settling is a heuristic (a sample quiet between
+// final everywhere. The daemon decomposes inside the shared analysis
+// kernel and shows each refresh's trend to a Window, which tracks the
+// *settled prefix* — the leading samples whose trend value stopped moving
+// between consecutive refreshes — which is what an online change detector
+// may safely consume early. Settling is a heuristic (a sample quiet between
 // two refreshes can still move later, which is why the tolerance is
 // paired with a lag guard); authoritative verdicts always come from the
 // final full-window decomposition.
@@ -19,9 +20,9 @@ import "fmt"
 // reach in practice.
 const DefaultSettleLag = 96
 
-// Window tracks successive decompositions of a growing series and the
-// prefix of the trend that has stopped moving. Not safe for concurrent
-// use.
+// Window observes the trends of successive decompositions of a growing
+// series and tracks the prefix that has stopped moving. It runs no
+// decomposition itself. Not safe for concurrent use.
 type Window struct {
 	// Eps is the per-sample absolute trend tolerance: a sample is quiet
 	// when its trend moved less than Eps since the previous refresh.
@@ -31,26 +32,12 @@ type Window struct {
 	// quiet sample (negative: no guard; zero: DefaultSettleLag).
 	Lag int
 
-	ws      Workspace
-	res     Result
 	prev    []float64
 	settled int
 }
 
-// Refresh decomposes the current (grown) series and updates the settled
-// prefix. The returned Result is the Window's own and is overwritten by
-// the next Refresh; its slices must not be retained across calls.
-func (w *Window) Refresh(y []float64, opts Opts) (*Result, error) {
-	if err := w.ws.DecomposeInto(&w.res, y, opts); err != nil {
-		return nil, err
-	}
-	w.Observe(w.res.Trend)
-	return &w.res, nil
-}
-
-// Observe updates the settled prefix from an externally computed trend —
-// for callers that run the decomposition themselves (the streaming daemon
-// decomposes inside the shared analysis kernel). The trend is copied.
+// Observe updates the settled prefix from the trend of the latest
+// decomposition and returns it. The trend is copied.
 func (w *Window) Observe(trend []float64) int {
 	quiet := 0
 	limit := len(trend)

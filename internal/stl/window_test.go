@@ -20,29 +20,6 @@ func diurnalSeries(rng *rand.Rand, n int) []float64 {
 	return y
 }
 
-// TestWindowRefreshMatchesDecompose: Refresh is DecomposeInto plus settle
-// tracking; its numerical output must be identical.
-func TestWindowRefreshMatchesDecompose(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	y := diurnalSeries(rng, 24*28)
-	opts := DefaultOpts(168)
-	opts.Periodic = true
-	want, err := Decompose(y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w Window
-	got, err := w.Refresh(y, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Trend {
-		if got.Trend[i] != want.Trend[i] {
-			t.Fatalf("trend[%d]: Refresh %g != Decompose %g", i, got.Trend[i], want.Trend[i])
-		}
-	}
-}
-
 // TestWindowSettling grows the series refresh by refresh and checks that
 // (a) the settled prefix is monotone nondecreasing, (b) it eventually
 // advances past zero, and (c) every settled sample's trend stays within
@@ -56,14 +33,23 @@ func TestWindowSettling(t *testing.T) {
 	opts.Periodic = true
 	opts.Trend = 168 + 25
 
+	// One refresh, as the daemon runs it: decompose in a workspace of the
+	// caller's, show the trend to the Window.
+	var ws Workspace
+	var res Result
+	refresh := func(w *Window, n int) {
+		t.Helper()
+		if err := ws.DecomposeInto(&res, y[:n], opts); err != nil {
+			t.Fatal(err)
+		}
+		w.Observe(res.Trend)
+	}
+
 	w := Window{Eps: 0.05}
 	var finalTrend []float64
 	prevSettled := 0
 	for n := 24 * 7 * 3; n <= total; n += 24 {
-		res, err := w.Refresh(y[:n], opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		refresh(&w, n)
 		if s := w.Settled(); s < prevSettled {
 			t.Fatalf("settled went backward: %d -> %d", prevSettled, s)
 		} else {
@@ -84,9 +70,7 @@ func TestWindowSettling(t *testing.T) {
 	// emission from the settled prefix would be unsound.
 	w2 := Window{Eps: 0.05}
 	for n := 24 * 7 * 3; n <= total; n += 24 {
-		if _, err := w2.Refresh(y[:n], opts); err != nil {
-			t.Fatal(err)
-		}
+		refresh(&w2, n)
 		for i := 0; i < w2.Settled(); i++ {
 			if d := math.Abs(w2.prev[i] - finalTrend[i]); d > 2.0 {
 				t.Fatalf("settled sample %d (frontier %d at n=%d) drifted %g vs final trend", i, w2.Settled(), n, d)
