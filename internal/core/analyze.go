@@ -241,14 +241,16 @@ func (cfg Config) AnalyzeRecords(perObs [][]probe.Record, eb []int) (*BlockAnaly
 }
 
 // AnalyzeCollectedScratch is the shared analysis kernel: it takes
-// already-collected per-observer probe streams and runs sanitization,
-// repair, merge, reconstruction, classification, and trend/change
-// detection. Both the world driver (AnalyzeBlockScratch, which collects
-// then calls here) and the streaming daemon (internal/stream, which
-// accumulates rounds then calls here on every refresh) use this one entry
-// point, so a streaming run that has seen a block's full window produces
-// bit-identical results to a world run. perObs is mutated in place
-// (sanitize/repair); sc may be nil for a one-shot call.
+// already-collected per-observer probe streams and runs sanitization, the
+// per-stream repair pass, one merged-order walk that reconstructs the
+// series and tracks the outage belief together (see frontHalf),
+// classification, and trend/change detection. Both the world driver
+// (AnalyzeBlockScratch, which collects then calls here) and the streaming
+// daemon (internal/stream, which accumulates rounds then calls here on
+// every refresh) use this one entry point, so a streaming run that has seen
+// a block's full window produces bit-identical results to a world run.
+// perObs is mutated in place (sanitize/repair); sc may be nil for a
+// one-shot call.
 func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
 	c, err := cfg.resolved()
 	if err != nil {
@@ -269,24 +271,77 @@ func (cfg Config) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratc
 	if len(eb) == 0 {
 		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
+	series, outages, san, err := cfg.frontHalf(perObs, eb, sc, trustClean)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.analyzeResolvedSeries(series, outages, san, sc)
+}
+
+// frontHalf is the record-level half of the kernel: steps 1–3 of the
+// paper's Table 1 (sanitize, combine the observers, reconstruct with
+// 1-loss repair) plus the §2.6 outage cross-check. After sanitization it
+// takes two passes over the records, where the staged composition
+// Repair1Loss → MergeInto → ResolveContested → Reconstruct +
+// outage.FromRecords (which it equals bit for bit, and which stays the
+// test oracle) takes six to eight and materialises the merged stream. Pass
+// 1, per observer stream, repairs and tallies; pass 2 walks the streams in
+// merged order and hands each run to the address-state accumulator and the
+// belief detector while it is in cache. Streams that were sanitized, or
+// that the caller vouches for (trustClean), already hold one record per
+// (time, address), so their walk need not scan runs for duplicates.
+//
+// The belief's availability is the reply rate of the merged stream, and
+// the detector needs it before its first record. Pass 1's tally is that
+// rate exactly when the walk drops nothing; when it does drop —
+// cross-observer timestamp ties under Integrity, duplicate floods with
+// sanitizing off, never on clean data — the belief alone walks again with
+// the corrected rate.
+func (cfg Config) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
 	var san reconstruct.SanitizeReport
 	if cfg.SanitizeRecords && !trustClean {
 		san = cfg.sanitizeStreams(perObs)
 	}
-	if cfg.Repair {
-		for _, stream := range perObs {
-			reconstruct.Repair1Loss(stream)
+	cur := &sc.cursor
+	cur.Dedup, cur.Resolve = !(trustClean || cfg.SanitizeRecords), cfg.Integrity
+	records, responsive, runs := cur.Load(perObs, cfg.Repair)
+	if err := sc.acc.Reset(eb, runs); err != nil {
+		return nil, nil, san, err
+	}
+	// The detector's availability is estimated from the stream itself, as
+	// outage.FromRecords does (mean reply rate, the long-term A estimate of
+	// §2.8); det stays nil when there is nothing to detect: masking
+	// disabled, an empty stream, a block that never answered. NewDetector
+	// inlines here, which keeps the detector on this frame; it has no error
+	// to give for a rate in (0, 1] under default Params, and a nil det
+	// would mean no masking, as when FromRecords failed.
+	var det *outage.Detector
+	if cfg.OutageMaskMinHours >= 0 && responsive > 0 {
+		det, _ = outage.NewDetector(float64(responsive)/float64(records), outage.Params{})
+	}
+	walk(cur, &sc.acc, det)
+	if dropped, droppedUp := cur.Dropped(); dropped > 0 && det != nil {
+		det = nil
+		if responsive > droppedUp {
+			det, _ = outage.NewDetector(float64(responsive-droppedUp)/float64(records-dropped), outage.Params{})
+		}
+		cur.Reset(perObs)
+		walk(cur, nil, det)
+	}
+	return sc.acc.Finish(), cfg.maskingOutages(det), san, nil
+}
+
+// walk drains the cursor, handing every run of the merged stream to the
+// accumulator and to the belief detector; either may be nil.
+func walk(cur *reconstruct.Cursor, acc *reconstruct.Accumulator, det *outage.Detector) {
+	for run := cur.Next(); run != nil; run = cur.Next() {
+		if acc != nil {
+			acc.Add(run)
+		}
+		if det != nil {
+			det.ObserveAll(run)
 		}
 	}
-	sc.merged = reconstruct.MergeInto(sc.merged, perObs)
-	if cfg.Integrity {
-		sc.merged = reconstruct.ResolveContested(sc.merged)
-	}
-	series, err := reconstruct.Reconstruct(sc.merged, eb)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.analyzeResolvedSeries(series, cfg.detectOutages(sc.merged), san, sc)
 }
 
 // sanitizeStreams window-clips, re-sorts, and de-duplicates each observer
@@ -351,19 +406,15 @@ func (cfg Config) analyzeResolvedSeries(series *reconstruct.Series, outages []ou
 	return out, nil
 }
 
-// detectOutages runs the Trinocular belief detector over the merged probe
-// stream and keeps intervals long enough to mask trend changes.
-func (cfg Config) detectOutages(merged []probe.Record) []outage.Interval {
-	if cfg.OutageMaskMinHours < 0 {
-		return nil
-	}
-	intervals, err := outage.FromRecords(merged, 0, outage.Params{})
-	if err != nil {
+// maskingOutages keeps the detector's intervals long enough to mask trend
+// changes.
+func (cfg Config) maskingOutages(det *outage.Detector) []outage.Interval {
+	if det == nil {
 		return nil
 	}
 	minDur := int64(cfg.OutageMaskMinHours) * 3600
 	var kept []outage.Interval
-	for _, iv := range intervals {
+	for _, iv := range det.Outages() {
 		// Open intervals (never recovered within the window) are not
 		// transient failures but decommissionings or migrations — genuine
 		// usage changes the paper reports (the Appendix B.2 VPN block).
@@ -575,9 +626,10 @@ func (cfg Config) toWallClock(changes []changepoint.Change, a *BlockAnalysis) []
 	return out
 }
 
-// Scratch holds one worker's reusable analysis state: the probe/merge
-// record buffers, the classifier's cached FFT plans and resample buffers,
-// and the STL workspace. A world-scale run hands each worker goroutine its
+// Scratch holds one worker's reusable analysis state: the probe record
+// buffers, the merged-order cursor and the address-state accumulator of the
+// record walk, the classifier's cached FFT plans and resample buffers, and
+// the STL workspace. A world-scale run hands each worker goroutine its
 // own Scratch (Pipeline.Run does), so the per-block hot path allocates only
 // for outputs that outlive the block; everything length-dependent is paid
 // once per distinct series length. A Scratch is not safe for concurrent
@@ -585,7 +637,8 @@ func (cfg Config) toWallClock(changes []changepoint.Change, a *BlockAnalysis) []
 // (see DESIGN.md).
 type Scratch struct {
 	perObs [][]probe.Record
-	merged []probe.Record
+	cursor reconstruct.Cursor
+	acc    reconstruct.Accumulator
 	class  *blockclass.Scratch
 	stl    stl.Workspace
 }

@@ -113,6 +113,20 @@ func TestFilterOutagePairsNegativeGapDisables(t *testing.T) {
 	}
 }
 
+// detectOutages runs the kernel's record walk over one already merged
+// stream, as it stands (no repair), and returns the outages it would mask
+// with.
+func detectOutages(t *testing.T, cfg Config, merged []probe.Record) []outage.Interval {
+	t.Helper()
+	cfg.Repair = false
+	cfg.SanitizeRecords = false
+	_, outages, _, err := cfg.frontHalf([][]probe.Record{merged}, []int{1}, NewScratch(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outages
+}
+
 func TestDetectOutagesKeepsOnlyLongClosed(t *testing.T) {
 	cfg := DefaultConfig(0, 100*day).withDefaults()
 	// Build a record stream: up for 3 days, silent for 2 days, up again,
@@ -128,7 +142,7 @@ func TestDetectOutagesKeepsOnlyLongClosed(t *testing.T) {
 	add(5*day, 8*day, true)
 	add(8*day, 8*day+2*3600, false)
 	add(8*day+2*3600, 10*day, true)
-	got := cfg.detectOutages(recs)
+	got := detectOutages(t, cfg, recs)
 	if len(got) != 1 {
 		t.Fatalf("want exactly the 2-day outage, got %+v", got)
 	}
@@ -144,14 +158,14 @@ func TestDetectOutagesKeepsOnlyLongClosed(t *testing.T) {
 		}
 	}
 	add2(10*day, 20*day, false)
-	for _, iv := range cfg.detectOutages(recs2) {
+	for _, iv := range detectOutages(t, cfg, recs2) {
 		if iv.End == 0 || iv.Start >= 10*day {
 			t.Fatalf("open-ended migration reported as outage: %+v", iv)
 		}
 	}
 	// Disabling masking returns nothing.
 	cfg.OutageMaskMinHours = -1
-	if cfg.detectOutages(recs) != nil {
+	if detectOutages(t, cfg, recs) != nil {
 		t.Fatal("disabled masking should detect nothing")
 	}
 }

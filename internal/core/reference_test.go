@@ -1,0 +1,77 @@
+package core
+
+import (
+	"github.com/diurnalnet/diurnal/internal/outage"
+	"github.com/diurnalnet/diurnal/internal/probe"
+	"github.com/diurnalnet/diurnal/internal/reconstruct"
+)
+
+// referenceDetectOutages is the parent commit's Config.detectOutages,
+// verbatim apart from its name: the belief over a materialised merged
+// stream, then the interval filter.
+func (cfg Config) referenceDetectOutages(merged []probe.Record) []outage.Interval {
+	if cfg.OutageMaskMinHours < 0 {
+		return nil
+	}
+	intervals, err := outage.FromRecords(merged, 0, outage.Params{})
+	if err != nil {
+		return nil
+	}
+	minDur := int64(cfg.OutageMaskMinHours) * 3600
+	var kept []outage.Interval
+	for _, iv := range intervals {
+		// Open intervals (never recovered within the window) are not
+		// transient failures but decommissionings or migrations — genuine
+		// usage changes the paper reports (the Appendix B.2 VPN block).
+		if iv.End == 0 {
+			continue
+		}
+		if iv.End-iv.Start >= minDur {
+			kept = append(kept, iv)
+		}
+	}
+	return kept
+}
+
+// referenceAnalyzeCollected is the parent commit's Config.analyzeCollected:
+// the front half as a composition of the exported stages, each a pass of
+// its own over the records, with the merged stream materialised. It is the
+// oracle the two-pass walk is held to, bit for bit, in front_test.go.
+func (cfg Config) referenceAnalyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*BlockAnalysis, error) {
+	if len(eb) == 0 {
+		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
+	}
+	series, outages, san, err := cfg.referenceFrontHalf(perObs, eb, nil, trustClean)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.analyzeResolvedSeries(series, outages, san, sc)
+}
+
+// referenceFrontHalf is the record-level half of the parent's kernel:
+// Sanitize ×k → Repair1Loss ×k → MergeInto → ResolveContested →
+// Reconstruct → detectOutages. merged is the reusable merge buffer Scratch
+// used to hold (nil for a one-shot call).
+func (cfg Config) referenceFrontHalf(perObs [][]probe.Record, eb []int, merged *[]probe.Record, trustClean bool) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
+	var san reconstruct.SanitizeReport
+	if cfg.SanitizeRecords && !trustClean {
+		san = cfg.sanitizeStreams(perObs)
+	}
+	if merged == nil {
+		merged = new([]probe.Record)
+	}
+	if cfg.Repair {
+		for _, stream := range perObs {
+			reconstruct.Repair1Loss(stream)
+		}
+	}
+	*merged = reconstruct.MergeInto(*merged, perObs)
+	if cfg.Integrity {
+		*merged = reconstruct.ResolveContested(*merged)
+	}
+	series, err := reconstruct.Reconstruct(*merged, eb)
+	if err != nil {
+		return nil, nil, san, err
+	}
+	return series, cfg.referenceDetectOutages(*merged), san, nil
+}

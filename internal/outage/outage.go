@@ -99,8 +99,19 @@ type Detector struct {
 // availability (clamped into [0.05, 0.99]; Trinocular refuses to reason
 // about blocks with lower A).
 func NewDetector(availability float64, params Params) (*Detector, error) {
+	// Small enough to inline, so a caller whose detector does not outlive
+	// it (FromRecords, the analysis kernel once per block) keeps the
+	// detector on its stack; init is the part too big for that.
+	d := new(Detector)
+	if err := d.init(availability, params); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+func (d *Detector) init(availability float64, params Params) error {
 	if availability <= 0 || availability > 1 {
-		return nil, fmt.Errorf("outage: availability %v outside (0,1]", availability)
+		return fmt.Errorf("outage: availability %v outside (0,1]", availability)
 	}
 	if availability < 0.05 {
 		availability = 0.05
@@ -110,14 +121,15 @@ func NewDetector(availability float64, params Params) (*Detector, error) {
 	}
 	p := params.withDefaults()
 	if p.DownThreshold >= p.UpThreshold {
-		return nil, fmt.Errorf("outage: thresholds inverted (%v >= %v)", p.DownThreshold, p.UpThreshold)
+		return fmt.Errorf("outage: thresholds inverted (%v >= %v)", p.DownThreshold, p.UpThreshold)
 	}
-	return &Detector{
+	*d = Detector{
 		params:       p,
 		availability: availability,
 		belief:       p.BeliefCeiling, // blocks start presumed up
 		state:        Up,
-	}, nil
+	}
+	return nil
 }
 
 // Belief returns the current P(block up).
@@ -127,51 +139,10 @@ func (d *Detector) Belief() float64 { return d.belief }
 func (d *Detector) State() State { return d.state }
 
 // Observe updates the belief with one probe result at time t. Probe
-// results must arrive in time order.
+// results must arrive in time order. It is ObserveAll over one record.
 func (d *Detector) Observe(t int64, up bool) {
-	a := d.availability
-	eps := d.params.LieProbability
-	// Saturation fast path: when the belief sits exactly at a cap and the
-	// observation pushes further into it, the Bayesian update provably
-	// re-clamps to the same value (e.g. for positive evidence aB/(aB +
-	// eps(1-B)) >= B whenever a >= eps, including the den == 0 and cap == 1
-	// edge cases), so the division can be skipped. Long saturated runs —
-	// most of a healthy block's stream — reduce to the decision switch.
-	skip := a >= eps &&
-		((up && d.belief == d.params.BeliefCeiling) ||
-			(!up && d.belief == d.params.BeliefFloor))
-	if !skip {
-		var pObsUp, pObsDown float64
-		if up {
-			pObsUp, pObsDown = a, eps
-		} else {
-			pObsUp, pObsDown = 1-a, 1-eps
-		}
-		num := pObsUp * d.belief
-		den := num + pObsDown*(1-d.belief)
-		if den > 0 {
-			d.belief = num / den
-		}
-		if d.belief < d.params.BeliefFloor {
-			d.belief = d.params.BeliefFloor
-		}
-		if d.belief > d.params.BeliefCeiling {
-			d.belief = d.params.BeliefCeiling
-		}
-	}
-	switch {
-	case d.belief >= d.params.UpThreshold:
-		if d.state == Down {
-			// Outage ends.
-			d.outages[len(d.outages)-1].End = t
-		}
-		d.state = Up
-	case d.belief <= d.params.DownThreshold:
-		if d.state != Down {
-			d.outages = append(d.outages, Interval{Start: t})
-		}
-		d.state = Down
-	}
+	one := [1]probe.Record{{T: t, Up: up}}
+	d.ObserveAll(one[:])
 }
 
 // Outages returns the detected outage intervals so far. The last interval
@@ -202,23 +173,30 @@ func FromRecords(records []probe.Record, availability float64, params Params) ([
 	if err != nil {
 		return nil, err
 	}
-	d.observeAll(records)
+	d.ObserveAll(records)
 	return d.Outages(), nil
 }
 
-// observeAll is Observe unrolled over a whole record stream with the
-// belief, state, and parameters held in locals: a world run pushes
-// millions of records through the detector, and the per-call pointer
-// traffic of the one-record method was a measurable profile slice. The
-// arithmetic and decision order are identical to calling Observe once per
-// record.
-func (d *Detector) observeAll(records []probe.Record) {
+// ObserveAll updates the belief with a run of probe results, in order — the
+// detector's one update loop: Observe and FromRecords drive it, and the
+// analysis kernel hands it each equal-timestamp run of the merged stream as
+// its walk produces it. The belief, state, and parameters are held in locals
+// for the run: a world run pushes millions of records through the detector,
+// and per-record pointer traffic was a measurable profile slice.
+//
+// Saturation fast path: when the belief sits exactly at a cap and the
+// observation pushes further into it, the Bayesian update provably
+// re-clamps to the same value (e.g. for positive evidence aB/(aB +
+// eps(1-B)) >= B whenever a >= eps, including the den == 0 and cap == 1
+// edge cases), so the division can be skipped. Long saturated runs —
+// most of a healthy block's stream — reduce to the decision switch.
+func (d *Detector) ObserveAll(records []probe.Record) {
 	a := d.availability
 	eps := d.params.LieProbability
 	floor, ceil := d.params.BeliefFloor, d.params.BeliefCeiling
 	upTh, downTh := d.params.UpThreshold, d.params.DownThreshold
 	canSkip := a >= eps
-	belief, state, outages := d.belief, d.state, d.outages
+	belief, state := d.belief, d.state
 	for i := range records {
 		r := &records[i]
 		if !(canSkip && ((r.Up && belief == ceil) || (!r.Up && belief == floor))) {
@@ -243,17 +221,17 @@ func (d *Detector) observeAll(records []probe.Record) {
 		switch {
 		case belief >= upTh:
 			if state == Down {
-				outages[len(outages)-1].End = r.T
+				d.outages[len(d.outages)-1].End = r.T
 			}
 			state = Up
 		case belief <= downTh:
 			if state != Down {
-				outages = append(outages, Interval{Start: r.T})
+				d.outages = append(d.outages, Interval{Start: r.T})
 			}
 			state = Down
 		}
 	}
-	d.belief, d.state, d.outages = belief, state, outages
+	d.belief, d.state = belief, state
 }
 
 // MaskChanges reports, for each change time, whether it falls within slop

@@ -22,23 +22,54 @@ import (
 // are left untouched. Records must be in time order (as produced by the
 // prober).
 func Repair1Loss(records []probe.Record) {
-	// prev2/prev1 hold indices of the last two observations per address,
-	// -1 when unseen.
-	var prev1, prev2 [256]int
-	for i := range prev1 {
-		prev1[i] = -1
-		prev2[i] = -1
+	repairTally(records, true)
+}
+
+// repairTally is the one per-stream pass ahead of the merged-order walk:
+// 1-loss repair when repair is set, and the tallies the later stages need
+// before their first record — how many records are responsive once repaired
+// (the belief's availability) and how many equal-timestamp runs the stream
+// holds (the Series capacity). Repair has to be a pass of its own: 101 → 111
+// is decided by the address's next observation, up to |E(b)| rounds ahead,
+// so merged order cannot decide it without rewriting counts already emitted.
+func repairTally(records []probe.Record, repair bool) (responsive, runs int) {
+	// Per address: where it was last observed, and its last responses as
+	// bits, the newest lowest. An unseen address reads as not responsive,
+	// which can never complete a 101, so neither array needs a sentinel.
+	var last [256]int
+	var hist [256]uint8
+	var prevT int64
+	if len(records) > 0 {
+		runs, prevT = 1, records[0].T
 	}
 	for i, r := range records {
-		a := int(r.Addr)
-		if p2, p1 := prev2[a], prev1[a]; p2 >= 0 && p1 >= 0 {
-			if records[p2].Up && !records[p1].Up && r.Up {
-				records[p1].Up = true
-			}
+		// The tallies are written as conditional values, not conditional
+		// increments: whether a record answered or opened a run is as good
+		// as random to a branch predictor, and the compiler turns this form
+		// into flag arithmetic.
+		var newRun, up int
+		if r.T != prevT {
+			newRun = 1
 		}
-		prev2[a] = prev1[a]
-		prev1[a] = i
+		if r.Up {
+			up = 1
+		}
+		runs += newRun
+		responsive += up
+		prevT = r.T
+		if !repair {
+			continue
+		}
+		h := hist[r.Addr]<<1&0b111 | uint8(up)
+		if h == 0b101 {
+			records[last[r.Addr]].Up = true
+			responsive++
+			h = 0b111
+		}
+		hist[r.Addr] = h
+		last[r.Addr] = i
 	}
+	return responsive, runs
 }
 
 // SanitizeReport counts what Sanitize quarantined from one record stream.
@@ -171,11 +202,8 @@ func Merge(perObserver [][]probe.Record) []probe.Record {
 	return MergeInto(nil, perObserver)
 }
 
-// MergeInto is Merge reusing dst's capacity. The merge is a direct min-scan
-// over the stream heads: with a handful of observers (the paper uses six
-// sites at most) that beats a binary heap, whose interface-dispatched
-// comparisons dominated the merge in profiles, while producing the
-// identical record order (time-sorted, ties by stream index).
+// MergeInto is Merge reusing dst's capacity: the Cursor's walk, with the
+// within-run duplicate scan on, appended run by run.
 func MergeInto(dst []probe.Record, perObserver [][]probe.Record) []probe.Record {
 	total := 0
 	for _, s := range perObserver {
@@ -183,86 +211,40 @@ func MergeInto(dst []probe.Record, perObserver [][]probe.Record) []probe.Record 
 	}
 	out := dst[:0]
 	if cap(out) < total {
-		// A reused buffer that has to grow will be asked to grow again:
-		// the daemon merges a stream one round longer every refresh, and
-		// an exact fit would reallocate (and zero) the buffer each time.
-		// A first use gets the exact size.
-		grown := total
-		if cap(out) > 0 {
-			grown += total / 4
-		}
-		out = make([]probe.Record, 0, grown)
+		out = make([]probe.Record, 0, total)
 	}
-	k := len(perObserver)
-	var headsArr [8]int
-	var heads []int
-	if k <= len(headsArr) {
-		heads = headsArr[:k]
-		for i := range heads {
-			heads[i] = 0
-		}
-	} else {
-		heads = make([]int, k)
+	c := Cursor{Dedup: true}
+	c.Reset(perObserver)
+	for run := c.Next(); run != nil; run = c.Next() {
+		out = append(out, run...)
 	}
-	for {
-		best := -1
-		var bestT int64
-		for i := 0; i < k; i++ {
-			s := perObserver[i]
-			if heads[i] >= len(s) {
-				continue
-			}
-			if t := s[heads[i]].T; best == -1 || t < bestT {
-				best, bestT = i, t
+	return out
+}
+
+// runRepeats reports whether an address occurs twice in one stream's
+// equal-timestamp run. A healthy prober emits each address at most once
+// per round, so this only fires on corrupt streams. Adaptive probing keeps
+// runs short (a round stops at its first positive), so a quadratic scan
+// with an early exit beats clearing a [256]bool per run.
+func runRepeats(run []probe.Record) bool {
+	for i := 1; i < len(run); i++ {
+		for k := 0; k < i; k++ {
+			if run[k].Addr == run[i].Addr {
+				return true
 			}
 		}
-		if best == -1 {
-			return out
-		}
-		// Emit the winning stream's whole run of equal timestamps at once.
-		// A probing round leaves one record per probed address with the same
-		// T, so runs are long; under the (T, stream index) order the entire
-		// run precedes every other stream's records — lower-index streams
-		// hold only later timestamps (they lost the scan), and equal-T
-		// records in higher-index streams sort after by the tie-break.
-		s := perObserver[best]
-		h := heads[best]
-		j := h + 1
-		for j < len(s) && s[j].T == bestT {
-			j++
-		}
-		out = appendRunDedup(out, s[h:j])
-		heads[best] = j
 	}
+	return false
 }
 
 // appendRunDedup appends one stream's equal-timestamp run to out,
 // dropping repeats of an address within the run (first observation
-// wins). A healthy prober emits each address at most once per round, so
-// this only fires on corrupt streams — a duplicate-flooded stream
-// re-emitting a round at the same timestamp would otherwise re-enter
-// Reconstruct's state machine once per copy and inflate active-address
-// counts through its last-write-wins accumulator. Runs from different
-// observers are never collapsed here; cross-observer repeats are
-// ResolveContested's job.
+// wins) — a duplicate-flooded stream re-emitting a round at the same
+// timestamp would otherwise re-enter the accumulator's state machine once
+// per copy and inflate active-address counts through its last-write-wins
+// rule. Runs from different observers are never collapsed here;
+// cross-observer repeats are ResolveContested's job.
 func appendRunDedup(out, run []probe.Record) []probe.Record {
-	// Adaptive probing keeps runs short (a round stops at its first
-	// positive), so a quadratic duplicate scan with an early exit beats
-	// clearing a [256]bool per run; the array path below runs only on
-	// streams already known corrupt.
-	dup := false
-scan:
-	for i := 1; i < len(run); i++ {
-		for k := 0; k < i; k++ {
-			if run[k].Addr == run[i].Addr {
-				dup = true
-				break scan
-			}
-		}
-	}
-	if !dup {
-		return append(out, run...)
-	}
 	var seen [256]bool
 	for _, r := range run {
 		if seen[r.Addr] {
@@ -351,89 +333,126 @@ func (s *Series) Len() int { return len(s.Times) }
 // least once ("complete reconstruction", §2.3). It returns an error when
 // eb is empty.
 func Reconstruct(merged []probe.Record, eb []int) (*Series, error) {
-	if len(eb) == 0 {
-		return nil, fmt.Errorf("reconstruct: empty target list")
+	// Pre-size the output: one point per equal-timestamp run is an upper
+	// bound, counted in one read-only pass so the build loop never
+	// reallocates mid-build.
+	_, points := repairTally(merged, false)
+	var acc Accumulator
+	if err := acc.Reset(eb, points); err != nil {
+		return nil, err
 	}
+	acc.Add(merged)
+	return acc.Finish(), nil
+}
+
+// Accumulator is the address-state machine of the reconstruction, resumable
+// between records: Reset it for a block, Add the merged, time-ordered
+// stream in as many pieces as it arrives in, Finish for the Series. The
+// analysis kernel feeds it the Cursor's runs; Reconstruct feeds it a whole
+// merged stream. Not safe for concurrent use.
+type Accumulator struct {
 	// The target list is a membership test on the record hot loop: an
-	// array beats a map by an order of magnitude there. Addresses outside
-	// 0..255 can never match a record (Addr is uint8) but still count as
-	// distinct targets, keeping completion semantics unchanged.
-	var inEB [256]bool
-	nEB := 0
+	// array beats a map by an order of magnitude there.
+	inEB  [256]bool
+	nEB   int
+	state [256]int8 // -1 unknown, 0 down, 1 up
+	// seen counts targets observed at least once, up those last seen up.
+	seen, up int
+	// curT is the timestamp of the point being built, once started.
+	curT    int64
+	started bool
+	times   []int64
+	counts  []float64
+}
+
+// Reset readies the accumulator for a block with target list eb and a
+// Series of at most points points. It returns an error when eb is empty.
+func (a *Accumulator) Reset(eb []int, points int) error {
+	if len(eb) == 0 {
+		return fmt.Errorf("reconstruct: empty target list")
+	}
+	// Addresses outside 0..255 can never match a record (Addr is uint8) but
+	// still count as distinct targets, keeping completion semantics
+	// unchanged.
+	a.inEB = [256]bool{}
+	a.nEB = 0
 	var extra map[int]bool
-	for _, a := range eb {
-		if a >= 0 && a < 256 {
-			if !inEB[a] {
-				inEB[a] = true
-				nEB++
+	for _, addr := range eb {
+		if addr >= 0 && addr < 256 {
+			if !a.inEB[addr] {
+				a.inEB[addr] = true
+				a.nEB++
 			}
 		} else {
 			if extra == nil {
 				extra = make(map[int]bool)
 			}
-			if !extra[a] {
-				extra[a] = true
-				nEB++
+			if !extra[addr] {
+				extra[addr] = true
+				a.nEB++
 			}
 		}
 	}
-	// Pre-size the output: one point per distinct timestamp is an upper
-	// bound, counted in one compare-only pass so the build loop below
-	// never reallocates mid-build.
-	points := 0
-	{
-		var prevT int64
-		havePrev := false
-		for i := range merged {
-			if t := merged[i].T; !havePrev || t != prevT {
-				points++
-				prevT, havePrev = t, true
-			}
-		}
+	for i := range a.state {
+		a.state[i] = -1
 	}
-	var state [256]int8 // -1 unknown, 0 down, 1 up
-	for i := range state {
-		state[i] = -1
-	}
-	seen, up := 0, 0
-	s := &Series{Times: make([]int64, 0, points), Counts: make([]float64, 0, points)}
-	times, counts := s.Times, s.Counts
-	var curT int64
-	started := false
-	for i := range merged {
-		r := &merged[i]
-		a := int(r.Addr)
-		if !inEB[a] {
+	a.seen, a.up = 0, 0
+	a.curT, a.started = 0, false
+	a.times = make([]int64, 0, points)
+	a.counts = make([]float64, 0, points)
+	return nil
+}
+
+// Add advances the state machine over the next records of the merged
+// stream: each target address keeps its last observed state, and a point is
+// emitted for every timestamp left behind once all targets have been seen.
+func (a *Accumulator) Add(records []probe.Record) {
+	seen, up := a.seen, a.up
+	curT, started := a.curT, a.started
+	for i := range records {
+		r := &records[i]
+		addr := int(r.Addr)
+		if !a.inEB[addr] {
 			continue
 		}
 		if started && r.T != curT {
-			if seen == nEB {
-				times = append(times, curT)
-				counts = append(counts, float64(up))
+			if seen == a.nEB {
+				a.times = append(a.times, curT)
+				a.counts = append(a.counts, float64(up))
 			}
 		}
 		curT = r.T
 		started = true
-		old := state[a]
+		old := a.state[addr]
 		if old == -1 {
 			seen++
 		}
 		if old == 1 {
 			up--
 		}
+		// A conditional value, not a conditional store: whether a record
+		// answered is as good as random to a branch predictor.
+		var now int8
 		if r.Up {
-			state[a] = 1
-			up++
-		} else {
-			state[a] = 0
+			now = 1
 		}
+		a.state[addr] = now
+		up += int(now)
 	}
-	if started && seen == nEB {
-		times = append(times, curT)
-		counts = append(counts, float64(up))
+	a.seen, a.up = seen, up
+	a.curT, a.started = curT, started
+}
+
+// Finish emits the last point and returns the Series, which the
+// accumulator lets go of; Reset comes before the next Add.
+func (a *Accumulator) Finish() *Series {
+	if a.started && a.seen == a.nEB {
+		a.times = append(a.times, a.curT)
+		a.counts = append(a.counts, float64(a.up))
 	}
-	s.Times, s.Counts = times, counts
-	return s, nil
+	s := &Series{Times: a.times, Counts: a.counts}
+	a.times, a.counts = nil, nil
+	return s
 }
 
 // ReconstructObservers is the common pipeline: optionally 1-loss-repair
@@ -484,13 +503,7 @@ func MeanReplyRate(records []probe.Record) float64 {
 	if len(records) == 0 {
 		return 0
 	}
-	up := 0
-	for _, r := range records {
-		if r.Up {
-			up++
-		}
-	}
-	return float64(up) / float64(len(records))
+	return float64(responsive(records)) / float64(len(records))
 }
 
 // Resample projects the series onto a regular grid of step seconds

@@ -49,44 +49,6 @@ func TestMergeMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestMergeIntoGrowsWithHeadroom replays the daemon's refresh pattern: one
-// reused buffer, two observers' streams that are 1 % longer at every
-// merge. Sized to fit exactly, the buffer would be reallocated (and
-// zeroed) by every one of the 50 merges; grown with headroom it is
-// reallocated a handful of times, and the merged order is untouched.
-func TestMergeIntoGrowsWithHeadroom(t *testing.T) {
-	const merges = 50
-	full := make([]probe.Record, 40000)
-	for i := range full {
-		full[i] = probe.Record{T: int64(i / 4), Addr: uint8(i % 4)}
-	}
-	lengths := make([]int, merges)
-	n := 10000.0
-	for i := range lengths {
-		lengths[i] = int(n)
-		n *= 1.01
-	}
-	var dst []probe.Record
-	run := func() {
-		dst = nil
-		for _, m := range lengths {
-			dst = MergeInto(dst, [][]probe.Record{full[:m], full[:m]})
-		}
-	}
-	if allocs := testing.AllocsPerRun(3, run); allocs > 12 {
-		t.Errorf("%d merges of a stream growing 1%% per call allocated %.0f times, want <= 12", merges, allocs)
-	}
-	want := Merge([][]probe.Record{full[:lengths[merges-1]], full[:lengths[merges-1]]})
-	if len(dst) != len(want) {
-		t.Fatalf("merged %d records into the reused buffer, %d into a fresh one", len(dst), len(want))
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("record %d = %+v in the reused buffer, %+v in a fresh one", i, dst[i], want[i])
-		}
-	}
-}
-
 // TestResampleIntoMatchesResample checks the scratch-buffer resample
 // against the allocating one bit for bit, across reused scratches of
 // varying bin counts.

@@ -8,6 +8,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/diurnalnet/diurnal/internal/changepoint"
@@ -75,6 +76,7 @@ type detector struct {
 	blocks    []*blockState
 	sc        *core.Scratch
 	copyBufs  [][]probe.Record
+	hourSeen  [][4]uint64   // pushHours' scratch
 	integ     *integrityAgg // nil unless Core.Integrity
 	processed int64         // rounds fully processed
 	refreshes int64
@@ -185,7 +187,7 @@ func (d *detector) ingest(r *Round) ([]Event, error) {
 		for o, recs := range perObs {
 			bs.acc[o] = append(bs.acc[o], recs...)
 		}
-		bs.pushHours(r.Start, r.End, perObs)
+		d.pushHours(bs, r.Start, r.End, perObs)
 	}
 	d.processed++
 	var events []Event
@@ -202,31 +204,32 @@ func (d *detector) ingest(r *Round) ([]Event, error) {
 
 // pushHours feeds the block's hourly distinct-responder counts — a cheap
 // incremental proxy for the active-address series — into the sliding DFT,
-// one pass over the round's records.
-func (bs *blockState) pushHours(start, end int64, perObs [][]probe.Record) {
-	hours := int((end - start) / 3600)
+// one pass over the round's records, through the detector's reusable set of
+// responders per hour (one bit per address). A window that does not end on
+// the hour (roundWindow clips the last round to AnalysisEnd, and the batch
+// kernel accepts any window, so the daemon must too) gives its trailing
+// partial hour a sample of its own rather than dropping the records in it.
+func (d *detector) pushHours(bs *blockState, start, end int64, perObs [][]probe.Record) {
+	hours := int((end - start + 3599) / 3600)
 	if hours <= 0 {
 		return
 	}
-	counts := make([]int16, hours)
-	seen := make([]map[uint8]bool, hours)
+	if cap(d.hourSeen) < hours {
+		d.hourSeen = make([][4]uint64, hours)
+	}
+	seen := d.hourSeen[:hours]
+	clear(seen)
 	for _, recs := range perObs {
 		for _, rec := range recs {
 			if !rec.Up || rec.T < start || rec.T >= end {
 				continue
 			}
-			h := int((rec.T - start) / 3600)
-			if seen[h] == nil {
-				seen[h] = make(map[uint8]bool, 8)
-			}
-			if !seen[h][rec.Addr] {
-				seen[h][rec.Addr] = true
-				counts[h]++
-			}
+			seen[(rec.T-start)/3600][rec.Addr>>6] |= 1 << (rec.Addr & 63)
 		}
 	}
-	for _, c := range counts {
-		bs.sliding.Push(float64(c))
+	for _, s := range seen {
+		n := bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
+		bs.sliding.Push(float64(n))
 	}
 }
 
