@@ -213,41 +213,39 @@ func ClassifyScratch(series *reconstruct.Series, start, end int64, cfg Config, s
 }
 
 // bestWindow returns the maximum count of days with swing >= threshold in
-// any run of windowDays consecutive calendar days.
+// any run of windowDays consecutive calendar days that starts inside the
+// series; a series shorter than one window counts all its wide days. days
+// must be ascending, as Series.DailySwings returns them.
+//
+// Some best window starts on a wide day, or at the latest start when that
+// wide day lies past it, so one sliding pass over the wide days finds it
+// in O(len(days)) however far apart the days are.
 func bestWindow(days []int64, swings []float64, threshold float64, windowDays int) int {
 	if len(days) == 0 {
 		return 0
 	}
-	wide := make(map[int64]bool, len(days))
+	wide := make([]int64, 0, len(days))
 	for i, d := range days {
-		if swings[i] >= threshold {
-			wide[d] = true
+		if swings[i] >= threshold && (len(wide) == 0 || d != wide[len(wide)-1]) {
+			wide = append(wide, d)
 		}
 	}
-	first, last := days[0], days[len(days)-1]
+	w := int64(windowDays)
+	latest := days[len(days)-1] - w + 1 // the last window start inside the series
+	if latest < days[0] {
+		return len(wide)
+	}
 	best := 0
-	for w := first; w <= last-int64(windowDays)+1; w++ {
-		count := 0
-		for d := w; d < w+int64(windowDays); d++ {
-			if wide[d] {
-				count++
-			}
+	for i, j := 0, 0; i < len(wide); i++ {
+		if wide[i] > latest {
+			// The window at latest holds wide[i:], plus wide[i-1] only
+			// when that sits on latest, a window already counted.
+			return max(best, len(wide)-i)
 		}
-		if count > best {
-			best = count
+		for j < len(wide) && wide[j] < wide[i]+w {
+			j++
 		}
-	}
-	// Series shorter than one window still get their total count.
-	if last-first+1 < int64(windowDays) {
-		count := 0
-		for _, ok := range wide {
-			if ok {
-				count++
-			}
-		}
-		if count > best {
-			best = count
-		}
+		best = max(best, j-i)
 	}
 	return best
 }

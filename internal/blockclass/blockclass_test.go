@@ -273,6 +273,81 @@ func TestBestWindowShortSeries(t *testing.T) {
 	}
 }
 
+// bestWindowBrute is the day-by-day scan bestWindow replaced: every window
+// start from the first day to the last full window, each counted day by
+// day. Its cost grows with the span of the series, so it serves as the
+// oracle only on bounded inputs.
+func bestWindowBrute(days []int64, swings []float64, threshold float64, windowDays int) int {
+	if len(days) == 0 {
+		return 0
+	}
+	wide := make(map[int64]bool, len(days))
+	for i, d := range days {
+		if swings[i] >= threshold {
+			wide[d] = true
+		}
+	}
+	first, last := days[0], days[len(days)-1]
+	if last-first+1 < int64(windowDays) {
+		return len(wide)
+	}
+	best := 0
+	for w := first; w <= last-int64(windowDays)+1; w++ {
+		count := 0
+		for d := w; d < w+int64(windowDays); d++ {
+			if wide[d] {
+				count++
+			}
+		}
+		best = max(best, count)
+	}
+	return best
+}
+
+func TestBestWindowHugeSpan(t *testing.T) {
+	// One wild timestamp stretches the series over 10^9 days; the answer
+	// must not cost a step per day.
+	days := []int64{0, 1, 2, 3, 5, 1_000_000_000}
+	swings := []float64{9, 9, 1, 9, 9, 9}
+	done := make(chan int, 1)
+	go func() { done <- bestWindow(days, swings, 5, 7) }()
+	select {
+	case got := <-done:
+		if got != 4 {
+			t.Fatalf("best window = %d, want 4", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("bestWindow still running after 5s on a 10^9-day series")
+	}
+}
+
+// FuzzBestWindow holds the sliding window to the day-by-day scan on series
+// spanning at most a few hundred days, with repeated days allowed.
+func FuzzBestWindow(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 5, 9, 30}, int64(100), uint8(7), uint8(0x5a))
+	f.Add([]byte{3}, int64(-40), uint8(1), uint8(1))
+	f.Add([]byte{}, int64(0), uint8(7), uint8(0))
+	f.Fuzz(func(t *testing.T, gaps []byte, first int64, window, wideBits uint8) {
+		if len(gaps) > 64 {
+			gaps = gaps[:64]
+		}
+		days := make([]int64, len(gaps))
+		swings := make([]float64, len(gaps))
+		d := first
+		for i, g := range gaps {
+			d += int64(g % 8) // gaps of 0 repeat a day
+			days[i] = d
+			if (int(wideBits)+i*int(g))%3 != 0 {
+				swings[i] = 10
+			}
+		}
+		w := int(window%30) + 1
+		if got, want := bestWindow(days, swings, 5, w), bestWindowBrute(days, swings, 5, w); got != want {
+			t.Fatalf("bestWindow(%v, %v, window %d) = %d, brute force %d", days, swings, w, got, want)
+		}
+	})
+}
+
 func BenchmarkClassifyMonth(b *testing.B) {
 	blk, err := netsim.NewBlock(9, 79, netsim.Spec{Workers: 60, AlwaysOn: 6})
 	if err != nil {

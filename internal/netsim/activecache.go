@@ -18,7 +18,8 @@ package netsim
 // (probe.Engine does so per collection). It assumes the block's event
 // schedule does not change while the cache is live.
 type ActiveCache struct {
-	b *Block
+	b     *Block
+	kinds [256]AddressKind // b.kinds, one load away on the probe path
 
 	// direct disables caching entirely (event classes too large for the
 	// adoption bitmasks); every call falls through to Block.Active.
@@ -123,7 +124,7 @@ func (s *bitset256) set(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
 
 // NewActiveCache returns a fresh cache over b's address processes.
 func (b *Block) NewActiveCache() *ActiveCache {
-	c := &ActiveCache{b: b}
+	c := &ActiveCache{b: b, kinds: b.kinds}
 	for i, e := range b.events {
 		switch e.Kind {
 		case EventWFH:
@@ -154,23 +155,32 @@ func (b *Block) NewActiveCache() *ActiveCache {
 // Active reports whether address addr responds at time t, bit-identical to
 // c.Block().Active(addr, t).
 func (c *ActiveCache) Active(addr int, t int64) bool {
+	c.At(t)
+	return c.ActiveNow(addr)
+}
+
+// At moves the cache to time t for the ActiveNow calls that follow. A
+// caller probing many addresses at one instant (a probing round) sets the
+// time once instead of once per address.
+func (c *ActiveCache) At(t int64) {
+	switch {
+	case c.tOK && t == c.lastT:
+	case c.tOK && t > c.lastT && t < c.validUntil:
+		// Same day, slot, epoch, and event set: only the second-of-day
+		// moves.
+		c.sod += t - c.lastT
+		c.lastT = t
+	default:
+		c.refreshT(t)
+	}
+}
+
+// ActiveNow is Active at the time last set by At.
+func (c *ActiveCache) ActiveNow(addr int) bool {
 	if c.direct {
-		return c.b.Active(addr, t)
+		return c.b.Active(addr, c.lastT)
 	}
-	kind := c.b.kinds[addr]
-	if kind == Unused || kind == Firewalled {
-		return false
-	}
-	if !c.tOK || t != c.lastT {
-		if c.tOK && t > c.lastT && t < c.validUntil {
-			// Same day, slot, epoch, and event set: only the
-			// second-of-day moves.
-			c.sod += t - c.lastT
-			c.lastT = t
-		} else {
-			c.refreshT(t)
-		}
-	}
+	kind := c.kinds[addr]
 	if c.out {
 		return false
 	}
@@ -192,7 +202,7 @@ func (c *ActiveCache) Active(addr int, t int64) bool {
 			c.dutySet.set(addr)
 		}
 		return d.up
-	default:
+	default: // Unused and Firewalled never respond
 		return false
 	}
 }

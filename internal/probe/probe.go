@@ -28,6 +28,7 @@ const DefaultMaxPerRound = 16
 // probe (or its response) crossing the link is dropped independently with
 // probability Base plus a diurnal component that peaks during the link's
 // local evening busy hours — the pathology §3.3 diagnoses for observer w.
+// Engine.Validate requires Base and DiurnalAmp in [0, 1].
 type LossModel struct {
 	// Base is the time-independent loss probability.
 	Base float64
@@ -41,7 +42,8 @@ type LossModel struct {
 	TZOffset int64
 	// Match restricts the loss to some destinations (the paper saw loss
 	// from observer w to "about one-quarter of Chinese destinations").
-	// Nil means all destinations.
+	// Nil means all destinations. It must be a pure function of the block
+	// ID: the engine consults it once per block collection, not per probe.
 	Match func(netsim.BlockID) bool
 }
 
@@ -77,8 +79,9 @@ type Observer struct {
 	// Seed drives this observer's loss coin flips.
 	Seed uint64
 	// Phase is the offset of this observer's round start within the
-	// 11-minute cycle, in seconds. Observers "start independently and run
-	// unsynchronized" (§2.7).
+	// 11-minute cycle, in seconds, in [0, RoundSeconds). Observers "start
+	// independently and run unsynchronized" (§2.7); round k probes at
+	// start + Phase + k*RoundSeconds.
 	Phase int64
 	// MaxPerRound caps probes per round (default 16).
 	MaxPerRound int
@@ -132,6 +135,9 @@ func (e *Engine) Validate() error {
 		if o.Phase < 0 || o.Phase >= netsim.RoundSeconds {
 			return fmt.Errorf("probe: observer %d (%s) phase %d outside [0,%d)", i, o.Name, o.Phase, netsim.RoundSeconds)
 		}
+		if l := o.Loss; l != nil && !(l.Base >= 0 && l.Base <= 1 && l.DiurnalAmp >= 0 && l.DiurnalAmp <= 1) {
+			return fmt.Errorf("probe: observer %d (%s) loss base %g / diurnal amplitude %g outside [0,1]", i, o.Name, l.Base, l.DiurnalAmp)
+		}
 	}
 	return nil
 }
@@ -149,176 +155,55 @@ func (e *Engine) Order(b *netsim.Block) []int {
 	return order
 }
 
-// Run probes block b from start (inclusive) to end (exclusive), invoking
-// fn for every probe in global time order. obs is the observer index into
-// e.Observers. Records from one observer are strictly ordered; ties across
-// observers resolve by observer index.
+// Run probes block b from start (inclusive) to end (exclusive), then
+// invokes fn for every record in (T, observer index) order: obs is the
+// observer index into e.Observers, records from one observer are strictly
+// ordered, and ties across observers resolve by observer index. Records
+// are collected before the first call, so fn never interleaves with the
+// observers' Down and ExtraLoss hooks.
 func (e *Engine) Run(b *netsim.Block, start, end int64, fn func(obs int, r Record)) error {
 	return e.RunContext(context.Background(), b, start, end, fn)
 }
 
-// RunContext is Run with cancellation: the probing loop checks ctx between
-// rounds and returns ctx.Err() as soon as the context is done, so a
-// world-scale run can be interrupted mid-block instead of only between
-// blocks.
+// RunContext is Run with cancellation: collection checks ctx between
+// rounds and stops as soon as the context is done; the records gathered so
+// far are emitted and ctx.Err() is returned.
 func (e *Engine) RunContext(ctx context.Context, b *netsim.Block, start, end int64, fn func(obs int, r Record)) error {
-	return e.run(ctx, b, start, end, fn, nil)
-}
-
-// run drives the probing loop. Exactly one of fn (streaming callback) or
-// bufs (direct per-observer append, the CollectInto hot path — probing a
-// whole world makes millions of per-record calls, and the indirect closure
-// dispatch was a measurable slice of the profile) is non-nil.
-func (e *Engine) run(ctx context.Context, b *netsim.Block, start, end int64, fn func(obs int, r Record), bufs [][]Record) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	if end <= start {
-		return fmt.Errorf("probe: empty window [%d,%d)", start, end)
-	}
-	order := e.Order(b)
-	if len(order) == 0 {
-		return nil // nothing ever responded: Trinocular drops such blocks
-	}
-	// One ActiveCache per collection: rounds replay the same timestamps
-	// and days many times over, so the memoized address state answers most
-	// probes without re-hashing (bit-identical to Block.Active).
-	ac := b.NewActiveCache()
-	type state struct {
-		next   int64
-		cursor int
-	}
-	sts := make([]state, len(e.Observers))
-	for i, o := range e.Observers {
-		// Observers run unsynchronized (§2.7): besides the phase offset,
-		// each starts at a different point of the shared probing order, so
-		// their coverage of always-responding blocks interleaves instead
-		// of marching in lockstep.
-		sts[i] = state{
-			next:   start + o.Phase,
-			cursor: i * len(order) / len(e.Observers),
-		}
-	}
-	rounds := 0
+	bufs, err := e.CollectInto(ctx, b, start, end, nil)
+	next := make([]int, len(bufs))
 	for {
-		// Check for cancellation every few rounds: often enough that a
-		// killed run stops within milliseconds, rarely enough that the
-		// ctx mutex stays off the probing hot path.
-		if rounds++; rounds&0x3f == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		// Pick the observer with the earliest next round.
 		oi := -1
-		for i := range sts {
-			if sts[i].next >= end {
-				continue
-			}
-			if oi == -1 || sts[i].next < sts[oi].next {
+		for i, buf := range bufs {
+			if next[i] < len(buf) && (oi < 0 || buf[next[i]].T < bufs[oi][next[oi]].T) {
 				oi = i
 			}
 		}
-		if oi == -1 {
-			return nil
+		if oi < 0 {
+			return err
 		}
-		st := &sts[oi]
-		if o := &e.Observers[oi]; o.Down == nil || !o.Down(st.next) {
-			if bufs != nil {
-				bufs[oi] = e.roundInto(ac, oi, st.next, order, &st.cursor, bufs[oi])
-			} else {
-				e.round(ac, oi, st.next, order, &st.cursor, fn)
-			}
-		}
-		st.next += netsim.RoundSeconds
+		fn(oi, bufs[oi][next[oi]])
+		next[oi]++
 	}
 }
 
-// round executes one probing round for one observer: probe targets in the
-// shared order until the first positive response (plus Extra additional
-// probes), up to MaxPerRound+Extra probes total.
-func (e *Engine) round(ac *netsim.ActiveCache, oi int, t int64, order []int, cursor *int, fn func(obs int, r Record)) {
-	b := ac.Block()
-	o := &e.Observers[oi]
-	budget := o.MaxPerRound
-	if budget == 0 {
-		budget = DefaultMaxPerRound
+// dayRounds is the number of rounds after which a fixed round schedule
+// repeats its second of day: SecondsPerDay / gcd(RoundSeconds,
+// SecondsPerDay).
+var dayRounds = func() int64 {
+	a, b := int64(netsim.RoundSeconds), int64(netsim.SecondsPerDay)
+	for b != 0 {
+		a, b = b, a%b
 	}
-	budget += o.Extra
-	if budget > len(order) {
-		budget = len(order)
-	}
-	sincePositive := -1
-	for k := 0; k < budget; k++ {
-		addr := order[*cursor]
-		if *cursor++; *cursor == len(order) {
-			*cursor = 0
-		}
-		up := ac.Active(addr, t)
-		if up && o.Loss != nil {
-			rate := o.Loss.Rate(b.ID, t)
-			if rate > 0 && netsim.HashUnit(o.Seed, uint64(b.ID), uint64(t), uint64(addr), saltLoss) < rate {
-				up = false // the probe or its reply was lost in transit
-			}
-		}
-		if up && o.ExtraLoss != nil && o.ExtraLoss(b.ID, t, addr) {
-			up = false
-		}
-		fn(oi, Record{T: t, Addr: uint8(addr), Up: up})
-		if up && sincePositive < 0 {
-			sincePositive = 0
-		} else if sincePositive >= 0 {
-			sincePositive++
-		}
-		if sincePositive >= 0 && sincePositive >= o.Extra {
-			return
-		}
-	}
-}
+	return netsim.SecondsPerDay / a
+}()
 
-// roundInto is round appending records directly to buf instead of invoking
-// a callback, the collection hot path. The probing logic is identical.
-func (e *Engine) roundInto(ac *netsim.ActiveCache, oi int, t int64, order []int, cursor *int, buf []Record) []Record {
-	b := ac.Block()
-	o := &e.Observers[oi]
-	budget := o.MaxPerRound
-	if budget == 0 {
-		budget = DefaultMaxPerRound
-	}
-	budget += o.Extra
-	if budget > len(order) {
-		budget = len(order)
-	}
-	cur := *cursor
-	lossy := o.Loss != nil || o.ExtraLoss != nil
-	sincePositive := -1
-	for k := 0; k < budget; k++ {
-		addr := order[cur]
-		if cur++; cur == len(order) {
-			cur = 0
-		}
-		up := ac.Active(addr, t)
-		if up && lossy {
-			if o.Loss != nil {
-				rate := o.Loss.Rate(b.ID, t)
-				if rate > 0 && netsim.HashUnit(o.Seed, uint64(b.ID), uint64(t), uint64(addr), saltLoss) < rate {
-					up = false // the probe or its reply was lost in transit
-				}
-			}
-			if up && o.ExtraLoss != nil && o.ExtraLoss(b.ID, t, addr) {
-				up = false
-			}
-		}
-		buf = append(buf, Record{T: t, Addr: uint8(addr), Up: up})
-		if up && sincePositive < 0 {
-			sincePositive = 0
-		} else if sincePositive >= 0 {
-			sincePositive++
-		}
-		if sincePositive >= 0 && sincePositive >= o.Extra {
-			break
-		}
-	}
-	*cursor = cur
-	return buf
+// prober is one observer's state over one collection.
+type prober struct {
+	o      *Observer
+	oi     int       // index into Engine.Observers and the record buffers
+	cursor int       // next position in the shared probing order
+	budget int       // probes per round: MaxPerRound + Extra, capped at |E(b)|
+	rate   []float64 // Loss.table for this block and window
 }
 
 // Collect runs the engine and gathers per-observer record slices, a
@@ -333,6 +218,10 @@ func (e *Engine) Collect(b *netsim.Block, start, end int64) ([][]Record, error) 
 // churn in world-scale runs. bufs may be nil or shorter than the observer
 // count. When ctx is canceled mid-collection the partial buffers are
 // returned along with ctx.Err().
+//
+// Validate keeps every Phase inside [0, RoundSeconds), so round k of every
+// observer precedes round k+1 of any observer, and within round k the
+// observers go in (Phase, index) order: a rotation sorted once.
 func (e *Engine) CollectInto(ctx context.Context, b *netsim.Block, start, end int64, bufs [][]Record) ([][]Record, error) {
 	for len(bufs) < len(e.Observers) {
 		bufs = append(bufs, nil)
@@ -341,8 +230,119 @@ func (e *Engine) CollectInto(ctx context.Context, b *netsim.Block, start, end in
 	for i := range bufs {
 		bufs[i] = bufs[i][:0]
 	}
-	err := e.run(ctx, b, start, end, nil, bufs)
-	return bufs, err
+	if err := e.Validate(); err != nil {
+		return bufs, err
+	}
+	if end <= start {
+		return bufs, fmt.Errorf("probe: empty window [%d,%d)", start, end)
+	}
+	order := e.Order(b)
+	if len(order) == 0 {
+		return bufs, nil // nothing ever responded: Trinocular drops such blocks
+	}
+	// One ActiveCache per collection: rounds replay the same timestamps
+	// and days many times over, so the memoized address state answers most
+	// probes without re-hashing (bit-identical to Block.Active).
+	ac := b.NewActiveCache()
+	ps := make([]prober, len(e.Observers))
+	for i := range e.Observers {
+		o := &e.Observers[i]
+		budget := o.MaxPerRound
+		if budget == 0 {
+			budget = DefaultMaxPerRound
+		}
+		budget = min(budget+o.Extra, len(order))
+		// Observers run unsynchronized (§2.7): besides the phase offset,
+		// each starts at a different point of the shared probing order, so
+		// their coverage of always-responding blocks interleaves instead
+		// of marching in lockstep.
+		ps[i] = prober{o: o, oi: i, cursor: i * len(order) / len(e.Observers), budget: budget}
+		ps[i].rate = o.Loss.table(b.ID, start+o.Phase, end)
+	}
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].o.Phase < ps[j].o.Phase })
+	n := 0
+	slot := int64(0) // k mod dayRounds
+	for k := int64(0); ; k++ {
+		base := start + k*netsim.RoundSeconds
+		for i := range ps {
+			p := &ps[i]
+			t := base + p.o.Phase
+			if t >= end {
+				if i == 0 {
+					return bufs, nil
+				}
+				break
+			}
+			// Check for cancellation every few rounds: often enough that a
+			// killed run stops within milliseconds, rarely enough that the
+			// ctx mutex stays off the probing hot path.
+			if n++; n&0x3f == 0 && ctx.Err() != nil {
+				return bufs, ctx.Err()
+			}
+			if p.o.Down == nil || !p.o.Down(t) {
+				bufs[p.oi] = p.round(ac, b.ID, t, slot, order, bufs[p.oi])
+			}
+		}
+		if slot++; slot == dayRounds {
+			slot = 0
+		}
+	}
+}
+
+// table returns Rate for round k = 0, 1, ... of the rounds at first +
+// k*RoundSeconds before end, at index k mod dayRounds (the table repeats
+// with the second of day); nil when l drops nothing to block id. Match is
+// consulted once, and every entry comes from Rate itself, bit for bit.
+func (l *LossModel) table(id netsim.BlockID, first, end int64) []float64 {
+	if l == nil || (l.Match != nil && !l.Match(id)) || first >= end {
+		return nil
+	}
+	unmatched := *l
+	unmatched.Match = nil
+	rate := make([]float64, min(dayRounds, (end-first+netsim.RoundSeconds-1)/netsim.RoundSeconds))
+	for k := range rate {
+		rate[k] = unmatched.Rate(id, first+int64(k)*netsim.RoundSeconds)
+	}
+	return rate
+}
+
+// round executes one round of one observer at time t, round number slot
+// modulo dayRounds, and appends its records to buf: probe targets in the
+// shared order until the first positive response, plus Extra additional
+// probes, up to the budget.
+func (p *prober) round(ac *netsim.ActiveCache, id netsim.BlockID, t, slot int64, order []int, buf []Record) []Record {
+	o := p.o
+	var rate float64
+	if p.rate != nil {
+		rate = p.rate[slot]
+	}
+	ac.At(t)
+	cur := p.cursor
+	sincePositive := -1
+	for n := 0; n < p.budget; n++ {
+		addr := order[cur]
+		if cur++; cur == len(order) {
+			cur = 0
+		}
+		up := ac.ActiveNow(addr)
+		if up && rate > 0 && netsim.HashUnit(o.Seed, uint64(id), uint64(t), uint64(addr), saltLoss) < rate {
+			up = false // the probe or its reply was lost in transit
+		}
+		if up && o.ExtraLoss != nil && o.ExtraLoss(id, t, addr) {
+			up = false
+		}
+		buf = append(buf, Record{T: t, Addr: uint8(addr), Up: up})
+		if up && sincePositive < 0 {
+			sincePositive = 0
+		} else if sincePositive >= 0 {
+			sincePositive++
+		}
+		if sincePositive >= 0 && sincePositive >= o.Extra {
+			break
+		}
+	}
+	p.cursor = cur
+	return buf
 }
 
 // EmitsSanitizedRecords reports that the engine's streams are sanitary by

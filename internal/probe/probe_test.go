@@ -2,6 +2,7 @@ package probe
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -34,6 +35,29 @@ func TestValidate(t *testing.T) {
 	e = &Engine{Observers: []Observer{{Name: "x", MaxPerRound: -1}}}
 	if err := e.Validate(); err == nil {
 		t.Error("expected error for negative budget")
+	}
+}
+
+// TestValidateLossModel: a NaN or out-of-range loss parameter would make
+// every HashUnit comparison false and silently mean "never lost".
+func TestValidateLossModel(t *testing.T) {
+	nan := math.NaN()
+	for _, l := range []LossModel{
+		{Base: nan}, {DiurnalAmp: nan}, {Base: -0.1}, {DiurnalAmp: -0.1},
+		{Base: 1.5}, {DiurnalAmp: 1.01}, {Base: math.Inf(1)},
+	} {
+		l := l
+		e := &Engine{Observers: []Observer{{Name: "w", Loss: &l}}}
+		if err := e.Validate(); err == nil {
+			t.Errorf("loss %+v: expected error", l)
+		}
+	}
+	for _, l := range []LossModel{{}, {Base: 1}, {Base: 0.3, DiurnalAmp: 1}} {
+		l := l
+		e := &Engine{Observers: []Observer{{Name: "w", Loss: &l}}}
+		if err := e.Validate(); err != nil {
+			t.Errorf("loss %+v: %v", l, err)
+		}
 	}
 }
 
@@ -310,22 +334,6 @@ func TestSortRecords(t *testing.T) {
 	SortRecords(rs)
 	if rs[0].T != 1 || rs[2].T != 3 {
 		t.Fatalf("sorted: %+v", rs)
-	}
-}
-
-func BenchmarkProbeBlockDay4Observers(b *testing.B) {
-	blk, err := netsim.NewBlock(3, 77, netsim.Spec{Workers: 80, AlwaysOn: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := &Engine{Observers: StandardObservers(4), QuarterSeed: 1}
-	sink := func(int, Record) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(blk, jan6, jan6+netsim.SecondsPerDay, sink); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
