@@ -16,10 +16,10 @@ race:
 	$(GO) test -race ./...
 
 # race-crashsafe focuses the race detector on the packages with the most
-# cross-goroutine state: the pipeline/checkpoint machinery, the store,
-# the lease-fenced shard ledger, and the streaming daemon.
+# cross-goroutine state: the pipeline/checkpoint machinery, the journal,
+# the store, the lease-fenced shard ledger, and the streaming daemon.
 race-crashsafe:
-	$(GO) test -race ./internal/core/... ./internal/dataset/... ./internal/shard/... ./internal/stream/...
+	$(GO) test -race ./internal/core/... ./internal/journal/... ./internal/dataset/... ./internal/shard/... ./internal/stream/...
 
 # tier1 is the gate every change must pass: clean build, vet, the full
 # test suite, and the crash-safety packages under the race detector.

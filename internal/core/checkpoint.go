@@ -3,10 +3,11 @@ package core
 // Checkpointing makes world runs crash-safe: every completed block
 // outcome is journaled to an append-only file, so a killed run resumes by
 // replaying the journal and analyzing only the blocks it never finished.
-// The journal is framed (length-prefix + CRC32C per frame) and
-// self-describing; a torn tail from a crash mid-append is truncated on
-// open, and a header frame binds the journal to one (config, world) pair
-// so a stale file can never leak foreign results into a run.
+// The file is a journal.File: CRC-framed, its torn tail truncated on
+// open, a short write rolled back, and compaction an atomic rewrite under
+// the journal's poison rule. A header frame binds the journal to one
+// (config, world) pair so a stale file can never leak foreign results
+// into a run.
 
 import (
 	"bytes"
@@ -15,14 +16,12 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/geo"
+	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/storage"
 )
@@ -78,12 +77,11 @@ type Checkpointer struct {
 
 	mu          sync.Mutex
 	fsys        storage.FS
-	f           storage.File
+	f           *journal.File // nil once closed
 	path        string
 	sig         []byte
 	prior       map[checkpointKey]*BlockOutcome
 	appended    int
-	size        int64
 	compactions int64
 }
 
@@ -95,31 +93,31 @@ type JournalEntry struct {
 	Outcome *BlockOutcome
 }
 
-// scanFrames walks a journal image frame by frame (via the shared
-// WalkFrames envelope scan), returning the header signature, the block
-// entries in append order, and the byte offset of the last intact frame.
-// Everything past that offset is a torn or corrupt tail.
-func scanFrames(data []byte) (sig []byte, entries []JournalEntry, good int) {
-	good = WalkFrames(data, func(payload []byte) error {
+// decodeFrames returns a frame callback that collects a journal's header
+// signature and its block entries, in append order. Every error it
+// returns marks a torn tail: a checkpoint frame that checksums has no
+// other way to be wrong.
+func decodeFrames(sig *[]byte, entries *[]JournalEntry) func([]byte) error {
+	return func(payload []byte) (err error) {
 		switch payload[0] {
 		case frameHeader:
 			var h checkpointHeader
-			if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&h); err != nil {
-				return err
+			if err = gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&h); err == nil {
+				*sig = h.Signature
 			}
-			sig = h.Signature
 		case frameBlock:
-			index, o, err := decodeBlockFrame(payload[1:])
-			if err != nil {
-				return err
+			var e JournalEntry
+			if e.Index, e.Outcome, err = decodeBlockFrame(payload[1:]); err == nil {
+				*entries = append(*entries, e)
 			}
-			entries = append(entries, JournalEntry{Index: index, Outcome: o})
 		default:
-			return fmt.Errorf("core: unknown frame tag %q", payload[0])
+			err = fmt.Errorf("core: unknown frame tag %q", payload[0])
+		}
+		if err != nil {
+			return journal.Torn(err)
 		}
 		return nil
-	})
-	return sig, entries, good
+	}
 }
 
 // ReadCheckpoint scans a checkpoint journal without opening it for writing
@@ -136,7 +134,7 @@ func ReadCheckpoint(path string) (sig []byte, entries []JournalEntry, torn int, 
 		}
 		return nil, nil, 0, fmt.Errorf("core: reading checkpoint %s: %w", path, err)
 	}
-	sig, entries, good := scanFrames(data)
+	good := journal.Walk(data, decodeFrames(&sig, &entries))
 	return sig, entries, len(data) - good, nil
 }
 
@@ -153,51 +151,16 @@ func OpenCheckpoint(path string) (*Checkpointer, error) {
 // files a killed compaction left beside the journal.
 func OpenCheckpointFS(path string, fsys storage.FS) (*Checkpointer, error) {
 	c := &Checkpointer{path: path, fsys: fsys, prior: map[checkpointKey]*BlockOutcome{}}
-	sweepTempSiblings(fsys, path)
-	data, err := fsys.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("core: reading checkpoint %s: %w", path, err)
+	var entries []JournalEntry
+	f, err := journal.Open(fsys, path, decodeFrames(&c.sig, &entries))
+	if err != nil {
+		return nil, fmt.Errorf("core: opening checkpoint: %w", err)
 	}
-	sig, entries, good := scanFrames(data)
-	c.sig = sig
 	for _, e := range entries {
 		c.prior[checkpointKey{Index: e.Index, ID: e.Outcome.ID}] = e.Outcome
 	}
-	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("core: opening checkpoint %s: %w", path, err)
-	}
-	if good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("core: truncating torn checkpoint tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		f.Close()
-		return nil, err
-	}
 	c.f = f
-	c.size = int64(good)
 	return c, nil
-}
-
-// sweepTempSiblings removes "<path>.tmp*" litter left by an atomic
-// rewrite the process was killed in the middle of. Best-effort: the
-// rewrite protocol never acks through a temp file, so deleting one can
-// only reclaim space.
-func sweepTempSiblings(fsys storage.FS, path string) {
-	dir := filepath.Dir(path)
-	ents, err := fsys.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	prefix := filepath.Base(path) + ".tmp"
-	for _, e := range ents {
-		if e.Type().IsRegular() && strings.HasPrefix(e.Name(), prefix) {
-			fsys.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
 }
 
 // Path returns the journal's file path.
@@ -245,18 +208,22 @@ func (c *Checkpointer) ensureSignature(sig []byte) error {
 		}
 		return nil
 	}
-	if err := c.writeFrame(frameHeader, checkpointHeader{Signature: sig}); err != nil {
+	frame, err := encodeHeader(sig)
+	if err != nil {
+		return err
+	}
+	if err := c.appendLocked(frame); err != nil {
 		return err
 	}
 	c.sig = sig
 	return nil
 }
 
-// Append journals one completed block outcome. The frame is buffered and
-// written with a single write() — durable across process death as soon as
-// the call returns; Close syncs for durability across power loss. Encoding
-// happens outside the journal lock, so concurrent workers serialize only
-// on the write itself, not on the encoder.
+// Append journals one completed block outcome. The frame is written with
+// a single write() — durable across process death as soon as the call
+// returns; Close syncs for durability across power loss. Encoding happens
+// outside the journal lock, so concurrent workers serialize only on the
+// write itself, not on the encoder.
 func (c *Checkpointer) Append(index int, o BlockOutcome) error {
 	if c.Fence != nil {
 		if err := c.Fence(); err != nil {
@@ -269,19 +236,27 @@ func (c *Checkpointer) Append(index int, o BlockOutcome) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.appendLocked(frame); err != nil {
+		return err
+	}
+	c.appended++
+	if c.CompactBytes > 0 && c.f.Size() > c.CompactBytes {
+		// Best-effort in-line compaction: the frame above is durable
+		// whatever happens here. A failure that leaves the journal usable
+		// only leaves it oversized; one that poisons it refuses every
+		// later Append.
+		c.compactLocked()
+	}
+	return nil
+}
+
+// appendLocked writes whole frames to the journal. Caller holds c.mu.
+func (c *Checkpointer) appendLocked(frame []byte) error {
 	if c.f == nil {
 		return fmt.Errorf("core: checkpoint %s is closed", c.path)
 	}
-	if _, err := c.f.Write(frame); err != nil {
+	if err := c.f.Append(frame); err != nil {
 		return fmt.Errorf("core: appending checkpoint frame: %w", err)
-	}
-	c.appended++
-	c.size += int64(len(frame))
-	if c.CompactBytes > 0 && c.size > c.CompactBytes {
-		// Best-effort in-line compaction; a failure leaves the journal
-		// append-clean and oversized, surfaced on the next explicit
-		// Compact or ignored.
-		c.compactLocked()
 	}
 	return nil
 }
@@ -289,10 +264,9 @@ func (c *Checkpointer) Append(index int, o BlockOutcome) error {
 // Compact rewrites the journal in place as its deduplicated base: one
 // header frame plus exactly one block frame per (index, ID), keeping
 // the first append (later duplicates are fenced writers' byte-identical
-// repeats). The rewrite is atomic — temp file, fsync, rename, parent
-// fsync — so a kill at any point leaves either the old journal or the
-// new base, never a torn hybrid; resumability is anchored to the
-// checkpoint contents themselves.
+// repeats). The rewrite is the journal's atomic rewrite, so a kill at
+// any point leaves either the old journal or the new base, never a torn
+// hybrid.
 func (c *Checkpointer) Compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -320,8 +294,10 @@ func (c *Checkpointer) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("core: reading checkpoint %s: %w", c.path, err)
 	}
-	sig, entries, _ := scanFrames(data)
-	out, err := encodeFrame(frameHeader, checkpointHeader{Signature: sig})
+	var sig []byte
+	var entries []JournalEntry
+	journal.Walk(data, decodeFrames(&sig, &entries))
+	out, err := encodeHeader(sig)
 	if err != nil {
 		return err
 	}
@@ -338,28 +314,23 @@ func (c *Checkpointer) compactLocked() error {
 		}
 		out = append(out, frame...)
 	}
-	if err := storage.WriteBytesAtomic(c.fsys, c.path, out); err != nil {
-		return err
+	if err := c.f.Rewrite(out); err != nil {
+		return fmt.Errorf("core: compacting checkpoint: %w", err)
 	}
-	f, err := c.fsys.OpenFile(c.path, os.O_RDWR, 0o644)
-	if err != nil {
-		// The old handle now points at the unlinked pre-compaction inode;
-		// writing through it would be silent data loss. Fail closed.
-		c.f.Close()
-		c.f = nil
-		return fmt.Errorf("core: reopening compacted checkpoint %s: %w", c.path, err)
-	}
-	if _, err := f.Seek(int64(len(out)), 0); err != nil {
-		f.Close()
-		c.f.Close()
-		c.f = nil
-		return err
-	}
-	c.f.Close()
-	c.f = f
-	c.size = int64(len(out))
 	c.compactions++
 	return nil
+}
+
+// encodeHeader renders the header frame binding a journal to sig. Its
+// gob payload carries its own type descriptors, so the frame decodes on
+// its own during the open-time scan.
+func encodeHeader(sig []byte) ([]byte, error) {
+	var payload bytes.Buffer
+	payload.WriteByte(frameHeader)
+	if err := gob.NewEncoder(&payload).Encode(checkpointHeader{Signature: sig}); err != nil {
+		return nil, fmt.Errorf("core: encoding checkpoint header: %w", err)
+	}
+	return journal.AppendFrame(nil, payload.Bytes()), nil
 }
 
 // encodeBlockFrame renders one journaled outcome as a complete frame. The
@@ -383,7 +354,7 @@ func encodeBlockFrame(index int, o BlockOutcome) ([]byte, error) {
 		wireLen = 4 + len(blob) + o.Analysis.sectionsSize()
 	}
 	payloadLen := 1 + 4 + meta.Len() + wireLen
-	frame := make([]byte, 0, 4+payloadLen+4)
+	frame := make([]byte, 0, journal.Overhead+payloadLen)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(payloadLen))
 	frame = append(frame, frameBlock)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(meta.Len()))
@@ -393,7 +364,7 @@ func encodeBlockFrame(index int, o BlockOutcome) ([]byte, error) {
 		frame = append(frame, blob...)
 		frame = o.Analysis.appendSections(frame)
 	}
-	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[4:], FrameCRC)), nil
+	return journal.Seal(frame, payloadLen), nil
 }
 
 // decodeBlockFrame is the inverse of encodeBlockFrame, minus the tag byte
@@ -424,39 +395,6 @@ func decodeBlockFrame(data []byte) (int, *BlockOutcome, error) {
 	return m.Index, o, nil
 }
 
-// writeFrame encodes v behind tag and appends one framed record. Caller
-// holds c.mu.
-func (c *Checkpointer) writeFrame(tag byte, v any) error {
-	frame, err := encodeFrame(tag, v)
-	if err != nil {
-		return err
-	}
-	if c.f == nil {
-		return fmt.Errorf("core: checkpoint %s is closed", c.path)
-	}
-	if _, err := c.f.Write(frame); err != nil {
-		return fmt.Errorf("core: appending checkpoint frame: %w", err)
-	}
-	c.size += int64(len(frame))
-	return nil
-}
-
-// encodeFrame renders one self-contained journal frame: length prefix,
-// tagged gob payload, CRC32C trailer. Frames carry their own gob type
-// descriptors so each decodes independently during the open-time scan.
-func encodeFrame(tag byte, v any) ([]byte, error) {
-	var payload bytes.Buffer
-	payload.WriteByte(tag)
-	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
-		return nil, fmt.Errorf("core: encoding checkpoint frame: %w", err)
-	}
-	frame := make([]byte, 0, 8+payload.Len())
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(payload.Len()))
-	frame = append(frame, payload.Bytes()...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload.Bytes(), FrameCRC))
-	return frame, nil
-}
-
 // Close syncs and closes the journal.
 func (c *Checkpointer) Close() error {
 	c.mu.Lock()
@@ -464,10 +402,7 @@ func (c *Checkpointer) Close() error {
 	if c.f == nil {
 		return nil
 	}
-	err := c.f.Sync()
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
+	err := c.f.Close(true)
 	c.f = nil
 	return err
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 
+	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
 
@@ -24,10 +25,6 @@ import (
 
 const logMagic = "DIURNLOG" // 8 bytes
 
-// castagnoli is the CRC32C polynomial table; CRC32C is hardware
-// accelerated on amd64/arm64, so the trailer is nearly free.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // ErrCorruptLog marks structural damage to an observation log — bad
 // magic, truncation, a checksum mismatch, or trailing bytes after the
 // trailer. Callers classify with errors.Is.
@@ -41,7 +38,7 @@ type crcWriter struct {
 
 func (c *crcWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	c.crc = crc32.Update(c.crc, journal.Table, p[:n])
 	return n, err
 }
 
@@ -54,7 +51,7 @@ type crcReader struct {
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.br.Read(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	c.crc = crc32.Update(c.crc, journal.Table, p[:n])
 	return n, err
 }
 
@@ -65,7 +62,7 @@ func (c *crcReader) ReadByte() (byte, error) {
 	}
 	var one [1]byte
 	one[0] = b
-	c.crc = crc32.Update(c.crc, castagnoli, one[:])
+	c.crc = crc32.Update(c.crc, journal.Table, one[:])
 	return b, nil
 }
 
@@ -195,7 +192,7 @@ func appendRecordsBytes(buf []probe.Record, data []byte, clip bool, start, end i
 		return buf, fmt.Errorf("dataset: reading checksum: truncated log: %w", ErrCorruptLog)
 	}
 	got := binary.LittleEndian.Uint32(data[off : off+4])
-	if want := crc32.Checksum(data[:off], castagnoli); got != want {
+	if want := crc32.Checksum(data[:off], journal.Table); got != want {
 		return buf, fmt.Errorf("dataset: checksum mismatch: stored %08x, computed %08x: %w", got, want, ErrCorruptLog)
 	}
 	if off+4 != len(data) {

@@ -6,7 +6,7 @@
 // The robustness contract is the headline, not the query language:
 //
 //   - snapshots are written atomically (temp + rename) with CRC32C
-//     section trailers reusing the checkpoint frame envelope, a manifest
+//     section trailers in the journal frame envelope, a manifest
 //     header bound to core.RunSignature, and a byte-counting trailer, so
 //     a SIGKILL mid-write, a bit flip, or a foreign run's snapshot is
 //     detected — never served;
@@ -32,13 +32,14 @@ import (
 	"github.com/diurnalnet/diurnal/internal/changepoint"
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/geo"
+	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/storage"
 )
 
 // Snapshot file layout. The file is a contiguous sequence of CRC32C
-// frames in the checkpoint envelope ([u32 len | payload | u32 crc],
-// core.AppendFrame / core.WalkFrames). Each payload is one tag byte
+// frames in the journal envelope ([u32 len | payload | u32 crc],
+// journal.AppendFrame / journal.Walk). Each payload is one tag byte
 // followed by a fixed-width little-endian columnar section:
 //
 //	'H' header   — magic, format version, run signature, window, counts
@@ -434,14 +435,14 @@ func EncodeSnapshot(res *core.WorldResult, sig []byte, start, end int64) ([]byte
 	var out []byte
 	payloadBytes := 0
 	for _, p := range payloads {
-		out = core.AppendFrame(out, p)
+		out = journal.AppendFrame(out, p)
 		payloadBytes += len(p)
 	}
 	var z colWriter
 	z.u8(tagTrailer)
 	z.u32(uint32(len(payloads)))
 	z.u64(uint64(payloadBytes))
-	out = core.AppendFrame(out, z.buf)
+	out = journal.AppendFrame(out, z.buf)
 	return out, nil
 }
 
@@ -535,7 +536,7 @@ func decodeSnapshot(data []byte) (*snapData, []string) {
 	fault := func(format string, args ...interface{}) {
 		faults = append(faults, fmt.Sprintf(format, args...))
 	}
-	d := &snapData{crc: crc32.Checksum(data, core.FrameCRC)}
+	d := &snapData{crc: crc32.Checksum(data, journal.Table)}
 	var (
 		frames       int
 		payloadTotal int
@@ -545,7 +546,7 @@ func decodeSnapshot(data []byte) (*snapData, []string) {
 		fileOff      int64
 	)
 	seen := map[byte]bool{}
-	good := core.WalkFrames(data, func(payload []byte) error {
+	good := journal.Walk(data, func(payload []byte) error {
 		frameStart := fileOff
 		fileOff += int64(8 + len(payload))
 		if trailerSeen {

@@ -27,6 +27,7 @@ import (
 
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
+	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/storage"
 )
@@ -57,8 +58,6 @@ type deadLetterFile struct {
 	Payload json.RawMessage `json:"payload"`
 	CRC32C  uint32          `json:"crc32c"`
 }
-
-var dlTable = crc32.MakeTable(crc32.Castagnoli)
 
 // DeadLetterStore is a directory of quarantined blocks. It implements
 // core.DeadLetterer directly (global indices); Scoped derives a view for
@@ -140,7 +139,7 @@ func (s *DeadLetterStore) record(index int, id netsim.BlockID, cause error, work
 	// (indentation would rewrite them and break the checksum).
 	envelope, err := json.Marshal(&deadLetterFile{
 		Payload: payload,
-		CRC32C:  crc32.Checksum(payload, dlTable),
+		CRC32C:  crc32.Checksum(payload, journal.Table),
 	})
 	if err != nil {
 		return err
@@ -213,7 +212,7 @@ func readDeadLetter(path string) (*DeadLetterEntry, error) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("decoding envelope: %w", err)
 	}
-	if got := crc32.Checksum(env.Payload, dlTable); got != env.CRC32C {
+	if got := crc32.Checksum(env.Payload, journal.Table); got != env.CRC32C {
 		return nil, fmt.Errorf("checksum mismatch: payload %08x, trailer %08x", got, env.CRC32C)
 	}
 	var e DeadLetterEntry

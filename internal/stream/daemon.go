@@ -36,6 +36,7 @@ import (
 
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
+	"github.com/diurnalnet/diurnal/internal/journal"
 )
 
 // ErrDiskPressure reports that an admission was shed because the
@@ -60,8 +61,8 @@ type Daemon struct {
 	mu        sync.Mutex
 	det       *detector
 	detStats  detSnapshot
-	rounds    *wal
-	events    *wal
+	rounds    *journal.Log
+	events    *journal.Log
 	queue     []*Round
 	nextSeq   int64 // next round seq Ingest accepts
 	journaled []Event
@@ -80,7 +81,7 @@ type Daemon struct {
 	lastStorageErr string // most recent storage-plane failure
 	lastCompactSeq int64  // nextSeq at the last rounds compaction (-1: never)
 	lastAckCount   int64  // journaled count at the last events compaction (-1: never)
-	lastGov        govSnapshot
+	lastGov        journal.Usage
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -126,28 +127,19 @@ func Open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config) (*D
 	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 
+	hdr, err := segmentHeader(d.sig)
+	if err != nil {
+		return nil, err
+	}
 	det := newDetector(cfg, world, obsCount)
 	var regen []Event
-	rw, err := openWAL(cfg.FS, dir, "rounds", d.sig, cfg.SegmentBytes, func(df decodedFrame) error {
-		rs, err := d.frameRounds(df)
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			evs, err := det.ingest(r)
-			if err != nil {
-				return err
-			}
-			regen = append(regen, evs...)
-		}
-		return nil
-	})
+	rw, err := journal.OpenLog(cfg.FS, dir, "rounds", hdr, cfg.SegmentBytes, d.rebuild(det, &regen))
 	if err != nil {
 		return nil, err
 	}
 	d.rounds = rw
 	sawAck := false
-	ew, err := openWAL(cfg.FS, dir, "events", d.sig, cfg.SegmentBytes, func(df decodedFrame) error {
+	ew, err := journal.OpenLog(cfg.FS, dir, "events", hdr, cfg.SegmentBytes, decoded(func(df decodedFrame) error {
 		switch df.Tag {
 		case frameEventsAck:
 			// A compacted event journal opens with the count of events the
@@ -171,9 +163,9 @@ func Open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config) (*D
 		default:
 			return fmt.Errorf("unexpected %q frame in event WAL", df.Tag)
 		}
-	})
+	}))
 	if err != nil {
-		rw.close(false)
+		rw.Close(false)
 		return nil, err
 	}
 	d.events = ew
@@ -222,24 +214,38 @@ func (d *Daemon) frameRounds(df decodedFrame) ([]*Round, error) {
 	}
 }
 
-// govSnapshot mirrors the storage-governance counters Stats reports, so
-// they survive Close.
-type govSnapshot struct {
-	diskBytes   int64
-	segments    int
-	rotations   int64
-	compactions int64
+// rebuild returns the round journal's replay callback: every journaled
+// round goes through det, and the events it derives are appended to
+// *regen. Open and the watchdog rebuild the detector this one way.
+func (d *Daemon) rebuild(det *detector, regen *[]Event) func([]byte) error {
+	return decoded(func(df decodedFrame) error {
+		rs, err := d.frameRounds(df)
+		if err != nil {
+			return err
+		}
+		for _, r := range rs {
+			evs, err := det.ingest(r)
+			if err != nil {
+				return err
+			}
+			*regen = append(*regen, evs...)
+		}
+		return nil
+	})
 }
 
-func (d *Daemon) govLocked() govSnapshot {
+// govLocked sums both journals' storage-governance counters; lastGov
+// keeps them for Stats after Close.
+func (d *Daemon) govLocked() journal.Usage {
 	if d.rounds == nil || d.events == nil {
 		return d.lastGov
 	}
-	return govSnapshot{
-		diskBytes:   d.rounds.total + d.events.total,
-		segments:    len(d.rounds.segs) + len(d.events.segs),
-		rotations:   d.rounds.rotations + d.events.rotations,
-		compactions: d.rounds.compactions + d.events.compactions,
+	r, e := d.rounds.Usage(), d.events.Usage()
+	return journal.Usage{
+		Bytes:       r.Bytes + e.Bytes,
+		Segments:    r.Segments + e.Segments,
+		Rotations:   r.Rotations + e.Rotations,
+		Compactions: r.Compactions + e.Compactions,
 	}
 }
 
@@ -254,14 +260,14 @@ func (d *Daemon) compactRoundsLocked() error {
 		return nil
 	}
 	var rounds []*Round
-	if err := d.rounds.replayAll(func(df decodedFrame) error {
+	if err := d.rounds.Replay(decoded(func(df decodedFrame) error {
 		rs, err := d.frameRounds(df)
 		if err != nil {
 			return err
 		}
 		rounds = append(rounds, rs...)
 		return nil
-	}); err != nil {
+	})); err != nil {
 		d.lastStorageErr = err.Error()
 		return err
 	}
@@ -275,7 +281,7 @@ func (d *Daemon) compactRoundsLocked() error {
 		d.lastStorageErr = err.Error()
 		return err
 	}
-	if err := d.rounds.compact(payload); err != nil {
+	if err := d.rounds.Compact(payload); err != nil {
 		d.lastStorageErr = err.Error()
 		return err
 	}
@@ -296,7 +302,7 @@ func (d *Daemon) compactEventsLocked() error {
 		d.lastStorageErr = err.Error()
 		return err
 	}
-	if err := d.events.compact(payload); err != nil {
+	if err := d.events.Compact(payload); err != nil {
 		d.lastStorageErr = err.Error()
 		return err
 	}
@@ -378,16 +384,16 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 	// Disk-budget accounting: if admitting this frame would overrun the
 	// budget, compact first; if the journals still cannot fit it, shed
 	// the round — the WALs stay intact and the daemon keeps serving.
-	need := int64(len(payload)) + frameOverhead
-	if d.cfg.DiskBudget > 0 && d.govLocked().diskBytes+need > d.cfg.DiskBudget {
+	need := int64(len(payload)) + journal.Overhead
+	if d.cfg.DiskBudget > 0 && d.govLocked().Bytes+need > d.cfg.DiskBudget {
 		d.compactAllLocked()
-		if got := d.govLocked().diskBytes; got+need > d.cfg.DiskBudget {
+		if got := d.govLocked().Bytes; got+need > d.cfg.DiskBudget {
 			d.sheds++
 			d.lastStorageErr = fmt.Sprintf("disk budget %d exhausted: journals hold %d bytes, round %d needs %d more", d.cfg.DiskBudget, got, r.Seq, need)
 			return fmt.Errorf("stream: admitting round %d: %w", r.Seq, ErrDiskPressure)
 		}
 	}
-	if err := d.rounds.appendPayload(payload); err != nil {
+	if err := d.rounds.Append(payload); err != nil {
 		// An out-of-space append was rolled back to the last intact frame;
 		// compaction may free enough to retry once.
 		if !isNoSpace(err) {
@@ -395,7 +401,7 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 			return err
 		}
 		d.compactAllLocked()
-		if err = d.rounds.appendPayload(payload); err != nil {
+		if err = d.rounds.Append(payload); err != nil {
 			d.sheds++
 			d.lastStorageErr = err.Error()
 			if isNoSpace(err) {
@@ -409,7 +415,7 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 	if len(d.queue) > d.maxDepth {
 		d.maxDepth = len(d.queue)
 	}
-	if d.cfg.CompactBytes > 0 && d.rounds.total > d.cfg.CompactBytes {
+	if d.cfg.CompactBytes > 0 && d.rounds.Usage().Bytes > d.cfg.CompactBytes {
 		d.compactRoundsLocked() // best-effort; failure is surfaced in stats
 	}
 	d.bump()
@@ -440,10 +446,10 @@ func (d *Daemon) validateShape(r *Round) error {
 // history collapses to one ack frame, so compaction almost always
 // frees room).
 func (d *Daemon) appendEventLocked(ev Event) error {
-	err := d.events.append(frameEvent, ev)
+	err := appendFrame(d.events, frameEvent, ev)
 	if err != nil && isNoSpace(err) {
 		if cerr := d.compactEventsLocked(); cerr == nil {
-			err = d.events.append(frameEvent, ev)
+			err = appendFrame(d.events, frameEvent, ev)
 		}
 	}
 	if err != nil {
@@ -530,7 +536,7 @@ func (d *Daemon) loop(gen int64, det *detector) {
 				return
 			}
 		}
-		if d.cfg.CompactBytes > 0 && d.events.total > d.cfg.CompactBytes {
+		if d.cfg.CompactBytes > 0 && d.events.Usage().Bytes > d.cfg.CompactBytes {
 			d.compactEventsLocked() // best-effort; failure is surfaced in stats
 		}
 		d.queue = d.queue[1:]
@@ -582,20 +588,7 @@ func (d *Daemon) restartLocked() error {
 	d.busy = false
 	det := newDetector(d.cfg, d.world, d.obsCount)
 	var regen []Event
-	if err := d.rounds.replayAll(func(df decodedFrame) error {
-		rs, err := d.frameRounds(df)
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			evs, err := det.ingest(r)
-			if err != nil {
-				return err
-			}
-			regen = append(regen, evs...)
-		}
-		return nil
-	}); err != nil {
+	if err := d.rounds.Replay(d.rebuild(det, &regen)); err != nil {
 		return fmt.Errorf("stream: watchdog rebuild: %w", err)
 	}
 	// Journal and deliver whatever the fenced loop had derived but not
@@ -706,11 +699,11 @@ func (d *Daemon) Stats() Stats {
 		MaxQueueDepth:   d.maxDepth,
 		BlockErrors:     d.detStats.blockErrs,
 		DiurnalScores:   append([]float64(nil), d.detStats.scores...),
-		DiskBytes:       gov.diskBytes,
+		DiskBytes:       gov.Bytes,
 		DiskBudget:      d.cfg.DiskBudget,
-		WALSegments:     gov.segments,
-		Rotations:       gov.rotations,
-		Compactions:     gov.compactions,
+		WALSegments:     gov.Segments,
+		Rotations:       gov.Rotations,
+		Compactions:     gov.Compactions,
 		PressureSheds:   d.sheds,
 		LastStorageErr:  d.lastStorageErr,
 	}
@@ -759,13 +752,13 @@ func (d *Daemon) closeFiles(sync bool) error {
 	d.lastGov = d.govLocked()
 	var first error
 	if d.rounds != nil {
-		if err := d.rounds.close(sync); err != nil && first == nil {
+		if err := d.rounds.Close(sync); err != nil && first == nil {
 			first = err
 		}
 		d.rounds = nil
 	}
 	if d.events != nil {
-		if err := d.events.close(sync); err != nil && first == nil {
+		if err := d.events.Close(sync); err != nil && first == nil {
 			first = err
 		}
 		d.events = nil

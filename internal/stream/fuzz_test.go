@@ -10,17 +10,28 @@ import (
 	"testing"
 
 	"github.com/diurnalnet/diurnal/internal/core"
+	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
 	"github.com/diurnalnet/diurnal/internal/storage"
 )
+
+// openFuzzLog opens the journal name in dir the way the daemon opens its
+// own, bound to the fuzz signature.
+func openFuzzLog(dir, name string) (*journal.Log, error) {
+	hdr, err := segmentHeader([]byte("fuzz-sig"))
+	if err != nil {
+		return nil, err
+	}
+	return journal.OpenLog(storage.OS, dir, name, hdr, 0, decoded(func(decodedFrame) error { return nil }))
+}
 
 // fuzzWALBytes builds a small valid WAL (header, one round, one event) to
 // seed the corpus with real frame bytes.
 func fuzzWALBytes(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	w, err := openWAL(storage.OS, dir, "seed", []byte("fuzz-sig"), 0, func(decodedFrame) error { return nil })
+	w, err := openFuzzLog(dir, "seed")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -28,14 +39,14 @@ func fuzzWALBytes(f *testing.F) []byte {
 		Seq: 0, Start: 0, End: 86400,
 		Blocks: [][][]probe.Record{{{{T: 60, Addr: 3, Up: true}, {T: 120, Addr: 4}}}},
 	}
-	if err := w.append(frameRound, r); err != nil {
+	if err := appendFrame(w, frameRound, r); err != nil {
 		f.Fatal(err)
 	}
 	ev := Event{Seq: 0, ID: netsim.BlockID(7), Change: core.Change{Point: 86400, Dir: 1}, EvidenceSeq: -1}
-	if err := w.append(frameEvent, ev); err != nil {
+	if err := appendFrame(w, frameEvent, ev); err != nil {
 		f.Fatal(err)
 	}
-	if err := w.close(true); err != nil {
+	if err := w.Close(true); err != nil {
 		f.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "seed-00000001.wal"))
@@ -65,22 +76,25 @@ func FuzzStreamFrameDecode(f *testing.F) {
 		// panics not.
 		_, _ = decodeStreamFrame(data)
 
-		// Layer 2: the full WAL open — legacy adoption, replay, signature
-		// check, torn-tail truncation — over the bytes as a
-		// pre-segmentation journal file.
+		// Layer 2: the full WAL open — manifest, replay, signature check,
+		// torn-tail truncation — over the bytes as the journal's one
+		// manifest-listed segment.
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "fuzz.wal"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "fuzz-00000001.wal"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := openWAL(storage.OS, dir, "fuzz", []byte("fuzz-sig"), 0, func(decodedFrame) error { return nil })
+		if err := os.WriteFile(filepath.Join(dir, "fuzz.wal.manifest"), []byte(`{"segments":["fuzz-00000001.wal"]}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := openFuzzLog(dir, "fuzz")
 		if err != nil {
 			return
 		}
 		// A WAL that opened must append and close cleanly.
-		if err := w.append(frameEvent, Event{}); err != nil {
+		if err := appendFrame(w, frameEvent, Event{}); err != nil {
 			t.Fatalf("append to opened WAL: %v", err)
 		}
-		if err := w.close(false); err != nil {
+		if err := w.Close(false); err != nil {
 			t.Fatalf("closing opened WAL: %v", err)
 		}
 	})

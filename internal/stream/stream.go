@@ -5,8 +5,8 @@
 // quarter retrospectively.
 //
 // Robustness is the design center. Every ingested round lands in a
-// durable CRC-framed WAL (the same record envelope as the checkpoint
-// journal) before it is admitted; every emitted event carries a monotonic
+// durable CRC-framed WAL (an internal/journal segmented log, like the
+// checkpoint journal) before it is admitted; every emitted event carries a monotonic
 // sequence number and is journaled before delivery; and the daemon's only
 // recovery mechanism — for SIGKILL, for a wedged analysis loop restarted
 // by the watchdog, for plain restarts — is deterministic replay of the

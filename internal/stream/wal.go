@@ -1,61 +1,28 @@
 package stream
 
-// Durable journals for the daemon, built on the checkpoint journal's
-// CRC-framed record envelope (core.AppendFrame / core.WalkFrames) and
-// segmented so a daemon can run forever on a bounded disk. Each journal
-// ("rounds", "events") is a manifest plus one or more segment files in
-// the daemon directory:
+// The daemon's payload codec for its two journals. The journals themselves
+// ("rounds" and "events") are internal/journal segmented logs in the
+// daemon directory; this file decides only what their frames carry: a
+// tag byte followed by a gob payload. Every segment opens with an 'S'
+// header frame binding it to core.RunSignature(config, world), so a WAL
+// from a different run or world is rejected instead of silently replayed
+// into foreign state.
 //
-//	rounds.wal.manifest — JSON list of segment files, in replay order
-//	rounds-00000001.wal — oldest segment
-//	rounds-00000002.wal — ... newest segment; appends go here
-//
-// Every segment opens with a header frame binding it to
-// core.RunSignature(config, world), so a WAL from a different run or
-// world is rejected instead of silently replayed into foreign state.
-// Frames are a tag byte followed by a gob payload; a single write() per
-// append makes a frame durable across process death the moment the call
-// returns, and a torn tail from a crash mid-append is truncated on open
-// (only in the newest segment — a torn frame in an older, sealed
-// segment means real corruption and fails the open).
-//
-// Rotation seals the tail once it exceeds the segment threshold: the
-// old tail is fsynced, a fresh segment (header only) is created and
-// fsynced, and the manifest is atomically swapped to include it. Frames
-// are appended to the new segment only after the swap, so every acked
-// frame lives in a manifest-listed segment at every kill point; a crash
-// between creation and swap leaves an orphan holding nothing but a
-// header, which the next open deletes.
-//
-// Compaction rewrites the whole journal as one checkpoint-anchored base
-// segment — a 'K' frame re-encoding every journaled round losslessly
-// (or a 'P' frame acknowledging the replay-regenerable event prefix) —
-// then swaps the manifest to list only the base and deletes the
-// subsumed predecessors. Old segments are deleted strictly after the
-// base is fsynced and the manifest swapped, so a torn compaction leaves
-// either the old journal intact or the new base live, never neither;
-// whichever side lost the race is unreferenced and swept as an orphan
-// on the next open. The 'K' re-encoding reconstructs bit-identical
-// rounds, so deterministic replay — and with it kill-and-resume event
-// identity — is preserved across every rotation and compaction
-// boundary.
-//
-// Pre-segmentation directories hold a bare rounds.wal/events.wal; open
-// adopts such a file as the first manifest-listed segment.
+// Compaction rewrites a journal as one checkpoint-anchored base segment:
+// a 'K' frame re-encoding every journaled round losslessly (or a 'P'
+// frame acknowledging the replay-regenerable event prefix). The 'K'
+// re-encoding reconstructs bit-identical rounds, so deterministic replay
+// — and with it kill-and-resume event identity — is preserved across
+// every rotation and compaction boundary.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 
-	"github.com/diurnalnet/diurnal/internal/core"
+	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/probe"
-	"github.com/diurnalnet/diurnal/internal/storage"
 )
 
 // Stream-frame payload tags.
@@ -66,9 +33,6 @@ const (
 	frameCompactRounds = 'K' // base segment: every round, re-encoded losslessly
 	frameEventsAck     = 'P' // base segment: count of replay-regenerable events
 )
-
-// frameOverhead is the envelope cost per frame: u32 length + u32 CRC.
-const frameOverhead = 8
 
 // streamHeader binds a WAL segment to one (config, world) pair.
 type streamHeader struct {
@@ -274,496 +238,41 @@ func encodeStreamFrame(tag byte, v interface{}) ([]byte, error) {
 	return payload.Bytes(), nil
 }
 
-// walManifest is the JSON manifest listing a journal's segments in
-// replay order. It is swapped atomically (temp + rename + parent-dir
-// fsync), so at every kill point exactly one consistent segment list is
-// live.
-type walManifest struct {
-	Segments []string `json:"segments"`
-}
-
-// wal is one open segmented journal. It is not internally locked; the
-// daemon serializes all access under its own mutex.
-type wal struct {
-	fsys     storage.FS
-	dir      string
-	base     string // journal name: "rounds" or "events"
-	sig      []byte
-	segBytes int64 // rotation threshold (0: never rotate)
-
-	segs   []string // manifest order; appends go to the last entry
-	segn   int      // next segment number
-	f      storage.File
-	size   int64 // bytes in the open tail segment
-	total  int64 // bytes across every manifest-listed segment
-	hdrLen int64 // bytes of the signature header frame
-	buf    []byte
-
-	rotations   int64
-	compactions int64
-
-	// failed, once set, poisons the journal: a manifest swap ended in an
-	// ambiguous state (the rename may have landed without its directory
-	// fsync), so the on-disk segment set is unknowable from here. Every
-	// later append refuses with this error; only a reopen, which re-reads
-	// the manifest, may write again.
-	failed error
-}
-
-func (w *wal) legacyName() string   { return w.base + ".wal" }
-func (w *wal) manifestName() string { return w.base + ".wal.manifest" }
-func (w *wal) segName(n int) string { return fmt.Sprintf("%s-%08d.wal", w.base, n) }
-
-// parseSegName reports whether name is one of this journal's numbered
-// segments.
-func (w *wal) parseSegName(name string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(name, w.base+"-%08d.wal", &n); err != nil {
-		return 0, false
-	}
-	if w.segName(n) != name {
-		return 0, false
-	}
-	return n, true
-}
-
-// openWAL opens (or creates) a segmented journal rooted at dir, replays
-// its intact frames through fn in manifest order, truncates a torn tail
-// in the newest segment, deletes orphaned segments and temp files left
-// by a killed rotation or compaction, and verifies — or writes, for
-// fresh segments — the signature header.
-func openWAL(fsys storage.FS, dir, base string, sig []byte, segBytes int64, fn func(decodedFrame) error) (*wal, error) {
-	w := &wal{fsys: fsys, dir: dir, base: base, sig: sig, segBytes: segBytes, segn: 1}
-	hdr, err := encodeStreamFrame(frameStreamHeader, streamHeader{Signature: sig})
-	if err != nil {
-		return nil, err
-	}
-	w.hdrLen = int64(len(hdr)) + frameOverhead
-
-	manifestPath := filepath.Join(dir, w.manifestName())
-	mdata, err := fsys.ReadFile(manifestPath)
-	switch {
-	case err == nil:
-		var m walManifest
-		if err := json.Unmarshal(mdata, &m); err != nil {
-			return nil, fmt.Errorf("stream: manifest %s is unreadable: %w", manifestPath, err)
-		}
-		if len(m.Segments) == 0 {
-			return nil, fmt.Errorf("stream: manifest %s lists no segments", manifestPath)
-		}
-		w.segs = m.Segments
-	case os.IsNotExist(err):
-		// Adopt a pre-segmentation journal as the first segment.
-		if _, serr := fsys.Stat(filepath.Join(dir, w.legacyName())); serr == nil {
-			w.segs = []string{w.legacyName()}
-			if err := w.writeManifest(w.segs); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("stream: reading manifest %s: %w", manifestPath, err)
-	}
-
-	if err := w.sweepOrphans(); err != nil {
-		return nil, err
-	}
-	for _, s := range w.segs {
-		if n, ok := w.parseSegName(s); ok && n >= w.segn {
-			w.segn = n + 1
-		}
-	}
-
-	if len(w.segs) == 0 {
-		name := w.segName(w.segn)
-		f, size, err := w.createSegment(name)
+// decoded adapts a decoded-frame handler to a journal frame callback: a
+// payload that does not decode starts a torn tail.
+func decoded(fn func(decodedFrame) error) func([]byte) error {
+	return func(payload []byte) error {
+		df, err := decodeStreamFrame(payload)
 		if err != nil {
-			return nil, err
+			return journal.Torn(err)
 		}
-		w.segn++
-		w.segs = []string{name}
-		if err := w.writeManifest(w.segs); err != nil {
-			f.Close()
-			w.fsys.Remove(filepath.Join(dir, name))
-			return nil, err
-		}
-		w.f, w.size, w.total = f, size, size
-		return w, nil
+		return fn(df)
 	}
-
-	for i, seg := range w.segs {
-		last := i == len(w.segs)-1
-		path := filepath.Join(dir, seg)
-		data, err := fsys.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("stream: reading WAL segment %s: %w", path, err)
-		}
-		var fileSig []byte
-		var replayErr error
-		good := core.WalkFrames(data, func(payload []byte) error {
-			df, derr := decodeStreamFrame(payload)
-			if derr != nil {
-				return derr
-			}
-			if fileSig == nil {
-				if df.Tag != frameStreamHeader {
-					replayErr = fmt.Errorf("segment does not start with a signature header")
-					return replayErr
-				}
-				fileSig = df.Sig
-				return nil
-			}
-			if df.Tag == frameStreamHeader {
-				replayErr = fmt.Errorf("duplicate signature header mid-segment")
-				return replayErr
-			}
-			if ferr := fn(df); ferr != nil {
-				// A frame that checksummed but is semantically impossible
-				// (wrong sequence, foreign content) is not a torn tail: the
-				// file is from a different or corrupted run. Fail the open.
-				replayErr = ferr
-				return ferr
-			}
-			return nil
-		})
-		if replayErr != nil {
-			return nil, fmt.Errorf("stream: %s: %w", path, replayErr)
-		}
-		if fileSig != nil && !bytes.Equal(fileSig, sig) {
-			return nil, fmt.Errorf("stream: %s belongs to a different run (config or world changed); delete the stream directory to start over", path)
-		}
-		if good < len(data) && !last {
-			return nil, fmt.Errorf("stream: sealed segment %s has a torn frame mid-journal; WAL is corrupt (only the newest segment may have a torn tail)", path)
-		}
-		if !last {
-			w.total += int64(len(data))
-			continue
-		}
-		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("stream: opening %s: %w", path, err)
-		}
-		if good < len(data) {
-			if err := f.Truncate(int64(good)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("stream: truncating torn tail of %s: %w", path, err)
-			}
-		}
-		if _, err := f.Seek(int64(good), 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		w.f = f
-		w.size = int64(good)
-		w.total += w.size
-		if fileSig == nil {
-			// Fresh or fully-torn tail: (re)write the signature header.
-			if err := w.append(frameStreamHeader, streamHeader{Signature: sig}); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	return w, nil
 }
 
-// sweepOrphans deletes this journal's files that the manifest does not
-// reference: segments stranded by a rotation or compaction the kill
-// interrupted (nothing acked ever lives in them) and manifest temp
-// files. This is the zero-litter guarantee — every open converges the
-// directory to exactly the manifest plus its segments.
-func (w *wal) sweepOrphans() error {
-	ents, err := w.fsys.ReadDir(w.dir)
+// segmentHeader is the header of every journal segment: an 'S' frame
+// carrying the run signature sig, checked when a segment is reopened.
+func segmentHeader(sig []byte) (journal.Header, error) {
+	payload, err := encodeStreamFrame(frameStreamHeader, streamHeader{Signature: sig})
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("stream: listing %s: %w", w.dir, err)
+		return journal.Header{}, err
 	}
-	listed := make(map[string]bool, len(w.segs))
-	for _, s := range w.segs {
-		listed[s] = true
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.Type().IsRegular() || listed[name] {
-			continue
+	return journal.Header{Payload: payload, Check: decoded(func(df decodedFrame) error {
+		if df.Tag != frameStreamHeader {
+			return fmt.Errorf("segment does not start with a signature header")
 		}
-		owns := name == w.legacyName() || strings.HasPrefix(name, w.manifestName()+".tmp")
-		if !owns {
-			if n, ok := w.parseSegName(name); ok {
-				owns = true
-				if n >= w.segn {
-					w.segn = n + 1
-				}
-			}
+		if !bytes.Equal(df.Sig, sig) {
+			return fmt.Errorf("segment belongs to a different run (config or world changed); delete the stream directory to start over")
 		}
-		if owns {
-			if err := w.fsys.Remove(filepath.Join(w.dir, name)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("stream: removing orphaned %s: %w", name, err)
-			}
-		}
-	}
-	return nil
+		return nil
+	})}, nil
 }
 
-// createSegment creates a fresh segment holding only the signature
-// header and makes it durable (file fsync + parent-dir fsync) so a
-// manifest swap may safely reference it.
-func (w *wal) createSegment(name string) (storage.File, int64, error) {
-	path := filepath.Join(w.dir, name)
-	f, err := w.fsys.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, 0, fmt.Errorf("stream: creating segment %s: %w", path, err)
-	}
-	fail := func(err error) (storage.File, int64, error) {
-		f.Close()
-		w.fsys.Remove(path)
-		return nil, 0, err
-	}
-	hdr, err := encodeStreamFrame(frameStreamHeader, streamHeader{Signature: w.sig})
-	if err != nil {
-		return fail(err)
-	}
-	frame := core.AppendFrame(nil, hdr)
-	if _, err := f.Write(frame); err != nil {
-		return fail(fmt.Errorf("stream: writing header of %s: %w", path, err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("stream: syncing %s: %w", path, err))
-	}
-	if err := w.fsys.SyncDir(w.dir); err != nil {
-		return fail(fmt.Errorf("stream: syncing %s: %w", w.dir, err))
-	}
-	return f, int64(len(frame)), nil
-}
-
-func (w *wal) writeManifest(segs []string) error {
-	data, err := json.Marshal(walManifest{Segments: segs})
-	if err != nil {
-		return fmt.Errorf("stream: encoding manifest: %w", err)
-	}
-	if err := storage.WriteBytesAtomic(w.fsys, filepath.Join(w.dir, w.manifestName()), append(data, '\n')); err != nil {
-		return fmt.Errorf("stream: swapping manifest: %w", err)
-	}
-	return nil
-}
-
-// swapManifest writes the manifest and, on failure, reports whether the
-// new list is nevertheless the one on disk — the atomic write's rename
-// can land and only its directory fsync fail afterwards. When landed is
-// false the old manifest is still in place and the caller may clean up
-// the files only the new one referenced; when landed is true (including
-// the unreadable, unknowable case) every file either version references
-// must be kept and the journal poisoned.
-func (w *wal) swapManifest(segs []string) (landed bool, err error) {
-	if err = w.writeManifest(segs); err == nil {
-		return true, nil
-	}
-	data, rerr := w.fsys.ReadFile(filepath.Join(w.dir, w.manifestName()))
-	if rerr != nil {
-		return true, err // unknowable: assume the swap landed
-	}
-	var m walManifest
-	if json.Unmarshal(data, &m) != nil || len(m.Segments) != len(segs) {
-		return false, err
-	}
-	for i := range segs {
-		if m.Segments[i] != segs[i] {
-			return false, err
-		}
-	}
-	return true, err
-}
-
-// rotate seals the tail segment and opens a fresh one. Appended frames
-// land in the new segment only after the manifest references it, so a
-// kill anywhere in here loses nothing acked: the worst case is an
-// orphan header-only segment, swept on the next open.
-func (w *wal) rotate() error {
-	if w.failed != nil {
-		return w.failed
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("stream: sealing %s: %w", w.segs[len(w.segs)-1], err)
-	}
-	name := w.segName(w.segn)
-	f, size, err := w.createSegment(name)
-	if err != nil {
-		return err
-	}
-	segs := append(append(make([]string, 0, len(w.segs)+1), w.segs...), name)
-	if landed, err := w.swapManifest(segs); err != nil {
-		f.Close()
-		if landed {
-			// The on-disk manifest may already reference the new segment:
-			// keep it, refuse further writes until a reopen re-reads the
-			// truth.
-			w.failed = err
-		} else {
-			w.fsys.Remove(filepath.Join(w.dir, name))
-		}
-		return err
-	}
-	w.segn++
-	w.segs = segs
-	w.f.Close()
-	w.f = f
-	w.size = size
-	w.total += size
-	w.rotations++
-	return nil
-}
-
-// compact replaces the whole journal with a single base segment holding
-// the given pre-encoded payload frames. The old segments are deleted
-// only after the base is fsynced and the manifest swapped; a kill
-// before the swap leaves the old journal live and the half-written base
-// as an orphan.
-func (w *wal) compact(payloads ...[]byte) error {
-	if w.failed != nil {
-		return w.failed
-	}
-	name := w.segName(w.segn)
-	f, size, err := w.createSegment(name)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(w.dir, name)
-	fail := func(err error) error {
-		f.Close()
-		w.fsys.Remove(path)
-		return err
-	}
-	for _, p := range payloads {
-		frame := core.AppendFrame(w.buf[:0], p)
-		w.buf = frame
-		if _, err := f.Write(frame); err != nil {
-			return fail(fmt.Errorf("stream: writing base segment %s: %w", path, err))
-		}
-		size += int64(len(frame))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("stream: syncing base segment %s: %w", path, err))
-	}
-	if landed, err := w.swapManifest([]string{name}); err != nil {
-		if landed {
-			// The manifest may already point at the base alone: the old
-			// segments and the base must all survive, and no further
-			// appends may land in a tail the manifest might not list.
-			f.Close()
-			w.failed = err
-			return err
-		}
-		return fail(err)
-	}
-	w.segn++
-	old := w.segs
-	w.segs = []string{name}
-	w.f.Close()
-	w.f = f
-	w.size = size
-	w.total = size
-	w.compactions++
-	for _, s := range old {
-		// Best-effort: a failure here only delays reclamation until the
-		// next open's orphan sweep.
-		w.fsys.Remove(filepath.Join(w.dir, s))
-	}
-	return nil
-}
-
-// replayAll re-reads the journal from disk and feeds every data frame
-// through fn — the watchdog's state rebuild and the compactor's round
-// collection. A torn tail is tolerated only in the newest segment.
-func (w *wal) replayAll(fn func(decodedFrame) error) error {
-	for i, seg := range w.segs {
-		last := i == len(w.segs)-1
-		path := filepath.Join(w.dir, seg)
-		data, err := w.fsys.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("stream: reading WAL segment %s: %w", path, err)
-		}
-		sawHeader := false
-		var replayErr error
-		good := core.WalkFrames(data, func(payload []byte) error {
-			df, derr := decodeStreamFrame(payload)
-			if derr != nil {
-				return derr
-			}
-			if !sawHeader {
-				sawHeader = true
-				if df.Tag != frameStreamHeader {
-					replayErr = fmt.Errorf("segment does not start with a signature header")
-					return replayErr
-				}
-				return nil
-			}
-			if ferr := fn(df); ferr != nil {
-				replayErr = ferr
-				return ferr
-			}
-			return nil
-		})
-		if replayErr != nil {
-			return fmt.Errorf("stream: %s: %w", path, replayErr)
-		}
-		if good < len(data) && !last {
-			return fmt.Errorf("stream: sealed segment %s has a torn frame mid-journal; WAL is corrupt", path)
-		}
-	}
-	return nil
-}
-
-// append journals one tagged gob payload with a single write(),
-// rotating to a fresh segment first when the tail is over threshold.
-func (w *wal) append(tag byte, v interface{}) error {
+// appendFrame journals one tagged gob payload.
+func appendFrame(l *journal.Log, tag byte, v interface{}) error {
 	payload, err := encodeStreamFrame(tag, v)
 	if err != nil {
 		return err
 	}
-	return w.appendPayload(payload)
-}
-
-// appendPayload journals one pre-encoded payload. On a failed or short
-// write the tail is truncated back to the last intact frame boundary,
-// so an out-of-space append never leaves a torn frame behind the
-// daemon's back — the journal stays replayable and the round or event
-// simply was not admitted.
-func (w *wal) appendPayload(payload []byte) error {
-	if w.failed != nil {
-		return w.failed
-	}
-	if w.segBytes > 0 && w.size > w.hdrLen && w.size+int64(len(payload))+frameOverhead > w.segBytes {
-		if err := w.rotate(); err != nil {
-			return err
-		}
-	}
-	w.buf = core.AppendFrame(w.buf[:0], payload)
-	n, err := w.f.Write(w.buf)
-	if err != nil {
-		if n > 0 {
-			if terr := w.f.Truncate(w.size); terr == nil {
-				w.f.Seek(w.size, 0)
-			}
-		}
-		return fmt.Errorf("stream: appending to %s: %w", w.segs[len(w.segs)-1], err)
-	}
-	w.size += int64(len(w.buf))
-	w.total += int64(len(w.buf))
-	return nil
-}
-
-// sync flushes the tail to stable storage (power-loss durability;
-// process-death durability needs no sync). Sealed segments were synced
-// at rotation.
-func (w *wal) sync() error { return w.f.Sync() }
-
-func (w *wal) close(syncFirst bool) error {
-	if syncFirst {
-		if err := w.f.Sync(); err != nil {
-			w.f.Close()
-			return err
-		}
-	}
-	return w.f.Close()
+	return l.Append(payload)
 }
