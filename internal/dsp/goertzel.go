@@ -15,8 +15,9 @@ import (
 )
 
 // GoertzelBin evaluates one DFT bin of x by Goertzel's algorithm:
-// the returned value equals FFT(x)[k] (convention X_k = sum x[n]·
-// e^{-2πikn/N}) up to floating-point error, in O(N) time and O(1) space.
+// the returned value equals bin k of the DFT of x (convention X_k =
+// sum x[n]·e^{-2πikn/N}) up to floating-point error, in O(N) time and
+// O(1) space.
 func GoertzelBin(x []float64, k int) complex128 {
 	n := len(x)
 	if n == 0 {
@@ -33,7 +34,7 @@ func GoertzelBin(x []float64, k int) complex128 {
 	return complex(s0-s1*math.Cos(w), s1*math.Sin(w))
 }
 
-// GoertzelPower returns |FFT(x)[k]|², the periodogram numerator of one bin.
+// GoertzelPower returns |X_k|², the periodogram numerator of one bin.
 func GoertzelPower(x []float64, k int) float64 {
 	g := GoertzelBin(x, k)
 	return real(g)*real(g) + imag(g)*imag(g)

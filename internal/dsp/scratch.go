@@ -7,9 +7,9 @@ import (
 )
 
 // Stats bundles the two spectral statistics of the §2.4 diurnal test: the
-// energy fraction at 24 h and its harmonics (DiurnalScore) and the peak
-// contrast over the spectral neighbourhood (DiurnalSNR). Computing them
-// together costs one periodogram instead of two.
+// energy fraction at 24 h and its harmonics (Score) and the peak contrast
+// over the spectral neighbourhood (SNR). Computing them together costs one
+// periodogram instead of two.
 type Stats struct {
 	Score float64
 	SNR   float64
@@ -59,10 +59,10 @@ func (s *Scratch) Plan(n int) *Plan {
 }
 
 // Periodogram returns the one-sided power spectral estimate |X_k|^2 / N
-// for k = 0..N/2 of the real series x after mean removal — the same
-// definition as the package-level Periodogram, but using the cached
-// real-input plan and writing into a scratch-owned buffer. The returned
-// slice is valid until the next call on this Scratch.
+// for k = 0..N/2 of the real series x after mean removal (so the DC bin
+// reflects only numerical residue, not the series offset), using the
+// cached real-input plan and writing into a scratch-owned buffer. The
+// returned slice is valid until the next call on this Scratch.
 func (s *Scratch) Periodogram(x []float64) []float64 {
 	n := len(x)
 	if n == 0 {
@@ -86,9 +86,13 @@ func (s *Scratch) Periodogram(x []float64) []float64 {
 }
 
 // DiurnalStats evaluates the diurnal test once: a single periodogram
-// yields both the energy-fraction score and the SNR, with the same
-// definitions, defaults and error conditions as the DiurnalScore and
-// DiurnalSNR pair it replaces. Steady-state calls on a warm Scratch
+// yields both the energy-fraction score and the SNR. Score is the fraction
+// of non-DC spectral energy at the target period and its harmonics, in
+// [0, 1]; SNR is the mean power of the harmonic peaks over the median
+// power of nearby non-harmonic bins, which stays low on red-spectrum noise
+// that still scores high on energy. It returns an error for non-positive
+// intervals or periods and for series shorter than two periods (the
+// fundamental is then unresolvable). Steady-state calls on a warm Scratch
 // allocate nothing.
 func (s *Scratch) DiurnalStats(x []float64, opts DiurnalScoreOpts) (Stats, error) {
 	if opts.SampleInterval <= 0 || opts.Period <= 0 {

@@ -3,10 +3,14 @@ package stream
 // BenchmarkStreamingStep measures the steady-state per-round cost of the
 // streaming detector — accumulation, sliding-DFT updates, and the
 // amortized share of weekly refreshes — on a small faulty world. This is
-// the number that bounds how far behind real time a daemon can fall.
+// the number that bounds how far behind real time a daemon can fall. The
+// lanes=1 and lanes=GOMAXPROCS sub-benchmarks show what the refresh's
+// parallel phase buys on this machine.
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/diurnalnet/diurnal/internal/faults"
@@ -32,20 +36,23 @@ func BenchmarkStreamingStep(b *testing.B) {
 		}
 		rounds[i] = r
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	det := newDetector(cfg, world, f.Observers())
-	seq := int64(0)
-	for i := 0; i < b.N; i++ {
-		if seq == f.Rounds() {
-			b.StopTimer()
-			det = newDetector(cfg, world, f.Observers())
-			seq = 0
-			b.StartTimer()
-		}
-		if _, err := det.ingest(rounds[seq]); err != nil {
-			b.Fatal(err)
-		}
-		seq++
+	for _, lanes := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			b.ReportAllocs()
+			det := newDetector(cfg, world, f.Observers(), lanes)
+			seq := int64(0)
+			for i := 0; i < b.N; i++ {
+				if seq == f.Rounds() {
+					b.StopTimer()
+					det = newDetector(cfg, world, f.Observers(), lanes)
+					seq = 0
+					b.StartTimer()
+				}
+				if _, err := det.ingest(rounds[seq]); err != nil {
+					b.Fatal(err)
+				}
+				seq++
+			}
+		})
 	}
 }

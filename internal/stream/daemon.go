@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -87,10 +88,17 @@ type Daemon struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
+	// lanes is the detector's refresh lane count, fixed at Open
+	// (GOMAXPROCS) so the watchdog's rebuild runs as the replay in Open did.
+	lanes int
+
 	// hookProcess, when set by in-package tests, runs inside the analysis
 	// loop before each round is processed — the seam chaos tests use to
 	// wedge the loop and exercise the watchdog.
 	hookProcess func(*Round)
+	// hookBlock, set by in-package tests through open, is every detector's
+	// hookBlock, the replays' included.
+	hookBlock func(b int)
 }
 
 // Open opens (or creates) a streaming daemon over dir. An existing WAL is
@@ -102,6 +110,11 @@ type Daemon struct {
 // obsCount is the number of observer streams every round carries per
 // block (the probing engine's observer count).
 func Open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config) (*Daemon, error) {
+	return open(dir, world, obsCount, cfg, runtime.GOMAXPROCS(0), nil)
+}
+
+// open is Open with the detector's lane count and per-block test hook.
+func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lanes int, hookBlock func(b int)) (*Daemon, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -124,6 +137,8 @@ func Open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config) (*D
 		progress:       make(chan struct{}),
 		lastCompactSeq: -1,
 		lastAckCount:   -1,
+		lanes:          lanes,
+		hookBlock:      hookBlock,
 	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 
@@ -131,7 +146,7 @@ func Open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config) (*D
 	if err != nil {
 		return nil, err
 	}
-	det := newDetector(cfg, world, obsCount)
+	det := d.newDetector()
 	var regen []Event
 	rw, err := journal.OpenLog(cfg.FS, dir, "rounds", hdr, cfg.SegmentBytes, d.rebuild(det, &regen))
 	if err != nil {
@@ -212,6 +227,13 @@ func (d *Daemon) frameRounds(df decodedFrame) ([]*Round, error) {
 	default:
 		return nil, fmt.Errorf("unexpected %q frame in round WAL", df.Tag)
 	}
+}
+
+// newDetector builds the fresh detector a replay starts from.
+func (d *Daemon) newDetector() *detector {
+	det := newDetector(d.cfg, d.world, d.obsCount, d.lanes)
+	det.hookBlock = d.hookBlock
+	return det
 }
 
 // rebuild returns the round journal's replay callback: every journaled
@@ -586,7 +608,7 @@ func (d *Daemon) restartLocked() error {
 	d.gen++
 	d.restarts++
 	d.busy = false
-	det := newDetector(d.cfg, d.world, d.obsCount)
+	det := d.newDetector()
 	var regen []Event
 	if err := d.rounds.Replay(d.rebuild(det, &regen)); err != nil {
 		return fmt.Errorf("stream: watchdog rebuild: %w", err)

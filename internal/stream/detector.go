@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime/debug"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"github.com/diurnalnet/diurnal/internal/changepoint"
 	"github.com/diurnalnet/diurnal/internal/core"
@@ -74,14 +77,26 @@ type detector struct {
 	cfg       Config // defaulted + validated
 	obsCount  int
 	blocks    []*blockState
-	sc        *core.Scratch
-	copyBufs  [][]probe.Record
+	lanes     []lane        // the refresh's parallel phase, one per lane
+	errs      []error       // per block: the current refresh's failure, nil on success
 	hourSeen  [][4]uint64   // pushHours' scratch
 	integ     *integrityAgg // nil unless Core.Integrity
 	processed int64         // rounds fully processed
 	refreshes int64
 	blockErrs int64
 	nextEvent int64
+
+	// hookBlock, when set by in-package tests, runs inside the per-block
+	// step before the kernel — the seam that injects a kernel panic.
+	hookBlock func(b int)
+}
+
+// lane is one worker of a refresh's parallel phase: a kernel scratch and
+// the buffers the block's accumulated streams are copied into, both
+// reused from refresh to refresh.
+type lane struct {
+	sc   *core.Scratch
+	bufs [][]probe.Record
 }
 
 // integrityAgg accumulates the per-round firewall verdicts: the detector
@@ -124,8 +139,19 @@ func (g *integrityAgg) gate(b int, bs *blockState, perObs [][]probe.Record, star
 	return kept
 }
 
-func newDetector(cfg Config, world []*dataset.WorldBlock, obsCount int) *detector {
-	d := &detector{cfg: cfg, obsCount: obsCount, sc: core.NewScratch()}
+// newDetector builds a detector whose refreshes run on min(lanes,
+// len(world)) lanes, at least one. The daemon passes GOMAXPROCS; the lane
+// count never changes what the detector computes, only how fast.
+func newDetector(cfg Config, world []*dataset.WorldBlock, obsCount, lanes int) *detector {
+	d := &detector{
+		cfg:      cfg,
+		obsCount: obsCount,
+		lanes:    make([]lane, max(1, min(lanes, len(world)))),
+		errs:     make([]error, len(world)),
+	}
+	for i := range d.lanes {
+		d.lanes[i].sc = core.NewScratch()
+	}
 	if cfg.Core.Integrity {
 		d.integ = &integrityAgg{
 			matches:     make([]int64, obsCount),
@@ -234,7 +260,12 @@ func (d *detector) pushHours(bs *blockState, start, end int64, perObs [][]probe.
 }
 
 // refresh runs the shared analysis kernel over every block's accumulated
-// streams and applies the candidate-tracking and emission rules.
+// streams and applies the candidate-tracking and emission rules, in two
+// phases. The parallel phase (analyzeAll) touches only per-block state.
+// The serial phase then walks the blocks in world order and is the only
+// one that touches shared state: the error count and the event sequence
+// numbers. The events, their numbering and every counter are therefore
+// the same whatever the lane count or the goroutine schedule.
 func (d *detector) refresh(frontier, seq int64, final bool) ([]Event, error) {
 	c := d.cfg.Core
 	// Gate: classification needs the full baseline and STL needs two
@@ -247,36 +278,85 @@ func (d *detector) refresh(frontier, seq int64, final bool) ([]Event, error) {
 			return nil, nil
 		}
 	}
-	d.refreshes++
+	d.refreshes++ // before the fan-out: trackCandidates reads it
+	d.analyzeAll(seq)
 	var events []Event
 	for b, bs := range d.blocks {
-		analysis, err := d.analyzeBlock(bs)
-		if err != nil {
+		if d.errs[b] != nil {
 			d.blockErrs++
 			continue
 		}
-		bs.last = analysis
-		d.observeEvidence(bs, analysis, seq)
-		d.trackCandidates(bs, analysis, seq)
 		events = append(events, d.emit(b, bs, frontier, seq, final)...)
 	}
 	return events, nil
 }
 
-// analyzeBlock runs the batch kernel over a copy of the accumulated
-// streams. The copy matters: the kernel sanitizes and repairs in place,
-// and those edits are functions of the data seen *so far* — letting them
-// leak into the accumulator would make later refreshes diverge from what
-// a batch run over the full window computes.
-func (d *detector) analyzeBlock(bs *blockState) (*core.BlockAnalysis, error) {
-	for len(d.copyBufs) < len(bs.acc) {
-		d.copyBufs = append(d.copyBufs, nil)
+// analyzeAll runs the per-block step for every block on the detector's
+// lanes, handing blocks out by an atomic index so a lane that draws cheap
+// blocks takes more of them. The calling goroutine is the first lane, so
+// one lane runs the blocks inline, with no goroutines.
+func (d *detector) analyzeAll(seq int64) {
+	var next atomic.Int64
+	work := func(ln *lane) {
+		for b := int(next.Add(1) - 1); b < len(d.blocks); b = int(next.Add(1) - 1) {
+			d.errs[b] = d.analyzeBlock(ln, b, seq)
+		}
 	}
-	bufs := d.copyBufs[:len(bs.acc)]
+	var wg sync.WaitGroup
+	wg.Add(len(d.lanes) - 1)
+	for i := 1; i < len(d.lanes); i++ {
+		go func(ln *lane) {
+			defer wg.Done()
+			work(ln)
+		}(&d.lanes[i])
+	}
+	work(&d.lanes[0])
+	wg.Wait()
+}
+
+// analyzeBlock is block b's step in a refresh's parallel phase: the batch
+// kernel over the lane's copy of the block's accumulated streams, then the
+// block's settled-prefix evidence and candidate tracking. It writes only
+// the block's own state and the lane's buffers. The new analysis replaces
+// bs.last at once, so no more than one analysis per lane is alive beside
+// the world's current ones.
+//
+// The copy matters: the kernel sanitizes and repairs its input in place,
+// and those edits are functions of the data seen *so far*; letting them
+// leak into the accumulator would make later refreshes diverge from what a
+// batch run over the full window computes.
+//
+// A panic is recovered into a core.PanicError, as the batch pipeline
+// recovers a worker's: the block counts one BlockError and is skipped for
+// this refresh, and replay meets the same panic at the same refresh
+// instead of crash-looping the daemon. The lane gets a fresh scratch, so
+// whatever the panic left half-written cannot reach another block.
+func (d *detector) analyzeBlock(ln *lane, b int, seq int64) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = &core.PanicError{Value: rec, Stack: debug.Stack()}
+			ln.sc = core.NewScratch()
+		}
+	}()
+	if d.hookBlock != nil {
+		d.hookBlock(b)
+	}
+	bs := d.blocks[b]
+	for len(ln.bufs) < len(bs.acc) {
+		ln.bufs = append(ln.bufs, nil)
+	}
+	bufs := ln.bufs[:len(bs.acc)]
 	for i, stream := range bs.acc {
 		bufs[i] = append(bufs[i][:0], stream...)
 	}
-	return d.cfg.Core.AnalyzeCollectedScratch(bufs, bs.eb, d.sc)
+	a, err := d.cfg.Core.AnalyzeCollectedScratch(bufs, bs.eb, ln.sc)
+	if err != nil {
+		return err
+	}
+	bs.last = a
+	d.observeEvidence(bs, a, seq)
+	d.trackCandidates(bs, a, seq)
+	return nil
 }
 
 // observeEvidence advances the settled-prefix online CUSUM: trend samples

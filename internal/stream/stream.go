@@ -6,22 +6,25 @@
 //
 // Robustness is the design center. Every ingested round lands in a
 // durable CRC-framed WAL (an internal/journal segmented log, like the
-// checkpoint journal) before it is admitted; every emitted event carries a monotonic
-// sequence number and is journaled before delivery; and the daemon's only
-// recovery mechanism — for SIGKILL, for a wedged analysis loop restarted
-// by the watchdog, for plain restarts — is deterministic replay of the
-// round WAL, which reconstructs the exact detector state and regenerates
-// the exact event sequence. Replayed events must match the journaled
-// prefix byte for byte (a mismatch means a foreign or corrupt WAL and
-// fails loudly); events the crash cut off are re-derived and appended.
-// The result is an exactly-once event log: consumers resume from their
-// last sequence number with no duplicates and no gaps.
+// checkpoint journal) before it is admitted; every emitted event carries
+// a monotonic sequence number and is journaled before delivery; and the
+// daemon's only recovery mechanism — for SIGKILL, for a wedged analysis
+// loop restarted by the watchdog, for plain restarts — is deterministic
+// replay of the round WAL, which reconstructs the exact detector state
+// and regenerates the exact event sequence. Replayed events must match
+// the journaled prefix byte for byte (a mismatch means a foreign or
+// corrupt WAL and fails loudly); events the crash cut off are re-derived
+// and appended. The result is an exactly-once event log: consumers resume
+// from their last sequence number with no duplicates and no gaps.
 //
 // Analysis itself is shared with the batch driver: each refresh feeds the
 // accumulated per-observer streams through core.AnalyzeCollectedScratch,
 // the one kernel both drivers use, so a streaming run that has seen a
 // block's full window produces bit-identical results to a batch run of
-// the same world.
+// the same world. A refresh analyzes the blocks on up to GOMAXPROCS
+// goroutines and then numbers their events in block order, so the event
+// log does not depend on how many goroutines ran or how they were
+// scheduled.
 package stream
 
 import (
@@ -223,7 +226,8 @@ type Stats struct {
 	// rounds since open.
 	MaxQueueDepth int
 	// BlockErrors counts per-block refresh failures (the block is skipped
-	// for that refresh, not the stream).
+	// for that refresh, not the stream). A panic in the analysis kernel is
+	// one such failure.
 	BlockErrors int64
 	// DiurnalScores holds each block's current sliding-DFT diurnal score
 	// (zero until the block's hourly window fills).
