@@ -25,13 +25,14 @@ race-crashsafe:
 # test suite, and the crash-safety packages under the race detector.
 tier1: build vet test race-crashsafe
 
-# fsck archives a small dataset with diurnalscan -save, then runs the
-# store integrity check (-verify) over it — the end-to-end durability
-# path: atomic log writes, CRC32C trailers, verification.
+# fsck archives a small dataset with `diurnalscan scan -save`, then runs
+# the store integrity check (`diurnalscan verify`) over it — the
+# end-to-end durability path: atomic log writes, CRC32C trailers,
+# verification.
 fsck: build
 	rm -rf $(FSCK_DIR)
-	$(GO) run ./cmd/diurnalscan -blocks 24 -end 2020-01-29 -save $(FSCK_DIR) >/dev/null
-	$(GO) run ./cmd/diurnalscan -verify $(FSCK_DIR)
+	$(GO) run ./cmd/diurnalscan scan -blocks 24 -end 2020-01-29 -save $(FSCK_DIR) >/dev/null
+	$(GO) run ./cmd/diurnalscan verify $(FSCK_DIR)
 	rm -rf $(FSCK_DIR)
 
 # soak runs the deterministic short chaos soak against the streaming

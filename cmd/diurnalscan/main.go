@@ -4,116 +4,72 @@
 //
 // Usage:
 //
-//	diurnalscan [-blocks N] [-seed S] [-observers K]
-//	            [-start YYYY-MM-DD] [-end YYYY-MM-DD] [-calendar 2020|2023|none]
-//	            [-cells N] [-days N] [-region CODE]
-//	            [-resume FILE] [-timeout DUR] [-verify DIR] [-deadletter DIR]
-//	            [-breaker] [-hedge] [-quorum N] [-integrity]
-//	            [-worker DIR [-shards N] [-workerid ID] [-lease DUR]]
-//	            [-merge DIR]
-//	            [-daemon DIR [-roundlen DUR] [-refresh N] [-confirm N]
-//	             [-maxqueue N] [-watchdog DUR] [-walseg BYTES]
-//	             [-walcompact BYTES] [-diskbudget BYTES]]
-//	            [-serve ADDR -snapshot DIR [-inflight N] [-reqtimeout DUR]
-//	             [-retain N] [-servebudget BYTES]]
+//	diurnalscan scan   [flags]              run the pipeline and report
+//	diurnalscan daemon [flags] DIR          stream the window through a daemon
+//	diurnalscan worker [flags] LEDGER       one worker of a sharded fleet
+//	diurnalscan merge  [flags] LEDGER       merge and audit a sharded run
+//	diurnalscan serve  [flags] ADDR SNAPDIR answer result queries over HTTP
+//	diurnalscan verify DIR                  fsck an archived dataset store
 //
-// Example: the first Covid quarter at moderate scale.
+// Every command but verify takes the world flags (-blocks -seed -observers
+// -start -end -calendar) and -cpuprofile/-memprofile; scan, daemon and
+// merge also take the report flags (-cells -days -region -report). A
+// command defines only the flags that apply to it, so any other flag is a
+// usage error; 'diurnalscan <command> -h' lists them. Example, the first
+// Covid quarter at moderate scale:
 //
-//	diurnalscan -blocks 2000 -start 2020-01-01 -end 2020-04-22
+//	diurnalscan scan -blocks 2000 -start 2020-01-01 -end 2020-04-22
 //
-// Crash safety: with -resume FILE every finished block is journaled to
-// FILE; a killed run (Ctrl-C, OOM, power) rerun with the same flags and
-// the same -resume FILE picks up where it stopped and produces results
-// identical to an uninterrupted run. -verify DIR runs an fsck-style
-// integrity check over an archived dataset store and exits non-zero if
-// any observation log is corrupt. -deadletter DIR quarantines poison
-// blocks — deterministic panics, blown deadlines, corrupt records —
-// into DIR with their fault context; later runs sharing DIR skip them
-// instead of dying on them again.
+// scan: -resume FILE journals every finished block, so a killed run rerun
+// with the same flags picks up where it stopped and produces identical
+// results. -deadletter DIR quarantines poison blocks (deterministic
+// panics, blown deadlines, corrupt records) with their fault context;
+// later runs sharing DIR skip them. -save DIR archives the raw
+// observations of a whole-week window as a replayable store. -breaker
+// supervises the observers with circuit breakers seeded by the §2.7
+// pre-scan, -hedge re-dispatches stragglers past an adaptive deadline
+// (requires -breaker, whose pre-scan seeds the deadline model), and
+// -quorum N flags blocks analyzed with fewer than N observers.
 //
-// Self-healing: -breaker supervises the observers with runtime circuit
-// breakers (seeded by the §2.7 pre-scan), -hedge re-dispatches straggler
-// blocks past an adaptive latency deadline (requires -breaker, whose
-// pre-scan seeds the deadline model), and -quorum N flags blocks
-// analyzed with records from fewer than N observers.
+// scan and daemon: -integrity arms the data-integrity firewall against
+// observers that lie rather than fail. A stream that trips a per-block
+// sanity gate (in-window timestamps, target-list membership, duplicate
+// and reply-rate ceilings, cross-observer agreement) is excluded from
+// that block's merge and attributed in the output; contested observations
+// among the surviving streams resolve by observer majority.
 //
-// Data integrity: -integrity arms the data-integrity firewall against
-// observers that lie rather than fail. Each observer's stream is judged
-// per block against sanity gates (in-window timestamps, target-list
-// membership, duplicate and reply-rate ceilings) and a cross-observer
-// agreement score; a stream that trips a gate is excluded from that
-// block's merge and attributed in the output, and contested
-// observations among the surviving streams resolve by observer
-// majority. Applies to plain and -daemon runs.
+// verify: an fsck of a store written by scan -save; non-zero if any
+// observation log is corrupt.
 //
-// Sharded runs: -worker DIR runs this process as one worker of a
-// multi-process fleet sharing the shard ledger at DIR. The first worker
-// passes -shards N to create the ledger (the world is partitioned into N
-// contiguous block ranges); later workers omit it. Workers claim shards
-// under -lease DUR leases with monotonic fencing tokens, so a worker
-// that crashes or stalls loses its shard to a peer after the lease
-// expires, and its late journal writes are rejected rather than
-// duplicated. When every shard is done, -merge DIR (with the same world
-// flags) stitches the per-shard journals into one report and runs a
-// cross-shard integrity audit: frame checksums, no coverage gaps, no
-// conflicting duplicates, dead-letter manifest reconciliation.
+// worker and merge: workers share the shard ledger at LEDGER; the first
+// passes -shards N to create it. Shards are claimed under -lease DUR
+// leases with monotonic fencing tokens, so a worker that crashes or
+// stalls loses its shard to a peer and its late writes are rejected.
+// When every shard is done, merge (with the same world flags) stitches
+// the per-shard journals into one report and audits it: frame checksums,
+// no coverage gaps, no conflicting duplicates, dead letters reconciled.
 //
-// Streaming: -daemon DIR runs the window as a continuous-ingestion
-// stream instead of a retrospective batch. Probe rounds are ingested
-// incrementally (each -roundlen of data, default 24h), every round is
-// made durable in a write-ahead log under DIR before admission, and
-// change events are emitted with bounded latency — at most
-// -confirm × -refresh rounds after a change is confirmed and stable —
-// each journaled with a contiguous sequence number before it is printed.
-// A killed daemon rerun with the same DIR and flags resumes by
-// deterministic WAL replay to the exact detector state and event
-// sequence; SIGTERM drains the admitted rounds, flushes the event WAL,
-// and exits 0. -watchdog DUR restarts a wedged analysis step by the
-// same replay. The final report is identical to a batch run of the same
-// world.
+// daemon: the window runs as a stream. Each -roundlen of data (default
+// 24h) is made durable in a write-ahead log under DIR before admission,
+// and change events are emitted at most -confirm × -refresh rounds after
+// a change is confirmed, each journaled with a contiguous sequence number
+// before it is printed. A killed daemon rerun on the same DIR resumes by
+// WAL replay to the exact detector state and event sequence; SIGTERM
+// drains and exits 0; -watchdog DUR restarts a wedged step by the same
+// replay. The final report equals a batch run of the same world. -walseg
+// rotates the WALs into bounded segments, -walcompact folds a WAL to a
+// checkpoint-anchored base past the given size, and -diskbudget caps DIR:
+// a round that would exceed it is shed and the daemon exits 6.
 //
-// Storage governance: a daemon meant to run forever must not grow its
-// disk without bound. -walseg rotates the round and event WALs into
-// bounded segments, -walcompact folds a WAL down to a checkpoint-anchored
-// base segment once it exceeds the given size (resume identity is
-// preserved — replay after compaction reaches the same state and event
-// sequence), and -diskbudget caps the daemon directory: a round whose
-// append would exceed the budget is shed and the daemon exits 6 rather
-// than filling the disk. On the serving side, -retain N keeps only the
-// newest N snapshots after each install (in-use and quarantined files
-// are never collected) and -servebudget refuses publishes that would
-// push the snapshot directory past its byte cap.
-//
-// Serving: -serve ADDR publishes a finished run as a columnar snapshot
-// under -snapshot DIR (running the configured world first if the
-// directory has none) and answers result queries over HTTP with bounded
-// admission, prioritized load shedding (503 + Retry-After), a
-// stale-while-revalidate cache, and atomic snapshot hot-swaps — torn or
-// foreign-run snapshots are quarantined, never served. SIGHUP reloads
-// the newest published snapshot; SIGTERM drains in-flight requests and
-// exits 0. -inflight and -reqtimeout tune the admission pool and the
-// per-request deadline.
-//
-// Flag combinations are validated before any work starts; contradictory
-// ones (-hedge without -breaker, -worker with -merge, -daemon with
-// -resume, daemon tuning flags without -daemon, a negative -quorum,
-// -resume into a directory that does not exist) exit 2 with a message
-// instead of mis-running.
-//
-// Exit codes: 0 clean, 1 runtime error, 2 usage error, 3 when the run
-// completed but in degraded mode — an observer breaker was still open at
-// the end, blocks fell below the -quorum floor, or blocks were
-// dead-lettered. Code 3 output is complete but should be treated as
-// lower-confidence. -merge exits 4 when the integrity audit fails: the
-// merged output is untrustworthy and the ledger should be inspected.
-// -serve exits 5 when no snapshot could be loaded or built: the server
-// has nothing to answer from, and serving bare 503s forever would look
-// healthy to a load balancer while answering nothing. -daemon exits 6
-// when the WAL directory hit its -diskbudget and a round was shed: the
-// journal is consistent but the stream needs more disk to continue.
-// -integrity runs exit 7 when the firewall gated at least one observer
-// stream: the results exclude the untrusted data and name the gated
-// observers, but the input was tampered with and deserves a look.
+// serve: publishes a finished run as a columnar snapshot under SNAPDIR
+// (running the world first if there is none) and answers queries over
+// HTTP at ADDR with bounded admission, prioritized load shedding (503 +
+// Retry-After), a stale-while-revalidate cache and atomic snapshot
+// hot-swaps; torn or foreign-run snapshots are quarantined, never served.
+// SIGHUP reloads the newest snapshot; SIGTERM drains and exits 0.
+// -inflight and -reqtimeout tune admission and the per-request deadline;
+// -retain N keeps the newest N snapshots and -servebudget refuses
+// publishes past a byte cap.
 package main
 
 import (
@@ -121,510 +77,424 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"sort"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
 	"github.com/diurnalnet/diurnal"
-	"github.com/diurnalnet/diurnal/internal/changepoint"
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/profiling"
-	"github.com/diurnalnet/diurnal/internal/render"
 )
 
-func parseDate(s string) (int64, error) {
-	t, err := time.Parse("2006-01-02", s)
-	if err != nil {
-		return 0, err
+// Exit codes, one table for every command.
+const (
+	exitOK             = iota // clean
+	exitError                 // runtime error: simulation, analysis or I/O failure, incomplete daemon drain
+	exitUsage                 // unknown command or flag, bad flag value or argument count; nothing ran
+	exitDegraded              // complete but lower-confidence: a breaker open at the end, blocks below -quorum or dead-lettered
+	exitAuditFailed           // merge: the cross-shard integrity audit failed; do not trust the output
+	exitSnapshotFailed        // serve: no snapshot could be loaded or built (bare 503s would look healthy to a load balancer)
+	exitDiskPressure          // daemon: the WAL directory hit -diskbudget and a round was shed; the journal is consistent
+	exitIntegrity             // the integrity firewall gated an observer stream: the input was tampered with
+)
+
+// exitCode maps how a world command ended to its exit code. drain is set
+// for the daemon alone: for it, cancellation by SIGTERM or SIGINT is a
+// clean stop after draining; for every other command it is a failure.
+// Gated streams outrank the other degradations (7 before 3).
+func exitCode(err error, drain bool, audit *diurnal.ShardAudit, report *diurnal.Report) int {
+	switch {
+	case errors.Is(err, diurnal.ErrStreamDiskPressure):
+		return exitDiskPressure
+	case drain && errors.Is(err, context.Canceled):
+		return exitOK
+	case err != nil:
+		return exitError
+	case audit != nil && !audit.Clean():
+		return exitAuditFailed
+	case report == nil || !report.Report.Degraded():
+		return exitOK
+	case len(report.Report.GatedStreams) > 0:
+		return exitIntegrity
 	}
-	return t.Unix(), nil
+	return exitDegraded
 }
 
-func main() {
-	blocks := flag.Int("blocks", 1000, "number of /24 blocks to simulate")
-	workers := flag.Int("workers", 0, "analysis worker goroutines (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	observers := flag.Int("observers", 4, "probing sites (1-6)")
-	startStr := flag.String("start", "2020-01-01", "window start (UTC)")
-	endStr := flag.String("end", "2020-04-22", "window end (UTC)")
-	calendar := flag.String("calendar", "2020", "event calendar: 2020, 2023 or none")
-	topCells := flag.Int("cells", 10, "number of gridcells to report")
-	topDays := flag.Int("days", 5, "number of peak days per gridcell")
-	region := flag.String("region", "", "report only blocks of this region code (e.g. CN-WUH)")
-	saveDir := flag.String("save", "", "also archive raw observations into this directory")
-	reportPath := flag.String("report", "", "write a markdown report to this file")
-	resumePath := flag.String("resume", "", "journal finished blocks to this file and resume from it after a crash")
-	timeout := flag.Duration("timeout", 0, "abort the run after this long (e.g. 10m); finished blocks stay journaled with -resume")
-	verifyDir := flag.String("verify", "", "fsck an archived dataset store at this directory and exit")
-	breaker := flag.Bool("breaker", false, "supervise observers with runtime circuit breakers (implies the pre-scan health check)")
-	hedge := flag.Bool("hedge", false, "re-dispatch straggler blocks past an adaptive latency deadline (requires -breaker)")
-	quorum := flag.Int("quorum", 0, "flag blocks analyzed with fewer than this many observers (0 disables)")
-	integrity := flag.Bool("integrity", false, "arm the data-integrity firewall: gate lying observer streams out of the merge and resolve contested observations by majority")
-	deadLetterDir := flag.String("deadletter", "", "quarantine poison blocks into this directory and skip them on later runs")
-	workerDir := flag.String("worker", "", "run as one worker of a sharded fleet sharing the ledger at this directory")
-	shards := flag.Int("shards", 0, "with -worker: create the ledger with this many shards (0 opens an existing ledger)")
-	workerID := flag.String("workerid", "", "with -worker: name this worker in leases and dead letters (default worker-<pid>)")
-	lease := flag.Duration("lease", 0, "with -worker: shard lease duration (default 30s)")
-	mergeDir := flag.String("merge", "", "merge a completed sharded run's ledger at this directory and audit it")
-	daemonDir := flag.String("daemon", "", "stream the window through a crash-safe ingestion daemon rooted at this directory")
-	roundLen := flag.Duration("roundlen", 24*time.Hour, "with -daemon: data per ingested round (multiple of 1h)")
-	refreshEvery := flag.Int("refresh", 1, "with -daemon: run a trend refresh every N rounds")
-	confirm := flag.Int("confirm", 2, "with -daemon: consecutive refreshes a change must survive before emission")
-	maxQueue := flag.Int("maxqueue", 64, "with -daemon: admitted-but-unprocessed round bound (ingestion blocks beyond it)")
-	watchdog := flag.Duration("watchdog", 0, "with -daemon: restart a wedged analysis step after this long (0 disables)")
-	walSeg := flag.Int64("walseg", 0, "with -daemon: rotate WAL segments at this many bytes (default 8MiB)")
-	walCompact := flag.Int64("walcompact", 0, "with -daemon: compact a WAL to its checkpoint base when it exceeds this many bytes (0 never)")
-	diskBudget := flag.Int64("diskbudget", 0, "with -daemon: shed rounds when the daemon directory would exceed this many bytes (0 unlimited)")
-	serveAddr := flag.String("serve", "", "serve result queries over HTTP at this address (requires -snapshot DIR)")
-	snapshotDir := flag.String("snapshot", "", "with -serve: directory of columnar result snapshots (built from a run when empty)")
-	inflight := flag.Int("inflight", 0, "with -serve: bound on admitted-but-unfinished requests (default 64)")
-	reqTimeout := flag.Duration("reqtimeout", 0, "with -serve: per-request deadline propagated into snapshot reads (default 2s)")
-	retain := flag.Int("retain", 0, "with -serve: keep only the newest N snapshots on disk after each install (0 keeps all)")
-	serveBudget := flag.Int64("servebudget", 0, "with -serve: refuse snapshot publishes past this many directory bytes (0 unlimited)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the world run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile after the world run to this file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	// Reject contradictory flag combinations before any work starts: a
-	// bad combination should be a usage error, not a mid-run surprise.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	cli := &cliFlags{
-		workers:       *workers,
-		quorum:        *quorum,
-		breaker:       *breaker,
-		hedge:         *hedge,
-		integrity:     *integrity,
-		resumePath:    *resumePath,
-		deadLetterDir: *deadLetterDir,
-		saveDir:       *saveDir,
-		verifyDir:     *verifyDir,
-		workerDir:     *workerDir,
-		shards:        *shards,
-		lease:         *lease,
-		mergeDir:      *mergeDir,
-		daemonDir:     *daemonDir,
-		roundLen:      *roundLen,
-		refreshEvery:  *refreshEvery,
-		confirm:       *confirm,
-		maxQueue:      *maxQueue,
-		watchdog:      *watchdog,
-		walSeg:        *walSeg,
-		walCompact:    *walCompact,
-		diskBudget:    *diskBudget,
-		serveAddr:     *serveAddr,
-		snapshotDir:   *snapshotDir,
-		inflight:      *inflight,
-		reqTimeout:    *reqTimeout,
-		retain:        *retain,
-		serveBudget:   *serveBudget,
-		set:           set,
+// run executes one diurnalscan invocation and returns its exit code.
+func run(args []string) int {
+	cmd, code := parse(args, os.Stderr)
+	if cmd == nil {
+		return code
 	}
-	if err := cli.validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "diurnalscan: %v\nrun 'diurnalscan -h' for usage\n", err)
-		os.Exit(2)
-	}
+	return cmd()
+}
 
-	if *verifyDir != "" {
-		os.Exit(verifyStore(*verifyDir))
-	}
+// A subcommand is one of diurnalscan's programs. define registers the
+// flags it adds to the world and profile flags and sets the job's check
+// and body; verify, which builds no world, has none.
+type subcommand struct {
+	name, args, about string
+	define            func(fs *flag.FlagSet, j *job)
+}
 
-	start, err := parseDate(*startStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -start: %v\n", err)
-		os.Exit(2)
+var subcommands = []subcommand{
+	{"scan", "", "run the pipeline over a simulated world and report what it finds", defineScan},
+	{"daemon", "DIR", "stream the window through a crash-safe ingestion daemon rooted at DIR", defineDaemon},
+	{"worker", "LEDGER", "run as one worker of a sharded fleet sharing the ledger at LEDGER", defineWorker},
+	{"merge", "LEDGER", "merge a completed sharded run's ledger and audit it", defineMerge},
+	{"serve", "ADDR SNAPDIR", "serve result queries over HTTP at ADDR from the snapshots under SNAPDIR", defineServe},
+	{"verify", "DIR", "fsck the archived dataset store at DIR and exit", nil},
+}
+
+// parse turns argv (without the program name) into a runnable command.
+// It builds no world: every flag, value and argument-count error is found
+// here, printed to stderr, and returned as exit code 2 with a nil command
+// (exit 0 for -h).
+func parse(args []string, stderr io.Writer) (func() int, int) {
+	var sub *subcommand
+	for i := range subcommands {
+		if len(args) > 0 && args[0] == subcommands[i].name {
+			sub = &subcommands[i]
+		}
 	}
-	end, err := parseDate(*endStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -end: %v\n", err)
-		os.Exit(2)
+	if sub == nil {
+		fmt.Fprintln(stderr, "usage: diurnalscan <command> [flags] [args]\n\ncommands:")
+		for _, s := range subcommands {
+			fmt.Fprintf(stderr, "  %-19s %s\n", strings.TrimSpace(s.name+" "+s.args), s.about)
+		}
+		fmt.Fprintln(stderr, "\nrun 'diurnalscan <command> -h' for its flags")
+		if len(args) > 0 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
+			return nil, exitOK
+		}
+		return nil, exitUsage
 	}
-	var cal *diurnal.Calendar
-	switch *calendar {
-	case "2020":
-		cal = diurnal.Calendar2020()
-	case "2023":
-		cal = diurnal.Calendar2023()
-	case "none":
+	fs := flag.NewFlagSet("diurnalscan "+sub.name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: diurnalscan %s [flags] %s\n", sub.name, sub.args)
+		fs.PrintDefaults()
+	}
+	j := &job{}
+	var w *worldFlags
+	if sub.define != nil {
+		w = addWorldFlags(fs)
+		fs.StringVar(&j.cpuProfile, "cpuprofile", "", "write a CPU profile of the world run to this file")
+		fs.StringVar(&j.memProfile, "memprofile", "", "write a heap profile after the world run to this file")
+		sub.define(fs, j)
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, exitOK
+		}
+		return nil, exitUsage
+	}
+	var err error
+	j.args = fs.Args()
+	switch want := strings.Fields(sub.args); {
+	case len(j.args) != len(want):
+		err = fmt.Errorf("want %d argument(s) after the flags %v, got %q", len(want), want, j.args)
+	case sub.define == nil:
+		return func() int { return verifyStore(j.args[0]) }, exitOK
 	default:
-		fmt.Fprintf(os.Stderr, "bad -calendar %q\n", *calendar)
-		os.Exit(2)
+		j.world, err = w.options()
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if j.check != nil {
+			err = errors.Join(err, j.check(set))
+		}
 	}
+	if err != nil {
+		fmt.Fprintf(stderr, "diurnalscan %s: %v\nrun 'diurnalscan %s -h' for usage\n", sub.name, err, sub.name)
+		return nil, exitUsage
+	}
+	return j.run, exitOK
+}
 
-	world, err := diurnal.NewWorld(diurnal.WorldOptions{
-		Blocks:    *blocks,
-		Seed:      *seed,
-		Calendar:  cal,
-		Start:     start,
-		End:       end,
-		Observers: *observers,
-	})
+// check returns the usage error format describes when bad holds.
+func check(bad bool, format string, args ...any) error {
+	if !bad {
+		return nil
+	}
+	return fmt.Errorf(format, args...)
+}
+
+// worldFlags are the flags that pick the simulated world.
+type worldFlags struct {
+	blocks, observers    int
+	seed                 uint64
+	start, end, calendar string
+}
+
+func addWorldFlags(fs *flag.FlagSet) *worldFlags {
+	w := &worldFlags{}
+	fs.IntVar(&w.blocks, "blocks", 1000, "number of /24 blocks to simulate")
+	fs.Uint64Var(&w.seed, "seed", 1, "simulation seed")
+	fs.IntVar(&w.observers, "observers", 4, "probing sites (1-6)")
+	fs.StringVar(&w.start, "start", "2020-01-01", "window start (UTC)")
+	fs.StringVar(&w.end, "end", "2020-04-22", "window end (UTC)")
+	fs.StringVar(&w.calendar, "calendar", "2020", "event calendar: 2020, 2023 or none")
+	return w
+}
+
+// options checks the world flags' values and converts them; on error it
+// returns the zero options.
+func (w *worldFlags) options() (diurnal.WorldOptions, error) {
+	start, err := time.Parse("2006-01-02", w.start)
+	if err != nil {
+		return diurnal.WorldOptions{}, fmt.Errorf("bad -start: %v", err)
+	}
+	end, err := time.Parse("2006-01-02", w.end)
+	if err != nil {
+		return diurnal.WorldOptions{}, fmt.Errorf("bad -end: %v", err)
+	}
+	cal, ok := map[string]*diurnal.Calendar{"2020": diurnal.Calendar2020(), "2023": diurnal.Calendar2023(), "none": nil}[w.calendar]
+	if !ok {
+		return diurnal.WorldOptions{}, fmt.Errorf("bad -calendar %q", w.calendar)
+	}
+	return diurnal.WorldOptions{Blocks: w.blocks, Seed: w.seed, Observers: w.observers, Calendar: cal, Start: start.Unix(), End: end.Unix()}, nil
+}
+
+func addReportFlags(fs *flag.FlagSet, j *job) {
+	fs.IntVar(&j.cells, "cells", 10, "number of gridcells to report")
+	fs.IntVar(&j.days, "days", 5, "number of peak days per gridcell")
+	fs.StringVar(&j.region, "region", "", "report only blocks of this region code (e.g. CN-WUH)")
+	fs.StringVar(&j.report, "report", "", "write a markdown report to this file")
+}
+
+// job is a parsed world command. A field whose flag the command does not
+// define keeps its zero value.
+type job struct {
+	world                  diurnal.WorldOptions
+	args                   []string // the positional arguments
+	timeout                time.Duration
+	cpuProfile, memProfile string
+	integrity              bool
+
+	// check holds the command's value checks; set names the flags given
+	// explicitly, since several default to 0 for "built-in default" but
+	// must be positive when given.
+	check func(set map[string]bool) error
+	// body runs the command on the built world and returns the report to
+	// print, or nil and the exit code.
+	body func(ctx context.Context, world *diurnal.World, cfg diurnal.Config) (*diurnal.Report, int)
+
+	// The report flags (scan, daemon, merge) and scan's extra output.
+	cells, days    int
+	region, report string
+	save, resume   string
+	supervise      bool
+	quorum         int
+}
+
+// run builds the world, then runs the body under the signal context, the
+// -timeout deadline and the profiles. Every NewWorld error is a bad world
+// flag (block count, observer count, empty window), so it exits 2.
+func (j *job) run() int {
+	world, err := diurnal.NewWorld(j.world)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return exitUsage
 	}
-	cfg := diurnal.DefaultConfig(start, end)
-	cfg.Integrity = *integrity
+	cfg := diurnal.DefaultConfig(j.world.Start, j.world.End)
+	cfg.Integrity = j.integrity
 	// Classify on the first four weeks, the paper's pre-Covid baseline.
-	cfg.BaselineStart = start
-	if end-start > 28*diurnal.SecondsPerDay {
-		cfg.BaselineEnd = start + 28*diurnal.SecondsPerDay
-	} else {
-		cfg.BaselineEnd = end
-	}
+	cfg.BaselineStart, cfg.BaselineEnd = j.world.Start, min(j.world.End, j.world.Start+28*diurnal.SecondsPerDay)
 	// SIGINT/SIGTERM cancel the run instead of killing it mid-write; with
 	// -resume, finished blocks are already journaled when we exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
+	if j.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, j.timeout)
 		defer cancel()
 	}
-	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	stopProfiles, err := profiling.Start(j.cpuProfile, j.memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return exitError
 	}
 	began := time.Now()
-	if *serveAddr != "" {
-		code := runServe(ctx, world, cfg, serveOptions{
-			Addr:       *serveAddr,
-			Dir:        *snapshotDir,
-			Inflight:   *inflight,
-			ReqTimeout: *reqTimeout,
-			Retain:     *retain,
-			DiskBudget: *serveBudget,
-		})
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
-		}
-		os.Exit(code)
+	report, code := j.body(ctx, world, cfg)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 	}
-	if *workerDir != "" {
-		code := runShardWorker(ctx, world, cfg, diurnal.ShardOptions{
-			Dir:      *workerDir,
-			Shards:   *shards,
-			WorkerID: *workerID,
-			LeaseTTL: *lease,
-		}, began)
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
-		}
-		os.Exit(code)
+	if report == nil {
+		return code
 	}
-	var report *diurnal.Report
-	if *daemonDir != "" {
-		var events int
-		report, events, err = runDaemon(ctx, world, cfg, diurnal.StreamOptions{
-			Dir:              *daemonDir,
-			RoundLen:         int64(*roundLen / time.Second),
-			RefreshEvery:     *refreshEvery,
-			ConfirmRefreshes: *confirm,
-			MaxQueue:         *maxQueue,
-			Watchdog:         *watchdog,
-			SegmentBytes:     *walSeg,
-			CompactBytes:     *walCompact,
-			DiskBudget:       *diskBudget,
-		})
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
-		}
+	return j.print(world, report, began)
+}
+
+func defineScan(fs *flag.FlagSet, j *job) {
+	addReportFlags(fs, j)
+	var ro diurnal.RunOptions
+	fs.DurationVar(&j.timeout, "timeout", 0, "abort the run after this long (e.g. 10m); finished blocks stay journaled with -resume")
+	fs.BoolVar(&j.integrity, "integrity", false, "arm the data-integrity firewall: gate lying observer streams out of the merge and resolve contested observations by majority")
+	fs.IntVar(&ro.Workers, "workers", 0, "analysis worker goroutines (0 = GOMAXPROCS)")
+	fs.StringVar(&j.save, "save", "", "also archive raw observations into this directory (the window must be whole weeks)")
+	fs.StringVar(&j.resume, "resume", "", "journal finished blocks to this file and resume from it after a crash")
+	fs.StringVar(&ro.DeadLetterPath, "deadletter", "", "quarantine poison blocks into this directory and skip them on later runs")
+	fs.BoolVar(&ro.Breaker, "breaker", false, "supervise observers with runtime circuit breakers (implies the pre-scan health check)")
+	fs.BoolVar(&ro.Hedge, "hedge", false, "re-dispatch straggler blocks past an adaptive latency deadline (requires -breaker)")
+	fs.IntVar(&ro.Quorum, "quorum", 0, "flag blocks analyzed with fewer than this many observers (0 disables)")
+	j.check = func(map[string]bool) error {
+		resumeDir := filepath.Dir(j.resume)
+		_, statErr := os.Stat(resumeDir)
+		span := j.world.End - j.world.Start
+		return errors.Join(
+			check(ro.Workers < 0, "-workers must be >= 0 (got %d)", ro.Workers),
+			check(ro.Quorum < 0, "-quorum must be >= 0 (got %d)", ro.Quorum),
+			check(ro.Hedge && !ro.Breaker, "-hedge requires -breaker: the breaker pre-scan seeds the straggler deadline model"),
+			check(j.resume != "" && resumeDir != "." && statErr != nil, "-resume %s: directory %s does not exist", j.resume, resumeDir),
+			// A store holds whole weeks: archiving less than the analyzed
+			// window would make a replay of it disagree with this run.
+			check(j.save != "" && span%(7*diurnal.SecondsPerDay) != 0,
+				"-save archives whole weeks, but the window %s .. %s is %d days", day(j.world.Start), day(j.world.End), span/diurnal.SecondsPerDay),
+		)
+	}
+	j.body = func(ctx context.Context, world *diurnal.World, cfg diurnal.Config) (*diurnal.Report, int) {
+		ro.CheckpointPath, ro.Integrity = j.resume, j.integrity
+		j.quorum, j.supervise = ro.Quorum, ro.Breaker || ro.Hedge || ro.Quorum > 0
+		report, err := world.RunContext(ctx, cfg, ro)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			if errors.Is(err, diurnal.ErrStreamDiskPressure) {
-				// The WAL directory hit its -diskbudget even after an
-				// emergency compaction. Everything journaled so far is
-				// durable and consistent; the stream simply cannot admit
-				// more rounds on this much disk.
-				fmt.Fprintf(os.Stderr, "daemon stopped at the disk budget; raise -diskbudget or free space under %s and rerun\n", *daemonDir)
-				os.Exit(exitDiskPressure)
+			if j.resume != "" && ctx.Err() != nil {
+				fmt.Fprintf(os.Stderr, "run interrupted; rerun with -resume %s to continue\n", j.resume)
 			}
-			if errors.Is(err, context.Canceled) {
-				// SIGTERM/SIGINT drain: admissions stopped, admitted
-				// rounds processed, the event WAL flushed and the journal
-				// consistent. That is a clean shutdown, not a failure —
-				// anything else (drain error, deadline, I/O) stays exit 1.
-				fmt.Fprintf(os.Stderr, "daemon drained and stopped; rerun with -daemon %s to continue the stream\n", *daemonDir)
-				os.Exit(0)
-			}
-			os.Exit(1)
+			return nil, exitCode(err, false, nil, nil)
 		}
-		fmt.Printf("stream complete: %d change events journaled under %s\n\n", events, *daemonDir)
-	} else if *mergeDir != "" {
-		var audit *diurnal.ShardAudit
-		report, audit, err = world.MergeShards(cfg, *mergeDir)
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
+		return report, exitOK
+	}
+}
+
+func defineDaemon(fs *flag.FlagSet, j *job) {
+	addReportFlags(fs, j)
+	var so diurnal.StreamOptions
+	fs.DurationVar(&j.timeout, "timeout", 0, "abort the stream after this long (e.g. 10m); a rerun resumes from the WAL")
+	fs.BoolVar(&j.integrity, "integrity", false, "arm the data-integrity firewall: gate lying observer streams out of each round")
+	roundLen := fs.Duration("roundlen", 24*time.Hour, "data per ingested round (multiple of 1h)")
+	fs.IntVar(&so.RefreshEvery, "refresh", 1, "run a trend refresh every N rounds")
+	fs.IntVar(&so.ConfirmRefreshes, "confirm", 2, "consecutive refreshes a change must survive before emission")
+	fs.IntVar(&so.MaxQueue, "maxqueue", 64, "admitted-but-unprocessed round bound (ingestion blocks beyond it)")
+	fs.DurationVar(&so.Watchdog, "watchdog", 0, "restart a wedged analysis step after this long (0 disables)")
+	fs.Int64Var(&so.SegmentBytes, "walseg", 0, "rotate WAL segments at this many bytes (default 8MiB)")
+	fs.Int64Var(&so.CompactBytes, "walcompact", 0, "compact a WAL to its checkpoint base when it exceeds this many bytes (0 never)")
+	fs.Int64Var(&so.DiskBudget, "diskbudget", 0, "shed rounds when the daemon directory would exceed this many bytes (0 unlimited)")
+	j.check = func(set map[string]bool) error {
+		return errors.Join(
+			check(*roundLen <= 0 || *roundLen%time.Hour != 0, "-roundlen must be a positive multiple of 1h (got %s)", *roundLen),
+			check(so.RefreshEvery < 1 || so.ConfirmRefreshes < 1 || so.MaxQueue < 1, "-refresh, -confirm and -maxqueue must be >= 1"),
+			check(set["watchdog"] && so.Watchdog <= 0, "-watchdog must be positive (got %s)", so.Watchdog),
+			check(set["walseg"] && so.SegmentBytes < 4096, "-walseg must be >= 4096 bytes (got %d)", so.SegmentBytes),
+			check(set["walcompact"] && so.CompactBytes <= 0, "-walcompact must be positive (got %d)", so.CompactBytes),
+			check(set["diskbudget"] && so.DiskBudget <= 0, "-diskbudget must be positive (got %d)", so.DiskBudget),
+		)
+	}
+	j.body = func(ctx context.Context, world *diurnal.World, cfg diurnal.Config) (*diurnal.Report, int) {
+		so.Dir, so.RoundLen = j.args[0], int64(*roundLen/time.Second)
+		so.OnEvent = func(ev diurnal.StreamEvent) {
+			fmt.Printf("event %4d  %v  %-4s change around %s  (confirmed %d rounds after first seen)\n",
+				ev.Seq, ev.ID, ev.Change.Dir, day(ev.Change.Point), ev.EmitSeq-ev.FirstSeenSeq)
 		}
+		report, events, err := world.RunStream(ctx, cfg, so)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			code := exitCode(err, true, nil, nil)
+			switch code {
+			case exitDiskPressure:
+				fmt.Fprintf(os.Stderr, "daemon stopped at the disk budget; raise -diskbudget or free space under %s and rerun\n", so.Dir)
+			case exitOK:
+				fmt.Fprintf(os.Stderr, "daemon drained and stopped; rerun the same daemon command on %s to continue the stream\n", so.Dir)
+			}
+			return nil, code
+		}
+		fmt.Printf("stream complete: %d change events journaled under %s\n\n", len(events), so.Dir)
+		return report, exitOK
+	}
+}
+
+func defineWorker(fs *flag.FlagSet, j *job) {
+	var so diurnal.ShardOptions
+	fs.DurationVar(&j.timeout, "timeout", 0, "abort the worker after this long; its lease expires and a peer takes the shard over")
+	fs.IntVar(&so.Shards, "shards", 0, "create the ledger with this many shards (0 opens an existing ledger)")
+	fs.StringVar(&so.WorkerID, "workerid", "", "name this worker in leases and dead letters (default worker-<pid>)")
+	fs.DurationVar(&so.LeaseTTL, "lease", 0, "shard lease duration (default 30s)")
+	j.check = func(set map[string]bool) error {
+		return errors.Join(
+			check(so.Shards < 0, "-shards must be >= 0 (got %d)", so.Shards),
+			check(set["lease"] && so.LeaseTTL <= 0, "-lease must be positive (got %s)", so.LeaseTTL),
+		)
+	}
+	// A worker exits 0 once every shard in the ledger is complete —
+	// including shards finished by other workers — so a fleet of identical
+	// invocations converges without coordination beyond the ledger itself.
+	j.body = func(ctx context.Context, world *diurnal.World, cfg diurnal.Config) (*diurnal.Report, int) {
+		so.Dir = j.args[0]
+		began := time.Now()
+		rep, err := world.RunShardWorker(ctx, cfg, so)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			if ctx.Err() != nil {
+				fmt.Fprintln(os.Stderr, "worker interrupted; its lease expires shortly and another worker (or a rerun) takes the shard over")
+			}
+			return nil, exitCode(err, false, nil, nil)
+		}
+		fmt.Printf("worker done in %.1fs: completed %d shard(s), analyzed %d blocks\n",
+			time.Since(began).Seconds(), len(rep.CompletedShards), rep.Analyzed)
+		if rep.Resumed > 0 {
+			fmt.Printf("  inherited %d journaled blocks from fenced predecessors\n", rep.Resumed)
+		}
+		if rep.Fenced > 0 {
+			fmt.Printf("  abandoned %d shard(s) to peers after losing the lease\n", rep.Fenced)
+		}
+		if rep.DeadLettered > 0 {
+			fmt.Printf("  dead-lettered %d poison blocks (the merge will report the run degraded)\n", rep.DeadLettered)
+		}
+		return nil, exitOK
+	}
+}
+
+func defineMerge(fs *flag.FlagSet, j *job) {
+	addReportFlags(fs, j)
+	j.body = func(_ context.Context, world *diurnal.World, cfg diurnal.Config) (*diurnal.Report, int) {
+		report, audit, err := world.MergeShards(cfg, j.args[0])
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return nil, exitCode(err, false, nil, nil)
 		}
 		fmt.Println(audit)
-		if !audit.Clean() {
+		if code := exitCode(nil, false, audit, nil); code != exitOK {
 			fmt.Fprintln(os.Stderr, "merge audit FAILED: the merged output is untrustworthy; inspect the ledger")
-			os.Exit(exitAuditFailed)
+			return nil, code
 		}
-	} else {
-		report, err = world.RunContext(ctx, cfg, diurnal.RunOptions{
-			Workers:        *workers,
-			CheckpointPath: *resumePath,
-			Breaker:        *breaker,
-			Hedge:          *hedge,
-			Quorum:         *quorum,
-			DeadLetterPath: *deadLetterDir,
-			Integrity:      *integrity,
-		})
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, perr)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			if *resumePath != "" && ctx.Err() != nil {
-				fmt.Fprintf(os.Stderr, "run interrupted; rerun with -resume %s to continue\n", *resumePath)
-			}
-			os.Exit(1)
-		}
+		return report, exitOK
 	}
-	if n := report.Report.ResumedBlocks; *resumePath != "" && n > 0 {
-		fmt.Printf("resumed %d finished blocks from %s\n", n, *resumePath)
-	}
-	if n := len(report.Report.DeadLettered); n > 0 {
-		fmt.Printf("skipped %d dead-lettered poison blocks (quarantined with fault context)\n", n)
-	}
-	if *saveDir != "" {
-		if err := saveObservations(*saveDir, world, start, end); err != nil {
-			fmt.Fprintln(os.Stderr, "saving observations:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("raw observations archived to %s\n", *saveDir)
-	}
-	if *reportPath != "" {
-		if err := writeMarkdownReport(*reportPath, world, report, start, end); err != nil {
-			fmt.Fprintln(os.Stderr, "writing report:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("markdown report written to %s\n", *reportPath)
-	}
-
-	responsive := 0
-	for _, st := range report.Cells {
-		responsive += st.Responsive
-	}
-	fmt.Printf("simulated %d /24 blocks over %s .. %s with %d observers (%.1fs)\n",
-		world.Size(), *startStr, *endStr, *observers, time.Since(began).Seconds())
-	fmt.Printf("responsive: %d   change-sensitive: %d   gridcells: %d\n\n",
-		responsive, report.ChangeSensitiveCount(), len(report.Cells))
-	if *breaker || *hedge || *quorum > 0 {
-		printSupervisor(world, report, *quorum)
-	}
-	if *integrity {
-		printIntegrity(world, report)
-	}
-
-	if *region != "" {
-		reportRegion(world, report, *region)
-		exitIfDegraded(report)
-		return
-	}
-
-	mapValues := map[diurnal.CellKey]int{}
-	for cell, n := range report.CellCS {
-		mapValues[cell] = n
-	}
-	fmt.Println("change-sensitive blocks by gridcell:")
-	fmt.Println(render.WorldMap(mapValues))
-
-	fmt.Printf("top gridcells by change-sensitive blocks:\n")
-	startDay := start / diurnal.SecondsPerDay
-	endDay := end / diurnal.SecondsPerDay
-	for _, cell := range report.TopCells(*topCells) {
-		fmt.Printf("  %s — %d change-sensitive of %d responsive\n",
-			cell, report.CellCS[cell], report.Cells[cell].Responsive)
-		series := report.CellFractionSeries(cell, changepoint.Down, startDay, endDay)
-		type dayFrac struct {
-			day  int64
-			frac float64
-		}
-		var peaks []dayFrac
-		for i, v := range series {
-			if v > 0 {
-				peaks = append(peaks, dayFrac{startDay + int64(i), v})
-			}
-		}
-		sort.Slice(peaks, func(a, b int) bool {
-			if peaks[a].frac != peaks[b].frac {
-				return peaks[a].frac > peaks[b].frac
-			}
-			return peaks[a].day < peaks[b].day
-		})
-		if len(peaks) > *topDays {
-			peaks = peaks[:*topDays]
-		}
-		for _, p := range peaks {
-			fmt.Printf("      %s  %4.1f%% of blocks trending down\n",
-				time.Unix(p.day*diurnal.SecondsPerDay, 0).UTC().Format("2006-01-02"), 100*p.frac)
-		}
-	}
-	exitIfDegraded(report)
 }
 
-// exitDegraded is the exit code of a run that finished but with the
-// supervisor reporting degraded coverage: an observer breaker still open
-// at the end, blocks analyzed below the -quorum floor, or poison blocks
-// skipped via the dead-letter quarantine.
-const exitDegraded = 3
-
-// exitAuditFailed is the -merge exit code when the cross-shard integrity
-// audit fails: the merged output must not be trusted.
-const exitAuditFailed = 4
-
-// exitDiskPressure is the -daemon exit code when the WAL directory hit
-// its -diskbudget and a round had to be shed: the journal on disk is
-// consistent, but the stream could not finish on this much disk.
-const exitDiskPressure = 6
-
-// exitIntegrity is the -integrity exit code when the firewall gated at
-// least one observer stream: the results are computed from the trusted
-// remainder, but the input was tampered with.
-const exitIntegrity = 7
-
-func exitIfDegraded(report *diurnal.Report) {
-	if !report.Report.Degraded() {
-		return
+func defineServe(fs *flag.FlagSet, j *job) {
+	var so serveOptions
+	fs.DurationVar(&j.timeout, "timeout", 0, "stop serving after this long (drains like SIGTERM)")
+	fs.IntVar(&so.Inflight, "inflight", 0, "bound on admitted-but-unfinished requests (default 64)")
+	fs.DurationVar(&so.ReqTimeout, "reqtimeout", 0, "per-request deadline propagated into snapshot reads (default 2s)")
+	fs.IntVar(&so.Retain, "retain", 0, "keep only the newest N snapshots on disk after each install (0 keeps all)")
+	fs.Int64Var(&so.DiskBudget, "servebudget", 0, "refuse snapshot publishes past this many directory bytes (0 unlimited)")
+	j.check = func(set map[string]bool) error {
+		return errors.Join(
+			check(set["inflight"] && so.Inflight < 1, "-inflight must be >= 1 (got %d)", so.Inflight),
+			check(set["reqtimeout"] && so.ReqTimeout <= 0, "-reqtimeout must be positive (got %s)", so.ReqTimeout),
+			check(set["retain"] && so.Retain < 1, "-retain must keep at least 1 snapshot (got %d)", so.Retain),
+			check(set["servebudget"] && so.DiskBudget <= 0, "-servebudget must be positive (got %d)", so.DiskBudget),
+		)
 	}
-	if n := len(report.Report.GatedStreams); n > 0 {
-		fmt.Fprintf(os.Stderr, "run completed DEGRADED: integrity firewall gated %d observer stream(s) across %d block verdicts\n",
-			n, len(report.Report.IntegrityVerdicts))
-		os.Exit(exitIntegrity)
+	j.body = func(ctx context.Context, world *diurnal.World, cfg diurnal.Config) (*diurnal.Report, int) {
+		so.Addr, so.Dir = j.args[0], j.args[1]
+		return nil, runServe(ctx, world, cfg, so)
 	}
-	fmt.Fprintf(os.Stderr, "run completed DEGRADED: %d breakers open, %d blocks below quorum, %d blocks dead-lettered\n",
-		len(report.Report.BreakerOpen), len(report.Report.QuorumShortfalls), len(report.Report.DeadLettered))
-	os.Exit(exitDegraded)
-}
-
-// printIntegrity renders the firewall summary: per-observer aggregate
-// agreement and which observers had streams gated, with the gate each
-// tripped first.
-func printIntegrity(world *diurnal.World, report *diurnal.Report) {
-	rep := report.Report
-	names := world.Engine().Names()
-	name := func(i int) string {
-		if i >= 0 && i < len(names) {
-			return names[i]
-		}
-		return fmt.Sprintf("#%d", i)
-	}
-	if len(rep.AgreementScores) > 0 {
-		fmt.Printf("integrity: observer agreement")
-		for i, s := range rep.AgreementScores {
-			fmt.Printf("  %s=%.2f", name(i), s)
-		}
-		fmt.Println()
-	}
-	if len(rep.GatedStreams) == 0 {
-		fmt.Println("integrity: no observer streams gated")
-		fmt.Println()
-		return
-	}
-	gated := map[int]int{}
-	reason := map[int]string{}
-	for _, v := range rep.IntegrityVerdicts {
-		gated[v.Observer]++
-		if _, ok := reason[v.Observer]; !ok {
-			reason[v.Observer] = v.Reason
-		}
-	}
-	for _, oi := range rep.GatedStreams {
-		fmt.Printf("  gated: observer %s excluded from %d block(s) (first gate: %s)\n",
-			name(oi), gated[oi], reason[oi])
-	}
-	fmt.Println()
-}
-
-// runDaemon streams the world through the crash-safe ingestion daemon,
-// printing each change event as it is journaled. The returned report is
-// identical to a batch run of the same world.
-func runDaemon(ctx context.Context, world *diurnal.World, cfg diurnal.Config, opts diurnal.StreamOptions) (*diurnal.Report, int, error) {
-	opts.OnEvent = func(ev diurnal.StreamEvent) {
-		lag := ev.EmitSeq - ev.FirstSeenSeq
-		fmt.Printf("event %4d  %v  %-4s change around %s  (confirmed %d rounds after first seen)\n",
-			ev.Seq, ev.ID, ev.Change.Dir,
-			time.Unix(ev.Change.Point, 0).UTC().Format("2006-01-02"), lag)
-	}
-	report, events, err := world.RunStream(ctx, cfg, opts)
-	return report, len(events), err
-}
-
-// runShardWorker runs this process as one worker of a sharded fleet and
-// returns its exit code. A worker exits 0 once every shard in the ledger
-// is complete — including shards finished by other workers — so a fleet
-// of identical invocations converges without coordination beyond the
-// ledger itself.
-func runShardWorker(ctx context.Context, world *diurnal.World, cfg diurnal.Config, opts diurnal.ShardOptions, began time.Time) int {
-	rep, err := world.RunShardWorker(ctx, cfg, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "worker interrupted; its lease expires shortly and another worker (or a rerun) takes the shard over")
-		}
-		return 1
-	}
-	fmt.Printf("worker done in %.1fs: completed %d shard(s), analyzed %d blocks\n",
-		time.Since(began).Seconds(), len(rep.CompletedShards), rep.Analyzed)
-	if rep.Resumed > 0 {
-		fmt.Printf("  inherited %d journaled blocks from fenced predecessors\n", rep.Resumed)
-	}
-	if rep.Fenced > 0 {
-		fmt.Printf("  abandoned %d shard(s) to peers after losing the lease\n", rep.Fenced)
-	}
-	if rep.DeadLettered > 0 {
-		fmt.Printf("  dead-lettered %d poison blocks (the merge will report the run degraded)\n", rep.DeadLettered)
-	}
-	return 0
-}
-
-// printSupervisor renders the run's supervision summary: per-observer
-// health, breaker history, hedging activity, and quorum coverage.
-func printSupervisor(world *diurnal.World, report *diurnal.Report, quorum int) {
-	rep := report.Report
-	names := world.Engine().Names()
-	name := func(i int) string {
-		if i >= 0 && i < len(names) {
-			return names[i]
-		}
-		return fmt.Sprintf("#%d", i)
-	}
-	open := map[int]bool{}
-	for _, i := range rep.BreakerOpen {
-		open[i] = true
-	}
-	if len(rep.HealthScores) > 0 {
-		fmt.Printf("supervisor: observer health")
-		for i, s := range rep.HealthScores {
-			state := ""
-			if open[i] {
-				state = " (breaker open)"
-			}
-			fmt.Printf("  %s=%.2f%s", name(i), s, state)
-		}
-		fmt.Println()
-	}
-	for _, tx := range rep.BreakerTransitions {
-		fmt.Printf("  breaker: observer %s %s->%s at block %d (score %.2f: %s)\n",
-			name(tx.Observer), tx.From, tx.To, tx.Seq, tx.Score, tx.Reason)
-	}
-	if rep.HedgedBlocks > 0 {
-		fmt.Printf("  hedged %d straggler blocks (%d hedge wins)\n", rep.HedgedBlocks, rep.HedgeWins)
-	}
-	if quorum > 0 {
-		fmt.Printf("  quorum: %d blocks analyzed with fewer than %d observers\n",
-			len(rep.QuorumShortfalls), quorum)
-	}
-	fmt.Println()
 }
 
 // verifyStore fscks an archived dataset store and returns the process
@@ -632,43 +502,17 @@ func printSupervisor(world *diurnal.World, report *diurnal.Report, quorum int) {
 // was found, 2 when the directory is not a store.
 func verifyStore(dir string) int {
 	st, err := dataset.OpenStore(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+	var rep *dataset.VerifyReport
+	if err == nil {
+		rep, err = st.Verify()
 	}
-	rep, err := st.Verify()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return exitUsage
 	}
 	fmt.Print(rep)
 	if !rep.Clean() {
-		return 1
+		return exitError
 	}
-	return 0
-}
-
-// reportRegion prints per-block detections for one region.
-func reportRegion(world *diurnal.World, report *diurnal.Report, code string) {
-	idxs := world.BlocksInRegion(code)
-	if len(idxs) == 0 {
-		fmt.Printf("no blocks in region %s\n", code)
-		return
-	}
-	fmt.Printf("region %s: %d blocks\n", code, len(idxs))
-	for _, i := range idxs {
-		b, _, cell := world.BlockAt(i)
-		a := report.Blocks[i].Analysis
-		if a == nil || !a.Class.ChangeSensitive {
-			continue
-		}
-		fmt.Printf("  %v %s  diurnal score %.2f  profile %s\n", b.ID, cell, a.Class.DiurnalScore, a.Profile())
-		for _, c := range a.Changes {
-			fmt.Printf("      %-4s change around %s (onset %s, settled %s, %+.1f addresses)\n",
-				c.Dir, time.Unix(c.Point, 0).UTC().Format("2006-01-02"),
-				time.Unix(c.Start, 0).UTC().Format("01-02"),
-				time.Unix(c.End, 0).UTC().Format("01-02"),
-				c.RawAmplitude)
-		}
-	}
+	return exitOK
 }

@@ -1,10 +1,10 @@
 package main
 
-// The -serve mode: publish a finished run as a columnar snapshot and
+// The serve command: publish a finished run as a columnar snapshot and
 // answer result queries over HTTP through the overload-hardened serving
 // plane (internal/serve). The lifecycle is deliberately boring:
 //
-//  1. load the newest valid snapshot under -snapshot DIR (torn or
+//  1. load the newest valid snapshot under SNAPDIR (torn or
 //     foreign files are quarantined, never served);
 //  2. if the directory has none, run the configured world once and
 //     write the snapshot it should serve — a cold-started server is a
@@ -34,11 +34,7 @@ import (
 	"github.com/diurnalnet/diurnal/internal/serve"
 )
 
-// exitSnapshotFailed is the -serve exit code when no valid snapshot
-// could be loaded or built: the server has nothing to answer from.
-const exitSnapshotFailed = 5
-
-// serveOptions carries the -serve flag values.
+// serveOptions carries the serve command's arguments and flag values.
 type serveOptions struct {
 	Addr       string
 	Dir        string
@@ -52,8 +48,8 @@ type serveOptions struct {
 	ready chan<- net.Addr
 }
 
-// runServe owns the whole -serve lifecycle and returns the process exit
-// code. ctx is the signal context from main: its cancellation (SIGTERM,
+// runServe owns the whole serve lifecycle and returns the process exit
+// code. ctx is the command's signal context: its cancellation (SIGTERM,
 // SIGINT, -timeout) starts the graceful drain.
 func runServe(ctx context.Context, world *diurnal.World, cfg diurnal.Config, opts serveOptions) int {
 	sig := world.Signature(cfg)

@@ -141,8 +141,9 @@ type RunReport struct {
 // Degraded reports whether the run finished in degraded mode: observers
 // still tripped out by their breakers, blocks analyzed below the observer
 // quorum, blocks dead-lettered out of the run, or observer streams gated
-// by the data-integrity firewall. Scripted runs use this (via
-// diurnalscan's exit code) to detect partial-confidence output.
+// by the data-integrity firewall. Scripted runs use this (via the exit
+// code of diurnalscan scan, daemon and merge) to detect
+// partial-confidence output.
 func (r *RunReport) Degraded() bool {
 	return len(r.BreakerOpen) > 0 || len(r.QuorumShortfalls) > 0 || len(r.DeadLettered) > 0 ||
 		len(r.GatedStreams) > 0

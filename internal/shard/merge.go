@@ -6,7 +6,7 @@ package shard
 // frame or a dead-letter entry, never both), that no fenced writer's late
 // frame disagrees with the accepted outcome, and that every file read
 // passed its CRC. A run whose audit is not Clean must not be trusted —
-// diurnalscan exits 4 on it.
+// diurnalscan merge exits 4 on it.
 
 import (
 	"bytes"
