@@ -17,9 +17,9 @@ import (
 	"sort"
 
 	"github.com/diurnalnet/diurnal"
+	"github.com/diurnalnet/diurnal/internal/experiments"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
-	"github.com/diurnalnet/diurnal/internal/reconstruct"
 )
 
 func main() {
@@ -45,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		scans := reconstruct.ScanTimes(reconstruct.Merge(perObs), block.EverActive())
+		scans := experiments.ScanTimes(perObs, block.EverActive())
 		med := "never"
 		if len(scans) > 0 {
 			sort.Slice(scans, func(i, j int) bool { return scans[i] < scans[j] })

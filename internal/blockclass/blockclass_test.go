@@ -20,7 +20,7 @@ func reconstructed(t *testing.T, b *netsim.Block, start, end int64) *reconstruct
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := reconstruct.ReconstructObservers(perObs, b.EverActive(), false)
+	s, err := reconstruct.Reconstruct(reconstruct.MergeInto(nil, perObs), b.EverActive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func BenchmarkClassifyMonth(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := reconstruct.ReconstructObservers(perObs, blk.EverActive(), false)
+	s, err := reconstruct.Reconstruct(reconstruct.MergeInto(nil, perObs), blk.EverActive())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -262,6 +262,23 @@ func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc 
 	return c.analyzeCollected(perObs, eb, sc, false)
 }
 
+// Reconstruct runs the kernel's record-level half alone (see frontHalf), as
+// cfg's SanitizeRecords, Repair and Integrity ask, for callers that stop at
+// the series, such as the paper's reconstruction tables. It returns the
+// series and the outages that would mask its changes, or an error when eb
+// is empty. perObs is mutated in place; sc may be nil for a one-shot call.
+func (cfg Config) Reconstruct(perObs [][]probe.Record, eb []int, sc *Scratch) (*reconstruct.Series, []outage.Interval, error) {
+	c, err := cfg.resolved()
+	if err != nil {
+		return nil, nil, err
+	}
+	if sc == nil {
+		sc = NewScratch()
+	}
+	series, outages, _, err := c.frontHalf(perObs, eb, sc, false)
+	return series, outages, err
+}
+
 // analyzeCollected is the kernel behind AnalyzeCollectedScratch on a
 // resolved config, with one internal knob: trustClean skips the sanitize
 // pre-scan for streams a clean-by-construction prober produced (see
@@ -648,8 +665,8 @@ func NewScratch() *Scratch {
 	return &Scratch{class: blockclass.NewScratch()}
 }
 
-// scratchPool backs the convenience entry points (AnalyzeBlock,
-// AnalyzeBlockContext) that don't manage worker lifetimes themselves.
+// scratchPool backs AnalyzeBlock, the convenience entry point that doesn't
+// manage worker lifetimes itself.
 var scratchPool = sync.Pool{New: func() interface{} { return NewScratch() }}
 
 // AnalyzeBlock probes a block with the engine over the analysis window and
@@ -657,20 +674,15 @@ var scratchPool = sync.Pool{New: func() interface{} { return NewScratch() }}
 // simulated block. eng is any Prober (*probe.Engine, or a faults.Engine
 // wrapping one).
 func (cfg Config) AnalyzeBlock(eng Prober, b *netsim.Block) (*BlockAnalysis, error) {
-	return cfg.AnalyzeBlockContext(context.Background(), eng, b)
-}
-
-// AnalyzeBlockContext is AnalyzeBlock with cancellation: ctx is passed to
-// the prober's collection loop, so a canceled or expired context aborts
-// the probe promptly and surfaces ctx's error.
-func (cfg Config) AnalyzeBlockContext(ctx context.Context, eng Prober, b *netsim.Block) (*BlockAnalysis, error) {
 	sc := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(sc)
-	return cfg.AnalyzeBlockScratch(ctx, eng, b, sc)
+	return cfg.AnalyzeBlockScratch(context.Background(), eng, b, sc)
 }
 
-// AnalyzeBlockScratch is AnalyzeBlockContext reusing sc's buffers, plans
-// and workspaces across calls; sc may be nil for a one-shot analysis.
+// AnalyzeBlockScratch is AnalyzeBlock with cancellation, reusing sc's
+// buffers, plans and workspaces across calls: ctx is passed to the prober's
+// collection loop, so a canceled or expired context aborts the probe
+// promptly and surfaces ctx's error. sc may be nil for a one-shot analysis.
 // Callers that loop over many blocks hold one Scratch per goroutine.
 func (cfg Config) AnalyzeBlockScratch(ctx context.Context, eng Prober, b *netsim.Block, sc *Scratch) (*BlockAnalysis, error) {
 	c, err := cfg.resolved()

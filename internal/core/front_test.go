@@ -232,6 +232,15 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 						if err := sameAnalysis(got, want); err != nil {
 							t.Errorf("%s: %v", name, err)
 						}
+						if !trust {
+							// The exported front half, as the paper's tables run it.
+							series, outages, err := cfg.Reconstruct(cloneStreams(fc.perObs), fc.eb, sc)
+							if err != nil {
+								t.Errorf("%s: Reconstruct: %v", name, err)
+							} else if err := sameFront(front{series, outages, want.Sanitize}, front{want.Series, want.Outages, want.Sanitize}); err != nil {
+								t.Errorf("%s: Reconstruct: %v", name, err)
+							}
+						}
 						tallies[w].compared++
 						if dropped, _ := sc.cursor.Dropped(); dropped > 0 {
 							tallies[w].rewalked++
@@ -490,7 +499,7 @@ func TestFrontHalfAllocations(t *testing.T) {
 	}
 	for _, fc := range benchBlocks(t) {
 		input := cloneStreams(fc.perObs)
-		raw, err := outage.FromRecords(reconstruct.Merge(input), 0, outage.Params{})
+		raw, err := outage.FromRecords(reconstruct.MergeInto(nil, input), 0, outage.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

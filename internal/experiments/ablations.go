@@ -12,7 +12,6 @@ import (
 	"github.com/diurnalnet/diurnal/internal/events"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
-	"github.com/diurnalnet/diurnal/internal/reconstruct"
 	"github.com/diurnalnet/diurnal/internal/stl"
 )
 
@@ -51,7 +50,7 @@ func AblationSTLvsNaive(opts Options) (*AblationSTLResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		series, err := reconstruct.ReconstructObservers(perObs, b.EverActive(), false)
+		series, err := reconstructBlock(perObs, b.EverActive(), start, end, false)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +144,7 @@ func AblationSwing(opts Options) (*AblationSwingResult, error) {
 	for _, s := range []float64{1, 2, 3, 5, 8, 12, 20} {
 		cfg := blockclass.Default()
 		cfg.SwingThreshold = s
-		cls := classifyWorld(world, eng, start, end, cfg, true)
+		cls := classifyWorld(world, eng, start, end, cfg)
 		c := tally(cls)
 		res.Thresholds = append(res.Thresholds, s)
 		res.Sensitive = append(res.Sensitive, c.ChangeSensitive)
@@ -201,38 +200,17 @@ func AblationLossRepair(opts Options) (*AblationRepairResult, error) {
 			return nil, err
 		}
 		// True reply rate of the lossless equivalent stream.
-		truthRate := 0.0
-		{
-			cnt, up := 0, 0
-			for _, r := range perObs[1] {
-				cnt++
-				if r.Up {
-					up++
-				}
-			}
-			if cnt > 0 {
-				truthRate = float64(up) / float64(cnt)
-			}
-		}
+		truthRate := meanReplyRate(perObs[1:2], false)
 		measure := func(repair bool) (float64, bool) {
 			streams := make([][]probe.Record, len(perObs))
 			for i := range perObs {
 				streams[i] = append([]probe.Record(nil), perObs[i]...)
 			}
-			if repair {
-				for i := range streams {
-					reconstruct.Repair1Loss(streams[i])
-				}
-			}
-			rate := reconstruct.MeanReplyRate(streams[0])
-			series, err := reconstruct.Reconstruct(reconstruct.Merge(streams), b.EverActive())
+			cls, err := classifyBlock(streams, b.EverActive(), start, end, repair, blockclass.Default())
 			if err != nil {
 				return 0, false
 			}
-			cls, err := blockclass.Classify(series, start, end, blockclass.Default())
-			if err != nil {
-				return 0, false
-			}
+			rate := meanReplyRate(streams[:1], false) // as the kernel left it: repaired when repair is set
 			return math.Abs(rate - truthRate), cls.ChangeSensitive
 		}
 		errWithout, sensWithout := measure(false)
@@ -301,7 +279,7 @@ func AblationPersistence(opts Options) (*AblationPersistenceResult, error) {
 	for _, minDays := range []int{1, 2, 3, 4, 5, 6, 7} {
 		cfg := blockclass.Default()
 		cfg.MinSwingDays = minDays
-		cls := classifyWorld(world, eng, start, end, cfg, true)
+		cls := classifyWorld(world, eng, start, end, cfg)
 		c := tally(cls)
 		weekendOnly := 0
 		for _, d := range decoys {
@@ -309,7 +287,7 @@ func AblationPersistence(opts Options) (*AblationPersistenceResult, error) {
 			if err != nil {
 				continue
 			}
-			series, err := reconstruct.ReconstructObservers(perObs, d.EverActive(), true)
+			series, err := reconstructBlock(perObs, d.EverActive(), start, end, true)
 			if err != nil {
 				continue
 			}

@@ -2,7 +2,11 @@
 // evaluation (§3–§4, appendices) on the simulated substrate. Each
 // experiment is a pure function of its options (all randomness is seeded),
 // returns a typed result with a text rendering, and is exercised by a
-// bench target in the repository root.
+// bench target in the repository root. Experiments measure the kernel that
+// ships: every records → series step is core.Config.Reconstruct (through
+// reconstructBlock), and the probing measurements the kernel has no use
+// for — full-block-scan times and reply rates — live here, on the kernel's
+// cursor.
 //
 // Scale note: the paper measures 5.2M /24 blocks over up to 24 weeks; the
 // defaults here use 10²–10³ blocks so a full run finishes in seconds.
@@ -14,11 +18,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"github.com/diurnalnet/diurnal/internal/blockclass"
+	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
@@ -94,9 +100,97 @@ type classification struct {
 	sensitive  bool
 }
 
+// reconstructBlock is every experiment's records → Series step: the front
+// half of the kernel the pipeline runs (core.Config.Reconstruct), under the
+// paper's configuration for the window [start, end) with 1-loss repair on
+// or off. The streams are edited in place, as the kernel edits them.
+func reconstructBlock(perObs [][]probe.Record, eb []int, start, end int64, repair bool) (*reconstruct.Series, error) {
+	cfg := core.DefaultConfig(start, end)
+	cfg.Repair = repair
+	series, _, err := cfg.Reconstruct(perObs, eb, nil)
+	return series, err
+}
+
+// classifyBlock reconstructs a block's streams (reconstructBlock) and
+// classifies its change sensitivity over the same window.
+func classifyBlock(perObs [][]probe.Record, eb []int, start, end int64, repair bool, cfg blockclass.Config) (blockclass.Result, error) {
+	series, err := reconstructBlock(perObs, eb, start, end, repair)
+	if err != nil {
+		return blockclass.Result{}, err
+	}
+	return blockclass.Classify(series, start, end, cfg)
+}
+
+// ScanTimes returns the durations of successive complete scans of eb by
+// the observers together (§3.1): the first value is the time from the
+// first record until every address has been seen once, and each subsequent
+// value is the time to see every address again. It walks the streams in
+// merged order with the kernel's cursor, so no merged stream is built.
+// Blocks never fully covered yield nil.
+func ScanTimes(perObs [][]probe.Record, eb []int) []int64 {
+	var inEB [256]bool
+	targets := 0
+	for _, a := range eb {
+		if a < 0 || a > 255 {
+			return nil // no record can carry it, so no scan completes
+		}
+		if !inEB[a] {
+			inEB[a] = true
+			targets++
+		}
+	}
+	cur := reconstruct.Cursor{Dedup: true}
+	cur.Reset(perObs)
+	run := cur.Next()
+	if run == nil || targets == 0 {
+		return nil
+	}
+	var out []int64
+	var seen [256]bool
+	scanStart, left := run[0].T, targets
+	for ; run != nil; run = cur.Next() {
+		for _, r := range run {
+			if !inEB[r.Addr] || seen[r.Addr] {
+				continue
+			}
+			seen[r.Addr] = true
+			if left--; left == 0 {
+				out = append(out, r.T-scanStart)
+				seen, left, scanStart = [256]bool{}, targets, r.T
+			}
+		}
+	}
+	return out
+}
+
+// medianScan returns the middle of a block's full-scan durations, the upper
+// one of an even count. A block that never completed a scan of E(b) counts
+// as the whole window: its scans take at least that long.
+func medianScan(scans []int64, window int64) int64 {
+	if len(scans) == 0 {
+		return window
+	}
+	sorted := slices.Clone(scans)
+	slices.Sort(sorted)
+	return sorted[len(sorted)/2]
+}
+
+// meanReplyRate returns the fraction of the streams' records that
+// answered, the quantity Figure 6d compares across observers, from the
+// kernel's pass-1 tally (reconstruct.Cursor.Load): with repair set, the
+// streams are 1-loss repaired in place first. It returns 0 for no records.
+func meanReplyRate(streams [][]probe.Record, repair bool) float64 {
+	var cur reconstruct.Cursor
+	records, responsive, _ := cur.Load(streams, repair)
+	if records == 0 {
+		return 0
+	}
+	return float64(responsive) / float64(records)
+}
+
 // classifyWorld probes every block over [start,end) with the engine and
 // classifies change sensitivity over the same window, in parallel.
-func classifyWorld(world []*dataset.WorldBlock, eng *probe.Engine, start, end int64, cfg blockclass.Config, repair bool) []classification {
+func classifyWorld(world []*dataset.WorldBlock, eng *probe.Engine, start, end int64, cfg blockclass.Config) []classification {
 	out := make([]classification, len(world))
 	parallelEach(len(world), func(i int) {
 		wb := world[i]
@@ -108,22 +202,17 @@ func classifyWorld(world []*dataset.WorldBlock, eng *probe.Engine, start, end in
 		if err != nil {
 			return
 		}
-		series, err := reconstruct.ReconstructObservers(perObs, eb, repair)
+		res, err := classifyBlock(perObs, eb, start, end, true, cfg)
 		if err != nil {
 			return
 		}
-		res, err := blockclass.Classify(series, start, end, cfg)
-		if err != nil {
-			return
-		}
-		out[i] = classification{
-			responsive: res.Responsive,
-			diurnal:    res.Diurnal,
-			wideSwing:  res.WideSwing,
-			sensitive:  res.ChangeSensitive,
-		}
+		out[i] = classOf(res)
 	})
 	return out
+}
+
+func classOf(r blockclass.Result) classification {
+	return classification{responsive: r.Responsive, diurnal: r.Diurnal, wideSwing: r.WideSwing, sensitive: r.ChangeSensitive}
 }
 
 // counts tallies a classification slice into Table 2 style rows.

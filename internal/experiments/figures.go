@@ -9,7 +9,6 @@ import (
 	"github.com/diurnalnet/diurnal/internal/events"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
-	"github.com/diurnalnet/diurnal/internal/reconstruct"
 	"github.com/diurnalnet/diurnal/internal/stats"
 )
 
@@ -106,7 +105,7 @@ func Figure2(Options) (*Figure2Result, error) {
 		rec(8, 1, true), rec(8, 2, true),
 		rec(9, 3, true), rec(9, 4, true),
 	}
-	series, err := reconstruct.Reconstruct(records, []int{1, 2, 3, 4})
+	series, err := reconstructBlock([][]probe.Record{records}, []int{1, 2, 3, 4}, 0, 10, false)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +151,9 @@ func Figure3(opts Options) (*Figure3Result, error) {
 	res := &Figure3Result{}
 	for nObs := 1; nObs <= 4; nObs++ {
 		eng := &probe.Engine{Observers: probe.StandardObservers(nObs), QuarterSeed: opts.seed()}
-		var medians []float64
-		type result struct{ med float64 }
-		results := make([]result, len(world))
+		results := make([]float64, len(world))
 		parallelEach(len(world), func(i int) {
-			results[i].med = -1
+			results[i] = -1
 			b := world[i].Block
 			eb := b.EverActive()
 			// Scan-time analysis targets the populated, human-active
@@ -168,20 +165,19 @@ func Figure3(opts Options) (*Figure3Result, error) {
 			if err != nil {
 				return
 			}
-			scans := reconstruct.ScanTimes(reconstruct.Merge(perObs), eb)
-			if len(scans) == 0 {
-				results[i].med = float64(end - start) // never completed
-				return
+			results[i] = float64(end - start) // never completed
+			if scans := ScanTimes(perObs, eb); len(scans) > 0 {
+				vals := make([]float64, len(scans))
+				for j, s := range scans {
+					vals[j] = float64(s)
+				}
+				results[i] = stats.Median(vals)
 			}
-			vals := make([]float64, len(scans))
-			for j, s := range scans {
-				vals[j] = float64(s)
-			}
-			results[i].med = stats.Median(vals)
 		})
-		for _, r := range results {
-			if r.med >= 0 {
-				medians = append(medians, r.med)
+		var medians []float64
+		for _, med := range results {
+			if med >= 0 {
+				medians = append(medians, med)
 			}
 		}
 		cdf := stats.NewCDF(medians)
@@ -235,16 +231,13 @@ func Figure6(opts Options) (*Figure6Result, error) {
 	res := &Figure6Result{}
 	for i, o := range obs {
 		res.Observers = append(res.Observers, o.Name)
-		res.Without = append(res.Without, reconstruct.MeanReplyRate(perObs[i]))
+		res.Without = append(res.Without, meanReplyRate(perObs[i:i+1], false))
 	}
-	res.AllWithout = reconstruct.MeanReplyRate(reconstruct.Merge(perObs))
-	for i := range perObs {
-		reconstruct.Repair1Loss(perObs[i])
-	}
+	res.AllWithout = meanReplyRate(perObs, false)
 	for i := range obs {
-		res.With = append(res.With, reconstruct.MeanReplyRate(perObs[i]))
+		res.With = append(res.With, meanReplyRate(perObs[i:i+1], true))
 	}
-	res.AllWith = reconstruct.MeanReplyRate(reconstruct.Merge(perObs))
+	res.AllWith = meanReplyRate(perObs, false)
 	return res, nil
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -83,10 +82,7 @@ func Table3(opts Options) (*Table3Result, error) {
 		if err != nil {
 			return
 		}
-		truth[i] = classification{
-			responsive: res.Responsive, diurnal: res.Diurnal,
-			wideSwing: res.WideSwing, sensitive: res.ChangeSensitive,
-		}
+		truth[i] = classOf(res)
 		truthSensitive[i] = res.ChangeSensitive
 	})
 
@@ -118,7 +114,7 @@ func Table3(opts Options) (*Table3Result, error) {
 			}
 			eng.Observers = append(eng.Observers, o)
 		}
-		cls := classifyWorld(world, eng, opt.start, opt.end, cfg, true)
+		cls := classifyWorld(world, eng, opt.start, opt.end, cfg)
 		// Restrict to blocks responsive in ground truth (the survey
 		// intersection).
 		restricted := make([]classification, 0, len(cls))
@@ -194,8 +190,8 @@ func Figure4(opts Options) (*Figure4Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		merged := reconstruct.Merge(perObs)
-		series, err := reconstruct.Reconstruct(merged, b.EverActive())
+		scans := ScanTimes(perObs, b.EverActive())
+		series, err := reconstructBlock(perObs, b.EverActive(), start, end, false)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -205,14 +201,7 @@ func Figure4(opts Options) (*Figure4Result, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		scans := reconstruct.ScanTimes(merged, b.EverActive())
-		var med int64
-		if len(scans) > 0 {
-			sorted := append([]int64(nil), scans...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			med = sorted[len(sorted)/2]
-		}
-		return r, med, nil
+		return r, medianScan(scans, end-start), nil
 	}
 	var err2 error
 	if res.EasyR, res.EasyScan, err2 = measure(easy, 4); err2 != nil {
@@ -301,23 +290,12 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		if err != nil {
 			return
 		}
-		merged := reconstruct.Merge(perObs)
-		series, err := reconstruct.Reconstruct(merged, eb)
+		med := medianScan(ScanTimes(perObs, eb), it89.End()-it89.Start)
+		recRes, err := classifyBlock(perObs, eb, it89.Start, it89.End(), false, cfg)
 		if err != nil {
 			return
 		}
-		recRes, err := blockclass.Classify(series, it89.Start, it89.End(), cfg)
-		if err != nil {
-			return
-		}
-		scans := reconstruct.ScanTimes(merged, eb)
-		var med float64
-		if len(scans) > 0 {
-			sorted := append([]int64(nil), scans...)
-			sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-			med = float64(sorted[len(sorted)/2]) / 3600
-		}
-		samples[i] = sample{fail: !recRes.ChangeSensitive, scanHours: med, eb: len(eb)}
+		samples[i] = sample{fail: !recRes.ChangeSensitive, scanHours: float64(med) / 3600, eb: len(eb)}
 	})
 	res := &Figure5Result{}
 	bins := map[[2]int]int{}
@@ -405,19 +383,11 @@ func FBSModel(opts Options) (*FBSModelResult, error) {
 		if err != nil {
 			return
 		}
-		merged := reconstruct.Merge(perObs)
-		avail := reconstruct.MeanReplyRate(merged)
+		avail := meanReplyRate(perObs, false)
 		if avail < 0.05 {
 			return
 		}
-		scans := reconstruct.ScanTimes(merged, eb)
-		if len(scans) == 0 {
-			rows[i] = row{feats: []float64{float64(len(eb)), avail}, slow: true, ok: true}
-			return
-		}
-		sorted := append([]int64(nil), scans...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		med := sorted[len(sorted)/2]
+		med := medianScan(ScanTimes(perObs, eb), end-start)
 		rows[i] = row{feats: []float64{float64(len(eb)), avail}, slow: med > 6*3600, ok: true}
 	})
 	var x [][]float64
@@ -528,16 +498,11 @@ func ExtraProbing(opts Options) (*ExtraProbingResult, error) {
 			if err != nil {
 				return false, 0
 			}
-			merged := reconstruct.Merge(perObs)
-			series, err := reconstruct.Reconstruct(merged, eb)
+			scans := ScanTimes(perObs, eb)
+			r, err := classifyBlock(perObs, eb, start, end, false, cfg)
 			if err != nil {
 				return false, 0
 			}
-			r, err := blockclass.Classify(series, start, end, cfg)
-			if err != nil {
-				return false, 0
-			}
-			scans := reconstruct.ScanTimes(merged, eb)
 			med := float64(end-start) / 3600
 			if len(scans) > 0 {
 				vals := make([]float64, len(scans))
@@ -660,11 +625,7 @@ func ObserverHealth(opts Options) (*ObserverHealthResult, error) {
 			for j := range streams {
 				copies[j] = append([]probe.Record(nil), streams[j]...)
 			}
-			series, err := reconstruct.ReconstructObservers(copies, eb, true)
-			if err != nil {
-				return false
-			}
-			r, err := blockclass.Classify(series, start, end, cfg)
+			r, err := classifyBlock(copies, eb, start, end, true, cfg)
 			return err == nil && r.ChangeSensitive
 		}
 		outs[i].withBroken = classify(perObs)

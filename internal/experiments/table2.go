@@ -49,7 +49,7 @@ func Table2(opts Options) (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return classifyWorld(world, eng, spec.Start, spec.End(), cfg, true), nil
+		return classifyWorld(world, eng, spec.Start, spec.End(), cfg), nil
 	}
 
 	res := &Table2Result{Counts: map[string]counts{}, Blocks: len(world)}

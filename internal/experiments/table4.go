@@ -51,7 +51,7 @@ func Table4(opts Options) (*Table4Result, error) {
 		return nil, err
 	}
 	eng := &probe.Engine{Observers: probe.StandardObservers(4), QuarterSeed: opts.seed()}
-	cls := classifyWorld(world, eng, start, end, blockclass.Default(), true)
+	cls := classifyWorld(world, eng, start, end, blockclass.Default())
 
 	cells := map[geo.CellKey]*geo.CellStats{}
 	byCont := map[geo.Continent]int{}

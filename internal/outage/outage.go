@@ -152,7 +152,9 @@ func (d *Detector) Outages() []Interval { return d.outages }
 // FromRecords runs a detector over a merged, time-ordered record stream
 // and returns the detected outages. availability is estimated from the
 // stream itself when zero (mean reply rate, the long-term A estimate the
-// paper describes in §2.8).
+// paper describes in §2.8). The analysis kernel drives a Detector run by
+// run instead; outside tests only the staged benchmark (bench/staged.go)
+// calls this.
 func FromRecords(records []probe.Record, availability float64, params Params) ([]Interval, error) {
 	if len(records) == 0 {
 		return nil, nil

@@ -124,7 +124,7 @@ func TestFromRecordsDetectsSimulatedOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intervals, err := FromRecords(reconstruct.Merge(perObs), 0, Params{})
+	intervals, err := FromRecords(reconstruct.MergeInto(nil, perObs), 0, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFromRecordsNoFalseOutageOnHoliday(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intervals, err := FromRecords(reconstruct.Merge(perObs), 0, Params{})
+	intervals, err := FromRecords(reconstruct.MergeInto(nil, perObs), 0, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

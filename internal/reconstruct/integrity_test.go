@@ -18,7 +18,7 @@ func TestMergeIntoDedupsWithinStreamRun(t *testing.T) {
 		{T: 100, Addr: 1, Up: true},
 		{T: 200, Addr: 1, Up: true}, // later run: not a duplicate
 	}
-	got := Merge([][]probe.Record{flooded})
+	got := MergeInto(nil, [][]probe.Record{flooded})
 	want := []probe.Record{
 		{T: 100, Addr: 1, Up: true}, // first observation wins
 		{T: 100, Addr: 2, Up: false},
@@ -40,7 +40,7 @@ func TestMergeIntoDedupsWithinStreamRun(t *testing.T) {
 func TestMergeIntoKeepsCrossObserverRepeats(t *testing.T) {
 	a := []probe.Record{{T: 100, Addr: 1, Up: true}}
 	b := []probe.Record{{T: 100, Addr: 1, Up: false}}
-	got := Merge([][]probe.Record{a, b})
+	got := MergeInto(nil, [][]probe.Record{a, b})
 	if len(got) != 2 {
 		t.Fatalf("merged %d records, want 2 (cross-observer repeat kept): %+v", len(got), got)
 	}

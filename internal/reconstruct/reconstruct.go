@@ -3,8 +3,8 @@
 // each address keeps its last observed state until re-probed, and the
 // estimate becomes valid once every ever-active address E(b) has been
 // observed at least once. The package also implements 1-loss repair
-// (§2.3, §3.3), multi-observer merging (§2.7), full-block-scan timing
-// (§3.1), and reply-rate accounting (Figure 6).
+// (§2.3, §3.3) and multi-observer merging (§2.7), which the analysis kernel
+// runs as one merged-order walk: the Cursor feeding the Accumulator.
 package reconstruct
 
 import (
@@ -20,7 +20,8 @@ import (
 // because a lone non-response sandwiched between responses is more likely
 // a lost query than a briefly unused address. Patterns 001, 110 and others
 // are left untouched. Records must be in time order (as produced by the
-// prober).
+// prober). The kernel repairs in Cursor.Load's pass 1; outside tests only
+// the staged benchmark (bench/staged.go) calls this.
 func Repair1Loss(records []probe.Record) {
 	repairTally(records, true)
 }
@@ -107,6 +108,8 @@ func (r *SanitizeReport) Merge(o SanitizeReport) {
 // Duplicates, disagreeing repeats as Conflicts with the first observation
 // kept. The returned slice aliases records. A clean stream passes through
 // untouched with a zero report, so the pass is safe to run unconditionally.
+// The kernel sanitizes with it, and so does the staged benchmark
+// (bench/staged.go).
 func Sanitize(records []probe.Record, start, end int64) ([]probe.Record, SanitizeReport) {
 	if sanitizeClean(records, start, end) {
 		return records, SanitizeReport{}
@@ -195,15 +198,12 @@ func sanitizeClean(records []probe.Record, start, end int64) bool {
 	return true
 }
 
-// Merge interleaves per-observer record streams into one time-ordered
-// stream. Each input stream must itself be time-ordered; ties across
-// streams resolve by stream index.
-func Merge(perObserver [][]probe.Record) []probe.Record {
-	return MergeInto(nil, perObserver)
-}
-
-// MergeInto is Merge reusing dst's capacity: the Cursor's walk, with the
-// within-run duplicate scan on, appended run by run.
+// MergeInto interleaves per-observer record streams into one time-ordered
+// stream, reusing dst's capacity: the Cursor's walk, with the within-run
+// duplicate scan on, appended run by run. Each input stream must itself be
+// time-ordered; ties across streams resolve by stream index. The kernel
+// walks the Cursor instead; outside tests only the staged benchmark
+// (bench/staged.go) materialises the merge.
 func MergeInto(dst []probe.Record, perObserver [][]probe.Record) []probe.Record {
 	total := 0
 	for _, s := range perObserver {
@@ -265,7 +265,8 @@ func appendRunDedup(out, run []probe.Record) []probe.Record {
 // place; a stream with no repeated (time, addr) pairs — every merge of
 // healthy observers, whose unsynchronized rounds never share timestamps
 // — passes through bit-identical, which is what keeps the robust merge
-// mode a no-op on clean worlds.
+// mode a no-op on clean worlds. The Cursor applies it to tied runs; it is
+// exported for the staged benchmark (bench/staged.go).
 func ResolveContested(merged []probe.Record) []probe.Record {
 	out := merged[:0]
 	for i := 0; i < len(merged); {
@@ -331,7 +332,8 @@ func (s *Series) Len() int { return len(s.Times) }
 // time-ordered record stream. eb is the block's ever-active target list
 // E(b); output points begin once every address in eb has been observed at
 // least once ("complete reconstruction", §2.3). It returns an error when
-// eb is empty.
+// eb is empty. The kernel feeds the Accumulator from the Cursor instead;
+// outside tests only the staged benchmark (bench/staged.go) calls this.
 func Reconstruct(merged []probe.Record, eb []int) (*Series, error) {
 	// Pre-size the output: one point per equal-timestamp run is an upper
 	// bound, counted in one read-only pass so the build loop never
@@ -453,57 +455,6 @@ func (a *Accumulator) Finish() *Series {
 	s := &Series{Times: a.times, Counts: a.counts}
 	a.times, a.counts = nil, nil
 	return s
-}
-
-// ReconstructObservers is the common pipeline: optionally 1-loss-repair
-// each observer's stream, merge, and reconstruct against eb.
-func ReconstructObservers(perObserver [][]probe.Record, eb []int, repair bool) (*Series, error) {
-	if repair {
-		for _, s := range perObserver {
-			Repair1Loss(s)
-		}
-	}
-	return Reconstruct(Merge(perObserver), eb)
-}
-
-// ScanTimes returns the durations of successive complete scans of eb in
-// the merged stream: the first value is the time from the first record
-// until every address has been seen once, and each subsequent value is the
-// time to see every address again. Blocks never fully covered yield nil.
-func ScanTimes(merged []probe.Record, eb []int) []int64 {
-	if len(eb) == 0 || len(merged) == 0 {
-		return nil
-	}
-	inEB := make(map[int]bool, len(eb))
-	for _, a := range eb {
-		inEB[a] = true
-	}
-	seen := make(map[int]bool, len(eb))
-	var out []int64
-	scanStart := merged[0].T
-	for _, r := range merged {
-		a := int(r.Addr)
-		if !inEB[a] {
-			continue
-		}
-		seen[a] = true
-		if len(seen) == len(inEB) {
-			out = append(out, r.T-scanStart)
-			seen = make(map[int]bool, len(eb))
-			scanStart = r.T
-		}
-	}
-	return out
-}
-
-// MeanReplyRate returns the fraction of records that were positive, the
-// quantity compared across observers in Figure 6d. It returns 0 for an
-// empty stream.
-func MeanReplyRate(records []probe.Record) float64 {
-	if len(records) == 0 {
-		return 0
-	}
-	return float64(responsive(records)) / float64(len(records))
 }
 
 // Resample projects the series onto a regular grid of step seconds

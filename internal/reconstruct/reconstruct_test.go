@@ -152,7 +152,7 @@ func TestRepair1LossDoubleLossNotRepaired(t *testing.T) {
 func TestMergeOrdersAcrossObservers(t *testing.T) {
 	a := []probe.Record{rec(0, 1, true), rec(10, 1, true)}
 	b := []probe.Record{rec(5, 2, true), rec(15, 2, true)}
-	m := Merge([][]probe.Record{a, b})
+	m := MergeInto(nil, [][]probe.Record{a, b})
 	want := []int64{0, 5, 10, 15}
 	for i, r := range m {
 		if r.T != want[i] {
@@ -164,48 +164,18 @@ func TestMergeOrdersAcrossObservers(t *testing.T) {
 func TestMergeTieBreaksByObserver(t *testing.T) {
 	a := []probe.Record{rec(5, 1, true)}
 	b := []probe.Record{rec(5, 2, true)}
-	m := Merge([][]probe.Record{a, b})
+	m := MergeInto(nil, [][]probe.Record{a, b})
 	if m[0].Addr != 1 || m[1].Addr != 2 {
 		t.Fatalf("tie-break wrong: %+v", m)
 	}
 }
 
 func TestMergeEmptyStreams(t *testing.T) {
-	if got := Merge(nil); len(got) != 0 {
+	if got := MergeInto(nil, nil); len(got) != 0 {
 		t.Fatal("merge of nothing should be empty")
 	}
-	if got := Merge([][]probe.Record{nil, {rec(1, 1, true)}, nil}); len(got) != 1 {
+	if got := MergeInto(nil, [][]probe.Record{nil, {rec(1, 1, true)}, nil}); len(got) != 1 {
 		t.Fatalf("merge = %+v", got)
-	}
-}
-
-func TestScanTimes(t *testing.T) {
-	eb := []int{1, 2}
-	recs := []probe.Record{
-		rec(0, 1, true),
-		rec(10, 2, true), // first full scan: 10s
-		rec(20, 1, true),
-		rec(25, 2, false), // second: 25-10=15s
-	}
-	got := ScanTimes(recs, eb)
-	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
-		t.Fatalf("ScanTimes = %v", got)
-	}
-	if ScanTimes(nil, eb) != nil {
-		t.Fatal("no records should yield nil")
-	}
-	if ScanTimes(recs, nil) != nil {
-		t.Fatal("empty eb should yield nil")
-	}
-}
-
-func TestMeanReplyRate(t *testing.T) {
-	recs := []probe.Record{rec(0, 1, true), rec(1, 1, false), rec(2, 1, true), rec(3, 1, true)}
-	if got := MeanReplyRate(recs); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("rate = %g", got)
-	}
-	if MeanReplyRate(nil) != 0 {
-		t.Fatal("empty rate should be 0")
 	}
 }
 
@@ -288,7 +258,7 @@ func TestEndToEndReconstructionAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := ReconstructObservers(perObs, blk.EverActive(), false)
+	series, err := Reconstruct(MergeInto(nil, perObs), blk.EverActive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,41 +273,6 @@ func TestEndToEndReconstructionAccuracy(t *testing.T) {
 	r := pearson(t, est, truth)
 	if r < 0.8 {
 		t.Fatalf("reconstruction correlation %g < 0.8", r)
-	}
-}
-
-// TestMoreObserversScanFaster verifies §3.1: combining observers shortens
-// full-block-scan time.
-func TestMoreObserversScanFaster(t *testing.T) {
-	blk, err := netsim.NewBlock(101, 556, netsim.Spec{AlwaysOn: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	median := func(n int) int64 {
-		eng := &probe.Engine{Observers: probe.StandardObservers(n), QuarterSeed: 4}
-		perObs, err := eng.Collect(blk, jan6, jan6+4*netsim.SecondsPerDay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		times := ScanTimes(Merge(perObs), blk.EverActive())
-		if len(times) == 0 {
-			t.Fatal("block never fully scanned")
-		}
-		vals := make([]int64, len(times))
-		copy(vals, times)
-		// crude median
-		for i := 0; i < len(vals); i++ {
-			for j := i + 1; j < len(vals); j++ {
-				if vals[j] < vals[i] {
-					vals[i], vals[j] = vals[j], vals[i]
-				}
-			}
-		}
-		return vals[len(vals)/2]
-	}
-	one, four := median(1), median(4)
-	if four >= one {
-		t.Fatalf("4-observer median scan %ds not faster than 1-observer %ds", four, one)
 	}
 }
 
@@ -359,8 +294,8 @@ func TestLossRepairRestoresReplyRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossyBefore := MeanReplyRate(perObs[0])
-	cleanBefore := MeanReplyRate(perObs[1])
+	lossyBefore := replyRate(perObs[0])
+	cleanBefore := replyRate(perObs[1])
 	if cleanBefore < 0.99 {
 		t.Fatalf("clean observer rate %g, want ~1", cleanBefore)
 	}
@@ -370,14 +305,19 @@ func TestLossRepairRestoresReplyRate(t *testing.T) {
 	for i := range perObs {
 		Repair1Loss(perObs[i])
 	}
-	lossyAfter := MeanReplyRate(perObs[0])
-	cleanAfter := MeanReplyRate(perObs[1])
+	lossyAfter := replyRate(perObs[0])
+	cleanAfter := replyRate(perObs[1])
 	if lossyAfter <= lossyBefore+0.05 {
 		t.Fatalf("repair raised lossy rate only %g -> %g", lossyBefore, lossyAfter)
 	}
 	if math.Abs(cleanAfter-cleanBefore) > 0.01 {
 		t.Fatalf("repair changed clean observer %g -> %g", cleanBefore, cleanAfter)
 	}
+}
+
+// replyRate is the fraction of the records that answered.
+func replyRate(records []probe.Record) float64 {
+	return float64(responsive(records)) / float64(len(records))
 }
 
 func pearson(t *testing.T, a, b []float64) float64 {
@@ -419,7 +359,7 @@ func BenchmarkReconstructTwoWeeks4Obs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Reconstruct(Merge(perObs), eb); err != nil {
+		if _, err := Reconstruct(MergeInto(nil, perObs), eb); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,7 +37,7 @@ func TestMergeMatchesStableSort(t *testing.T) {
 			}
 			return all[a].stream < all[b].stream
 		})
-		got := Merge(streams)
+		got := MergeInto(nil, streams)
 		if len(got) != len(all) {
 			t.Fatalf("trial %d: merged %d records, want %d", trial, len(got), len(all))
 		}

@@ -101,7 +101,7 @@ func TestCursorMatchesReferenceMerge(t *testing.T) {
 		dirty := trial%2 == 1
 		streams := randomStreams(rng, k, dirty)
 		merged := referenceMergeInto(nil, cloneAll(streams))
-		if got := Merge(cloneAll(streams)); !slices.Equal(got, merged) {
+		if got := MergeInto(nil, cloneAll(streams)); !slices.Equal(got, merged) {
 			t.Fatalf("trial %d: Merge differs from the reference", trial)
 		}
 		for _, resolve := range []bool{false, true} {
