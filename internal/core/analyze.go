@@ -244,13 +244,12 @@ func (cfg Config) AnalyzeRecords(perObs [][]probe.Record, eb []int) (*BlockAnaly
 // already-collected per-observer probe streams and runs sanitization, the
 // per-stream repair pass, one merged-order walk that reconstructs the
 // series and tracks the outage belief together (see frontHalf),
-// classification, and trend/change detection. Both the world driver
-// (AnalyzeBlockScratch, which collects then calls here) and the streaming
-// daemon (internal/stream, which accumulates rounds then calls here on
-// every refresh) use this one entry point, so a streaming run that has seen
-// a block's full window produces bit-identical results to a world run.
-// perObs is mutated in place (sanitize/repair); sc may be nil for a
-// one-shot call.
+// classification, and trend/change detection. The world driver
+// (AnalyzeBlockScratch) collects then calls here. The streaming daemon
+// (internal/stream) advances a FrontState by each refresh's new records
+// instead, which gives what this gives over the whole history; this is its
+// oracle. perObs is mutated in place (sanitize/repair); sc may be nil for
+// a one-shot call.
 func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
 	c, err := cfg.resolved()
 	if err != nil {
@@ -365,13 +364,7 @@ func walk(cur *reconstruct.Cursor, acc *reconstruct.Accumulator, det *outage.Det
 // stream in place, merging the per-stream reports. The window spans the
 // analysis and baseline windows so legitimate baseline records survive.
 func (cfg Config) sanitizeStreams(perObs [][]probe.Record) reconstruct.SanitizeReport {
-	lo, hi := cfg.AnalysisStart, cfg.AnalysisEnd
-	if cfg.BaselineStart != 0 && cfg.BaselineStart < lo {
-		lo = cfg.BaselineStart
-	}
-	if cfg.BaselineEnd > hi {
-		hi = cfg.BaselineEnd
-	}
+	lo, hi := cfg.sanitizeWindow()
 	var total reconstruct.SanitizeReport
 	for i := range perObs {
 		var rep reconstruct.SanitizeReport
@@ -379,6 +372,19 @@ func (cfg Config) sanitizeStreams(perObs [][]probe.Record) reconstruct.SanitizeR
 		total.Merge(rep)
 	}
 	return total
+}
+
+// sanitizeWindow is the window sanitizing keeps records in: the analysis
+// and baseline windows together.
+func (cfg Config) sanitizeWindow() (lo, hi int64) {
+	lo, hi = cfg.AnalysisStart, cfg.AnalysisEnd
+	if cfg.BaselineStart != 0 && cfg.BaselineStart < lo {
+		lo = cfg.BaselineStart
+	}
+	if cfg.BaselineEnd > hi {
+		hi = cfg.BaselineEnd
+	}
+	return lo, hi
 }
 
 // AnalyzeSeries runs classification and change detection over an already
@@ -654,10 +660,13 @@ func (cfg Config) toWallClock(changes []changepoint.Change, a *BlockAnalysis) []
 // (see DESIGN.md).
 type Scratch struct {
 	perObs [][]probe.Record
-	cursor reconstruct.Cursor
-	acc    reconstruct.Accumulator
-	class  *blockclass.Scratch
-	stl    stl.Workspace
+	// walked and replay are FrontState.Analyze's record buffers: the held
+	// records' merged walk, and the trace's decoding.
+	walked, replay []probe.Record
+	cursor         reconstruct.Cursor
+	acc            reconstruct.Accumulator
+	class          *blockclass.Scratch
+	stl            stl.Workspace
 }
 
 // NewScratch returns an empty Scratch; caches warm up lazily.

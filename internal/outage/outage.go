@@ -10,6 +10,7 @@
 package outage
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/diurnalnet/diurnal/internal/probe"
@@ -254,4 +255,77 @@ func MaskChanges(times []int64, outages []Interval, slop int64) []bool {
 		}
 	}
 	return out
+}
+
+// Trace is a detector's input kept compactly for a later run: the
+// timestamp of every run of equal ones as a signed varint delta from the
+// run before, and two bits per record — whether it answered, and whether
+// it opens a run. Replay hands the records back to ObserveAll, so a belief
+// that must re-run over a stream it has already seen (its availability is
+// the whole stream's reply rate) needs neither the records nor an update
+// loop of its own. The zero value is an empty trace.
+type Trace struct {
+	times     []byte
+	up, opens []uint64
+	n, nUp    int
+	lastT     int64
+}
+
+// traceChunk is how many records Replay decodes per ObserveAll call.
+const traceChunk = 1024
+
+// Len returns how many records the trace holds and how many of them
+// answered.
+func (t *Trace) Len() (records, responsive int) { return t.n, t.nUp }
+
+// Reset empties the trace, keeping its storage.
+func (t *Trace) Reset() {
+	*t = Trace{times: t.times[:0], up: t.up[:0], opens: t.opens[:0]}
+}
+
+// Append adds records, in order, to the end of the trace.
+func (t *Trace) Append(records []probe.Record) {
+	for _, r := range records {
+		w, bit := t.n/64, uint64(1)<<(t.n%64)
+		if bit == 1 {
+			t.up = append(t.up, 0)
+			t.opens = append(t.opens, 0)
+		}
+		if t.n == 0 || r.T != t.lastT {
+			t.times = binary.AppendVarint(t.times, r.T-t.lastT)
+			t.lastT = r.T
+			t.opens[w] |= bit
+		}
+		if r.Up {
+			t.up[w] |= bit
+			t.nUp++
+		}
+		t.n++
+	}
+}
+
+// Replay observes every record of the trace with d, in order, decoding
+// them a chunk at a time into buf, which it returns for reuse.
+func (t *Trace) Replay(d *Detector, buf []probe.Record) []probe.Record {
+	if cap(buf) < traceChunk {
+		buf = make([]probe.Record, 0, traceChunk)
+	}
+	buf = buf[:0]
+	var tm int64
+	off := 0
+	for i := 0; i < t.n; i++ {
+		w, bit := i/64, uint64(1)<<(i%64)
+		if t.opens[w]&bit != 0 {
+			delta, k := binary.Varint(t.times[off:])
+			tm += delta
+			off += k
+		}
+		buf = append(buf, probe.Record{T: tm, Up: t.up[w]&bit != 0})
+		if len(buf) == traceChunk {
+			d.ObserveAll(buf)
+			buf = buf[:0]
+		}
+	}
+	d.ObserveAll(buf)
+	return buf[:0]
 }

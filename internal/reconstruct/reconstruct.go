@@ -26,24 +26,50 @@ func Repair1Loss(records []probe.Record) {
 	repairTally(records, true)
 }
 
-// repairTally is the one per-stream pass ahead of the merged-order walk:
-// 1-loss repair when repair is set, and the tallies the later stages need
-// before their first record — how many records are responsive once repaired
-// (the belief's availability) and how many equal-timestamp runs the stream
-// holds (the Series capacity). Repair has to be a pass of its own: 101 → 111
-// is decided by the address's next observation, up to |E(b)| rounds ahead,
-// so merged order cannot decide it without rewriting counts already emitted.
+// repairTally is the one per-stream pass ahead of the merged-order walk, on
+// a stream of its own: Repairer.Tally from a fresh state.
 func repairTally(records []probe.Record, repair bool) (responsive, runs int) {
-	// Per address: where it was last observed, and its last responses as
-	// bits, the newest lowest. An unseen address reads as not responsive,
-	// which can never complete a 101, so neither array needs a sentinel.
+	var r Repairer
+	responsive, runs, _ = r.Tally(records, repair, len(records))
+	return responsive, runs
+}
+
+// Repairer is 1-loss repair's state for one stream, resumable between
+// pieces of it: the last responses of every address as bits, the newest
+// lowest. An unseen address reads as not responsive, which can never
+// complete a 101. The zero value is a stream's start.
+type Repairer struct {
+	hist [256]uint8
+}
+
+// Tally is the one per-stream pass ahead of the merged-order walk: 1-loss
+// repair of the next records of the stream when repair is set, and the
+// tallies the later stages need before their first record — how many
+// records are responsive once repaired (the belief's availability) and how
+// many equal-timestamp runs the records hold (the Series capacity). Repair
+// has to be a pass of its own: 101 → 111 is decided by the address's next
+// observation, up to |E(b)| rounds ahead, so merged order cannot decide it
+// without rewriting counts already emitted. A 101 completed against a
+// record of an earlier call changes the state only: that record was passed
+// on before this call, so its caller held it or has already repaired it.
+//
+// held is for a caller that passes records on before the stream ends: the
+// index of the earliest of records[:cut] that a record from cut on could
+// still repair — a 0 following a 1 as its address's last observation
+// before cut — or cut when there is none or repair is off.
+func (rp *Repairer) Tally(records []probe.Record, repair bool, cut int) (responsive, runs, held int) {
+	// Where each address was last observed in records, plus one; 0 means
+	// not in this call.
 	var last [256]int
-	var hist [256]uint8
 	var prevT int64
 	if len(records) > 0 {
 		runs, prevT = 1, records[0].T
 	}
+	held = -1
 	for i, r := range records {
+		if i == cut {
+			held = rp.held(&last, cut, repair)
+		}
 		// The tallies are written as conditional values, not conditional
 		// increments: whether a record answered or opened a run is as good
 		// as random to a branch predictor, and the compiler turns this form
@@ -61,17 +87,39 @@ func repairTally(records []probe.Record, repair bool) (responsive, runs int) {
 		if !repair {
 			continue
 		}
-		h := hist[r.Addr]<<1&0b111 | uint8(up)
+		h := rp.hist[r.Addr]<<1&0b111 | uint8(up)
 		if h == 0b101 {
-			records[last[r.Addr]].Up = true
-			responsive++
+			if l := last[r.Addr]; l > 0 {
+				records[l-1].Up = true
+				responsive++
+			}
 			h = 0b111
 		}
-		hist[r.Addr] = h
-		last[r.Addr] = i
+		rp.hist[r.Addr] = h
+		last[r.Addr] = i + 1
 	}
-	return responsive, runs
+	if held < 0 {
+		held = rp.held(&last, min(cut, len(records)), repair)
+	}
+	return responsive, runs, held
 }
+
+// held is Tally's held at cut, from the positions last holds.
+func (rp *Repairer) held(last *[256]int, cut int, repair bool) int {
+	held := cut
+	if repair {
+		for a, l := range last {
+			if l > 0 && l-1 < held && rp.Open(uint8(a)) {
+				held = l - 1
+			}
+		}
+	}
+	return held
+}
+
+// Open reports whether the address's last observation so far is a 0 after
+// a 1: its next observation decides whether that 0 is repaired.
+func (rp *Repairer) Open(addr uint8) bool { return rp.hist[addr]&0b11 == 0b10 }
 
 // SanitizeReport counts what Sanitize quarantined from one record stream.
 type SanitizeReport struct {
@@ -115,33 +163,59 @@ func Sanitize(records []probe.Record, start, end int64) ([]probe.Record, Sanitiz
 		return records, SanitizeReport{}
 	}
 	var rep SanitizeReport
-	kept := records[:0]
-	for _, r := range records {
-		if r.T < start || r.T >= end {
+	s := Sanitizer{Start: start, End: end}
+	return s.Append(records[:0], records, &rep), rep
+}
+
+// Sanitizer is Sanitize taken a piece of a stream at a time: the window,
+// and the last in-window timestamp the Reordered tally compares the next
+// record against.
+type Sanitizer struct {
+	// Start and End bound the records kept: [Start, End).
+	Start, End int64
+	prevT      int64
+	seen       bool
+}
+
+// Append sanitizes the next records of the stream onto tail and returns
+// it, tallying into rep: records outside the window are dropped, the
+// concatenation is stably re-sorted by time when next breaks its order,
+// and repeats of a (time, address) pair within it are removed (the first
+// observation kept). tail must be the sanitized end of the stream so far,
+// holding every record of it at or after next's earliest timestamp; what
+// precedes tail is then untouched by next, and the result is the one
+// Sanitize gives the whole stream. tail may alias next's storage from
+// below (Sanitize passes records[:0]).
+func (s *Sanitizer) Append(tail, next []probe.Record, rep *SanitizeReport) []probe.Record {
+	from := len(tail)
+	for _, r := range next {
+		if r.T < s.Start || r.T >= s.End {
 			rep.OutOfWindow++
 			continue
 		}
-		kept = append(kept, r)
-	}
-	for i := 1; i < len(kept); i++ {
-		if kept[i].T < kept[i-1].T {
+		if s.seen && r.T < s.prevT {
 			rep.Reordered++
 		}
+		s.prevT, s.seen = r.T, true
+		tail = append(tail, r)
 	}
-	if rep.Reordered > 0 {
-		sort.SliceStable(kept, func(i, j int) bool { return kept[i].T < kept[j].T })
+	for i := max(from, 1); i < len(tail); i++ {
+		if tail[i].T < tail[i-1].T {
+			sort.SliceStable(tail, func(i, j int) bool { return tail[i].T < tail[j].T })
+			break
+		}
 	}
 	// Within each equal-timestamp run (one probing round), keep the first
 	// observation of each address.
-	out := kept[:0]
+	out := tail[:0]
 	var seen, seenUp [256]bool
 	var touched []uint8
-	for i := 0; i < len(kept); {
+	for i := 0; i < len(tail); {
 		j := i
-		for j < len(kept) && kept[j].T == kept[i].T {
+		for j < len(tail) && tail[j].T == tail[i].T {
 			j++
 		}
-		for _, r := range kept[i:j] {
+		for _, r := range tail[i:j] {
 			if seen[r.Addr] {
 				if seenUp[r.Addr] == r.Up {
 					rep.Duplicates++
@@ -161,7 +235,7 @@ func Sanitize(records []probe.Record, start, end int64) ([]probe.Record, Sanitiz
 		touched = touched[:0]
 		i = j
 	}
-	return out, rep
+	return out
 }
 
 // sanitizeClean reports whether the stream is already sane — in window,
@@ -349,7 +423,8 @@ func Reconstruct(merged []probe.Record, eb []int) (*Series, error) {
 
 // Accumulator is the address-state machine of the reconstruction, resumable
 // between records: Reset it for a block, Add the merged, time-ordered
-// stream in as many pieces as it arrives in, Finish for the Series. The
+// stream in as many pieces as it arrives in, Finish for the Series — or
+// Fork it to finish a Series of the stream so far and go on adding. The
 // analysis kernel feeds it the Cursor's runs; Reconstruct feeds it a whole
 // merged stream. Not safe for concurrent use.
 type Accumulator struct {
@@ -365,6 +440,9 @@ type Accumulator struct {
 	started bool
 	times   []int64
 	counts  []float64
+	// forked is set while a Fork may be appending to the spare capacity of
+	// times and counts; the next Add or Fork moves them first.
+	forked bool
 }
 
 // Reset readies the accumulator for a block with target list eb and a
@@ -402,13 +480,41 @@ func (a *Accumulator) Reset(eb []int, points int) error {
 	a.curT, a.started = 0, false
 	a.times = make([]int64, 0, points)
 	a.counts = make([]float64, 0, points)
+	a.forked = false
 	return nil
+}
+
+// Fork returns a copy of the accumulator to finish a provisional Series on:
+// Adds to the fork and its Finish leave a as it was. The fork appends its
+// points in the spare capacity of a's columns, so a Series finished from it
+// shares their prefix; a moves its columns before it next writes to them.
+func (a *Accumulator) Fork() Accumulator {
+	if a.forked {
+		a.unfork()
+	}
+	a.forked = true
+	f := *a
+	f.forked = false
+	return f
+}
+
+// unfork gives a columns of its own once a fork may have written past
+// their length, with room for a refresh's worth of points.
+func (a *Accumulator) unfork() {
+	n := len(a.times)
+	room := n + n/4 + 256
+	a.times = append(make([]int64, 0, room), a.times...)
+	a.counts = append(make([]float64, 0, room), a.counts...)
+	a.forked = false
 }
 
 // Add advances the state machine over the next records of the merged
 // stream: each target address keeps its last observed state, and a point is
 // emitted for every timestamp left behind once all targets have been seen.
 func (a *Accumulator) Add(records []probe.Record) {
+	if a.forked {
+		a.unfork()
+	}
 	seen, up := a.seen, a.up
 	curT, started := a.curT, a.started
 	for i := range records {

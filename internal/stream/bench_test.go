@@ -13,7 +13,9 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/faults"
+	"github.com/diurnalnet/diurnal/internal/probe"
 )
 
 func BenchmarkStreamingStep(b *testing.B) {
@@ -54,5 +56,120 @@ func BenchmarkStreamingStep(b *testing.B) {
 				seq++
 			}
 		})
+	}
+}
+
+// BenchmarkRefreshAtRound reads one daily refresh of the 8-block faulty
+// world, on one lane, at rounds 14, 42 and 84 of its 84. Three
+// sub-benchmarks per round:
+//
+//   - batch is the kernel over a copy of every block's whole history, the
+//     way each refresh ran before the front half was incremental;
+//   - advance is every block's core.FrontState advanced by the round's
+//     records, rebuilt over the whole history when it refuses them, as the
+//     detector does;
+//   - refresh is advance plus the analysis of each block's state.
+//
+// advance and refresh run the week of rounds ending at the round, and
+// rebuild the states outside the timer before each week:
+//
+//	go test -run '^$' -bench RefreshAtRound -benchtime 70x ./internal/stream
+func BenchmarkRefreshAtRound(b *testing.B) {
+	world := testWorld(b, 8, 4242)
+	cfg := testConfig().withDefaults()
+	start, _ := testWindow()
+	eng := &faults.Engine{
+		Inner: testEngine(11),
+		Plan:  faults.DefaultPlan(3, 0.3, start, 23),
+	}
+	f, err := NewFeeder(context.Background(), eng, world, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Every block's streams as the detector accumulates them, and where
+	// each round ends in them.
+	acc := make([][][]probe.Record, len(world))
+	ends := make([][][]int, len(world))
+	for blk := range world {
+		acc[blk] = make([][]probe.Record, f.Observers())
+		ends[blk] = make([][]int, f.Rounds())
+	}
+	rounds := make([]*Round, f.Rounds())
+	for i := range rounds {
+		if rounds[i], err = f.Round(int64(i)); err != nil {
+			b.Fatal(err)
+		}
+		for blk, perObs := range rounds[i].Blocks {
+			for o, recs := range perObs {
+				acc[blk][o] = append(acc[blk][o], recs...)
+				ends[blk][i] = append(ends[blk][i], len(acc[blk][o]))
+			}
+		}
+	}
+	// history returns block blk's records of rounds [0, n).
+	history := func(blk, n int) [][]probe.Record {
+		out := make([][]probe.Record, f.Observers())
+		for o := range out {
+			if n > 0 {
+				out[o] = acc[blk][o][:ends[blk][n-1][o]]
+			}
+		}
+		return out
+	}
+	const week = 7
+	sc := core.NewScratch()
+	for _, at := range []int{14, 42, 84} {
+		b.Run(fmt.Sprintf("round=%d/batch", at), func(b *testing.B) {
+			var bufs [][]probe.Record
+			for i := 0; i < b.N; i++ {
+				for blk, wb := range world {
+					bufs = bufs[:0]
+					for _, s := range history(blk, at) {
+						bufs = append(bufs, append([]probe.Record(nil), s...))
+					}
+					if _, err := cfg.Core.AnalyzeCollectedScratch(bufs, wb.EverActive(), sc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		fronts := make([]*core.FrontState, len(world))
+		for blk, wb := range world {
+			fronts[blk] = cfg.Core.NewFrontState(wb.EverActive())
+		}
+		for _, analyze := range []bool{false, true} {
+			name := "advance"
+			if analyze {
+				name = "refresh"
+			}
+			b.Run(fmt.Sprintf("round=%d/%s", at, name), func(b *testing.B) {
+				next, rebuilds := at, 0
+				for i := 0; i < b.N; i++ {
+					if next == at {
+						b.StopTimer()
+						for blk, fs := range fronts {
+							fs.Reset()
+							fs.Advance(history(blk, at-week))
+						}
+						next = at - week
+						b.StartTimer()
+					}
+					for blk, fs := range fronts {
+						if !fs.Advance(rounds[next].Blocks[blk]) {
+							rebuilds++
+							fs.Reset()
+							fs.Advance(history(blk, next+1))
+						}
+						if analyze {
+							if _, err := fs.Analyze(sc); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					next++
+				}
+				b.ReportMetric(float64(rebuilds)/float64(b.N), "rebuilds/op")
+			})
+		}
 	}
 }

@@ -56,7 +56,15 @@ type blockState struct {
 	place geo.Placement
 	eb    []int
 
-	acc [][]probe.Record // accumulated per-observer streams (never mutated by analysis)
+	// acc holds every round's records per observer stream, as ingested
+	// (the rounds' own slices, never mutated). front has taken
+	// acc[o][:fed[o]] of each; a rebuild advances a reset front over all of
+	// acc, and stale asks for one at the next refresh.
+	acc      [][]probe.Record
+	front    *core.FrontState
+	fed      []int
+	stale    bool
+	rebuilds int // times front was rebuilt
 
 	sliding *dsp.SlidingDiurnal
 
@@ -77,11 +85,11 @@ type detector struct {
 	cfg       Config // defaulted + validated
 	obsCount  int
 	blocks    []*blockState
-	lanes     []lane        // the refresh's parallel phase, one per lane
-	errs      []error       // per block: the current refresh's failure, nil on success
-	hourSeen  [][4]uint64   // pushHours' scratch
-	integ     *integrityAgg // nil unless Core.Integrity
-	processed int64         // rounds fully processed
+	lanes     []*core.Scratch // the refresh's parallel phase, one scratch per lane
+	errs      []error         // per block: the current refresh's failure, nil on success
+	hourSeen  [][4]uint64     // pushHours' scratch
+	integ     *integrityAgg   // nil unless Core.Integrity
+	processed int64           // rounds fully processed
 	refreshes int64
 	blockErrs int64
 	nextEvent int64
@@ -89,14 +97,6 @@ type detector struct {
 	// hookBlock, when set by in-package tests, runs inside the per-block
 	// step before the kernel — the seam that injects a kernel panic.
 	hookBlock func(b int)
-}
-
-// lane is one worker of a refresh's parallel phase: a kernel scratch and
-// the buffers the block's accumulated streams are copied into, both
-// reused from refresh to refresh.
-type lane struct {
-	sc   *core.Scratch
-	bufs [][]probe.Record
 }
 
 // integrityAgg accumulates the per-round firewall verdicts: the detector
@@ -146,11 +146,11 @@ func newDetector(cfg Config, world []*dataset.WorldBlock, obsCount, lanes int) *
 	d := &detector{
 		cfg:      cfg,
 		obsCount: obsCount,
-		lanes:    make([]lane, max(1, min(lanes, len(world)))),
+		lanes:    make([]*core.Scratch, max(1, min(lanes, len(world)))),
 		errs:     make([]error, len(world)),
 	}
 	for i := range d.lanes {
-		d.lanes[i].sc = core.NewScratch()
+		d.lanes[i] = core.NewScratch()
 	}
 	if cfg.Core.Integrity {
 		d.integ = &integrityAgg{
@@ -167,8 +167,10 @@ func newDetector(cfg Config, world []*dataset.WorldBlock, obsCount, lanes int) *
 			place:   wb.Place,
 			eb:      wb.EverActive(),
 			acc:     make([][]probe.Record, obsCount),
+			fed:     make([]int, obsCount),
 			sliding: dsp.NewSlidingDiurnal(slidingWindowHours, bins, 0),
 		}
+		bs.front = cfg.Core.NewFrontState(bs.eb)
 		bs.window.Eps = cfg.TrendEps
 		bs.window.Lag = cfg.SettleLag
 		d.blocks = append(d.blocks, bs)
@@ -297,7 +299,7 @@ func (d *detector) refresh(frontier, seq int64, final bool) ([]Event, error) {
 // one lane runs the blocks inline, with no goroutines.
 func (d *detector) analyzeAll(seq int64) {
 	var next atomic.Int64
-	work := func(ln *lane) {
+	work := func(ln int) {
 		for b := int(next.Add(1) - 1); b < len(d.blocks); b = int(next.Add(1) - 1) {
 			d.errs[b] = d.analyzeBlock(ln, b, seq)
 		}
@@ -305,51 +307,55 @@ func (d *detector) analyzeAll(seq int64) {
 	var wg sync.WaitGroup
 	wg.Add(len(d.lanes) - 1)
 	for i := 1; i < len(d.lanes); i++ {
-		go func(ln *lane) {
+		go func(ln int) {
 			defer wg.Done()
 			work(ln)
-		}(&d.lanes[i])
+		}(i)
 	}
-	work(&d.lanes[0])
+	work(0)
 	wg.Wait()
 }
 
-// analyzeBlock is block b's step in a refresh's parallel phase: the batch
-// kernel over the lane's copy of the block's accumulated streams, then the
-// block's settled-prefix evidence and candidate tracking. It writes only
-// the block's own state and the lane's buffers. The new analysis replaces
-// bs.last at once, so no more than one analysis per lane is alive beside
-// the world's current ones.
+// analyzeBlock is block b's step in a refresh's parallel phase: the
+// block's front half advanced over the records ingested since the last
+// refresh, the kernel's analysis of it, then the block's settled-prefix
+// evidence and candidate tracking. It writes only the block's own state
+// and the lane's scratch. The new analysis replaces bs.last at once, so no
+// more than one analysis per lane is alive beside the world's current
+// ones.
 //
-// The copy matters: the kernel sanitizes and repairs its input in place,
-// and those edits are functions of the data seen *so far*; letting them
-// leak into the accumulator would make later refreshes diverge from what a
-// batch run over the full window computes.
+// The front half is rebuilt — reset, then advanced over all of bs.acc in
+// one call — when it refuses the new records (one lands where its
+// committed walk has already passed; see core.FrontState), and at the
+// refresh after a panic, which may have left it half-written.
 //
 // A panic is recovered into a core.PanicError, as the batch pipeline
 // recovers a worker's: the block counts one BlockError and is skipped for
 // this refresh, and replay meets the same panic at the same refresh
 // instead of crash-looping the daemon. The lane gets a fresh scratch, so
 // whatever the panic left half-written cannot reach another block.
-func (d *detector) analyzeBlock(ln *lane, b int, seq int64) (err error) {
+func (d *detector) analyzeBlock(ln, b int, seq int64) (err error) {
+	bs := d.blocks[b]
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &core.PanicError{Value: rec, Stack: debug.Stack()}
-			ln.sc = core.NewScratch()
+			d.lanes[ln] = core.NewScratch()
+			bs.stale = true
 		}
 	}()
 	if d.hookBlock != nil {
 		d.hookBlock(b)
 	}
-	bs := d.blocks[b]
-	for len(ln.bufs) < len(bs.acc) {
-		ln.bufs = append(ln.bufs, nil)
+	if bs.stale || !bs.front.Advance(bs.unfed()) {
+		bs.front.Reset()
+		bs.front.Advance(bs.acc)
+		bs.stale = false
+		bs.rebuilds++
 	}
-	bufs := ln.bufs[:len(bs.acc)]
-	for i, stream := range bs.acc {
-		bufs[i] = append(bufs[i][:0], stream...)
+	for o := range bs.acc {
+		bs.fed[o] = len(bs.acc[o])
 	}
-	a, err := d.cfg.Core.AnalyzeCollectedScratch(bufs, bs.eb, ln.sc)
+	a, err := bs.front.Analyze(d.lanes[ln])
 	if err != nil {
 		return err
 	}
@@ -357,6 +363,16 @@ func (d *detector) analyzeBlock(ln *lane, b int, seq int64) (err error) {
 	d.observeEvidence(bs, a, seq)
 	d.trackCandidates(bs, a, seq)
 	return nil
+}
+
+// unfed returns, per observer, the records ingested since the front half
+// last advanced.
+func (bs *blockState) unfed() [][]probe.Record {
+	out := make([][]probe.Record, len(bs.acc))
+	for o, s := range bs.acc {
+		out[o] = s[bs.fed[o]:]
+	}
+	return out
 }
 
 // observeEvidence advances the settled-prefix online CUSUM: trend samples
@@ -378,18 +394,23 @@ func (d *detector) observeEvidence(bs *blockState, a *core.BlockAnalysis, seq in
 			n = len(a.Trend)
 		}
 		var sum, sumsq float64
+		flat := true
 		for _, v := range a.Trend[:n] {
 			sum += v
 			sumsq += v * v
+			flat = flat && v == a.Trend[0]
 		}
 		mean := sum / float64(n)
 		variance := sumsq/float64(n) - mean*mean
 		std := 1.0
-		if variance > 0 {
-			// No lower bound: a flat baseline makes any move significant,
-			// which is what the batch z-score does too.
+		if variance > 0 && !flat {
 			std = math.Sqrt(variance)
 		}
+		// A baseline whose samples are all equal has no spread to scale by,
+		// whatever the one-pass variance rounds to (it is 0 at some levels
+		// and a few parts in a million at others), so it gets unit scale: a
+		// later move counts in addresses. The batch z-score instead gives a
+		// zero-spread trend all zeros (stats.ZScore).
 		bs.normMean, bs.normStd, bs.frozen = mean, std, true
 		o, err := changepoint.NewOnline(d.cfg.Core.CUSUM)
 		if err == nil {

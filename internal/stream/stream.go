@@ -17,14 +17,16 @@
 // and appended. The result is an exactly-once event log: consumers resume
 // from their last sequence number with no duplicates and no gaps.
 //
-// Analysis itself is shared with the batch driver: each refresh feeds the
-// accumulated per-observer streams through core.AnalyzeCollectedScratch,
-// the one kernel both drivers use, so a streaming run that has seen a
-// block's full window produces bit-identical results to a batch run of
-// the same world. A refresh analyzes the blocks on up to GOMAXPROCS
-// goroutines and then numbers their events in block order, so the event
-// log does not depend on how many goroutines ran or how they were
-// scheduled.
+// Analysis itself is shared with the batch driver: each block keeps a
+// core.FrontState, the kernel's record-level half advanced by the records
+// ingested since the last refresh, and each refresh analyzes it with the
+// kernel's series-level half. A FrontState gives what
+// core.AnalyzeCollectedScratch gives over the block's whole history, bit
+// for bit, so a streaming run that has seen a block's full window produces
+// bit-identical results to a batch run of the same world. A refresh
+// analyzes the blocks on up to GOMAXPROCS goroutines and then numbers
+// their events in block order, so the event log does not depend on how
+// many goroutines ran or how they were scheduled.
 package stream
 
 import (
@@ -177,10 +179,15 @@ func (c Config) roundWindow(seq int64) (start, end int64) {
 type Round struct {
 	// Seq is the round's position in the stream, starting at 0.
 	Seq int64
-	// Start and End bound the records' timestamps: [Start, End).
+	// Start and End are the round's window, [Start, End): the slice of
+	// the analysis window it stands for. They do not bound the records'
+	// timestamps. A feeder cuts each stream where the window starts, and
+	// on a faulty stream (clock skew, re-sent or reordered batches) some
+	// records land in a round whose window does not hold them, some of
+	// them earlier than rounds already ingested.
 	Start, End int64
-	// Blocks holds, per world block, per observer, the records observed
-	// in the window, in time order.
+	// Blocks holds, per world block, per observer, the records of the
+	// round, in the order the observer delivered them.
 	Blocks [][][]probe.Record
 }
 
