@@ -33,7 +33,10 @@ import (
 // records onto a fork of the committed accumulator, and re-runs the outage
 // belief over a compact trace of the committed merged stream plus the held
 // one: the belief's availability is the whole stream's reply rate, so it
-// cannot be committed.
+// cannot be committed. The trace's certificate (outage.Trace) lets the
+// re-run skip the committed stretches where no availability near the one
+// it was certified at changes the outcome; Reset drops it, and the next
+// Analyze certifies afresh.
 //
 // Advance refuses a record timestamped at or before the last committed run
 // (with sanitizing on, an out-of-window record is dropped, not refused):
@@ -280,6 +283,11 @@ func dropHead(s []probe.Record, k int) []probe.Record {
 	}
 	return append(s[:0], rest...)
 }
+
+// Certified returns how many times the outage belief's trace has been
+// certified since the state was made, and how many committed records the
+// belief has skipped under a certificate (see outage.Trace).
+func (f *FrontState) Certified() (certifications, skipped int) { return f.trace.Certified() }
 
 // Analyze runs the kernel's series-level half over the front half so far:
 // what AnalyzeCollectedScratch returns over every record Advance has

@@ -10,7 +10,6 @@
 package outage
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/diurnalnet/diurnal/internal/probe"
@@ -96,6 +95,10 @@ type Detector struct {
 	outages      []Interval
 }
 
+// minAvailability and maxAvailability bound the availability a detector
+// reasons with (see NewDetector).
+const minAvailability, maxAvailability = 0.05, 0.99
+
 // NewDetector builds a detector for a block with the given expected
 // availability (clamped into [0.05, 0.99]; Trinocular refuses to reason
 // about blocks with lower A).
@@ -114,12 +117,7 @@ func (d *Detector) init(availability float64, params Params) error {
 	if availability <= 0 || availability > 1 {
 		return fmt.Errorf("outage: availability %v outside (0,1]", availability)
 	}
-	if availability < 0.05 {
-		availability = 0.05
-	}
-	if availability > 0.99 {
-		availability = 0.99
-	}
+	availability = min(max(availability, minAvailability), maxAvailability)
 	p := params.withDefaults()
 	if p.DownThreshold >= p.UpThreshold {
 		return fmt.Errorf("outage: thresholds inverted (%v >= %v)", p.DownThreshold, p.UpThreshold)
@@ -196,6 +194,7 @@ func FromRecords(records []probe.Record, availability float64, params Params) ([
 func (d *Detector) ObserveAll(records []probe.Record) {
 	a := d.availability
 	eps := d.params.LieProbability
+	notA, notEps := 1-a, 1-eps
 	floor, ceil := d.params.BeliefFloor, d.params.BeliefCeiling
 	upTh, downTh := d.params.UpThreshold, d.params.DownThreshold
 	canSkip := a >= eps
@@ -203,16 +202,10 @@ func (d *Detector) ObserveAll(records []probe.Record) {
 	for i := range records {
 		r := &records[i]
 		if !(canSkip && ((r.Up && belief == ceil) || (!r.Up && belief == floor))) {
-			var pObsUp, pObsDown float64
 			if r.Up {
-				pObsUp, pObsDown = a, eps
+				belief = update(belief, a, eps)
 			} else {
-				pObsUp, pObsDown = 1-a, 1-eps
-			}
-			num := pObsUp * belief
-			den := num + pObsDown*(1-belief)
-			if den > 0 {
-				belief = num / den
+				belief = update(belief, notA, notEps)
 			}
 			if belief < floor {
 				belief = floor
@@ -237,6 +230,19 @@ func (d *Detector) ObserveAll(records []probe.Record) {
 	d.belief, d.state = belief, state
 }
 
+// update is the detector's Bayesian step, before the caps: belief b after
+// an observation that a block up makes with probability pUp and a block
+// down with probability pDown. ObserveAll and the trace certificate's
+// bound walk both take it, so the formula and its rounding exist once.
+func update(b, pUp, pDown float64) float64 {
+	num := pUp * b
+	den := num + pDown*(1-b)
+	if den > 0 {
+		return num / den
+	}
+	return b
+}
+
 // MaskChanges reports, for each change time, whether it falls within slop
 // seconds of a detected outage interval — the §2.6 cross-check that
 // separates network failures from human-activity changes.
@@ -255,77 +261,4 @@ func MaskChanges(times []int64, outages []Interval, slop int64) []bool {
 		}
 	}
 	return out
-}
-
-// Trace is a detector's input kept compactly for a later run: the
-// timestamp of every run of equal ones as a signed varint delta from the
-// run before, and two bits per record — whether it answered, and whether
-// it opens a run. Replay hands the records back to ObserveAll, so a belief
-// that must re-run over a stream it has already seen (its availability is
-// the whole stream's reply rate) needs neither the records nor an update
-// loop of its own. The zero value is an empty trace.
-type Trace struct {
-	times     []byte
-	up, opens []uint64
-	n, nUp    int
-	lastT     int64
-}
-
-// traceChunk is how many records Replay decodes per ObserveAll call.
-const traceChunk = 1024
-
-// Len returns how many records the trace holds and how many of them
-// answered.
-func (t *Trace) Len() (records, responsive int) { return t.n, t.nUp }
-
-// Reset empties the trace, keeping its storage.
-func (t *Trace) Reset() {
-	*t = Trace{times: t.times[:0], up: t.up[:0], opens: t.opens[:0]}
-}
-
-// Append adds records, in order, to the end of the trace.
-func (t *Trace) Append(records []probe.Record) {
-	for _, r := range records {
-		w, bit := t.n/64, uint64(1)<<(t.n%64)
-		if bit == 1 {
-			t.up = append(t.up, 0)
-			t.opens = append(t.opens, 0)
-		}
-		if t.n == 0 || r.T != t.lastT {
-			t.times = binary.AppendVarint(t.times, r.T-t.lastT)
-			t.lastT = r.T
-			t.opens[w] |= bit
-		}
-		if r.Up {
-			t.up[w] |= bit
-			t.nUp++
-		}
-		t.n++
-	}
-}
-
-// Replay observes every record of the trace with d, in order, decoding
-// them a chunk at a time into buf, which it returns for reuse.
-func (t *Trace) Replay(d *Detector, buf []probe.Record) []probe.Record {
-	if cap(buf) < traceChunk {
-		buf = make([]probe.Record, 0, traceChunk)
-	}
-	buf = buf[:0]
-	var tm int64
-	off := 0
-	for i := 0; i < t.n; i++ {
-		w, bit := i/64, uint64(1)<<(i%64)
-		if t.opens[w]&bit != 0 {
-			delta, k := binary.Varint(t.times[off:])
-			tm += delta
-			off += k
-		}
-		buf = append(buf, probe.Record{T: tm, Up: t.up[w]&bit != 0})
-		if len(buf) == traceChunk {
-			d.ObserveAll(buf)
-			buf = buf[:0]
-		}
-	}
-	d.ObserveAll(buf)
-	return buf[:0]
 }

@@ -695,16 +695,23 @@ func (d *Daemon) Result() (*core.WorldResult, error) {
 // the loop refreshes this mirror under d.mu after every round.
 type detSnapshot struct {
 	processed, refreshes, blockErrs int64
+	rebuilds, certifications        int64
 	scores                          []float64
 }
 
 func snapshotDet(det *detector) detSnapshot {
-	return detSnapshot{
+	s := detSnapshot{
 		processed: det.processed,
 		refreshes: det.refreshes,
 		blockErrs: det.blockErrs,
 		scores:    det.scores(),
 	}
+	for _, bs := range det.blocks {
+		certs, _ := bs.front.Certified()
+		s.rebuilds += int64(bs.rebuilds)
+		s.certifications += int64(certs)
+	}
+	return s
 }
 
 // Stats snapshots daemon health.
@@ -713,21 +720,23 @@ func (d *Daemon) Stats() Stats {
 	defer d.mu.Unlock()
 	gov := d.govLocked()
 	return Stats{
-		IngestedRounds:  d.nextSeq,
-		ProcessedRounds: d.detStats.processed,
-		Refreshes:       d.detStats.refreshes,
-		Events:          int64(len(d.journaled)),
-		Restarts:        d.restarts,
-		MaxQueueDepth:   d.maxDepth,
-		BlockErrors:     d.detStats.blockErrs,
-		DiurnalScores:   append([]float64(nil), d.detStats.scores...),
-		DiskBytes:       gov.Bytes,
-		DiskBudget:      d.cfg.DiskBudget,
-		WALSegments:     gov.Segments,
-		Rotations:       gov.Rotations,
-		Compactions:     gov.Compactions,
-		PressureSheds:   d.sheds,
-		LastStorageErr:  d.lastStorageErr,
+		IngestedRounds:       d.nextSeq,
+		ProcessedRounds:      d.detStats.processed,
+		Refreshes:            d.detStats.refreshes,
+		Events:               int64(len(d.journaled)),
+		Restarts:             d.restarts,
+		MaxQueueDepth:        d.maxDepth,
+		BlockErrors:          d.detStats.blockErrs,
+		FrontRebuilds:        d.detStats.rebuilds,
+		BeliefCertifications: d.detStats.certifications,
+		DiurnalScores:        append([]float64(nil), d.detStats.scores...),
+		DiskBytes:            gov.Bytes,
+		DiskBudget:           d.cfg.DiskBudget,
+		WALSegments:          gov.Segments,
+		Rotations:            gov.Rotations,
+		Compactions:          gov.Compactions,
+		PressureSheds:        d.sheds,
+		LastStorageErr:       d.lastStorageErr,
 	}
 }
 

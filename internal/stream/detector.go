@@ -435,17 +435,21 @@ func (d *detector) observeEvidence(bs *blockState, a *core.BlockAnalysis, seq in
 }
 
 // trackCandidates matches this refresh's full-window detections against
-// the tracked candidates. A candidate absent from a refresh has its
-// presence streak reset: the confirmation clock restarts, which is what
-// makes the emission latency bound provable.
+// the tracked candidates: each change goes to the nearest candidate in its
+// direction within the slop that no other change of this refresh has
+// taken, and opens a new one when none is left — so two changes close
+// together are two candidates, each keeping its own streak. A candidate
+// absent from a refresh has its presence streak reset: the confirmation
+// clock restarts, which is what makes the emission latency bound provable.
 func (d *detector) trackCandidates(bs *blockState, a *core.BlockAnalysis, seq int64) {
 	slop := int64(matchSlopDays) * netsim.SecondsPerDay
 	for _, ch := range a.Changes {
 		var found *candidate
 		for _, cand := range bs.cands {
-			if cand.change.Dir == ch.Dir && abs64(cand.change.Point-ch.Point) <= slop {
+			dist := abs64(cand.change.Point - ch.Point)
+			if cand.change.Dir == ch.Dir && dist <= slop && cand.lastRefresh != d.refreshes &&
+				(found == nil || dist < abs64(found.change.Point-ch.Point)) {
 				found = cand
-				break
 			}
 		}
 		if found == nil {
