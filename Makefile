@@ -17,9 +17,10 @@ race:
 
 # race-crashsafe focuses the race detector on the packages with the most
 # cross-goroutine state: the pipeline/checkpoint machinery, the journal,
-# the store, the lease-fenced shard ledger, and the streaming daemon.
+# the store, the lease-fenced shard ledger, the streaming daemon, and
+# the kill-and-resume harness whose soaks kill that daemon.
 race-crashsafe:
-	$(GO) test -race ./internal/core/... ./internal/journal/... ./internal/dataset/... ./internal/shard/... ./internal/stream/...
+	$(GO) test -race ./internal/core/... ./internal/journal/... ./internal/dataset/... ./internal/shard/... ./internal/stream/... ./internal/chaos/...
 
 # tier1 is the gate every change must pass: clean build, vet, the full
 # test suite, and the crash-safety packages under the race detector.
@@ -35,14 +36,14 @@ fsck: build
 	$(GO) run ./cmd/diurnalscan verify $(FSCK_DIR)
 	rm -rf $(FSCK_DIR)
 
-# soak runs the deterministic short chaos soak against the streaming
-# daemon: fault-injected observers, seeded-random SIGKILLs, and the full
-# invariant suite (prefix identity, exact resume, latency bound) on every
-# incarnation. The byzantine leg reruns the kill loop with one lying
-# observer and the integrity firewall armed. The nightly CI job runs the
-# longer randomized variants.
+# soak runs the short, fixed-seed soak cells of internal/chaos against the
+# streaming daemon: fault-injected or lying observers, write-budgeted and
+# fsync/rename-faulted filesystems, seeded-random SIGKILLs, and the
+# harness oracle (prefix identity at every rebirth, exact final
+# identity, contiguity and the latency bound) on every cell. The nightly
+# CI job runs random draws of the same cells.
 soak:
-	$(GO) test ./internal/stream/ -run 'TestChaosSoakShort|TestChaosSoakDiskPressure|TestByzantineSoakShort' -v
+	$(GO) test ./internal/chaos/ -run 'TestChaosSoakShort|TestChaosSoakDiskPressure|TestByzantineSoakShort' -v
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -3,8 +3,8 @@
 // following the classical formulation (Gustafsson 2000) as implemented by
 // the detecta module the paper cites: cumulative sums of positive and
 // negative first differences with a drift term, alarming when either sum
-// crosses a threshold. It also provides the outage filter that discards
-// closely paired down/up changes (outages and ISP renumbering events).
+// crosses a threshold. The §2.6 outage filter that discards closely
+// paired down/up changes lives with the kernel that runs it (core).
 package changepoint
 
 import (
@@ -176,51 +176,6 @@ func mergeContiguous(changes []Change) []Change {
 			continue
 		}
 		out = append(out, c)
-	}
-	return out
-}
-
-// FilterOutages removes down→up (and up→down) pairs whose alarms are
-// within maxGap samples of each other. The paper identifies outages and
-// ISP renumbering as "closely timed down and upward changes" and discards
-// them (§2.6). It returns the surviving changes and the removed pairs.
-func FilterOutages(changes []Change, maxGap int) (kept []Change, removed []Change) {
-	used := make([]bool, len(changes))
-	for i := 0; i < len(changes); i++ {
-		if used[i] {
-			continue
-		}
-		paired := false
-		for j := i + 1; j < len(changes); j++ {
-			if used[j] {
-				continue
-			}
-			if changes[j].Alarm-changes[i].Alarm > maxGap {
-				break
-			}
-			if changes[j].Dir == -changes[i].Dir {
-				used[i], used[j] = true, true
-				removed = append(removed, changes[i], changes[j])
-				paired = true
-				break
-			}
-		}
-		if !paired && !used[i] {
-			kept = append(kept, changes[i])
-		}
-	}
-	return kept, removed
-}
-
-// Downward returns only the downward changes of a detection result. The
-// paper focuses on downward trend changes, "since that reflects a
-// reduction in the diurnal pattern".
-func Downward(changes []Change) []Change {
-	var out []Change
-	for _, c := range changes {
-		if c.Dir == Down {
-			out = append(out, c)
-		}
 	}
 	return out
 }

@@ -99,7 +99,7 @@ func TestDetectNoChangeOnSmallNoise(t *testing.T) {
 	}
 }
 
-func TestDetectOutagePairAndFilter(t *testing.T) {
+func TestDetectOutagePair(t *testing.T) {
 	// Down then up shortly after: an outage signature.
 	n := 600
 	x := make([]float64, n)
@@ -115,62 +115,6 @@ func TestDetectOutagePairAndFilter(t *testing.T) {
 	}
 	if len(changes) < 2 {
 		t.Fatalf("expected >= 2 changes for an outage, got %+v", changes)
-	}
-	kept, removed := FilterOutages(changes, 60)
-	if len(removed) < 2 {
-		t.Fatalf("outage pair not removed: kept=%+v removed=%+v", kept, removed)
-	}
-	if len(kept) != len(changes)-len(removed) {
-		t.Fatalf("kept+removed != total")
-	}
-}
-
-func TestFilterOutagesKeepsIsolatedDown(t *testing.T) {
-	changes := []Change{{Alarm: 100, Dir: Down}}
-	kept, removed := FilterOutages(changes, 50)
-	if len(kept) != 1 || len(removed) != 0 {
-		t.Fatalf("isolated change mishandled: %v %v", kept, removed)
-	}
-}
-
-func TestFilterOutagesRespectsGap(t *testing.T) {
-	changes := []Change{
-		{Alarm: 100, Dir: Down},
-		{Alarm: 400, Dir: Up}, // far away: not an outage pair
-	}
-	kept, removed := FilterOutages(changes, 50)
-	if len(kept) != 2 || len(removed) != 0 {
-		t.Fatalf("distant pair should be kept: kept=%v removed=%v", kept, removed)
-	}
-	kept, removed = FilterOutages(changes, 500)
-	if len(kept) != 0 || len(removed) != 2 {
-		t.Fatalf("wide gap should remove pair: kept=%v removed=%v", kept, removed)
-	}
-}
-
-func TestFilterOutagesSameDirectionNotPaired(t *testing.T) {
-	changes := []Change{
-		{Alarm: 100, Dir: Down},
-		{Alarm: 110, Dir: Down},
-	}
-	kept, removed := FilterOutages(changes, 50)
-	if len(kept) != 2 || len(removed) != 0 {
-		t.Fatalf("same-direction changes must not pair: kept=%v removed=%v", kept, removed)
-	}
-}
-
-func TestDownward(t *testing.T) {
-	changes := []Change{
-		{Alarm: 1, Dir: Down},
-		{Alarm: 2, Dir: Up},
-		{Alarm: 3, Dir: Down},
-	}
-	d := Downward(changes)
-	if len(d) != 2 || d[0].Alarm != 1 || d[1].Alarm != 3 {
-		t.Fatalf("Downward = %+v", d)
-	}
-	if Downward(nil) != nil {
-		t.Fatal("Downward(nil) should be nil")
 	}
 }
 

@@ -188,9 +188,6 @@ type Pipeline struct {
 	// HealthSample bounds how many blocks the health pre-pass probes
 	// (default 64).
 	HealthSample int
-	// HealthTol is the reply-rate tolerance below the median before an
-	// observer is suspect (default 0.1).
-	HealthTol float64
 	// BlockTimeout bounds one block's probe-and-analyze attempt; a block
 	// that blows its deadline becomes a BlockError while the run
 	// continues. Zero disables per-block deadlines.
@@ -655,6 +652,10 @@ func (r *run) analyzeOnce(ctx context.Context, wb *dataset.WorldBlock, sc *Scrat
 	return r.cfg.collectAndAnalyze(ctx, r.eng, wb.Block, sc)
 }
 
+// healthTol is the reply-rate tolerance below the median before an
+// observer is suspect.
+const healthTol = 0.1
+
 // suspectObservers samples reply rates across the world and returns the
 // observer indices to discard, with the sampled rates. It never flags
 // every observer: with no healthy reference the check cannot tell who is
@@ -704,12 +705,8 @@ func (r *run) suspectObservers(ctx context.Context) (excluded []int, rates []flo
 	if health == nil {
 		return nil, nil
 	}
-	tol := p.HealthTol
-	if tol <= 0 {
-		tol = 0.1
-	}
 	rates = health.Rates()
-	excluded = health.Suspect(tol)
+	excluded = health.Suspect(healthTol)
 	if len(excluded) == len(rates) {
 		return nil, rates
 	}

@@ -119,15 +119,6 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// writeFileAtomic writes data to path through the shared storage
-// discipline: temp file in the same directory, write, fsync, rename,
-// parent-directory fsync, so readers (and crash-recovery) never observe
-// a torn file under the final name and the directory entry itself is
-// durable.
-func writeFileAtomic(fsys storage.FS, path string, write func(f storage.File) error) error {
-	return storage.WriteFileAtomic(fsys, path, write)
-}
-
 // CreateStore writes a complete observation archive: it probes every block
 // of the world with the engine over [spec.Start, spec.End()) and writes
 // one log per (block, observer). The index is written last, so a crash
@@ -155,7 +146,7 @@ func CreateStoreFS(fsys storage.FS, dir string, spec Spec, eng *probe.Engine, wo
 			return nil, fmt.Errorf("dataset: probing %v: %w", wb.ID, err)
 		}
 		for oi, records := range perObs {
-			err := writeFileAtomic(fsys, filepath.Join(dir, logName(wb.ID, oi)), func(f storage.File) error {
+			err := storage.WriteFileAtomic(fsys, filepath.Join(dir, logName(wb.ID, oi)), func(f storage.File) error {
 				return WriteRecords(f, records)
 			})
 			if err != nil {
@@ -168,7 +159,7 @@ func CreateStoreFS(fsys storage.FS, dir string, spec Spec, eng *probe.Engine, wo
 	if err != nil {
 		return nil, err
 	}
-	err = writeFileAtomic(fsys, filepath.Join(dir, "index.json"), func(f storage.File) error {
+	err = storage.WriteFileAtomic(fsys, filepath.Join(dir, "index.json"), func(f storage.File) error {
 		_, err := f.Write(data)
 		return err
 	})

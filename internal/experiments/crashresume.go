@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
+	"github.com/diurnalnet/diurnal/internal/chaos"
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/events"
@@ -81,31 +80,6 @@ func (r *CrashResumeResult) String() string {
 	return b.String()
 }
 
-// killProber counts completed collections and cancels the run's context
-// after a budget — a deterministic stand-in for kill -9 arriving midway
-// through a world run.
-type killProber struct {
-	inner core.Prober
-	kill  context.CancelFunc
-
-	mu        sync.Mutex
-	remaining int
-}
-
-func (p *killProber) CollectInto(ctx context.Context, b *netsim.Block, start, end int64, bufs [][]probe.Record) ([][]probe.Record, error) {
-	bufs, err := p.inner.CollectInto(ctx, b, start, end, bufs)
-	if err != nil {
-		return bufs, err
-	}
-	p.mu.Lock()
-	p.remaining--
-	if p.remaining == 0 {
-		p.kill()
-	}
-	p.mu.Unlock()
-	return bufs, nil
-}
-
 // CrashResume is the checkpoint/resume acceptance experiment. It runs one
 // world three ways — uninterrupted; killed partway with a checkpoint
 // journal attached; resumed from that journal — and asserts the resumed
@@ -143,7 +117,6 @@ func CrashResume(opts Options) (*CrashResumeResult, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	journal := filepath.Join(dir, "run.ckpt")
 
 	res := &CrashResumeResult{
 		Blocks:      len(world),
@@ -151,54 +124,17 @@ func CrashResume(opts Options) (*CrashResumeResult, error) {
 		Fingerprint: want,
 	}
 
-	// Interrupted run: cancel the context after KillAfter collections,
-	// exactly as a signal would, with the journal attached.
-	killCtx, kill := context.WithCancel(opts.ctx())
-	defer kill()
-	cp, err := core.OpenCheckpoint(journal)
+	// Killed after KillAfter collections, exactly as a signal would
+	// cancel the run, with the journal attached; then resumed by a fresh
+	// pipeline from the same journal.
+	leg, err := chaos.BatchKillResume(opts.ctx(), core.Pipeline{Config: cfg, Engine: eng}, world,
+		filepath.Join(dir, "run.ckpt"), res.KillAfter, want)
+	res.InterruptedErr, res.JournaledAtCrash = leg.InterruptedErr, leg.Journaled
+	res.ResumedFromJournal, res.ResumedFingerprint = leg.Resumed, leg.Fingerprint
 	if err != nil {
-		return nil, err
+		return res, fmt.Errorf("kill-and-resume: %w", err)
 	}
-	_, runErr := (&core.Pipeline{
-		Config:     cfg,
-		Engine:     &killProber{inner: eng, kill: kill, remaining: res.KillAfter},
-		Checkpoint: cp,
-	}).Run(killCtx, world)
-	if runErr == nil {
-		cp.Close()
-		return nil, fmt.Errorf("interrupted run finished cleanly; kill budget %d never fired", res.KillAfter)
-	}
-	res.InterruptedErr = runErr.Error()
-	res.JournaledAtCrash = cp.Entries()
-	if err := cp.Close(); err != nil {
-		return nil, err
-	}
-	if res.JournaledAtCrash == 0 || res.JournaledAtCrash >= len(world) {
-		return res, fmt.Errorf("journal held %d of %d blocks at crash; the kill was not mid-run", res.JournaledAtCrash, len(world))
-	}
-
-	// Resumed run: same config and world, fresh pipeline, same journal.
-	cp2, err := core.OpenCheckpoint(journal)
-	if err != nil {
-		return nil, err
-	}
-	defer cp2.Close()
-	resumed, err := (&core.Pipeline{Config: cfg, Engine: eng, Checkpoint: cp2}).Run(opts.ctx(), world)
-	if err != nil {
-		return res, fmt.Errorf("resumed run: %w", err)
-	}
-	res.ResumedFromJournal = resumed.Report.ResumedBlocks
-	res.ResumedFingerprint, err = resumed.Fingerprint()
-	if err != nil {
-		return res, err
-	}
-	res.Identical = res.ResumedFingerprint == res.Fingerprint
-	if !res.Identical {
-		return res, fmt.Errorf("resumed result diverged from uninterrupted run:\n%s", res)
-	}
-	if res.ResumedFromJournal == 0 {
-		return res, fmt.Errorf("resumed run restored nothing from a journal holding %d blocks", res.JournaledAtCrash)
-	}
+	res.Identical = true
 
 	// Hedged crash: the same kill with straggler hedging tuned so hedges
 	// fire even on a healthy world (deadline at the p50 after two
@@ -211,55 +147,13 @@ func CrashResume(opts Options) (*CrashResumeResult, error) {
 		MinDeadline: time.Millisecond,
 		Poll:        time.Millisecond,
 	}
-	hedgedJournal := filepath.Join(dir, "hedged.ckpt")
-	hkCtx, hkill := context.WithCancel(opts.ctx())
-	defer hkill()
-	hcp, err := core.OpenCheckpoint(hedgedJournal)
+	leg, err = chaos.BatchKillResume(opts.ctx(), core.Pipeline{Config: cfg, Engine: eng, Hedge: hedge}, world,
+		filepath.Join(dir, "hedged.ckpt"), res.KillAfter, want)
+	res.HedgedJournaledAtCrash, res.HedgedDuplicates = leg.Journaled, leg.Duplicates
+	res.HedgedResumed, res.HedgedHedges = leg.Resumed, leg.Hedges
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("hedged kill-and-resume: %w", err)
 	}
-	_, runErr = (&core.Pipeline{
-		Config:     cfg,
-		Engine:     &killProber{inner: eng, kill: hkill, remaining: res.KillAfter},
-		Checkpoint: hcp,
-		Hedge:      hedge,
-	}).Run(hkCtx, world)
-	if runErr == nil {
-		hcp.Close()
-		return res, fmt.Errorf("hedged interrupted run finished cleanly; kill budget %d never fired", res.KillAfter)
-	}
-	res.HedgedJournaledAtCrash = hcp.Entries()
-	if err := hcp.Close(); err != nil {
-		return res, err
-	}
-	if res.HedgedJournaledAtCrash == 0 || res.HedgedJournaledAtCrash >= len(world) {
-		return res, fmt.Errorf("hedged journal held %d of %d blocks at crash; the kill was not mid-run", res.HedgedJournaledAtCrash, len(world))
-	}
-
-	// Reopening deduplicates by block key, so appended-at-crash minus
-	// distinct-on-reopen is exactly the duplicate frame count.
-	hcp2, err := core.OpenCheckpoint(hedgedJournal)
-	if err != nil {
-		return res, err
-	}
-	defer hcp2.Close()
-	res.HedgedDuplicates = res.HedgedJournaledAtCrash - hcp2.Entries()
-	if res.HedgedDuplicates != 0 {
-		return res, fmt.Errorf("hedged run journaled %d duplicate frames before the crash", res.HedgedDuplicates)
-	}
-	hres, err := (&core.Pipeline{Config: cfg, Engine: eng, Checkpoint: hcp2, Hedge: hedge}).Run(opts.ctx(), world)
-	if err != nil {
-		return res, fmt.Errorf("hedged resumed run: %w", err)
-	}
-	res.HedgedResumed = hres.Report.ResumedBlocks
-	res.HedgedHedges = hres.Report.HedgedBlocks
-	hfp, err := hres.Fingerprint()
-	if err != nil {
-		return res, err
-	}
-	res.HedgedIdentical = hfp == res.Fingerprint
-	if !res.HedgedIdentical {
-		return res, fmt.Errorf("hedged kill-and-resume diverged from uninterrupted run:\n%s", res)
-	}
+	res.HedgedIdentical = true
 	return res, nil
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/diurnalnet/diurnal/internal/chaos"
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/events"
@@ -125,15 +126,11 @@ func Longrun(opts Options) (*LongrunResult, error) {
 	// Carried out of the quarter loop for the ENOSPC and publish-budget
 	// legs, which replay the final quarter under induced failure.
 	var (
-		lastWorld  []*dataset.WorldBlock
-		lastFeeder *stream.Feeder
-		lastCfg    stream.Config
-		lastEvents []stream.Event
-		lastFP     string
-		lastRes    *core.WorldResult
-		lastSig    []byte
-		lastStart  int64
-		lastEnd    int64
+		lastSetup chaos.Setup
+		lastRef   *chaos.Outcome
+		lastSig   []byte
+		lastStart int64
+		lastEnd   int64
 	)
 
 	for q := 0; q < longrunQuarters; q++ {
@@ -163,30 +160,42 @@ func Longrun(opts Options) (*LongrunResult, error) {
 		// governance at all. Governance must not change results, only
 		// bound disk.
 		refDir := filepath.Join(root, fmt.Sprintf("q%d-ref", q))
-		refEvents, refFP, err := streamToEnd(opts.ctx(), refDir, world, feeder, cfg)
+		ref, err := chaos.RunToEnd(opts.ctx(), chaos.Setup{Dir: refDir, World: world, Feeder: feeder, Config: cfg}, nil)
 		if err != nil {
 			return res, fmt.Errorf("quarter %d reference run: %w", q, err)
 		}
 
+		// The governed run, killed at seeded-random points: every life's
+		// rotations, compactions and footprint are accounted, and no
+		// round may be shed under a budget sized for the steady
+		// compacted state.
 		gcfg := cfg
 		gcfg.SegmentBytes = longrunSegmentBytes
 		gcfg.CompactBytes = longrunCompactBytes
 		gcfg.DiskBudget = longrunDiskBudget
 		runDir := filepath.Join(root, fmt.Sprintf("q%d-run", q))
-		final, lives, err := streamKilled(opts, runDir, world, feeder, gcfg, refEvents, refFP, rng, res)
+		account := func(st stream.Stats) error {
+			res.Rotations += st.Rotations
+			res.Compactions += st.Compactions
+			res.PeakJournalBytes = max(res.PeakJournalBytes, st.DiskBytes)
+			if st.PressureSheds > 0 {
+				return fmt.Errorf("%d rounds shed under a sufficient budget: %s", st.PressureSheds, st.LastStorageErr)
+			}
+			return nil
+		}
+		run, err := chaos.KillLoop(opts.ctx(), chaos.Setup{Dir: runDir, World: world, Feeder: feeder, Config: gcfg}, ref,
+			chaos.Kills{Rng: rng, Kill: true, Account: account})
 		if err != nil {
+			res.Identical = false
 			return res, fmt.Errorf("quarter %d governed run: %w", q, err)
 		}
-		res.Incarnations += lives
-		if lives < 2 {
-			return res, fmt.Errorf("quarter %d: the kill schedule never fired; kill-and-resume was not exercised", q)
-		}
+		res.Incarnations += run.Lives
 
 		// Publish the quarter into the shared snapshot directory and run
 		// the retention pass: the directory holds at most the last K
 		// quarters no matter how long the run goes.
 		sig := core.RunSignature(cc, world)
-		if _, err := serve.WriteSnapshot(snapDir, final, sig, qstart, qend); err != nil {
+		if _, err := serve.WriteSnapshot(snapDir, run.Result, sig, qstart, qend); err != nil {
 			return res, fmt.Errorf("quarter %d publish: %w", q, err)
 		}
 		retired, err := serve.RetainSnapshots(storage.OS, snapDir, longrunRetain, nil)
@@ -212,8 +221,8 @@ func Longrun(opts Options) (*LongrunResult, error) {
 			res.PeakTreeBytes = tree
 		}
 
-		lastWorld, lastFeeder, lastCfg = world, feeder, cfg
-		lastEvents, lastFP, lastRes, lastSig = refEvents, refFP, final, sig
+		lastSetup = chaos.Setup{Dir: filepath.Join(root, "enospc"), World: world, Feeder: feeder, Config: cfg}
+		lastRef, lastSig = ref, sig
 		lastStart, lastEnd = qstart, qend
 	}
 
@@ -222,7 +231,7 @@ func Longrun(opts Options) (*LongrunResult, error) {
 	// intact, process alive — and a clean reopen of the same directory
 	// must replay whatever (possibly torn) prefix survived and finish
 	// identical to the reference.
-	if err := longrunPressure(opts, root, lastWorld, lastFeeder, lastCfg, lastEvents, lastFP, res); err != nil {
+	if err := longrunPressure(opts, lastSetup, lastRef, res); err != nil {
 		return res, err
 	}
 
@@ -230,7 +239,7 @@ func Longrun(opts Options) (*LongrunResult, error) {
 	// snapshot must refuse the publish with ErrDiskBudget after its GC
 	// pass, not write past the bound.
 	srv := serve.New(serve.Config{Dir: snapDir, ExpectSignature: lastSig, Retain: longrunRetain, DiskBudget: 1})
-	_, err = srv.Publish(lastRes, lastSig, lastStart, lastEnd)
+	_, err = srv.Publish(lastRef.Result, lastSig, lastStart, lastEnd)
 	if !errors.Is(err, serve.ErrDiskBudget) {
 		srv.Close()
 		return res, fmt.Errorf("over-budget publish: got %v, want ErrDiskBudget", err)
@@ -275,191 +284,41 @@ func Longrun(opts Options) (*LongrunResult, error) {
 	return res, nil
 }
 
-// streamKilled runs one quarter under governance with SIGKILLs (Abort)
-// at seeded-random points until the stream completes, checking resume
-// identity against the reference on every incarnation and accounting
-// rotations, compactions, and the journal footprint into res. Returns
-// the final result and how many daemon lives the quarter took.
-func streamKilled(opts Options, dir string, world []*dataset.WorldBlock, feeder *stream.Feeder, cfg stream.Config,
-	refEvents []stream.Event, refFP string, rng *rand.Rand, res *LongrunResult) (*core.WorldResult, int, error) {
-	total := feeder.Rounds()
-	lives := 0
-	// account folds one incarnation's stats into the result and enforces
-	// the budget contract: the journals never exceed it and no round is
-	// ever shed under a budget sized for the steady compacted state.
-	account := func(st stream.Stats) error {
-		res.Rotations += st.Rotations
-		res.Compactions += st.Compactions
-		if st.DiskBytes > res.PeakJournalBytes {
-			res.PeakJournalBytes = st.DiskBytes
-		}
-		if st.DiskBytes > cfg.DiskBudget {
-			return fmt.Errorf("journals hold %d bytes, budget %d", st.DiskBytes, cfg.DiskBudget)
-		}
-		if st.PressureSheds > 0 {
-			return fmt.Errorf("%d rounds shed under a sufficient budget: %s", st.PressureSheds, st.LastStorageErr)
-		}
-		return nil
-	}
-	for {
-		d, err := stream.Open(dir, world, feeder.Observers(), cfg)
-		if err != nil {
-			return nil, lives, fmt.Errorf("incarnation %d: %w", lives, err)
-		}
-		d.Start()
-		lives++
-		evs := d.Events()
-		if len(evs) > len(refEvents) {
-			return nil, lives, fmt.Errorf("incarnation %d resumed with %d events; reference has %d", lives, len(evs), len(refEvents))
-		}
-		for i := range evs {
-			if evs[i] != refEvents[i] {
-				return nil, lives, fmt.Errorf("incarnation %d: journaled event %d diverges from the reference", lives, i)
-			}
-		}
-		next := d.NextIngestSeq()
-		if next >= total {
-			if err := d.Drain(opts.ctx()); err != nil {
-				return nil, lives, err
-			}
-			final, err := d.Result()
-			if err != nil {
-				return nil, lives, err
-			}
-			fp, err := final.Fingerprint()
-			if err != nil {
-				return nil, lives, err
-			}
-			evs = d.Events()
-			if err := account(d.Stats()); err != nil {
-				return nil, lives, err
-			}
-			if err := d.Close(); err != nil {
-				return nil, lives, err
-			}
-			identical := fp == refFP && len(evs) == len(refEvents)
-			for i := range evs {
-				if evs[i] != refEvents[i] {
-					identical = false
-				}
-			}
-			if !identical {
-				res.Identical = false
-				return nil, lives, fmt.Errorf("governed killed run diverged from the ungoverned reference")
-			}
-			return final, lives, nil
-		}
-		target := next + 1 + rng.Int63n(total-next)
-		for seq := next; seq < target; seq++ {
-			r, err := feeder.Round(seq)
-			if err != nil {
-				return nil, lives, err
-			}
-			if err := d.Ingest(opts.ctx(), r); err != nil {
-				return nil, lives, fmt.Errorf("incarnation %d: ingest round %d: %w", lives, seq, err)
-			}
-		}
-		if rng.Intn(2) == 0 {
-			if err := d.Drain(opts.ctx()); err != nil {
-				return nil, lives, err
-			}
-		}
-		if err := account(d.Stats()); err != nil {
-			return nil, lives, err
-		}
-		d.Abort() // SIGKILL: nothing flushed, nothing drained
-	}
-}
-
 // longrunPressure runs the ENOSPC leg: the final quarter replayed on a
 // write-budgeted faults.FS until a round is shed, then a clean reopen
 // that must finish identical to the reference.
-func longrunPressure(opts Options, root string, world []*dataset.WorldBlock, feeder *stream.Feeder, cfg stream.Config,
-	refEvents []stream.Event, refFP string, res *LongrunResult) error {
-	dir := filepath.Join(root, "enospc")
-	ffs := &faults.FS{Plan: faults.FSPlan{WriteBudget: 16 << 10}}
-	fcfg := cfg
+func longrunPressure(opts Options, s chaos.Setup, ref *chaos.Outcome, res *LongrunResult) error {
+	fcfg := s.Config
 	fcfg.SegmentBytes = longrunSegmentBytes
-	fcfg.FS = ffs
+	fcfg.FS = &faults.FS{Plan: faults.FSPlan{WriteBudget: 16 << 10}}
 
-	d, err := stream.Open(dir, world, feeder.Observers(), fcfg)
+	d, err := stream.Open(s.Dir, s.World, s.Feeder.Observers(), fcfg)
 	if err != nil {
 		return fmt.Errorf("disk-pressure open: %w", err)
 	}
 	// Deliberately not Started: with no analysis loop the only writes are
 	// ingest appends, so the first failure the fault plan forces is the
 	// one under test, not a background event journal write.
-	total := feeder.Rounds()
-	for seq := int64(0); seq < total; seq++ {
-		r, err := feeder.Round(seq)
-		if err != nil {
-			d.Abort()
-			return err
-		}
-		if err := d.Ingest(opts.ctx(), r); err != nil {
-			if !errors.Is(err, stream.ErrDiskPressure) {
-				d.Abort()
-				return fmt.Errorf("ingest under exhausted disk: got %v, want ErrDiskPressure", err)
-			}
-			st := d.Stats()
-			res.PressureShed = st.PressureSheds > 0 && st.LastStorageErr != ""
-			d.Abort()
-			break
+	for seq := int64(0); seq < s.Feeder.Rounds() && err == nil; seq++ {
+		var r *stream.Round
+		if r, err = s.Feeder.Round(seq); err == nil {
+			err = d.Ingest(opts.ctx(), r)
 		}
 	}
-	if !res.PressureShed {
-		return fmt.Errorf("the write budget never bit: no round was shed with ErrDiskPressure")
+	st := d.Stats()
+	d.Abort()
+	if !errors.Is(err, stream.ErrDiskPressure) {
+		return fmt.Errorf("ingest under exhausted disk: got %v, want ErrDiskPressure", err)
+	}
+	if res.PressureShed = st.PressureSheds > 0 && st.LastStorageErr != ""; !res.PressureShed {
+		return fmt.Errorf("the shed round is missing from the daemon's stats: %+v", st)
 	}
 
 	// Clean reopen on the real filesystem: the torn prefix replays and
 	// the stream runs to the end, identical to the reference.
-	d, err = stream.Open(dir, world, feeder.Observers(), cfg)
-	if err != nil {
-		return fmt.Errorf("reopen after pressure: %w", err)
+	if _, err := chaos.RunToEnd(opts.ctx(), s, ref); err != nil {
+		return fmt.Errorf("resume after pressure: %w", err)
 	}
-	d.Start()
-	evs := d.Events()
-	if len(evs) != 0 {
-		d.Abort()
-		return fmt.Errorf("unstarted pressured daemon journaled %d events", len(evs))
-	}
-	for seq := d.NextIngestSeq(); seq < total; seq++ {
-		r, err := feeder.Round(seq)
-		if err != nil {
-			d.Abort()
-			return err
-		}
-		if err := d.Ingest(opts.ctx(), r); err != nil {
-			d.Abort()
-			return fmt.Errorf("resume after pressure: ingest round %d: %w", seq, err)
-		}
-	}
-	if err := d.Drain(opts.ctx()); err != nil {
-		d.Close()
-		return err
-	}
-	final, err := d.Result()
-	if err != nil {
-		d.Close()
-		return err
-	}
-	fp, err := final.Fingerprint()
-	if err != nil {
-		d.Close()
-		return err
-	}
-	evs = d.Events()
-	if err := d.Close(); err != nil {
-		return err
-	}
-	res.ResumedAfterPressure = fp == refFP && len(evs) == len(refEvents)
-	for i := range evs {
-		if evs[i] != refEvents[i] {
-			res.ResumedAfterPressure = false
-		}
-	}
-	if !res.ResumedAfterPressure {
-		return fmt.Errorf("post-pressure resume diverged from the reference")
-	}
-	return os.RemoveAll(dir)
+	res.ResumedAfterPressure = true
+	return os.RemoveAll(s.Dir)
 }

@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"strings"
 	"time"
 
+	"github.com/diurnalnet/diurnal/internal/chaos"
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/events"
@@ -106,9 +106,8 @@ func Streaming(opts Options) (*StreamingResult, error) {
 		return nil, err
 	}
 	res := &StreamingResult{
-		Blocks:             len(world),
-		Rounds:             feeder.Rounds(),
-		LatencyBoundRounds: 2 * 7, // ConfirmRefreshes * RefreshEvery
+		Blocks: len(world),
+		Rounds: feeder.Rounds(),
 	}
 
 	tmp, err := os.MkdirTemp("", "diurnal-streaming")
@@ -118,33 +117,25 @@ func Streaming(opts Options) (*StreamingResult, error) {
 	defer os.RemoveAll(tmp)
 
 	// Reference 2: the uninterrupted streaming run.
-	refEvents, refFP, err := streamToEnd(opts.ctx(), tmp+"/ref", world, feeder, cfg)
+	ref, err := chaos.RunToEnd(opts.ctx(), chaos.Setup{Dir: tmp + "/ref", World: world, Feeder: feeder, Config: cfg}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("uninterrupted streaming run: %w", err)
 	}
-	res.Events = len(refEvents)
-	res.BatchIdentical = refFP == batchFP
+	res.Events = len(ref.Events)
+	res.BatchIdentical = ref.Fingerprint == batchFP
 	if !res.BatchIdentical {
-		return res, fmt.Errorf("streaming result diverged from batch: %s != %s", refFP[:16], batchFP[:16])
+		return res, fmt.Errorf("streaming result diverged from batch: %s != %s", ref.Fingerprint[:16], batchFP[:16])
 	}
-	if len(refEvents) == 0 {
+	if len(ref.Events) == 0 {
 		return res, fmt.Errorf("streaming run emitted no events; the checks are vacuous")
 	}
 
-	// Latency bound and ground-truth lag over the reference events.
-	finalSeq := feeder.Rounds() - 1
+	// Latency bound (RunToEnd has held the events to it) and
+	// ground-truth lag over the reference events.
+	res.EarlyEvents, res.MaxLatencyRounds, _ = chaos.CheckEvents(ref.Events, feeder.Rounds(), cfg)
+	res.LatencyBoundRounds = cfg.LatencyBound()
 	var lagSum float64
-	for _, ev := range refEvents {
-		if ev.EmitSeq != finalSeq {
-			res.EarlyEvents++
-			base := ev.FirstSeenSeq
-			if ev.EligibleSeq > base {
-				base = ev.EligibleSeq
-			}
-			if lat := ev.EmitSeq - base; lat > res.MaxLatencyRounds {
-				res.MaxLatencyRounds = lat
-			}
-		}
+	for _, ev := range ref.Events {
 		if onset, ok := truthOnset(world[ev.Block], ev.Change); ok {
 			res.TruthMatched++
 			frontier := start + (ev.EmitSeq+1)*netsim.SecondsPerDay
@@ -154,110 +145,19 @@ func Streaming(opts Options) (*StreamingResult, error) {
 	if res.TruthMatched > 0 {
 		res.MeanLagDays = lagSum / float64(res.TruthMatched)
 	}
-	if res.MaxLatencyRounds > res.LatencyBoundRounds {
-		return res, fmt.Errorf("emit latency %d rounds exceeds the bound %d", res.MaxLatencyRounds, res.LatencyBoundRounds)
-	}
 
 	// The killed run: SIGKILL (Abort) at seeded-random points until the
 	// stream completes; every incarnation must resume to a journal that is
 	// an exact prefix of the reference, and the final state must be
 	// identical.
-	rng := rand.New(rand.NewSource(int64(opts.seed())))
-	dir := tmp + "/killed"
-	total := feeder.Rounds()
-	for {
-		d, err := stream.Open(dir, world, feeder.Observers(), cfg)
-		if err != nil {
-			return res, fmt.Errorf("incarnation %d: %w", res.Incarnations, err)
-		}
-		d.Start()
-		res.Incarnations++
-		evs := d.Events()
-		if len(evs) > len(refEvents) {
-			return res, fmt.Errorf("incarnation %d resumed with %d events; reference has %d", res.Incarnations, len(evs), len(refEvents))
-		}
-		for i := range evs {
-			if evs[i] != refEvents[i] {
-				return res, fmt.Errorf("incarnation %d: journaled event %d diverges from the uninterrupted run", res.Incarnations, i)
-			}
-		}
-		next := d.NextIngestSeq()
-		if next >= total {
-			if err := d.Drain(opts.ctx()); err != nil {
-				return res, err
-			}
-			final, err := d.Result()
-			if err != nil {
-				return res, err
-			}
-			fp, err := final.Fingerprint()
-			if err != nil {
-				return res, err
-			}
-			evs = d.Events()
-			if err := d.Close(); err != nil {
-				return res, err
-			}
-			res.Identical = fp == refFP && len(evs) == len(refEvents)
-			for i := range evs {
-				if evs[i] != refEvents[i] {
-					res.Identical = false
-				}
-			}
-			if !res.Identical {
-				return res, fmt.Errorf("killed run diverged from the uninterrupted run:\n%s", res)
-			}
-			if res.Incarnations < 2 {
-				return res, fmt.Errorf("the kill schedule never fired; kill-and-resume was not exercised")
-			}
-			return res, nil
-		}
-		target := next + 1 + rng.Int63n(total-next)
-		for seq := next; seq < target; seq++ {
-			r, err := feeder.Round(seq)
-			if err != nil {
-				return res, err
-			}
-			if err := d.Ingest(opts.ctx(), r); err != nil {
-				return res, fmt.Errorf("incarnation %d: ingest round %d: %w", res.Incarnations, seq, err)
-			}
-		}
-		if rng.Intn(2) == 0 {
-			if err := d.Drain(opts.ctx()); err != nil {
-				return res, err
-			}
-		}
-		d.Abort() // SIGKILL: nothing flushed, nothing drained
-	}
-}
-
-// streamToEnd runs one uninterrupted daemon life over the whole feeder.
-func streamToEnd(ctx context.Context, dir string, world []*dataset.WorldBlock, f *stream.Feeder, cfg stream.Config) ([]stream.Event, string, error) {
-	d, err := stream.Open(dir, world, f.Observers(), cfg)
+	killed := chaos.Setup{Dir: tmp + "/killed", World: world, Feeder: feeder, Config: cfg}
+	run, err := chaos.KillLoop(opts.ctx(), killed, ref, chaos.Kills{Rng: rand.New(rand.NewSource(int64(opts.seed()))), Kill: true})
+	res.Incarnations = run.Lives
 	if err != nil {
-		return nil, "", err
+		return res, fmt.Errorf("killed run: %w", err)
 	}
-	d.Start()
-	if err := f.Feed(ctx, d); err != nil {
-		d.Close()
-		return nil, "", err
-	}
-	if err := d.Drain(ctx); err != nil {
-		d.Close()
-		return nil, "", err
-	}
-	res, err := d.Result()
-	if err != nil {
-		d.Close()
-		return nil, "", err
-	}
-	fp, err := res.Fingerprint()
-	if err != nil {
-		d.Close()
-		return nil, "", err
-	}
-	evs := d.Events()
-	return evs, fp, d.Close()
+	res.Identical = true
+	return res, nil
 }
 
 // truthOnset matches an emitted change to the block's scheduled simulator

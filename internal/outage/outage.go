@@ -78,12 +78,6 @@ type Interval struct {
 	Start, End int64
 }
 
-// Covers reports whether t falls inside the interval (an open interval
-// covers everything after Start).
-func (iv Interval) Covers(t int64) bool {
-	return t >= iv.Start && (iv.End == 0 || t < iv.End)
-}
-
 // Detector tracks one block's up/down belief over a probe stream.
 type Detector struct {
 	params Params
@@ -241,24 +235,4 @@ func update(b, pUp, pDown float64) float64 {
 		return num / den
 	}
 	return b
-}
-
-// MaskChanges reports, for each change time, whether it falls within slop
-// seconds of a detected outage interval — the §2.6 cross-check that
-// separates network failures from human-activity changes.
-func MaskChanges(times []int64, outages []Interval, slop int64) []bool {
-	out := make([]bool, len(times))
-	for i, t := range times {
-		for _, iv := range outages {
-			end := iv.End
-			if end == 0 {
-				end = t + slop + 1 // open outage covers everything after start
-			}
-			if t >= iv.Start-slop && t < end+slop {
-				out[i] = true
-				break
-			}
-		}
-	}
-	return out
 }

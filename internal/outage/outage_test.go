@@ -100,17 +100,6 @@ func TestLowAvailabilityNeedsMoreEvidence(t *testing.T) {
 	}
 }
 
-func TestIntervalCovers(t *testing.T) {
-	iv := Interval{Start: 100, End: 200}
-	if !iv.Covers(100) || !iv.Covers(199) || iv.Covers(200) || iv.Covers(99) {
-		t.Fatal("closed interval coverage wrong")
-	}
-	open := Interval{Start: 100}
-	if !open.Covers(1 << 40) {
-		t.Fatal("open interval should cover the future")
-	}
-}
-
 func TestFromRecordsDetectsSimulatedOutage(t *testing.T) {
 	b, err := netsim.NewBlock(1, 77, netsim.Spec{Workers: 40, AlwaysOn: 20})
 	if err != nil {
@@ -182,23 +171,6 @@ func TestFromRecordsEdgeCases(t *testing.T) {
 	recs := []probe.Record{{T: 1}, {T: 2}, {T: 3}}
 	if ivs, err := FromRecords(recs, 0, Params{}); err != nil || ivs != nil {
 		t.Fatalf("never-responsive block should yield nothing, got %v %v", ivs, err)
-	}
-}
-
-func TestMaskChanges(t *testing.T) {
-	outages := []Interval{{Start: 1000, End: 2000}}
-	times := []int64{500, 950, 1500, 2049, 2200}
-	masked := MaskChanges(times, outages, 100)
-	want := []bool{false, true, true, true, false}
-	for i := range want {
-		if masked[i] != want[i] {
-			t.Fatalf("mask[%d] = %v, want %v", i, masked[i], want[i])
-		}
-	}
-	open := []Interval{{Start: 5000}}
-	m2 := MaskChanges([]int64{4000, 6000}, open, 100)
-	if m2[0] || !m2[1] {
-		t.Fatalf("open-interval masking wrong: %v", m2)
 	}
 }
 

@@ -786,15 +786,6 @@ const snapSuffix = ".snap"
 // SnapshotName returns the file name for sequence number seq.
 func SnapshotName(seq int) string { return fmt.Sprintf("snap-%08d%s", seq, snapSuffix) }
 
-// writeFileAtomic follows the shared storage discipline: temp file in
-// the same directory, write, sync, close, rename, parent-directory
-// fsync (rename alone is not crash-durable — the new directory entry
-// lives in the parent's blocks). A crash at any point leaves either the
-// old file or a *.tmp ignored by every reader.
-func writeFileAtomic(fsys storage.FS, path string, data []byte) error {
-	return storage.WriteBytesAtomic(fsys, path, data)
-}
-
 // parseSnapshotSeq extracts the sequence number from a snapshot file
 // name, reporting whether the name is a canonically numbered snapshot.
 func parseSnapshotSeq(name string) (int, bool) {
@@ -844,7 +835,7 @@ func writeSnapshotBytes(fsys storage.FS, dir string, data []byte) (string, error
 		}
 	}
 	path := filepath.Join(dir, SnapshotName(seq))
-	if err := writeFileAtomic(fsys, path, data); err != nil {
+	if err := storage.WriteBytesAtomic(fsys, path, data); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -144,7 +144,7 @@ func (s *DeadLetterStore) record(index int, id netsim.BlockID, cause error, work
 	if err != nil {
 		return err
 	}
-	err = writeFileAtomic(path, func(f storage.File) error {
+	err = storage.WriteFileAtomic(storage.OS, path, func(f storage.File) error {
 		_, err := f.Write(envelope)
 		return err
 	})

@@ -154,7 +154,7 @@ func (c *Claim) Renew() error {
 	if err != nil {
 		return err
 	}
-	err = writeFileAtomic(c.path, func(f storage.File) error {
+	err = storage.WriteFileAtomic(storage.OS, c.path, func(f storage.File) error {
 		_, err := f.Write(data)
 		return err
 	})
@@ -174,7 +174,7 @@ func (c *Claim) Done(m DoneMarker) error {
 	if err != nil {
 		return err
 	}
-	err = writeFileAtomic(c.ledger.donePath(c.Shard.Index), func(f storage.File) error {
+	err = storage.WriteFileAtomic(storage.OS, c.ledger.donePath(c.Shard.Index), func(f storage.File) error {
 		_, err := f.Write(data)
 		return err
 	})

@@ -135,7 +135,7 @@ func Create(dir string, sig []byte, blocks, shards int, opt Options) (*Ledger, e
 	if err != nil {
 		return nil, err
 	}
-	err = writeFileAtomic(filepath.Join(dir, manifestName), func(f storage.File) error {
+	err = storage.WriteFileAtomic(storage.OS, filepath.Join(dir, manifestName), func(f storage.File) error {
 		_, err := f.Write(data)
 		return err
 	})
@@ -262,14 +262,6 @@ func (l *Ledger) done(shard int) (*DoneMarker, bool) {
 		return nil, false
 	}
 	return &m, true
-}
-
-// writeFileAtomic writes data to path through the shared storage
-// discipline (temp file, write, fsync, rename, parent-directory fsync)
-// — same contract as the dataset store, so readers never observe a torn
-// file under a final name and the rename itself is crash-durable.
-func writeFileAtomic(path string, write func(f storage.File) error) error {
-	return storage.WriteFileAtomic(storage.OS, path, write)
 }
 
 // Clean garbage-collects the ledger's reclaimable artifacts: superseded

@@ -157,6 +157,14 @@ func (c Config) validate() error {
 	return nil
 }
 
+// LatencyBound is the detection-latency contract in rounds: an event is
+// emitted at most ConfirmRefreshes*RefreshEvery rounds after it is first
+// seen and eligible (defaults applied), unless the final flush emits it.
+func (c Config) LatencyBound() int64 {
+	c = c.withDefaults()
+	return int64(c.ConfirmRefreshes * c.RefreshEvery)
+}
+
 // rounds returns how many rounds tile the analysis window.
 func (c Config) rounds() int64 {
 	span := c.Core.AnalysisEnd - c.Core.AnalysisStart
