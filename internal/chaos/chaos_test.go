@@ -294,37 +294,42 @@ func TestOracleBites(t *testing.T) {
 		ref   *Outcome
 		event int
 	}{{"event", &badEvent, last}, {"fingerprint", &badFP, -1}} {
-		s.Dir = t.TempDir()
-		_, err := RunToEnd(ctx, s, tc.ref)
-		checkDivergence(t, "RunToEnd/"+tc.name, err, 1, tc.event)
-
-		s.Dir = t.TempDir()
-		run, err := KillLoop(ctx, s, tc.ref, Kills{Rng: rand.New(rand.NewSource(1)), Kill: true})
-		life := run.Lives
-		if tc.event >= 0 {
-			life = -1 // any rebirth that had journaled the event may report it
-		}
-		checkDivergence(t, "KillLoop/"+tc.name, err, life, tc.event)
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("RunToEnd", func(t *testing.T) {
+				s.Dir = t.TempDir()
+				_, err := RunToEnd(ctx, s, tc.ref)
+				checkDivergence(t, err, 1, tc.event)
+			})
+			t.Run("KillLoop", func(t *testing.T) {
+				s.Dir = t.TempDir()
+				run, err := KillLoop(ctx, s, tc.ref, Kills{Rng: rand.New(rand.NewSource(1)), Kill: true})
+				life := run.Lives
+				if tc.event >= 0 {
+					life = -1 // any rebirth that had journaled the event may report it
+				}
+				checkDivergence(t, err, life, tc.event)
+			})
+		})
 	}
 }
 
 // checkDivergence asserts err is a Divergence at event, reported by
 // incarnation life (any incarnation when life < 0).
-func checkDivergence(t *testing.T, name string, err error, life, event int) {
+func checkDivergence(t *testing.T, err error, life, event int) {
 	t.Helper()
 	var div *Divergence
 	if !errors.As(err, &div) {
-		t.Fatalf("%s: got %v, want a divergence", name, err)
+		t.Fatalf("got %v, want a divergence", err)
 	}
 	if div.Event != event || div.Life < 1 || (life >= 0 && div.Life != life) {
-		t.Errorf("%s: divergence at incarnation %d event %d, want incarnation %d event %d", name, div.Life, div.Event, life, event)
+		t.Errorf("divergence at incarnation %d event %d, want incarnation %d event %d", div.Life, div.Event, life, event)
 	}
 	want := fmt.Sprintf("incarnation %d", div.Life)
 	if event >= 0 {
 		want += fmt.Sprintf(": event %d", event)
 	}
 	if !strings.HasPrefix(err.Error(), want) {
-		t.Errorf("%s: %q does not name %q", name, err, want)
+		t.Errorf("%q does not name %q", err, want)
 	}
 }
 

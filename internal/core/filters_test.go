@@ -102,6 +102,25 @@ func TestFilterOutagePairsRespectsGap(t *testing.T) {
 	}
 }
 
+func TestFilterOutagePairsKeepsIsolated(t *testing.T) {
+	changes := []Change{mkChange(changepoint.Down, 10, 11, -8)}
+	kept, removed := filterOutagePairs(changes, 5*day)
+	if len(kept) != 1 || len(removed) != 0 {
+		t.Fatalf("isolated change mishandled: kept=%v removed=%v", kept, removed)
+	}
+}
+
+func TestFilterOutagePairsSameDirectionNotPaired(t *testing.T) {
+	changes := []Change{
+		mkChange(changepoint.Down, 10, 11, -8),
+		mkChange(changepoint.Down, 11, 12, -8),
+	}
+	kept, removed := filterOutagePairs(changes, 5*day)
+	if len(kept) != 2 || len(removed) != 0 {
+		t.Fatalf("same-direction changes must not pair: kept=%v removed=%v", kept, removed)
+	}
+}
+
 func TestFilterOutagePairsNegativeGapDisables(t *testing.T) {
 	changes := []Change{
 		mkChange(changepoint.Down, 10, 11, -8),
@@ -199,6 +218,21 @@ func TestAnalyzeRecordsMasksDetectedOutage(t *testing.T) {
 		if c.Point >= oStart-day && c.Point <= oStart+3*day {
 			t.Fatalf("outage change leaked: %+v", c)
 		}
+	}
+}
+
+func TestDownChanges(t *testing.T) {
+	a := &BlockAnalysis{Changes: []Change{
+		mkChange(changepoint.Down, 10, 11, -8),
+		mkChange(changepoint.Up, 20, 21, 8),
+		mkChange(changepoint.Down, 30, 31, -5),
+	}}
+	d := a.DownChanges()
+	if len(d) != 2 || d[0].Start != 10*day || d[1].Start != 30*day {
+		t.Fatalf("DownChanges = %+v", d)
+	}
+	if (&BlockAnalysis{}).DownChanges() != nil {
+		t.Fatal("DownChanges of a change-free analysis should be nil")
 	}
 }
 
