@@ -313,6 +313,22 @@ func TestOracleBites(t *testing.T) {
 	}
 }
 
+// TestCheckEventsBoundsEvidence: an event's online evidence is -1 (none)
+// or a round no later than its emission; anything else breaks the
+// streaming contract.
+func TestCheckEventsBoundsEvidence(t *testing.T) {
+	ev := stream.Event{FirstSeenSeq: 40, EligibleSeq: 41, EmitSeq: 42}
+	for _, tc := range []struct {
+		evidence int64
+		ok       bool
+	}{{-2, false}, {-1, true}, {0, true}, {42, true}, {43, false}} {
+		ev.EvidenceSeq = tc.evidence
+		if _, _, err := CheckEvents([]stream.Event{ev}, 84, testConfig()); (err == nil) != tc.ok {
+			t.Errorf("evidence at round %d, emitted at 42: got %v, want ok=%v", tc.evidence, err, tc.ok)
+		}
+	}
+}
+
 // checkDivergence asserts err is a Divergence at event, reported by
 // incarnation life (any incarnation when life < 0).
 func checkDivergence(t *testing.T, err error, life, event int) {

@@ -43,7 +43,7 @@ type Config struct {
 	Class blockclass.Config
 	// CUSUM holds the change-detection parameters (paper: threshold 1,
 	// drift 0.001 per 11-minute round; default here threshold 1, drift
-	// 0.002 per hourly sample — see withDefaults).
+	// 0.004 per hourly sample — see withDefaults).
 	CUSUM changepoint.Opts
 	// OutageGapDays bounds how close a down→up pair must be to be
 	// discarded as an outage or renumbering artifact on timing alone
@@ -95,22 +95,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's configuration for a given analysis
-// window.
+// window: every default Resolve applies, spelled out, except the baseline
+// window, which stays zero so that a caller may set BaselineEnd alone.
 func DefaultConfig(start, end int64) Config {
-	return Config{
-		AnalysisStart:      start,
-		AnalysisEnd:        end,
-		SampleStep:         3600,
-		Repair:             true,
-		Class:              blockclass.Default(),
-		OutageGapDays:      3,
-		OutageMaskMinHours: 24,
-		BoundaryGuardDays:  4,
-		MinChangeAddresses: 1.2,
-		STLOuter:           1,
-		SanitizeRecords:    true,
-		MaxGapHours:        24,
-	}
+	// An empty window's error is the caller's to meet when it resolves.
+	r, _ := Config{AnalysisStart: start, AnalysisEnd: end, Repair: true, Class: blockclass.Default(), SanitizeRecords: true}.Resolve()
+	c := r.c
+	c.BaselineStart, c.BaselineEnd = 0, 0
+	return c
 }
 
 func (c Config) withDefaults() Config {
@@ -165,15 +157,23 @@ func (c Config) validate() error {
 	return nil
 }
 
-// resolved returns the config with defaults applied, validated. The
-// exported entry points and Pipeline.Run call it once; the unexported
-// kernel methods below (collectAndAnalyze, analyzeCollected,
-// analyzeResolvedSeries) require a resolved receiver and do not repeat it
-// per block.
-func (c Config) resolved() (Config, error) {
+// Resolved is a Config with its defaults applied and validated. It is
+// what the per-block kernel, FrontState, Pipeline.Run and the streaming
+// detector take, so an unresolved config cannot reach them: its field is
+// unexported, and Resolve is the only way to make one.
+type Resolved struct{ c Config }
+
+// Resolve applies the defaults to c's zero fields and validates the
+// result, once; it is the one place a config is resolved. On error the
+// Resolved still holds the defaults-applied config, which RunSignature
+// signs, and must not be analyzed with.
+func (c Config) Resolve() (Resolved, error) {
 	c = c.withDefaults()
-	return c, c.validate()
+	return Resolved{c}, c.validate()
 }
+
+// Config returns the resolved config, its defaults spelled out.
+func (r Resolved) Config() Config { return r.c }
 
 // Change is one detected change in a block's activity, in wall-clock time.
 type Change struct {
@@ -251,14 +251,14 @@ func (cfg Config) AnalyzeRecords(perObs [][]probe.Record, eb []int) (*BlockAnaly
 // oracle. perObs is mutated in place (sanitize/repair); sc may be nil for
 // a one-shot call.
 func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
-	c, err := cfg.resolved()
+	r, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	return c.analyzeCollected(perObs, eb, sc, false)
+	return r.analyzeCollected(perObs, eb, sc, false)
 }
 
 // Reconstruct runs the kernel's record-level half alone (see frontHalf), as
@@ -267,31 +267,31 @@ func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc 
 // series and the outages that would mask its changes, or an error when eb
 // is empty. perObs is mutated in place; sc may be nil for a one-shot call.
 func (cfg Config) Reconstruct(perObs [][]probe.Record, eb []int, sc *Scratch) (*reconstruct.Series, []outage.Interval, error) {
-	c, err := cfg.resolved()
+	r, err := cfg.Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	series, outages, _, err := c.frontHalf(perObs, eb, sc, false)
+	series, outages, _, err := r.frontHalf(perObs, eb, sc, false)
 	return series, outages, err
 }
 
-// analyzeCollected is the kernel behind AnalyzeCollectedScratch on a
-// resolved config, with one internal knob: trustClean skips the sanitize
-// pre-scan for streams a clean-by-construction prober produced (see
-// cleanProber). Sanitize is a no-op on clean streams, so the skip is
-// bit-identical; only the pre-scan cost goes away.
-func (cfg Config) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*BlockAnalysis, error) {
+// analyzeCollected is the kernel behind AnalyzeCollectedScratch, with one
+// internal knob: trustClean skips the sanitize pre-scan for streams a
+// clean-by-construction prober produced (see cleanProber). Sanitize is a
+// no-op on clean streams, so the skip is bit-identical; only the pre-scan
+// cost goes away.
+func (r Resolved) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*BlockAnalysis, error) {
 	if len(eb) == 0 {
 		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
-	series, outages, san, err := cfg.frontHalf(perObs, eb, sc, trustClean)
+	series, outages, san, err := r.frontHalf(perObs, eb, sc, trustClean)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.analyzeResolvedSeries(series, outages, san, sc)
+	return r.analyzeResolvedSeries(series, outages, san, sc)
 }
 
 // frontHalf is the record-level half of the kernel: steps 1–3 of the
@@ -313,14 +313,14 @@ func (cfg Config) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratc
 // cross-observer timestamp ties under Integrity, duplicate floods with
 // sanitizing off, never on clean data — the belief alone walks again with
 // the corrected rate.
-func (cfg Config) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
+func (r Resolved) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
 	var san reconstruct.SanitizeReport
-	if cfg.SanitizeRecords && !trustClean {
-		san = cfg.sanitizeStreams(perObs)
+	if r.c.SanitizeRecords && !trustClean {
+		san = r.sanitizeStreams(perObs)
 	}
 	cur := &sc.cursor
-	cur.Dedup, cur.Resolve = !(trustClean || cfg.SanitizeRecords), cfg.Integrity
-	records, responsive, runs := cur.Load(perObs, cfg.Repair)
+	cur.Dedup, cur.Resolve = !(trustClean || r.c.SanitizeRecords), r.c.Integrity
+	records, responsive, runs := cur.Load(perObs, r.c.Repair)
 	if err := sc.acc.Reset(eb, runs); err != nil {
 		return nil, nil, san, err
 	}
@@ -332,7 +332,7 @@ func (cfg Config) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch, trus
 	// to give for a rate in (0, 1] under default Params, and a nil det
 	// would mean no masking, as when FromRecords failed.
 	var det *outage.Detector
-	if cfg.OutageMaskMinHours >= 0 && responsive > 0 {
+	if r.c.OutageMaskMinHours >= 0 && responsive > 0 {
 		det, _ = outage.NewDetector(float64(responsive)/float64(records), outage.Params{})
 	}
 	walk(cur, &sc.acc, det)
@@ -344,7 +344,7 @@ func (cfg Config) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch, trus
 		cur.Reset(perObs)
 		walk(cur, nil, det)
 	}
-	return sc.acc.Finish(), cfg.maskingOutages(det), san, nil
+	return sc.acc.Finish(), r.maskingOutages(det), san, nil
 }
 
 // walk drains the cursor, handing every run of the merged stream to the
@@ -363,8 +363,8 @@ func walk(cur *reconstruct.Cursor, acc *reconstruct.Accumulator, det *outage.Det
 // sanitizeStreams window-clips, re-sorts, and de-duplicates each observer
 // stream in place, merging the per-stream reports. The window spans the
 // analysis and baseline windows so legitimate baseline records survive.
-func (cfg Config) sanitizeStreams(perObs [][]probe.Record) reconstruct.SanitizeReport {
-	lo, hi := cfg.sanitizeWindow()
+func (r Resolved) sanitizeStreams(perObs [][]probe.Record) reconstruct.SanitizeReport {
+	lo, hi := r.sanitizeWindow()
 	var total reconstruct.SanitizeReport
 	for i := range perObs {
 		var rep reconstruct.SanitizeReport
@@ -376,13 +376,13 @@ func (cfg Config) sanitizeStreams(perObs [][]probe.Record) reconstruct.SanitizeR
 
 // sanitizeWindow is the window sanitizing keeps records in: the analysis
 // and baseline windows together.
-func (cfg Config) sanitizeWindow() (lo, hi int64) {
-	lo, hi = cfg.AnalysisStart, cfg.AnalysisEnd
-	if cfg.BaselineStart != 0 && cfg.BaselineStart < lo {
-		lo = cfg.BaselineStart
+func (r Resolved) sanitizeWindow() (lo, hi int64) {
+	lo, hi = r.c.AnalysisStart, r.c.AnalysisEnd
+	if r.c.BaselineStart != 0 && r.c.BaselineStart < lo {
+		lo = r.c.BaselineStart
 	}
-	if cfg.BaselineEnd > hi {
-		hi = cfg.BaselineEnd
+	if r.c.BaselineEnd > hi {
+		hi = r.c.BaselineEnd
 	}
 	return lo, hi
 }
@@ -393,22 +393,18 @@ func (cfg Config) sanitizeWindow() (lo, hi int64) {
 // raw probe records, belief-based outage masking is unavailable and only
 // the timing-based pair filter applies.
 func (cfg Config) AnalyzeSeries(series *reconstruct.Series) (*BlockAnalysis, error) {
-	return cfg.analyzeSeries(series, nil, reconstruct.SanitizeReport{})
-}
-
-func (cfg Config) analyzeSeries(series *reconstruct.Series, outages []outage.Interval, san reconstruct.SanitizeReport) (*BlockAnalysis, error) {
-	c, err := cfg.resolved()
+	r, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	return c.analyzeResolvedSeries(series, outages, san, NewScratch())
+	return r.analyzeResolvedSeries(series, nil, reconstruct.SanitizeReport{}, NewScratch())
 }
 
-// analyzeResolvedSeries is the series-level half of the per-block kernel
-// on a resolved config: classification, then for change-sensitive blocks
-// the STL/CUSUM trend stages.
-func (cfg Config) analyzeResolvedSeries(series *reconstruct.Series, outages []outage.Interval, san reconstruct.SanitizeReport, sc *Scratch) (*BlockAnalysis, error) {
-	cls, err := blockclass.ClassifyScratch(series, cfg.BaselineStart, cfg.BaselineEnd, cfg.Class, sc.class)
+// analyzeResolvedSeries is the series-level half of the per-block kernel:
+// classification, then for change-sensitive blocks the STL/CUSUM trend
+// stages.
+func (r Resolved) analyzeResolvedSeries(series *reconstruct.Series, outages []outage.Interval, san reconstruct.SanitizeReport, sc *Scratch) (*BlockAnalysis, error) {
+	cls, err := blockclass.ClassifyScratch(series, r.c.BaselineStart, r.c.BaselineEnd, r.c.Class, sc.class)
 	if err != nil {
 		return nil, err
 	}
@@ -417,13 +413,13 @@ func (cfg Config) analyzeResolvedSeries(series *reconstruct.Series, outages []ou
 		Class:       cls,
 		Outages:     outages,
 		Sanitize:    san,
-		SampleStart: cfg.AnalysisStart,
-		SampleStep:  cfg.SampleStep,
+		SampleStart: r.c.AnalysisStart,
+		SampleStep:  r.c.SampleStep,
 	}
 	if !cls.ChangeSensitive {
 		return out, nil
 	}
-	if err := cfg.analyzeTrend(out, sc); err != nil {
+	if err := r.analyzeTrend(out, sc); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -431,11 +427,11 @@ func (cfg Config) analyzeResolvedSeries(series *reconstruct.Series, outages []ou
 
 // maskingOutages keeps the detector's intervals long enough to mask trend
 // changes.
-func (cfg Config) maskingOutages(det *outage.Detector) []outage.Interval {
+func (r Resolved) maskingOutages(det *outage.Detector) []outage.Interval {
 	if det == nil {
 		return nil
 	}
-	minDur := int64(cfg.OutageMaskMinHours) * 3600
+	minDur := int64(r.c.OutageMaskMinHours) * 3600
 	var kept []outage.Interval
 	for _, iv := range det.Outages() {
 		// Open intervals (never recovered within the window) are not
@@ -456,7 +452,8 @@ func (cfg Config) maskingOutages(det *outage.Detector) []outage.Interval {
 // "a daily and possibly weekly signal" (§2.5), and a weekly period absorbs
 // both the five workday bumps and the weekend flats (Figure 1a) so the
 // trend carries only the long-term baseline.
-func (cfg Config) analyzeTrend(out *BlockAnalysis, sc *Scratch) error {
+func (r Resolved) analyzeTrend(out *BlockAnalysis, sc *Scratch) error {
+	cfg := &r.c
 	maxGap := int64(cfg.MaxGapHours) * 3600
 	if cfg.MaxGapHours < 0 {
 		maxGap = 0
@@ -511,7 +508,7 @@ func (cfg Config) analyzeTrend(out *BlockAnalysis, sc *Scratch) error {
 		}
 		changes = trimmed
 	}
-	all := suppressRebounds(cfg.toWallClock(changes, out))
+	all := suppressRebounds(r.toWallClock(changes, out))
 	gap := int64(cfg.OutageGapDays) * netsim.SecondsPerDay
 	kept2, removed := filterOutagePairs(all, gap)
 	// Belief-based masking (§2.6): a change overlapping a detected outage
@@ -616,7 +613,7 @@ func suppressRebounds(changes []Change) []Change {
 
 // toWallClock converts sample-index changes into timestamped ones and
 // locates the point of steepest trend movement.
-func (cfg Config) toWallClock(changes []changepoint.Change, a *BlockAnalysis) []Change {
+func (r Resolved) toWallClock(changes []changepoint.Change, a *BlockAnalysis) []Change {
 	var out []Change
 	for _, c := range changes {
 		point := c.Start
@@ -632,10 +629,10 @@ func (cfg Config) toWallClock(changes []changepoint.Change, a *BlockAnalysis) []
 			}
 		}
 		rawAmp := a.Trend[c.End] - a.Trend[c.Start]
-		if cfg.MinChangeAddresses > 0 && math.Abs(rawAmp) < cfg.MinChangeAddresses {
+		if r.c.MinChangeAddresses > 0 && math.Abs(rawAmp) < r.c.MinChangeAddresses {
 			continue
 		}
-		ts := func(idx int) int64 { return a.SampleStart + int64(idx)*cfg.SampleStep }
+		ts := func(idx int) int64 { return a.SampleStart + int64(idx)*r.c.SampleStep }
 		out = append(out, Change{
 			Dir:          c.Dir,
 			Start:        ts(c.Start),
@@ -694,31 +691,30 @@ func (cfg Config) AnalyzeBlock(eng Prober, b *netsim.Block) (*BlockAnalysis, err
 // promptly and surfaces ctx's error. sc may be nil for a one-shot analysis.
 // Callers that loop over many blocks hold one Scratch per goroutine.
 func (cfg Config) AnalyzeBlockScratch(ctx context.Context, eng Prober, b *netsim.Block, sc *Scratch) (*BlockAnalysis, error) {
-	c, err := cfg.resolved()
+	r, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	return c.collectAndAnalyze(ctx, eng, b, sc)
+	return r.collectAndAnalyze(ctx, eng, b, sc)
 }
 
-// collectAndAnalyze is the one per-block kernel on a resolved config:
-// collect the block's streams over the analysis window, then
-// analyzeCollected. Pipeline.Run's workers call it directly, having
-// resolved the config once for the whole run.
-func (cfg Config) collectAndAnalyze(ctx context.Context, eng Prober, b *netsim.Block, sc *Scratch) (*BlockAnalysis, error) {
+// collectAndAnalyze is the one per-block kernel: collect the block's
+// streams over the analysis window, then analyzeCollected. Pipeline.Run's
+// workers call it directly, with the config the run resolved once.
+func (r Resolved) collectAndAnalyze(ctx context.Context, eng Prober, b *netsim.Block, sc *Scratch) (*BlockAnalysis, error) {
 	eb := b.EverActive()
 	if len(eb) == 0 {
 		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
 	var err error
-	sc.perObs, err = eng.CollectInto(ctx, b, cfg.AnalysisStart, cfg.AnalysisEnd, sc.perObs)
+	sc.perObs, err = eng.CollectInto(ctx, b, r.c.AnalysisStart, r.c.AnalysisEnd, sc.perObs)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.analyzeCollected(sc.perObs, eb, sc, proberEmitsClean(eng))
+	return r.analyzeCollected(sc.perObs, eb, sc, proberEmitsClean(eng))
 }
 
 // cleanProber is an optional Prober refinement: a prober whose streams

@@ -412,18 +412,13 @@ func (c *Checkpointer) Close() error {
 // to bind a whole ledger to one (config, world) pair and each per-shard
 // journal to its block-range slice of the world.
 func RunSignature(cfg Config, world []*dataset.WorldBlock) []byte {
-	// Normalize first: Pipeline.Run signs the defaults-applied config, and
-	// external signatures (shard manifests, per-shard journal checks) must
-	// agree with the headers the pipeline actually writes.
-	return runSignature(cfg.withDefaults(), world)
-}
-
-// runSignature is RunSignature; the pipeline calls it internally.
-func runSignature(cfg Config, world []*dataset.WorldBlock) []byte {
+	// The defaults-applied config is signed, so a config and the same one
+	// spelled out sign alike; an invalid one signs too, and no run accepts
+	// it. Config is plain data (no funcs), so gob gives a stable digest.
+	r, _ := cfg.Resolve()
 	h := sha256.New()
 	enc := gob.NewEncoder(h)
-	// Config is plain data (no funcs), so gob gives a stable digest.
-	_ = enc.Encode(cfg)
+	_ = enc.Encode(r.c)
 	ids := make([]netsim.BlockID, len(world))
 	for i, wb := range world {
 		ids[i] = wb.ID

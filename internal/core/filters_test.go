@@ -139,7 +139,7 @@ func detectOutages(t *testing.T, cfg Config, merged []probe.Record) []outage.Int
 	t.Helper()
 	cfg.Repair = false
 	cfg.SanitizeRecords = false
-	_, outages, _, err := cfg.frontHalf([][]probe.Record{merged}, []int{1}, NewScratch(), false)
+	_, outages, _, err := mustResolve(cfg).frontHalf([][]probe.Record{merged}, []int{1}, NewScratch(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func detectOutages(t *testing.T, cfg Config, merged []probe.Record) []outage.Int
 }
 
 func TestDetectOutagesKeepsOnlyLongClosed(t *testing.T) {
-	cfg := DefaultConfig(0, 100*day).withDefaults()
+	cfg := DefaultConfig(0, 100*day)
 	// Build a record stream: up for 3 days, silent for 2 days, up again,
 	// then a short 2-hour blip.
 	var recs []probe.Record
@@ -291,9 +291,9 @@ func TestOutageIntervalPlumbing(t *testing.T) {
 		times = append(times, tm)
 		counts = append(counts, v)
 	}
-	cfg := DefaultConfig(start, end)
+	cfg := mustResolve(DefaultConfig(start, end))
 	ivs := []outage.Interval{{Start: start + 20*day, End: start + 22*day}}
-	a, err := cfg.analyzeSeries(&reconstruct.Series{Times: times, Counts: counts}, ivs, reconstruct.SanitizeReport{})
+	a, err := cfg.analyzeResolvedSeries(&reconstruct.Series{Times: times, Counts: counts}, ivs, reconstruct.SanitizeReport{}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

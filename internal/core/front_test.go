@@ -180,15 +180,24 @@ func sameAnalysis(got, want *BlockAnalysis) error {
 }
 
 // frontConfigs returns the eight Repair × SanitizeRecords × Integrity
-// combinations of cfg.
-func frontConfigs(cfg Config) []Config {
-	var out []Config
+// combinations of cfg, resolved.
+func frontConfigs(cfg Config) []Resolved {
+	var out []Resolved
 	for bits := 0; bits < 8; bits++ {
 		c := cfg
 		c.Repair, c.SanitizeRecords, c.Integrity = bits&1 != 0, bits&2 != 0, bits&4 != 0
-		out = append(out, c)
+		out = append(out, mustResolve(c))
 	}
 	return out
+}
+
+// mustResolve is Config.Resolve for a config the test knows is valid.
+func mustResolve(cfg Config) Resolved {
+	r, err := cfg.Resolve()
+	if err != nil {
+		panic(err)
+	}
+	return r
 }
 
 // TestFrontHalfMatchesStaged is the differential oracle. Each of the two
@@ -196,10 +205,7 @@ func frontConfigs(cfg Config) []Config {
 // under the race detector a cursor or accumulator shared between workers
 // would show.
 func TestFrontHalfMatchesStaged(t *testing.T) {
-	base, err := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay).resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay)
 	cases := frontCases(t)
 	type tally struct{ compared, rewalked, withOutages int }
 	const workers = 2
@@ -218,7 +224,7 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 							continue
 						}
 						name := fmt.Sprintf("%s repair=%v sanitize=%v integrity=%v trust=%v",
-							fc.name, cfg.Repair, cfg.SanitizeRecords, cfg.Integrity, trust)
+							fc.name, cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity, trust)
 						want, err := cfg.referenceAnalyzeCollected(cloneStreams(fc.perObs), fc.eb, ref, trust)
 						if err != nil {
 							t.Errorf("%s: oracle: %v", name, err)
@@ -234,7 +240,7 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 						}
 						if !trust {
 							// The exported front half, as the paper's tables run it.
-							series, outages, err := cfg.Reconstruct(cloneStreams(fc.perObs), fc.eb, sc)
+							series, outages, err := cfg.c.Reconstruct(cloneStreams(fc.perObs), fc.eb, sc)
 							if err != nil {
 								t.Errorf("%s: Reconstruct: %v", name, err)
 							} else if err := sameFront(front{series, outages, want.Sanitize}, front{want.Series, want.Outages, want.Sanitize}); err != nil {
@@ -277,15 +283,14 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 // shorter than the streams' sum, so a belief run on pass 1's tally would
 // use the wrong availability.
 func TestFrontHalfRewalkCorrectsAvailability(t *testing.T) {
-	cfg, err := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay).resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Integrity = true
+	c := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay)
+	c.Integrity = true
+	cfg := mustResolve(c)
 	cases := frontCases(t)
 	fc := cases[len(cases)-1]
 	sc := NewScratch()
 	var got, want front
+	var err error
 	got.series, got.outages, got.san, err = cfg.frontHalf(cloneStreams(fc.perObs), fc.eb, sc, true)
 	if err != nil {
 		t.Fatal(err)
@@ -309,10 +314,10 @@ func TestFrontHalfRewalkCorrectsAvailability(t *testing.T) {
 // fuzzFront decodes fuzz bytes into a block: flags, observer count, target
 // list, then records three bytes apiece with arbitrary stream, timestamp,
 // address and response.
-func fuzzFront(data []byte) (cfg Config, perObs [][]probe.Record, eb []int, trust bool) {
-	cfg = DefaultConfig(0, 40*netsim.SecondsPerDay)
+func fuzzFront(data []byte) (r Resolved, perObs [][]probe.Record, eb []int, trust bool) {
+	cfg := DefaultConfig(0, 40*netsim.SecondsPerDay)
 	if len(data) < 3 {
-		return cfg, nil, []int{1}, false
+		return mustResolve(cfg), nil, []int{1}, false
 	}
 	flags, k, targets := data[0], 1+int(data[1]%9), int(data[2])
 	cfg.Repair, cfg.SanitizeRecords, cfg.Integrity = flags&1 != 0, flags&2 != 0, flags&4 != 0
@@ -352,11 +357,7 @@ func fuzzFront(data []byte) (cfg Config, perObs [][]probe.Record, eb []int, trus
 		}
 		perObs[s] = append(perObs[s], probe.Record{T: tm, Addr: rest[1] % 10, Up: rest[2]&1 != 0})
 	}
-	resolved, err := cfg.resolved()
-	if err != nil {
-		panic(err)
-	}
-	return resolved, perObs, eb, flags&32 != 0 && streamsClean(resolved, perObs)
+	return mustResolve(cfg), perObs, eb, flags&32 != 0 && streamsClean(cfg, perObs)
 }
 
 // FuzzFrontHalf: whatever the records, the two-pass walk neither panics nor
@@ -397,7 +398,7 @@ func FuzzFrontHalf(f *testing.F) {
 		}
 		if err := sameFront(got, want); err != nil {
 			t.Fatalf("repair=%v sanitize=%v integrity=%v trust=%v, %d streams: %v",
-				cfg.Repair, cfg.SanitizeRecords, cfg.Integrity, trust, len(perObs), err)
+				cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity, trust, len(perObs), err)
 		}
 	})
 }
@@ -434,10 +435,7 @@ func benchBlocks(tb testing.TB) []frontCase {
 //
 //	go test -run '^$' -bench FrontHalf -benchtime 200x ./internal/core
 func BenchmarkFrontHalf(b *testing.B) {
-	cfg, err := q1Config().resolved()
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg := mustResolve(q1Config())
 	for _, fc := range benchBlocks(b) {
 		input := cloneStreams(fc.perObs)
 		refill := func() {
@@ -485,10 +483,7 @@ func BenchmarkFrontHalf(b *testing.B) {
 // belief's interval list and the filtered copy of it. The cursor and the
 // accumulator live in the Scratch, the detector on the kernel's stack.
 func TestFrontHalfAllocations(t *testing.T) {
-	cfg, err := q1Config().resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustResolve(q1Config())
 	// appends is how many times append allocates while a list grows from
 	// nil to n elements one at a time (capacities double).
 	appends := func(n int) float64 {

@@ -47,8 +47,7 @@ import (
 // one call, which is the same code with nothing committed yet. A
 // FrontState is not safe for concurrent use.
 type FrontState struct {
-	cfg     Config // resolved
-	err     error  // the config's, returned by every Analyze
+	cfg     Resolved
 	eb      []int
 	streams []frontStream
 	san     reconstruct.SanitizeReport
@@ -111,11 +110,9 @@ func (st *frontStream) redecides(next []probe.Record, lo, hi int64) bool {
 }
 
 // NewFrontState returns an empty front half for a block with target list
-// eb under cfg. An invalid cfg fails every Analyze, as it fails every
-// AnalyzeCollectedScratch.
-func (cfg Config) NewFrontState(eb []int) *FrontState {
-	c, err := cfg.resolved()
-	f := &FrontState{cfg: c, err: err, eb: eb}
+// eb under r.
+func (r Resolved) NewFrontState(eb []int) *FrontState {
+	f := &FrontState{cfg: r, eb: eb}
 	f.Reset()
 	return f
 }
@@ -141,11 +138,11 @@ func (f *FrontState) Reset() {
 // returns false, with the state untouched, when it refuses the records (see
 // FrontState).
 func (f *FrontState) Advance(perObs [][]probe.Record) bool {
-	if f.err != nil || len(f.eb) == 0 {
+	if len(f.eb) == 0 {
 		return true
 	}
-	c := &f.cfg
-	lo, hi := c.sanitizeWindow()
+	c := &f.cfg.c
+	lo, hi := f.cfg.sanitizeWindow()
 	if f.committed {
 		for o, recs := range perObs {
 			for _, r := range recs {
@@ -293,9 +290,6 @@ func (f *FrontState) Certified() (certifications, skipped int) { return f.trace.
 // what AnalyzeCollectedScratch returns over every record Advance has
 // taken since the last Reset.
 func (f *FrontState) Analyze(sc *Scratch) (*BlockAnalysis, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
 	if len(f.eb) == 0 {
 		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
@@ -307,7 +301,7 @@ func (f *FrontState) Analyze(sc *Scratch) (*BlockAnalysis, error) {
 // walked onto a fork of the committed accumulator, and the belief over the
 // committed trace and the held walk.
 func (f *FrontState) front(sc *Scratch) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport) {
-	c := &f.cfg
+	c := &f.cfg.c
 	for o := range f.streams {
 		f.views[o] = f.streams[o].held
 	}
@@ -341,5 +335,5 @@ func (f *FrontState) front(sc *Scratch) (*reconstruct.Series, []outage.Interval,
 		}
 	}
 	sc.walked = walked[:0]
-	return series, c.maskingOutages(det), f.san
+	return series, f.cfg.maskingOutages(det), f.san
 }

@@ -19,7 +19,7 @@ import (
 // every-th one and the last against frontHalf over the concatenation so
 // far, and with analyze the whole analysis at the end. It returns how many
 // Advances were refused and rebuilt.
-func piecewise(t *testing.T, cfg Config, eb []int, rounds [][][]probe.Record, every int, analyze bool) (rebuilds int) {
+func piecewise(t *testing.T, cfg Resolved, eb []int, rounds [][][]probe.Record, every int, analyze bool) (rebuilds int) {
 	t.Helper()
 	st := cfg.NewFrontState(eb)
 	sc, ref := NewScratch(), NewScratch()
@@ -100,15 +100,12 @@ func dailyRounds(perObs [][]probe.Record, start int64, days int) [][][]probe.Rec
 // × Integrity configurations, one day at a time. The raw streams are
 // compared after every day, the attacked ones after every fifth.
 func TestFrontStateMatchesBatch(t *testing.T) {
-	base, err := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay).resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay)
 	var rebuilds atomic.Int64
 	t.Cleanup(func() { t.Logf("%d refused advances rebuilt", rebuilds.Load()) })
 	for _, fc := range frontCases(t) {
 		for _, cfg := range frontConfigs(base) {
-			name := fmt.Sprintf("%s repair=%v sanitize=%v integrity=%v", fc.name, cfg.Repair, cfg.SanitizeRecords, cfg.Integrity)
+			name := fmt.Sprintf("%s repair=%v sanitize=%v integrity=%v", fc.name, cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity)
 			every := 5
 			if strings.HasSuffix(fc.name, "/raw") || strings.HasPrefix(fc.name, "contest") {
 				every = 1
@@ -124,10 +121,7 @@ func TestFrontStateMatchesBatch(t *testing.T) {
 // TestFrontStateRefusesEarlierRecord: a record older than the committed
 // walk is refused, and the rebuild over the whole history matches batch.
 func TestFrontStateRefusesEarlierRecord(t *testing.T) {
-	cfg, err := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay).resolved()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustResolve(DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay))
 	fc := frontCases(t)[0]
 	rounds := dailyRounds(fc.perObs, q1Start, frontDays)
 	// Day 3's first record of stream 0 arrives again, in day 9's round.

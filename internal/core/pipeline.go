@@ -276,7 +276,7 @@ func (p *Pipeline) Run(ctx context.Context, world []*dataset.WorldBlock) (*World
 // workers share.
 type run struct {
 	p     *Pipeline
-	cfg   Config // resolved: defaults applied and validated once per run
+	cfg   Resolved
 	world []*dataset.WorldBlock
 	// eng is what the workers collect through: p.Engine wrapped by layers.
 	eng Prober
@@ -301,12 +301,12 @@ type run struct {
 // newRun validates the configuration, runs the observer pre-scan, and
 // builds the layer stack around the engine.
 func (p *Pipeline) newRun(ctx context.Context, world []*dataset.WorldBlock) (*run, error) {
-	cfg, err := p.Config.resolved()
+	cfg, err := p.Config.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	if p.Checkpoint != nil {
-		if err := p.Checkpoint.ensureSignature(runSignature(cfg, world)); err != nil {
+		if err := p.Checkpoint.ensureSignature(RunSignature(p.Config, world)); err != nil {
 			return nil, err
 		}
 	}
@@ -344,7 +344,7 @@ func (p *Pipeline) newRun(ctx context.Context, world []*dataset.WorldBlock) (*ru
 	// exclusion and supervision layers — so its gates judge what the
 	// observers actually reported, and everything outside it (pre-scan
 	// drops, breaker drops, reply-rate samples) sees the gated view.
-	if cfg.Integrity {
+	if cfg.c.Integrity {
 		r.push(newIntegrityProber(r.eng))
 	}
 	// Observer supervision. The static pre-scan always runs when enabled;
@@ -405,7 +405,7 @@ func (r *run) execute(ctx context.Context) (*WorldResult, error) {
 			inflight = r.workers
 		}
 		if p.MemoryBudget > 0 {
-			if slots := int(p.MemoryBudget / estimateBlockBytes(r.cfg)); slots < 1 {
+			if slots := int(p.MemoryBudget / estimateBlockBytes(r.cfg.c)); slots < 1 {
 				inflight = 1
 			} else if slots < inflight {
 				inflight = slots
@@ -692,7 +692,7 @@ func (r *run) suspectObservers(ctx context.Context) (excluded []int, rates []flo
 			return nil, nil
 		}
 		var err error
-		bufs, err = p.Engine.CollectInto(ctx, world[i].Block, cfg.AnalysisStart, cfg.AnalysisEnd, bufs)
+		bufs, err = p.Engine.CollectInto(ctx, world[i].Block, cfg.c.AnalysisStart, cfg.c.AnalysisEnd, bufs)
 		if err != nil {
 			continue
 		}

@@ -37,25 +37,26 @@ func (cfg Config) referenceDetectOutages(merged []probe.Record) []outage.Interva
 // the front half as a composition of the exported stages, each a pass of
 // its own over the records, with the merged stream materialised. It is the
 // oracle the two-pass walk is held to, bit for bit, in front_test.go.
-func (cfg Config) referenceAnalyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*BlockAnalysis, error) {
+func (r Resolved) referenceAnalyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*BlockAnalysis, error) {
 	if len(eb) == 0 {
 		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
-	series, outages, san, err := cfg.referenceFrontHalf(perObs, eb, nil, trustClean)
+	series, outages, san, err := r.referenceFrontHalf(perObs, eb, nil, trustClean)
 	if err != nil {
 		return nil, err
 	}
-	return cfg.analyzeResolvedSeries(series, outages, san, sc)
+	return r.analyzeResolvedSeries(series, outages, san, sc)
 }
 
 // referenceFrontHalf is the record-level half of the parent's kernel:
 // Sanitize ×k → Repair1Loss ×k → MergeInto → ResolveContested →
 // Reconstruct → detectOutages. merged is the reusable merge buffer Scratch
 // used to hold (nil for a one-shot call).
-func (cfg Config) referenceFrontHalf(perObs [][]probe.Record, eb []int, merged *[]probe.Record, trustClean bool) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
+func (r Resolved) referenceFrontHalf(perObs [][]probe.Record, eb []int, merged *[]probe.Record, trustClean bool) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
+	cfg := r.c
 	var san reconstruct.SanitizeReport
 	if cfg.SanitizeRecords && !trustClean {
-		san = cfg.sanitizeStreams(perObs)
+		san = r.sanitizeStreams(perObs)
 	}
 	if merged == nil {
 		merged = new([]probe.Record)

@@ -41,12 +41,12 @@ func BenchmarkStreamingStep(b *testing.B) {
 	for _, lanes := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
 			b.ReportAllocs()
-			det := newDetector(cfg, world, f.Observers(), lanes)
+			det := testDetector(b, cfg, world, f.Observers(), lanes)
 			seq := int64(0)
 			for i := 0; i < b.N; i++ {
 				if seq == f.Rounds() {
 					b.StopTimer()
-					det = newDetector(cfg, world, f.Observers(), lanes)
+					det = testDetector(b, cfg, world, f.Observers(), lanes)
 					seq = 0
 					b.StartTimer()
 				}
@@ -135,7 +135,7 @@ func BenchmarkRefreshAtRound(b *testing.B) {
 		})
 		fronts := make([]*core.FrontState, len(world))
 		for blk, wb := range world {
-			fronts[blk] = cfg.Core.NewFrontState(wb.EverActive())
+			fronts[blk] = resolveCore(b, cfg.Core).NewFrontState(wb.EverActive())
 		}
 		for _, analyze := range []bool{false, true} {
 			name := "advance"

@@ -15,7 +15,7 @@ import (
 // matched twice per refresh, whose streak restarted at every refresh.
 func TestTwoNearbyChangesConfirm(t *testing.T) {
 	cfg := testConfig().withDefaults()
-	det := newDetector(cfg, testWorld(t, 1, 4242), 3, 1)
+	det := testDetector(t, cfg, testWorld(t, 1, 4242), 3, 1)
 	bs := det.blocks[0]
 	day := int64(netsim.SecondsPerDay)
 	point := cfg.Core.AnalysisStart + 30*day

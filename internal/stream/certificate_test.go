@@ -54,7 +54,7 @@ func TestCertifiedBeliefMatchesKernel(t *testing.T) {
 	for _, every := range []int{1, 7} {
 		cfg := testConfig()
 		cfg.RefreshEvery = every
-		det := newDetector(cfg.withDefaults(), world, f.Observers(), 1)
+		det := testDetector(t, cfg, world, f.Observers(), 1)
 		sc := core.NewScratch()
 		for _, r := range rounds {
 			before := det.refreshes

@@ -54,6 +54,7 @@ func isNoSpace(err error) bool { return errors.Is(err, syscall.ENOSPC) }
 // methods are safe for concurrent use.
 type Daemon struct {
 	cfg      Config
+	rc       core.Resolved // cfg.Core, resolved once by Open
 	world    []*dataset.WorldBlock
 	obsCount int
 	sig      []byte
@@ -119,6 +120,10 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	rc, err := cfg.Core.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	if len(world) == 0 {
 		return nil, fmt.Errorf("stream: empty world")
 	}
@@ -130,6 +135,7 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 	}
 	d := &Daemon{
 		cfg:            cfg,
+		rc:             rc,
 		world:          world,
 		obsCount:       obsCount,
 		sig:            core.RunSignature(cfg.Core, world),
@@ -231,7 +237,7 @@ func (d *Daemon) frameRounds(df decodedFrame) ([]*Round, error) {
 
 // newDetector builds the fresh detector a replay starts from.
 func (d *Daemon) newDetector() *detector {
-	det := newDetector(d.cfg, d.world, d.obsCount, d.lanes)
+	det := newDetector(d.cfg, d.rc, d.world, d.obsCount, d.lanes)
 	det.hookBlock = d.hookBlock
 	return det
 }

@@ -82,13 +82,14 @@ type blockState struct {
 
 // detector evolves a whole world's streaming state round by round.
 type detector struct {
-	cfg       Config // defaulted + validated
+	cfg       Config        // defaulted + validated
+	rc        core.Resolved // cfg.Core
 	obsCount  int
 	blocks    []*blockState
 	lanes     []*core.Scratch // the refresh's parallel phase, one scratch per lane
 	errs      []error         // per block: the current refresh's failure, nil on success
 	hourSeen  [][4]uint64     // pushHours' scratch
-	integ     *integrityAgg   // nil unless Core.Integrity
+	integ     *integrityAgg   // nil unless the firewall is on
 	processed int64           // rounds fully processed
 	refreshes int64
 	blockErrs int64
@@ -142,9 +143,10 @@ func (g *integrityAgg) gate(b int, bs *blockState, perObs [][]probe.Record, star
 // newDetector builds a detector whose refreshes run on min(lanes,
 // len(world)) lanes, at least one. The daemon passes GOMAXPROCS; the lane
 // count never changes what the detector computes, only how fast.
-func newDetector(cfg Config, world []*dataset.WorldBlock, obsCount, lanes int) *detector {
+func newDetector(cfg Config, rc core.Resolved, world []*dataset.WorldBlock, obsCount, lanes int) *detector {
 	d := &detector{
 		cfg:      cfg,
+		rc:       rc,
 		obsCount: obsCount,
 		lanes:    make([]*core.Scratch, max(1, min(lanes, len(world)))),
 		errs:     make([]error, len(world)),
@@ -152,7 +154,7 @@ func newDetector(cfg Config, world []*dataset.WorldBlock, obsCount, lanes int) *
 	for i := range d.lanes {
 		d.lanes[i] = core.NewScratch()
 	}
-	if cfg.Core.Integrity {
+	if rc.Config().Integrity {
 		d.integ = &integrityAgg{
 			matches:     make([]int64, obsCount),
 			compares:    make([]int64, obsCount),
@@ -170,7 +172,7 @@ func newDetector(cfg Config, world []*dataset.WorldBlock, obsCount, lanes int) *
 			fed:     make([]int, obsCount),
 			sliding: dsp.NewSlidingDiurnal(slidingWindowHours, bins, 0),
 		}
-		bs.front = cfg.Core.NewFrontState(bs.eb)
+		bs.front = rc.NewFrontState(bs.eb)
 		bs.window.Eps = cfg.TrendEps
 		bs.window.Lag = cfg.SettleLag
 		d.blocks = append(d.blocks, bs)
@@ -269,11 +271,13 @@ func (d *detector) pushHours(bs *blockState, start, end int64, perObs [][]probe.
 // numbers. The events, their numbering and every counter are therefore
 // the same whatever the lane count or the goroutine schedule.
 func (d *detector) refresh(frontier, seq int64, final bool) ([]Event, error) {
-	c := d.cfg.Core
+	c := d.rc.Config()
 	// Gate: classification needs the full baseline and STL needs two
-	// weekly periods; refreshing earlier would classify on garbage.
+	// weekly periods; refreshing earlier would classify on garbage. A
+	// baseline that ends with the analysis window, as an unset one
+	// resolves to, does not gate: the daemon would refresh only at the end.
 	if !final {
-		if c.BaselineEnd != 0 && frontier < c.BaselineEnd {
+		if c.BaselineEnd != c.AnalysisEnd && frontier < c.BaselineEnd {
 			return nil, nil
 		}
 		if frontier-c.AnalysisStart < 2*7*netsim.SecondsPerDay {
@@ -383,13 +387,14 @@ func (d *detector) observeEvidence(bs *blockState, a *core.BlockAnalysis, seq in
 	if a.Trend == nil {
 		return
 	}
+	c := d.rc.Config()
 	settled := bs.window.Observe(a.Trend)
 	if !bs.frozen {
 		// Freeze normalization on the first refresh (which the refresh
 		// gate already holds past the baseline window): the batch z-score
 		// over a growing window is a moving target, so the online
 		// detector normalizes against fixed baseline statistics instead.
-		n := int((d.cfg.Core.BaselineEnd - d.cfg.Core.AnalysisStart) / d.cfg.Core.SampleStep)
+		n := int((c.BaselineEnd - c.AnalysisStart) / c.SampleStep)
 		if n <= 0 || n > len(a.Trend) {
 			n = len(a.Trend)
 		}
@@ -412,7 +417,7 @@ func (d *detector) observeEvidence(bs *blockState, a *core.BlockAnalysis, seq in
 		// later move counts in addresses. The batch z-score instead gives a
 		// zero-spread trend all zeros (stats.ZScore).
 		bs.normMean, bs.normStd, bs.frozen = mean, std, true
-		o, err := changepoint.NewOnline(d.cfg.Core.CUSUM)
+		o, err := changepoint.NewOnline(c.CUSUM)
 		if err == nil {
 			bs.online = o
 		}
@@ -425,7 +430,7 @@ func (d *detector) observeEvidence(bs *blockState, a *core.BlockAnalysis, seq in
 			cs := bs.online.Changes()
 			last := cs[len(cs)-1]
 			bs.evidence = append(bs.evidence, evidencePoint{
-				t:   d.cfg.Core.AnalysisStart + int64(last.Alarm)*d.cfg.Core.SampleStep,
+				t:   c.AnalysisStart + int64(last.Alarm)*c.SampleStep,
 				seq: seq,
 				dir: last.Dir,
 			})
@@ -480,6 +485,7 @@ func (d *detector) trackCandidates(bs *blockState, a *core.BlockAnalysis, seq in
 // batch verdict.
 func (d *detector) emit(b int, bs *blockState, frontier, seq int64, final bool) []Event {
 	day := int64(netsim.SecondsPerDay)
+	c := d.rc.Config()
 	var out []Event
 	for _, cand := range bs.cands {
 		if cand.emitted {
@@ -490,10 +496,10 @@ func (d *detector) emit(b int, bs *blockState, frontier, seq int64, final bool) 
 			continue
 		}
 		horizon := cand.change.End
-		if h := cand.change.Alarm + int64(d.cfg.Core.OutageGapDays)*day; h > horizon {
+		if h := cand.change.Alarm + int64(c.OutageGapDays)*day; h > horizon {
 			horizon = h
 		}
-		horizon += int64(d.cfg.Core.BoundaryGuardDays+1) * day
+		horizon += int64(c.BoundaryGuardDays+1) * day
 		if cand.eligibleSeq < 0 && frontier >= horizon {
 			cand.eligibleSeq = seq
 		}

@@ -31,7 +31,7 @@ func TestFlatBaselineEvidence(t *testing.T) {
 		for j := range trend {
 			trend[j] = level - step*float64(min(max(j-baseline+1, 0), ramp))
 		}
-		d := &detector{cfg: cfg}
+		d := &detector{cfg: cfg, rc: resolveCore(t, cfg.Core)}
 		bs := &blockState{}
 		bs.window.Lag = -1
 		a := &core.BlockAnalysis{Trend: trend}
@@ -54,5 +54,40 @@ func TestFlatBaselineEvidence(t *testing.T) {
 	if first := int64(baseline * 3600); want[0].t < first+3*3600 {
 		t.Errorf("the fall alarmed %d samples into it, want the fourth: it was scaled as more than %v sigma a sample",
 			(want[0].t-first)/3600+1, step)
+	}
+}
+
+// TestOnlineCUSUMArmedByDefault: under plain DefaultConfig the online
+// CUSUM runs after the baseline, so some events carry streaming evidence.
+// Spelling the resolved CUSUM out by hand changes nothing else: the
+// events, their evidence aside, and the fingerprint are the same.
+func TestOnlineCUSUMArmedByDefault(t *testing.T) {
+	world := testWorld(t, 12, 3)
+	cfg := testConfig()
+	f := testFeeder(t, testEngine(3), world, cfg)
+	evs, fp := runStream(t, t.TempDir(), world, f, cfg)
+	withEvidence := 0
+	for _, ev := range evs {
+		if ev.EvidenceSeq >= 0 {
+			withEvidence++
+		}
+	}
+	t.Logf("%d events, %d with online evidence", len(evs), withEvidence)
+	if withEvidence == 0 {
+		t.Errorf("none of %d events has online evidence: the online CUSUM never ran", len(evs))
+	}
+	hand := cfg
+	hand.Core.CUSUM = changepoint.Opts{Threshold: 1, Drift: 0.004}
+	handEvs, handFP := runStream(t, t.TempDir(), world, f, hand)
+	for _, list := range [][]Event{evs, handEvs} {
+		for i := range list {
+			list[i].EvidenceSeq = 0
+		}
+	}
+	if !reflect.DeepEqual(evs, handEvs) {
+		t.Errorf("CUSUM set by hand: %d events, by default %d, and they differ beyond their evidence", len(handEvs), len(evs))
+	}
+	if handFP != fp {
+		t.Errorf("CUSUM set by hand: fingerprint %.16s, by default %.16s", handFP, fp)
 	}
 }

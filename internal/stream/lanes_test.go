@@ -31,7 +31,7 @@ type detectorRun struct {
 // given lane count and per-block hook.
 func runDetector(t *testing.T, world []*dataset.WorldBlock, f *Feeder, cfg Config, lanes int, hook func(b int)) detectorRun {
 	t.Helper()
-	det := newDetector(cfg.withDefaults(), world, f.Observers(), lanes)
+	det := testDetector(t, cfg, world, f.Observers(), lanes)
 	det.hookBlock = hook
 	var run detectorRun
 	for seq := int64(0); seq < f.Rounds(); seq++ {

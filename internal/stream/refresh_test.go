@@ -37,7 +37,7 @@ func feederRounds(t *testing.T, f *Feeder) []*Round {
 // front half was rebuilt.
 func refreshIdentity(t *testing.T, world []*dataset.WorldBlock, obs int, rounds []*Round, cfg Config) (compared, rebuilds int) {
 	t.Helper()
-	det := newDetector(cfg.withDefaults(), world, obs, 1)
+	det := testDetector(t, cfg, world, obs, 1)
 	sc := core.NewScratch()
 	for _, r := range rounds {
 		before := det.refreshes

@@ -42,9 +42,10 @@ import (
 
 // Config parameterizes a streaming daemon. Zero fields take defaults.
 type Config struct {
-	// Core is the shared analysis configuration; AnalysisStart/End bound
-	// the stream and BaselineEnd gates the first refresh (classification
-	// needs a complete baseline).
+	// Core is the shared analysis configuration, which Open resolves (an
+	// invalid one fails Open). AnalysisStart/End bound the stream, and a
+	// baseline that ends before the analysis window does gates the first
+	// refresh (classification needs a complete baseline).
 	Core core.Config
 	// RoundLen is the seconds of data one ingested round covers (default
 	// one day). It must be a multiple of 3600 so rounds tile the hourly

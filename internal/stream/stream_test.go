@@ -8,9 +8,11 @@ package stream
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/diurnalnet/diurnal/internal/changepoint"
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/events"
@@ -37,6 +39,22 @@ func testConfig() Config {
 		RefreshEvery: 7, // weekly refresh keeps the kernel cost testable
 		MaxQueue:     8,
 	}
+}
+
+// resolveCore is cc.Resolve for a test config that must be valid.
+func resolveCore(t testing.TB, cc core.Config) core.Resolved {
+	t.Helper()
+	rc, err := cc.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc
+}
+
+// testDetector is the detector Open builds under cfg, on lanes lanes.
+func testDetector(t testing.TB, cfg Config, world []*dataset.WorldBlock, obs, lanes int) *detector {
+	t.Helper()
+	return newDetector(cfg.withDefaults(), resolveCore(t, cfg.Core), world, obs, lanes)
 }
 
 func testWorld(t testing.TB, blocks int, seed uint64) []*dataset.WorldBlock {
@@ -352,6 +370,69 @@ func TestDaemonRejectsMalformedRounds(t *testing.T) {
 	}
 	if got := d.NextIngestSeq(); got != 1 {
 		t.Errorf("next seq %d after one admission", got)
+	}
+}
+
+// TestDaemonResolvesCore: Open resolves the analysis config once. An
+// invalid one fails Open rather than every refresh, and one that leaves
+// defaulted fields zero runs exactly as DefaultConfig, which spells them
+// out, does.
+func TestDaemonResolvesCore(t *testing.T) {
+	world := testWorld(t, 4, 4242)
+	for name, broken := range map[string]func(*core.Config){
+		"empty analysis window": func(c *core.Config) { c.AnalysisEnd = c.AnalysisStart },
+		"sample step 7000":      func(c *core.Config) { c.SampleStep = 7000 },
+	} {
+		cfg := testConfig()
+		broken(&cfg.Core)
+		if d, err := Open(t.TempDir(), world, 3, cfg); err == nil {
+			d.Close()
+			t.Errorf("%s: Open succeeded", name)
+		}
+	}
+
+	cfg := testConfig()
+	f := testFeeder(t, testEngine(5), world, cfg)
+	run := func(cfg Config) ([]Event, string, Stats) {
+		d, err := Open(t.TempDir(), world, f.Observers(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		d.Start()
+		ctx := context.Background()
+		if err := f.Feed(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := res.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Events(), fp, d.Stats()
+	}
+	wantEvs, wantFP, _ := run(cfg)
+	if len(wantEvs) == 0 {
+		t.Fatal("DefaultConfig emitted no events; the comparison would prove nothing")
+	}
+	zero := cfg
+	zero.Core.SampleStep, zero.Core.OutageGapDays, zero.Core.BoundaryGuardDays = 0, 0, 0
+	zero.Core.CUSUM = changepoint.Opts{}
+	evs, fp, st := run(zero)
+	if st.BlockErrors != 0 {
+		t.Errorf("zero fields: %d block errors", st.BlockErrors)
+	}
+	if !reflect.DeepEqual(evs, wantEvs) {
+		t.Errorf("zero fields: %d events, DefaultConfig %d, and they differ", len(evs), len(wantEvs))
+	}
+	if fp != wantFP {
+		t.Errorf("zero fields: fingerprint %.16s, DefaultConfig %.16s", fp, wantFP)
 	}
 }
 
