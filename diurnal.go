@@ -506,7 +506,8 @@ func AnalyzeBlock(cfg Config, eng *Engine, b *Block) (*BlockAnalysis, error) {
 }
 
 // AnalyzeRecords enters the pipeline with raw per-observer probe records
-// and the block's ever-active target list.
+// and the block's ever-active target list. perObserver is not modified:
+// sanitizing and 1-loss repair work on the pipeline's own buffers.
 func AnalyzeRecords(cfg Config, perObserver [][]Record, everActive []int) (*BlockAnalysis, error) {
 	return cfg.AnalyzeRecords(perObserver, everActive)
 }

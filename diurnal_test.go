@@ -270,3 +270,43 @@ func TestReportPeakDayFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeRecordsLeavesInputUntouched: the record-level entry point
+// reads the caller's streams and never writes them, even where its answer
+// differs from them — a 101 that 1-loss repair turns into 111, and a late
+// record that sanitizing sorts into place. With sanitizing off the stream
+// is walked as it is, late record and all, so the repair has no copy to
+// land in.
+func TestAnalyzeRecordsLeavesInputUntouched(t *testing.T) {
+	start, end := Date(2020, 1, 1), Date(2020, 2, 1)
+	var stream []Record
+	for r := int64(0); r < 3000; r++ {
+		stream = append(stream, Record{T: start + r*netsim.RoundSeconds, Addr: 1, Up: r%3 != 1})
+	}
+	stream = append(stream, Record{T: start + 5*netsim.RoundSeconds, Addr: 2, Up: true})
+	for _, opt := range []struct{ integrity, sanitize bool }{{false, true}, {true, true}, {false, false}} {
+		perObserver := [][]Record{stream}
+		records := append([]Record(nil), stream...)
+		cfg := DefaultConfig(start, end)
+		cfg.Integrity, cfg.SanitizeRecords = opt.integrity, opt.sanitize
+		a, err := AnalyzeRecords(cfg, perObserver, []int{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Series.Len() == 0 {
+			t.Fatalf("%+v: no series: the records went unanalyzed", opt)
+		}
+		if got := perObserver[0]; len(got) != len(stream) || cap(got) != cap(stream) || &got[0] != &stream[0] {
+			t.Fatalf("%+v: the stream's slice header was replaced", opt)
+		}
+		changed := 0
+		for i := range records {
+			if stream[i] != records[i] {
+				changed++
+			}
+		}
+		if changed > 0 {
+			t.Fatalf("%+v: %d of %d records changed", opt, changed, len(records))
+		}
+	}
+}

@@ -236,6 +236,7 @@ func (a *BlockAnalysis) DownChanges() []Change {
 // AnalyzeRecords runs the full per-block pipeline over per-observer probe
 // streams. eb is the block's target list E(b). Blocks that are not
 // change-sensitive still get a Series and Class but no trend analysis.
+// perObs is not modified: neither its slices nor their records.
 func (cfg Config) AnalyzeRecords(perObs [][]probe.Record, eb []int) (*BlockAnalysis, error) {
 	return cfg.AnalyzeCollectedScratch(perObs, eb, nil)
 }
@@ -248,8 +249,7 @@ func (cfg Config) AnalyzeRecords(perObs [][]probe.Record, eb []int) (*BlockAnaly
 // (AnalyzeBlockScratch) collects then calls here. The streaming daemon
 // (internal/stream) advances a FrontState by each refresh's new records
 // instead, which gives what this gives over the whole history; this is its
-// oracle. perObs is mutated in place (sanitize/repair); sc may be nil for
-// a one-shot call.
+// oracle. perObs is not modified; sc may be nil for a one-shot call.
 func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
 	r, err := cfg.Resolve()
 	if err != nil {
@@ -258,14 +258,14 @@ func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc 
 	if sc == nil {
 		sc = NewScratch()
 	}
-	return r.analyzeCollected(perObs, eb, sc, false)
+	return r.analyzeCollected(perObs, eb, sc)
 }
 
 // Reconstruct runs the kernel's record-level half alone (see frontHalf), as
 // cfg's SanitizeRecords, Repair and Integrity ask, for callers that stop at
 // the series, such as the paper's reconstruction tables. It returns the
 // series and the outages that would mask its changes, or an error when eb
-// is empty. perObs is mutated in place; sc may be nil for a one-shot call.
+// is empty. perObs is not modified; sc may be nil for a one-shot call.
 func (cfg Config) Reconstruct(perObs [][]probe.Record, eb []int, sc *Scratch) (*reconstruct.Series, []outage.Interval, error) {
 	r, err := cfg.Resolve()
 	if err != nil {
@@ -274,20 +274,16 @@ func (cfg Config) Reconstruct(perObs [][]probe.Record, eb []int, sc *Scratch) (*
 	if sc == nil {
 		sc = NewScratch()
 	}
-	series, outages, _, err := r.frontHalf(perObs, eb, sc, false)
+	series, outages, _, err := r.frontHalf(perObs, eb, sc)
 	return series, outages, err
 }
 
-// analyzeCollected is the kernel behind AnalyzeCollectedScratch, with one
-// internal knob: trustClean skips the sanitize pre-scan for streams a
-// clean-by-construction prober produced (see cleanProber). Sanitize is a
-// no-op on clean streams, so the skip is bit-identical; only the pre-scan
-// cost goes away.
-func (r Resolved) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*BlockAnalysis, error) {
+// analyzeCollected is the kernel behind AnalyzeCollectedScratch.
+func (r Resolved) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
 	if len(eb) == 0 {
 		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
-	series, outages, san, err := r.frontHalf(perObs, eb, sc, trustClean)
+	series, outages, san, err := r.frontHalf(perObs, eb, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -296,16 +292,15 @@ func (r Resolved) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratc
 
 // frontHalf is the record-level half of the kernel: steps 1–3 of the
 // paper's Table 1 (sanitize, combine the observers, reconstruct with
-// 1-loss repair) plus the §2.6 outage cross-check. After sanitization it
-// takes two passes over the records, where the staged composition
-// Repair1Loss → MergeInto → ResolveContested → Reconstruct +
-// outage.FromRecords (which it equals bit for bit, and which stays the
-// test oracle) takes six to eight and materialises the merged stream. Pass
-// 1, per observer stream, repairs and tallies; pass 2 walks the streams in
-// merged order and hands each run to the address-state accumulator and the
-// belief detector while it is in cache. Streams that were sanitized, or
-// that the caller vouches for (trustClean), already hold one record per
-// (time, address), so their walk need not scan runs for duplicates.
+// 1-loss repair) plus the §2.6 outage cross-check. It reads perObs and
+// never writes it. Where the staged composition Sanitize → Repair1Loss →
+// MergeInto → ResolveContested → Reconstruct + outage.FromRecords (which it
+// equals bit for bit, and which stays the test oracle) rewrites the streams
+// and takes six to eight passes, it takes two. Pass 1 (Cursor.Load), per
+// stream, sanitizes a dirty stream into the Scratch, repairs as flips and
+// tallies; pass 2 walks the streams in merged order and hands each run to
+// the address-state accumulator and the belief detector while it is in
+// cache.
 //
 // The belief's availability is the reply rate of the merged stream, and
 // the detector needs it before its first record. Pass 1's tally is that
@@ -313,14 +308,15 @@ func (r Resolved) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratc
 // cross-observer timestamp ties under Integrity, duplicate floods with
 // sanitizing off, never on clean data — the belief alone walks again with
 // the corrected rate.
-func (r Resolved) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch, trustClean bool) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
-	var san reconstruct.SanitizeReport
-	if r.c.SanitizeRecords && !trustClean {
-		san = r.sanitizeStreams(perObs)
+func (r Resolved) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
+	var sanitize *reconstruct.Sanitizer
+	if r.c.SanitizeRecords {
+		lo, hi := r.sanitizeWindow()
+		sanitize = &reconstruct.Sanitizer{Start: lo, End: hi}
 	}
 	cur := &sc.cursor
-	cur.Dedup, cur.Resolve = !(trustClean || r.c.SanitizeRecords), r.c.Integrity
-	records, responsive, runs := cur.Load(perObs, r.c.Repair)
+	cur.Dedup, cur.Resolve = !r.c.SanitizeRecords, r.c.Integrity
+	records, responsive, runs, san := cur.Load(perObs, r.c.Repair, sanitize)
 	if err := sc.acc.Reset(eb, runs); err != nil {
 		return nil, nil, san, err
 	}
@@ -341,7 +337,7 @@ func (r Resolved) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch, trus
 		if responsive > droppedUp {
 			det, _ = outage.NewDetector(float64(responsive-droppedUp)/float64(records-dropped), outage.Params{})
 		}
-		cur.Reset(perObs)
+		cur.Rewind()
 		walk(cur, nil, det)
 	}
 	return sc.acc.Finish(), r.maskingOutages(det), san, nil
@@ -360,22 +356,8 @@ func walk(cur *reconstruct.Cursor, acc *reconstruct.Accumulator, det *outage.Det
 	}
 }
 
-// sanitizeStreams window-clips, re-sorts, and de-duplicates each observer
-// stream in place, merging the per-stream reports. The window spans the
-// analysis and baseline windows so legitimate baseline records survive.
-func (r Resolved) sanitizeStreams(perObs [][]probe.Record) reconstruct.SanitizeReport {
-	lo, hi := r.sanitizeWindow()
-	var total reconstruct.SanitizeReport
-	for i := range perObs {
-		var rep reconstruct.SanitizeReport
-		perObs[i], rep = reconstruct.Sanitize(perObs[i], lo, hi)
-		total.Merge(rep)
-	}
-	return total
-}
-
 // sanitizeWindow is the window sanitizing keeps records in: the analysis
-// and baseline windows together.
+// and baseline windows together, so legitimate baseline records survive.
 func (r Resolved) sanitizeWindow() (lo, hi int64) {
 	lo, hi = r.c.AnalysisStart, r.c.AnalysisEnd
 	if r.c.BaselineStart != 0 && r.c.BaselineStart < lo {
@@ -714,21 +696,5 @@ func (r Resolved) collectAndAnalyze(ctx context.Context, eng Prober, b *netsim.B
 	if err != nil {
 		return nil, err
 	}
-	return r.analyzeCollected(sc.perObs, eb, sc, proberEmitsClean(eng))
-}
-
-// cleanProber is an optional Prober refinement: a prober whose streams
-// satisfy reconstruct.Sanitize's invariants by construction (in-window,
-// time-ordered, no repeated (time, address) pairs per round).
-// *probe.Engine implements it; the pipeline's settle layers, which only
-// truncate streams, forward it (see layerBase), while fault injectors and
-// replay readers — whose streams may be corrupt — do not.
-type cleanProber interface {
-	EmitsSanitizedRecords() bool
-}
-
-// proberEmitsClean reports whether eng guarantees sanitized streams.
-func proberEmitsClean(eng Prober) bool {
-	cp, ok := eng.(cleanProber)
-	return ok && cp.EmitsSanitizedRecords()
+	return r.analyzeCollected(sc.perObs, eb, sc)
 }

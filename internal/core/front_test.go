@@ -14,12 +14,14 @@ import (
 	"github.com/diurnalnet/diurnal/internal/reconstruct"
 )
 
-// The front half of the kernel — repair, merge, contest resolution,
-// reconstruction, outage belief — is two passes that never materialise the
-// merged stream. The tests here hold it, bit for bit, to the staged
-// composition of the exported stages it replaced (reference_test.go). They
-// are the only guard the belief has: the benchmark's staged replica
-// compares Series, Class and the trend columns but not the outages.
+// The front half of the kernel — sanitize, repair, merge, contest
+// resolution, reconstruction, outage belief — is two passes that never
+// materialise the merged stream and never write the caller's streams. The
+// tests here hold it, bit for bit, to the staged composition of the
+// exported stages it replaced (reference_test.go), which rewrites its
+// input, and hold it to leaving its own input as it was. They are the only
+// guard the belief has: the benchmark's staged replica compares Series,
+// Class and the trend columns but not the outages.
 
 const frontDays = 21
 
@@ -122,17 +124,19 @@ func frontCases(t testing.TB) []frontCase {
 	return cases
 }
 
-// streamsClean reports whether every stream already satisfies Sanitize's
-// invariants — the condition under which a prober may call itself clean
-// and the kernel be told to trust it.
-func streamsClean(cfg Config, perObs [][]probe.Record) bool {
-	for _, s := range cloneStreams(perObs) {
-		out, rep := reconstruct.Sanitize(s, cfg.AnalysisStart, cfg.AnalysisEnd)
-		if rep != (reconstruct.SanitizeReport{}) || len(out) != len(s) {
-			return false
+// unchanged reports where the kernel wrote its input: streams against
+// headers, a copy of their slice headers, and records, a deep copy, both
+// taken before the call.
+func unchanged(streams, headers, records [][]probe.Record) error {
+	for i, s := range streams {
+		if h := headers[i]; len(s) != len(h) || cap(s) != cap(h) || len(s) > 0 && &s[0] != &h[0] {
+			return fmt.Errorf("stream %d's slice header was replaced", i)
+		}
+		if !slices.Equal(s, records[i]) {
+			return fmt.Errorf("stream %d's records were written", i)
 		}
 	}
-	return true
+	return nil
 }
 
 func bitsEqual(a, b []float64) bool {
@@ -203,7 +207,8 @@ func mustResolve(cfg Config) Resolved {
 // TestFrontHalfMatchesStaged is the differential oracle. Each of the two
 // workers owns one Scratch for all its cases, as a pipeline worker does, so
 // under the race detector a cursor or accumulator shared between workers
-// would show.
+// would show. The kernel gets each case's own streams, which it must leave
+// as they were; the oracle gets a copy.
 func TestFrontHalfMatchesStaged(t *testing.T) {
 	base := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay)
 	cases := frontCases(t)
@@ -217,43 +222,42 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 			sc, ref := NewScratch(), NewScratch()
 			for ci := w; ci < len(cases); ci += workers {
 				fc := cases[ci]
-				clean := streamsClean(base, fc.perObs)
+				headers, records := slices.Clone(fc.perObs), cloneStreams(fc.perObs)
 				for _, cfg := range frontConfigs(base) {
-					for _, trust := range []bool{false, true} {
-						if trust && !clean {
-							continue
-						}
-						name := fmt.Sprintf("%s repair=%v sanitize=%v integrity=%v trust=%v",
-							fc.name, cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity, trust)
-						want, err := cfg.referenceAnalyzeCollected(cloneStreams(fc.perObs), fc.eb, ref, trust)
-						if err != nil {
-							t.Errorf("%s: oracle: %v", name, err)
-							continue
-						}
-						got, err := cfg.analyzeCollected(cloneStreams(fc.perObs), fc.eb, sc, trust)
-						if err != nil {
-							t.Errorf("%s: %v", name, err)
-							continue
-						}
-						if err := sameAnalysis(got, want); err != nil {
-							t.Errorf("%s: %v", name, err)
-						}
-						if !trust {
-							// The exported front half, as the paper's tables run it.
-							series, outages, err := cfg.c.Reconstruct(cloneStreams(fc.perObs), fc.eb, sc)
-							if err != nil {
-								t.Errorf("%s: Reconstruct: %v", name, err)
-							} else if err := sameFront(front{series, outages, want.Sanitize}, front{want.Series, want.Outages, want.Sanitize}); err != nil {
-								t.Errorf("%s: Reconstruct: %v", name, err)
-							}
-						}
-						tallies[w].compared++
-						if dropped, _ := sc.cursor.Dropped(); dropped > 0 {
-							tallies[w].rewalked++
-						}
-						if len(got.Outages) > 0 {
-							tallies[w].withOutages++
-						}
+					name := fmt.Sprintf("%s repair=%v sanitize=%v integrity=%v",
+						fc.name, cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity)
+					want, err := cfg.referenceAnalyzeCollected(cloneStreams(fc.perObs), fc.eb, ref)
+					if err != nil {
+						t.Errorf("%s: oracle: %v", name, err)
+						continue
+					}
+					got, err := cfg.analyzeCollected(fc.perObs, fc.eb, sc)
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+						continue
+					}
+					if err := sameAnalysis(got, want); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					if err := unchanged(fc.perObs, headers, records); err != nil {
+						t.Errorf("%s: analyzeCollected: %v", name, err)
+					}
+					// The exported front half, as the paper's tables run it.
+					series, outages, err := cfg.c.Reconstruct(fc.perObs, fc.eb, sc)
+					if err != nil {
+						t.Errorf("%s: Reconstruct: %v", name, err)
+					} else if err := sameFront(front{series, outages, want.Sanitize}, front{want.Series, want.Outages, want.Sanitize}); err != nil {
+						t.Errorf("%s: Reconstruct: %v", name, err)
+					}
+					if err := unchanged(fc.perObs, headers, records); err != nil {
+						t.Errorf("%s: Reconstruct: %v", name, err)
+					}
+					tallies[w].compared++
+					if dropped, _ := sc.cursor.Dropped(); dropped > 0 {
+						tallies[w].rewalked++
+					}
+					if len(got.Outages) > 0 {
+						tallies[w].withOutages++
 					}
 				}
 			}
@@ -281,17 +285,18 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 // TestFrontHalfRewalkCorrectsAvailability pins the one trap on the
 // hand-built contest, where it is large: the merged stream is a quarter
 // shorter than the streams' sum, so a belief run on pass 1's tally would
-// use the wrong availability.
+// use the wrong availability. Sanitizing is off so that the contest's
+// last 250 rounds, past the window's end, are walked too.
 func TestFrontHalfRewalkCorrectsAvailability(t *testing.T) {
 	c := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay)
-	c.Integrity = true
+	c.Integrity, c.SanitizeRecords = true, false
 	cfg := mustResolve(c)
 	cases := frontCases(t)
 	fc := cases[len(cases)-1]
 	sc := NewScratch()
 	var got, want front
 	var err error
-	got.series, got.outages, got.san, err = cfg.frontHalf(cloneStreams(fc.perObs), fc.eb, sc, true)
+	got.series, got.outages, got.san, err = cfg.frontHalf(fc.perObs, fc.eb, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +304,7 @@ func TestFrontHalfRewalkCorrectsAvailability(t *testing.T) {
 	if dropped != 3000 {
 		t.Fatalf("walk dropped %d records (%d responsive), want one per round = 3000", dropped, droppedUp)
 	}
-	want.series, want.outages, want.san, err = cfg.referenceFrontHalf(cloneStreams(fc.perObs), fc.eb, nil, true)
+	want.series, want.outages, want.san, err = cfg.referenceFrontHalf(cloneStreams(fc.perObs), fc.eb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +319,10 @@ func TestFrontHalfRewalkCorrectsAvailability(t *testing.T) {
 // fuzzFront decodes fuzz bytes into a block: flags, observer count, target
 // list, then records three bytes apiece with arbitrary stream, timestamp,
 // address and response.
-func fuzzFront(data []byte) (r Resolved, perObs [][]probe.Record, eb []int, trust bool) {
+func fuzzFront(data []byte) (r Resolved, perObs [][]probe.Record, eb []int) {
 	cfg := DefaultConfig(0, 40*netsim.SecondsPerDay)
 	if len(data) < 3 {
-		return mustResolve(cfg), nil, []int{1}, false
+		return mustResolve(cfg), nil, []int{1}
 	}
 	flags, k, targets := data[0], 1+int(data[1]%9), int(data[2])
 	cfg.Repair, cfg.SanitizeRecords, cfg.Integrity = flags&1 != 0, flags&2 != 0, flags&4 != 0
@@ -357,11 +362,12 @@ func fuzzFront(data []byte) (r Resolved, perObs [][]probe.Record, eb []int, trus
 		}
 		perObs[s] = append(perObs[s], probe.Record{T: tm, Addr: rest[1] % 10, Up: rest[2]&1 != 0})
 	}
-	return mustResolve(cfg), perObs, eb, flags&32 != 0 && streamsClean(cfg, perObs)
+	return mustResolve(cfg), perObs, eb
 }
 
-// FuzzFrontHalf: whatever the records, the two-pass walk neither panics nor
-// departs from the staged composition. Only the record-level half runs:
+// FuzzFrontHalf: whatever the records, the two-pass walk neither panics,
+// nor departs from the staged composition, nor writes the streams it was
+// given. Only the record-level half runs:
 // the series-level half is a function of what is compared here, and with
 // sanitizing off it is not safe on arbitrary timestamps
 // (blockclass.bestWindow steps day by day from the series' first day to
@@ -381,24 +387,28 @@ func FuzzFrontHalf(f *testing.F) {
 		flood[i] &^= 15
 	}
 	f.Add(flood)
-	f.Add(append([]byte{1 | 2 | 4 | 32, 8, 200}, seed[3:]...))
+	f.Add(append([]byte{1 | 2 | 4, 8, 200}, seed[3:]...))
 	sc := NewScratch()
 	var merged []probe.Record
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, perObs, eb, trust := fuzzFront(data)
+		cfg, perObs, eb := fuzzFront(data)
+		headers, records := slices.Clone(perObs), cloneStreams(perObs)
 		var got, want front
 		var err error
-		want.series, want.outages, want.san, err = cfg.referenceFrontHalf(cloneStreams(perObs), eb, &merged, trust)
+		want.series, want.outages, want.san, err = cfg.referenceFrontHalf(cloneStreams(perObs), eb, &merged)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		got.series, got.outages, got.san, err = cfg.frontHalf(cloneStreams(perObs), eb, sc, trust)
+		got.series, got.outages, got.san, err = cfg.frontHalf(perObs, eb, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sameFront(got, want); err != nil {
-			t.Fatalf("repair=%v sanitize=%v integrity=%v trust=%v, %d streams: %v",
-				cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity, trust, len(perObs), err)
+			t.Fatalf("repair=%v sanitize=%v integrity=%v, %d streams: %v",
+				cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity, len(perObs), err)
+		}
+		if err := unchanged(perObs, headers, records); err != nil {
+			t.Fatalf("repair=%v sanitize=%v integrity=%v: %v", cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity, err)
 		}
 	})
 }
@@ -431,7 +441,7 @@ func benchBlocks(tb testing.TB) []frontCase {
 
 // BenchmarkFrontHalf reads the walk against the staged composition it
 // replaced in one run, on a warm Scratch, over fresh copies of the records
-// (repair edits them) made outside the timer:
+// (the staged composition edits them) made outside the timer:
 //
 //	go test -run '^$' -bench FrontHalf -benchtime 200x ./internal/core
 func BenchmarkFrontHalf(b *testing.B) {
@@ -450,11 +460,11 @@ func BenchmarkFrontHalf(b *testing.B) {
 			run  func() (*reconstruct.Series, error)
 		}{
 			{"walk", func() (*reconstruct.Series, error) {
-				s, _, _, err := cfg.frontHalf(input, fc.eb, sc, true)
+				s, _, _, err := cfg.frontHalf(input, fc.eb, sc)
 				return s, err
 			}},
 			{"staged", func() (*reconstruct.Series, error) {
-				s, _, _, err := cfg.referenceFrontHalf(input, fc.eb, &merged, true)
+				s, _, _, err := cfg.referenceFrontHalf(input, fc.eb, &merged)
 				return s, err
 			}},
 		} {
@@ -501,7 +511,7 @@ func TestFrontHalfAllocations(t *testing.T) {
 		sc := NewScratch()
 		var kept int
 		run := func() {
-			_, outages, _, err := cfg.frontHalf(input, fc.eb, sc, true)
+			_, outages, _, err := cfg.frontHalf(input, fc.eb, sc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,7 +62,8 @@ type FrontState struct {
 	acc   reconstruct.Accumulator
 	trace outage.Trace
 	cur   reconstruct.Cursor
-	views [][]probe.Record // the cursor's input, one subslice per stream
+	views [][]probe.Record  // the cursor's input, one subslice per stream
+	flips reconstruct.Flips // one stream's repairs, written into its held records
 }
 
 // frontStream is one observer stream's part of a FrontState.
@@ -223,7 +224,8 @@ func (f *FrontState) Advance(perObs [][]probe.Record) bool {
 			}
 		}
 		rep := st.rep
-		_, _, hold := rep.Tally(st.held, c.Repair, cut)
+		_, _, hold := rep.Tally(st.held, c.Repair, cut, &f.flips)
+		f.flips.Apply(st.held)
 		for i := 1; i < hold; i++ {
 			if st.held[i].T < st.held[i-1].T {
 				hold = i
@@ -261,7 +263,7 @@ func (f *FrontState) Advance(perObs [][]probe.Record) bool {
 		st := &f.streams[o]
 		k := len(f.views[o])
 		if c.Repair {
-			st.rep.Tally(st.pend[:k], true, k)
+			st.rep.Tally(st.pend[:k], true, k, &f.flips)
 		}
 		st.pend = dropHead(st.pend, k)
 		st.held = dropHead(st.held, k)

@@ -43,7 +43,7 @@ func piecewise(t *testing.T, cfg Resolved, eb []int, rounds [][][]probe.Record, 
 		}
 		var got, want front
 		var err error
-		want.series, want.outages, want.san, err = cfg.frontHalf(cloneStreams(history), eb, ref, false)
+		want.series, want.outages, want.san, err = cfg.frontHalf(history, eb, ref)
 		if err != nil {
 			t.Fatalf("round %d: batch: %v", ri, err)
 		}
@@ -57,7 +57,7 @@ func piecewise(t *testing.T, cfg Resolved, eb []int, rounds [][][]probe.Record, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cfg.analyzeCollected(cloneStreams(history), eb, ref, false)
+		want, err := cfg.analyzeCollected(history, eb, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func FuzzIncrementalFrontHalf(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		cfg, perObs, eb, _ := fuzzFront(data[1:])
+		cfg, perObs, eb := fuzzFront(data[1:])
 		piecewise(t, cfg, eb, fuzzRounds(perObs, data[0]), 1, false)
 	})
 }

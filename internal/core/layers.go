@@ -31,13 +31,9 @@ type layer interface {
 	report(rep *RunReport)
 }
 
-// layerBase is embedded by every layer. It holds the wrapped prober,
-// forwards its cleanliness guarantee (emptying a stream cannot dirty it),
-// and supplies the settle methods of a layer that parks nothing.
+// layerBase is embedded by every layer. It holds the wrapped prober and
+// supplies the settle methods of a layer that parks nothing.
 type layerBase struct{ inner Prober }
-
-// EmitsSanitizedRecords implements cleanProber for every layer.
-func (l layerBase) EmitsSanitizedRecords() bool { return proberEmitsClean(l.inner) }
 
 func (layerBase) commit(_ int, _ netsim.BlockID, inner []health.Sample) ([]health.Sample, int) {
 	return inner, 0

@@ -202,16 +202,11 @@ func AblationLossRepair(opts Options) (*AblationRepairResult, error) {
 		// True reply rate of the lossless equivalent stream.
 		truthRate := meanReplyRate(perObs[1:2], false)
 		measure := func(repair bool) (float64, bool) {
-			streams := make([][]probe.Record, len(perObs))
-			for i := range perObs {
-				streams[i] = append([]probe.Record(nil), perObs[i]...)
-			}
-			cls, err := classifyBlock(streams, b.EverActive(), start, end, repair, blockclass.Default())
+			cls, err := classifyBlock(perObs, b.EverActive(), start, end, repair, blockclass.Default())
 			if err != nil {
 				return 0, false
 			}
-			rate := meanReplyRate(streams[:1], false) // as the kernel left it: repaired when repair is set
-			return math.Abs(rate - truthRate), cls.ChangeSensitive
+			return math.Abs(meanReplyRate(perObs[:1], repair) - truthRate), cls.ChangeSensitive
 		}
 		errWithout, sensWithout := measure(false)
 		errWith, sensWith := measure(true)

@@ -103,7 +103,7 @@ type classification struct {
 // reconstructBlock is every experiment's records → Series step: the front
 // half of the kernel the pipeline runs (core.Config.Reconstruct), under the
 // paper's configuration for the window [start, end) with 1-loss repair on
-// or off. The streams are edited in place, as the kernel edits them.
+// or off.
 func reconstructBlock(perObs [][]probe.Record, eb []int, start, end int64, repair bool) (*reconstruct.Series, error) {
 	cfg := core.DefaultConfig(start, end)
 	cfg.Repair = repair
@@ -176,12 +176,12 @@ func medianScan(scans []int64, window int64) int64 {
 }
 
 // meanReplyRate returns the fraction of the streams' records that
-// answered, the quantity Figure 6d compares across observers, from the
-// kernel's pass-1 tally (reconstruct.Cursor.Load): with repair set, the
-// streams are 1-loss repaired in place first. It returns 0 for no records.
+// answered — with repair set, as 1-loss repair leaves them — the quantity
+// Figure 6d compares across observers, from the kernel's pass-1 tally
+// (reconstruct.Cursor.Load). It returns 0 for no records.
 func meanReplyRate(streams [][]probe.Record, repair bool) float64 {
 	var cur reconstruct.Cursor
-	records, responsive, _ := cur.Load(streams, repair)
+	records, responsive, _, _ := cur.Load(streams, repair, nil)
 	if records == 0 {
 		return 0
 	}

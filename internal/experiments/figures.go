@@ -232,12 +232,9 @@ func Figure6(opts Options) (*Figure6Result, error) {
 	for i, o := range obs {
 		res.Observers = append(res.Observers, o.Name)
 		res.Without = append(res.Without, meanReplyRate(perObs[i:i+1], false))
-	}
-	res.AllWithout = meanReplyRate(perObs, false)
-	for i := range obs {
 		res.With = append(res.With, meanReplyRate(perObs[i:i+1], true))
 	}
-	res.AllWith = meanReplyRate(perObs, false)
+	res.AllWithout, res.AllWith = meanReplyRate(perObs, false), meanReplyRate(perObs, true)
 	return res, nil
 }
 

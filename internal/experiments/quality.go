@@ -621,11 +621,7 @@ func ObserverHealth(opts Options) (*ObserverHealthResult, error) {
 		}
 		outs[i].truth = truthRes.ChangeSensitive
 		classify := func(streams [][]probe.Record) bool {
-			copies := make([][]probe.Record, len(streams))
-			for j := range streams {
-				copies[j] = append([]probe.Record(nil), streams[j]...)
-			}
-			r, err := classifyBlock(copies, eb, start, end, true, cfg)
+			r, err := classifyBlock(streams, eb, start, end, true, cfg)
 			return err == nil && r.ChangeSensitive
 		}
 		outs[i].withBroken = classify(perObs)

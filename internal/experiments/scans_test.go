@@ -116,8 +116,12 @@ func TestMeanReplyRate(t *testing.T) {
 	if meanReplyRate(nil, false) != 0 {
 		t.Fatal("empty rate should be 0")
 	}
-	if got := meanReplyRate([][]probe.Record{recs}, true); got != 1 || !recs[1].Up {
+	orig := slices.Clone(recs)
+	if got := meanReplyRate([][]probe.Record{recs}, true); got != 1 {
 		t.Fatalf("rate with 1-loss repair = %g, want the 101 repaired to 1", got)
+	}
+	if !slices.Equal(recs, orig) {
+		t.Fatalf("meanReplyRate wrote its streams: %v, was %v", recs, orig)
 	}
 }
 

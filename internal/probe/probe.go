@@ -345,15 +345,6 @@ func (p *prober) round(ac *netsim.ActiveCache, id netsim.BlockID, t, slot int64,
 	return buf
 }
 
-// EmitsSanitizedRecords reports that the engine's streams are sanitary by
-// construction: every record lies in [start, end), each observer's round
-// times strictly increase, and a round never probes the same address
-// twice — exactly the invariants reconstruct.Sanitize checks for. The
-// analysis pipeline uses this to skip the sanitize pre-scan; fault
-// injectors that corrupt streams (internal/faults) deliberately do not
-// forward the method.
-func (e *Engine) EmitsSanitizedRecords() bool { return true }
-
 // Survey performs full scans: every address of E(b) is probed every round,
 // with no loss and no adaptivity. This reproduces the USC Internet survey
 // datasets (it89) the paper uses as reconstruction ground truth (§3.2).
