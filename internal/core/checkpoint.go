@@ -17,7 +17,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/geo"
@@ -93,31 +95,65 @@ type JournalEntry struct {
 	Outcome *BlockOutcome
 }
 
-// decodeFrames returns a frame callback that collects a journal's header
-// signature and its block entries, in append order. Every error it
-// returns marks a torn tail: a checkpoint frame that checksums has no
-// other way to be wrong.
-func decodeFrames(sig *[]byte, entries *[]JournalEntry) func([]byte) error {
-	return func(payload []byte) (err error) {
-		switch payload[0] {
-		case frameHeader:
-			var h checkpointHeader
-			if err = gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&h); err == nil {
-				*sig = h.Signature
+// decodeJournal is the one checkpoint decoder, behind OpenCheckpointFS,
+// ReadCheckpoint and compaction. It checks every frame's CRC and decodes
+// it on GOMAXPROCS goroutines, each frame into its own slot, then reads
+// the slots in file order up to the first frame that failed either
+// check: that frame starts the torn tail. A checkpoint frame that
+// checksums has no other way to be wrong, so nothing fails the decode
+// outright. It returns the header's run signature, the block entries in
+// append order, and how many leading frames it accepted.
+func decodeJournal(frames []journal.Frame) (sig []byte, entries []JournalEntry, accepted int) {
+	slots := make([]decodedFrame, len(frames))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for lane := min(runtime.GOMAXPROCS(0), len(frames)); lane > 0; lane-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < len(frames); k = int(next.Add(1)) - 1 {
+				slots[k] = decodeFrame(frames[k])
 			}
-		case frameBlock:
-			var e JournalEntry
-			if e.Index, e.Outcome, err = decodeBlockFrame(payload[1:]); err == nil {
-				*entries = append(*entries, e)
-			}
-		default:
-			err = fmt.Errorf("core: unknown frame tag %q", payload[0])
-		}
-		if err != nil {
-			return journal.Torn(err)
-		}
-		return nil
+		}()
 	}
+	wg.Wait()
+	for ; accepted < len(slots) && slots[accepted].ok; accepted++ {
+		if d := slots[accepted]; d.entry.Outcome != nil {
+			entries = append(entries, d.entry)
+		} else {
+			sig = d.sig
+		}
+	}
+	return sig, entries, accepted
+}
+
+// decodedFrame is one frame as decodeJournal's goroutines leave it:
+// a header's signature or a block's entry, and whether the frame both
+// checksummed and decoded.
+type decodedFrame struct {
+	ok    bool
+	sig   []byte
+	entry JournalEntry
+}
+
+// decodeFrame checks and decodes one checkpoint frame.
+func decodeFrame(f journal.Frame) (d decodedFrame) {
+	if !f.Intact() {
+		return d
+	}
+	var err error
+	switch payload := f.Payload; payload[0] {
+	case frameHeader:
+		var h checkpointHeader
+		err = gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&h)
+		d.sig = h.Signature
+	case frameBlock:
+		d.entry.Index, d.entry.Outcome, err = decodeBlockFrame(payload[1:])
+	default:
+		return d // no such tag
+	}
+	d.ok = err == nil
+	return d
 }
 
 // ReadCheckpoint scans a checkpoint journal without opening it for writing
@@ -134,7 +170,12 @@ func ReadCheckpoint(path string) (sig []byte, entries []JournalEntry, torn int, 
 		}
 		return nil, nil, 0, fmt.Errorf("core: reading checkpoint %s: %w", path, err)
 	}
-	good := journal.Walk(data, decodeFrames(&sig, &entries))
+	frames := journal.Frames(data)
+	sig, entries, n := decodeJournal(frames)
+	good := 0
+	if n > 0 {
+		good = frames[n-1].End
+	}
 	return sig, entries, len(data) - good, nil
 }
 
@@ -152,7 +193,10 @@ func OpenCheckpoint(path string) (*Checkpointer, error) {
 func OpenCheckpointFS(path string, fsys storage.FS) (*Checkpointer, error) {
 	c := &Checkpointer{path: path, fsys: fsys, prior: map[checkpointKey]*BlockOutcome{}}
 	var entries []JournalEntry
-	f, err := journal.Open(fsys, path, decodeFrames(&c.sig, &entries))
+	f, err := journal.Open(fsys, path, func(frames []journal.Frame) (accepted int) {
+		c.sig, entries, accepted = decodeJournal(frames)
+		return accepted
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: opening checkpoint: %w", err)
 	}
@@ -294,9 +338,7 @@ func (c *Checkpointer) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("core: reading checkpoint %s: %w", c.path, err)
 	}
-	var sig []byte
-	var entries []JournalEntry
-	journal.Walk(data, decodeFrames(&sig, &entries))
+	sig, entries, _ := decodeJournal(journal.Frames(data))
 	out, err := encodeHeader(sig)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/diurnalnet/diurnal/internal/dataset"
+	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
@@ -285,6 +287,89 @@ func TestCheckpointTornTailTruncated(t *testing.T) {
 	}
 	if fi.Size() != int64(len(data)) || len(data) == 0 {
 		t.Fatal("journal unreadable after recovery")
+	}
+}
+
+// TestCheckpointUndecodableFrameCutsTail pins the torn rule where a CRC
+// check alone cannot see it: block frame k is replaced by a frame whose
+// CRC matches but whose payload (the old one, one byte short) does not
+// decode, and valid frames follow it. The tail is cut at k's start, not
+// at the first CRC failure and not after the frames behind it, however
+// many goroutines decode.
+func TestCheckpointUndecodableFrameCutsTail(t *testing.T) {
+	world := smallWorld(t, 10, 97)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cp, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Pipeline{Config: q1Config(), Engine: engine4(), Checkpoint: cp}).Run(context.Background(), world); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sig, whole, torn, err := ReadCheckpoint(path)
+	if err != nil || torn != 0 || len(whole) != len(world) {
+		t.Fatalf("clean journal: %d entries, %d torn bytes, %v", len(whole), torn, err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := journal.Frames(data)
+	const k = 4 // frame 0 is the header, so k-1 block frames precede it
+	start := frames[k-1].End
+	bad := journal.AppendFrame(nil, frames[k].Payload[:len(frames[k].Payload)-1])
+	broken := append(append(append([]byte(nil), data[:start]...), bad...), data[frames[k].End:]...)
+	if err := os.WriteFile(path, broken, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	requireEntries := func(label string, got []JournalEntry) {
+		t.Helper()
+		if len(got) != k-1 {
+			t.Fatalf("%s: %d entries, want the %d before the undecodable frame", label, len(got), k-1)
+		}
+		for i, e := range got {
+			w := whole[i]
+			if e.Index != w.Index || e.Outcome.ID != w.Outcome.ID || !analysesSame(e.Outcome.Analysis, w.Outcome.Analysis) {
+				t.Fatalf("%s: entry %d is block %d (%s), want block %d (%s)", label, i, e.Index, e.Outcome.ID, w.Index, w.Outcome.ID)
+			}
+		}
+	}
+	gotSig, entries, torn, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotSig, sig) {
+		t.Fatal("ReadCheckpoint lost the run signature")
+	}
+	requireEntries("ReadCheckpoint", entries)
+	if want := len(broken) - start; torn != want {
+		t.Fatalf("ReadCheckpoint: %d torn bytes, want %d", torn, want)
+	}
+
+	cp2, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatalf("an undecodable frame must be cut, not fail the open: %v", err)
+	}
+	defer cp2.Close()
+	if cp2.Entries() != k-1 {
+		t.Fatalf("OpenCheckpoint: %d entries, want %d", cp2.Entries(), k-1)
+	}
+	for i, e := range whole {
+		if _, ok := cp2.Lookup(e.Index, e.Outcome.ID); ok != (i < k-1) {
+			t.Fatalf("OpenCheckpoint: block %d restored = %v, want %v", e.Index, ok, i < k-1)
+		}
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(start) {
+		t.Fatalf("OpenCheckpoint left %d bytes, want the %d before the undecodable frame", fi.Size(), start)
 	}
 }
 

@@ -7,11 +7,14 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/faults"
+	"github.com/diurnalnet/diurnal/internal/health"
 	"github.com/diurnalnet/diurnal/internal/netsim"
+	"github.com/diurnalnet/diurnal/internal/probe"
 )
 
 // floatsSame compares float slices bitwise, so NaN gap markers compare
@@ -239,4 +242,125 @@ func TestRunInvarianceQuorumInflight(t *testing.T) {
 		}
 	}
 	requireRunParity(t, mk, world)
+}
+
+// failedCollects counts the collections its inner prober failed.
+type failedCollects struct {
+	inner  Prober
+	failed atomic.Int64
+}
+
+func (f *failedCollects) CollectInto(ctx context.Context, b *netsim.Block, start, end int64, bufs [][]probe.Record) ([][]probe.Record, error) {
+	bufs, err := f.inner.CollectInto(ctx, b, start, end, bufs)
+	if err != nil {
+		f.failed.Add(1)
+	}
+	return bufs, err
+}
+
+// TestSuspectPrescanWorkerInvariance holds the suspect pre-scan to its
+// serial oracle for 1, 2 and 4 workers. Fingerprints leave out the three
+// fields it decides — ExcludedObservers, ObserverRates and the breaker
+// transitions it seeds — so requireRunParity cannot see a drift there.
+// The world is the faulty one with the firewall and the breakers armed,
+// and a spurious-collect fault fails the first collection of some
+// sampled blocks (the run's retries then recover them), so the pre-scan
+// must also skip the same blocks whatever the worker count.
+func TestSuspectPrescanWorkerInvariance(t *testing.T) {
+	ctx := context.Background()
+	world := smallWorld(t, 30, 95)
+	// The runtime breakers score blocks in commit order, which the
+	// worker count changes. A tolerance no score can fall below and a
+	// cooldown longer than the world keep them from acting, so the
+	// transitions left are the ones the pre-scan seeded.
+	breaker := health.BreakerConfig{Tol: 1, Cooldown: 1 << 20}
+	mk := func(workers int) *Pipeline {
+		eng := engine4()
+		plan := faults.DefaultPlan(len(eng.Observers), 1, q1Start, 17)
+		plan.Spurious = &faults.SpuriousCollect{Prob: 0.3}
+		cfg := q1Config()
+		cfg.Integrity = true
+		return &Pipeline{
+			Config:          cfg,
+			Engine:          &faults.Engine{Inner: eng, Plan: plan},
+			Workers:         workers,
+			ExcludeSuspects: true,
+			HealthSample:    12,
+			Breaker:         &breaker,
+		}
+	}
+
+	oracle := mk(1)
+	counted := &failedCollects{inner: oracle.Engine}
+	oracle.Engine = counted
+	cfg, err := oracle.Config.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantExcluded, wantRates := (&run{p: oracle, cfg: cfg, world: world}).referenceSuspectObservers(ctx)
+	if n := counted.failed.Load(); n == 0 || n >= 10 {
+		t.Fatalf("the oracle's pre-scan failed %d of its 10 sampled blocks; the test needs some, not all", n)
+	}
+	if len(wantExcluded) == 0 {
+		t.Fatal("the oracle excluded no observer; the faulty world should lose its broken one")
+	}
+
+	var wantTransitions []health.Transition
+	for _, workers := range []int{1, 2, 4} {
+		res, err := mk(workers).Run(ctx, world)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		rep := res.Report
+		if !reflect.DeepEqual(rep.ExcludedObservers, wantExcluded) {
+			t.Fatalf("%d workers: ExcludedObservers %v, oracle %v", workers, rep.ExcludedObservers, wantExcluded)
+		}
+		if !floatsSame(rep.ObserverRates, wantRates) {
+			t.Fatalf("%d workers: ObserverRates %v, oracle %v", workers, rep.ObserverRates, wantRates)
+		}
+		if len(rep.BreakerTransitions) != len(wantExcluded) {
+			t.Fatalf("%d workers: %d breaker transitions, want the %d the pre-scan seeded: %v",
+				workers, len(rep.BreakerTransitions), len(wantExcluded), rep.BreakerTransitions)
+		}
+		if wantTransitions == nil {
+			wantTransitions = rep.BreakerTransitions
+		} else if !reflect.DeepEqual(rep.BreakerTransitions, wantTransitions) {
+			t.Fatalf("%d workers: BreakerTransitions %v, 1 worker %v", workers, rep.BreakerTransitions, wantTransitions)
+		}
+	}
+}
+
+// inflightProber records the most collections it ever saw in flight.
+type inflightProber struct {
+	inner         Prober
+	mu            sync.Mutex
+	inflight, max int
+}
+
+func (p *inflightProber) CollectInto(ctx context.Context, b *netsim.Block, start, end int64, bufs [][]probe.Record) ([][]probe.Record, error) {
+	p.mu.Lock()
+	p.inflight++
+	p.max = max(p.max, p.inflight)
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.inflight--
+		p.mu.Unlock()
+	}()
+	return p.inner.CollectInto(ctx, b, start, end, bufs)
+}
+
+// TestSuspectPrescanHonoursAdmission checks that the pre-scan, like the
+// run after it, never has more collections in flight than MaxInflight
+// admits, however many workers the run has.
+func TestSuspectPrescanHonoursAdmission(t *testing.T) {
+	world := smallWorld(t, 16, 96)
+	eng := &inflightProber{inner: engine4()}
+	p := &Pipeline{Config: q1Config(), Engine: eng, Workers: 4, MaxInflight: 2, ExcludeSuspects: true}
+	if _, err := p.Run(context.Background(), world); err != nil {
+		t.Fatal(err)
+	}
+	if eng.max > 2 {
+		t.Fatalf("%d collections in flight at once, MaxInflight is 2", eng.max)
+	}
 }

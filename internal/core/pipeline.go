@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/diurnalnet/diurnal/internal/changepoint"
@@ -284,6 +285,9 @@ type run struct {
 	layers  []layer
 	hed     *hedger
 	workers int
+	// scratch is each worker's Scratch. The pre-scan collects into their
+	// buffers first, so its lanes add none the workers do not keep.
+	scratch []*Scratch
 	// retries is the number of extra attempts after a transient failure;
 	// backoff the delay before the first of them.
 	retries int
@@ -330,6 +334,10 @@ func (p *Pipeline) newRun(ctx context.Context, world []*dataset.WorldBlock) (*ru
 	}
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
+	}
+	r.scratch = make([]*Scratch, r.workers)
+	for w := range r.scratch {
+		r.scratch[w] = NewScratch()
 	}
 	switch {
 	case r.retries == 0:
@@ -399,30 +407,18 @@ func (r *run) execute(ctx context.Context) (*WorldResult, error) {
 	// unfinished, so a huge world exerts backpressure on the dispatcher
 	// instead of queueing without bound.
 	var admit chan struct{}
-	if p.MaxInflight > 0 || p.MemoryBudget > 0 {
-		inflight := p.MaxInflight
-		if inflight <= 0 {
-			inflight = r.workers
-		}
-		if p.MemoryBudget > 0 {
-			if slots := int(p.MemoryBudget / estimateBlockBytes(r.cfg.c)); slots < 1 {
-				inflight = 1
-			} else if slots < inflight {
-				inflight = slots
-			}
-		}
-		admit = make(chan struct{}, inflight)
+	if bound := r.admission(); bound > 0 {
+		admit = make(chan struct{}, bound)
 	}
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < r.workers; w++ {
+	for _, sc := range r.scratch {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// Each worker owns its scratch outright: no pool round-trips, no
 			// locks, and the FFT-plan/workspace caches stay warm for the
 			// worker's whole share of the world.
-			sc := NewScratch()
 			for i := range jobs {
 				r.runBlock(ctx, i, sc)
 				if admit != nil {
@@ -497,6 +493,27 @@ dispatch:
 		return res, fmt.Errorf("core: all %d blocks dead-lettered: %w", len(world), res.Report.DeadLettered[0])
 	}
 	return res, nil
+}
+
+// admission is the bound on admitted-but-unfinished blocks that
+// MaxInflight and MemoryBudget set, or 0 when neither is set.
+func (r *run) admission() int {
+	p := r.p
+	if p.MaxInflight <= 0 && p.MemoryBudget <= 0 {
+		return 0
+	}
+	inflight := p.MaxInflight
+	if inflight <= 0 {
+		inflight = r.workers
+	}
+	if p.MemoryBudget > 0 {
+		if slots := int(p.MemoryBudget / estimateBlockBytes(r.cfg.c)); slots < 1 {
+			inflight = 1
+		} else if slots < inflight {
+			inflight = slots
+		}
+	}
+	return inflight
 }
 
 // runBlock takes one block from checkpoint lookup through analysis
@@ -665,10 +682,19 @@ const healthTol = 0.1
 // across the whole world instead of clustering in a fixed prefix (a
 // floor stride used to land all samples in the first half when the world
 // wasn't a multiple of the sample size, biasing rates toward whatever
-// pathology that prefix happened to have). The rates double as the
-// runtime breakers' initial health scores (see Pipeline.Breaker), so the
-// one-shot pre-scan and the continuous breaker judge observers from the
-// same evidence.
+// pathology that prefix happened to have). That stride picks at most
+// sample blocks. They are collected on the run's workers, never more at
+// once than the run's admission bound, each into its worker's Scratch;
+// a block whose collection fails is skipped. Each picked block is
+// tallied on its own, and the tallies are folded in stride order, so the
+// rates and exclusions do not depend on the worker count.
+//
+// The rates double as the runtime breakers' initial health scores (see
+// Pipeline.Breaker). The pre-scan samples p.Engine, beneath every layer
+// of the run: with Config.Integrity on it tallies what the observers
+// reported, while the breaker scores the firewall's gated view, so the
+// two do not judge from the same evidence there. Which of the two views
+// the pre-scan should judge is an open question (see ROADMAP).
 func (r *run) suspectObservers(ctx context.Context) (excluded []int, rates []float64) {
 	p, cfg, world := r.p, r.cfg, r.world
 	sample := p.HealthSample
@@ -682,25 +708,42 @@ func (r *run) suspectObservers(ctx context.Context) (excluded []int, rates []flo
 		return nil, nil
 	}
 	stride := (len(world) + sample - 1) / sample
-	if stride < 1 {
-		stride = 1
+	picks := (len(world) + stride - 1) / stride
+	tallies := make([]*reconstruct.ObserverHealth, picks)
+	lanes := min(r.workers, picks)
+	if bound := r.admission(); bound > 0 {
+		lanes = min(lanes, bound)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for _, sc := range r.scratch[:lanes] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < picks && ctx.Err() == nil; k = int(next.Add(1)) - 1 {
+				var err error
+				sc.perObs, err = p.Engine.CollectInto(ctx, world[k*stride].Block, cfg.c.AnalysisStart, cfg.c.AnalysisEnd, sc.perObs)
+				if err != nil {
+					continue
+				}
+				tallies[k] = reconstruct.NewObserverHealth(len(sc.perObs))
+				tallies[k].Add(sc.perObs)
+			}
+		}()
+	}
+	wg.Wait()
+	if ctx.Err() != nil {
+		return nil, nil
 	}
 	var health *reconstruct.ObserverHealth
-	var bufs [][]probe.Record
-	for i, n := 0, 0; i < len(world) && n < sample; i += stride {
-		if ctx.Err() != nil {
-			return nil, nil
+	for _, t := range tallies {
+		switch {
+		case t == nil:
+		case health == nil:
+			health = t
+		default:
+			health.Merge(t)
 		}
-		var err error
-		bufs, err = p.Engine.CollectInto(ctx, world[i].Block, cfg.c.AnalysisStart, cfg.c.AnalysisEnd, bufs)
-		if err != nil {
-			continue
-		}
-		if health == nil {
-			health = reconstruct.NewObserverHealth(len(bufs))
-		}
-		health.Add(bufs)
-		n++
 	}
 	if health == nil {
 		return nil, nil

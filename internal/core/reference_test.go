@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"github.com/diurnalnet/diurnal/internal/outage"
 	"github.com/diurnalnet/diurnal/internal/probe"
 	"github.com/diurnalnet/diurnal/internal/reconstruct"
@@ -90,4 +92,52 @@ func (r Resolved) sanitizeStreams(perObs [][]probe.Record) reconstruct.SanitizeR
 		total.Merge(rep)
 	}
 	return total
+}
+
+// referenceSuspectObservers is the parent commit's run.suspectObservers,
+// verbatim apart from its name: the stride-sampled blocks collected one
+// after another on the calling goroutine into one tally. It is the oracle
+// the fanned-out pre-scan is held to in invariance_test.go.
+func (r *run) referenceSuspectObservers(ctx context.Context) (excluded []int, rates []float64) {
+	p, cfg, world := r.p, r.cfg, r.world
+	sample := p.HealthSample
+	if sample <= 0 {
+		sample = 64
+	}
+	if sample > len(world) {
+		sample = len(world)
+	}
+	if sample == 0 {
+		return nil, nil
+	}
+	stride := (len(world) + sample - 1) / sample
+	if stride < 1 {
+		stride = 1
+	}
+	var health *reconstruct.ObserverHealth
+	var bufs [][]probe.Record
+	for i, n := 0, 0; i < len(world) && n < sample; i += stride {
+		if ctx.Err() != nil {
+			return nil, nil
+		}
+		var err error
+		bufs, err = p.Engine.CollectInto(ctx, world[i].Block, cfg.c.AnalysisStart, cfg.c.AnalysisEnd, bufs)
+		if err != nil {
+			continue
+		}
+		if health == nil {
+			health = reconstruct.NewObserverHealth(len(bufs))
+		}
+		health.Add(bufs)
+		n++
+	}
+	if health == nil {
+		return nil, nil
+	}
+	rates = health.Rates()
+	excluded = health.Suspect(healthTol)
+	if len(excluded) == len(rates) {
+		return nil, rates
+	}
+	return excluded, rates
 }

@@ -27,7 +27,7 @@ func (p *flakyProber) CollectInto(ctx context.Context, b *netsim.Block, start, e
 	return p.inner.CollectInto(ctx, b, start, end, bufs)
 }
 
-func smallWorld(t *testing.T, blocks int, seed uint64) []*dataset.WorldBlock {
+func smallWorld(t testing.TB, blocks int, seed uint64) []*dataset.WorldBlock {
 	t.Helper()
 	world, err := dataset.BuildWorld(dataset.WorldOpts{
 		Blocks:   blocks,

@@ -14,8 +14,8 @@ import (
 
 var errTorn = errors.New("journal: frame does not decode")
 
-// Torn marks an error a scan callback returns for a payload that does
-// not decode: that frame starts a torn tail, to be cut off. Any error
+// Torn marks an error a Log's scan callback returns for a payload that
+// does not decode: that frame starts a torn tail, to be cut off. Any error
 // not marked is fatal — the frame checksummed yet cannot belong where it
 // is, so the file is from a different or corrupted run — and fails the
 // open.
@@ -61,11 +61,14 @@ type File struct {
 	failed error
 }
 
-// Open opens (or creates) the framed file at path. Its intact frames are
-// passed to fn in order, and a torn or corrupt tail — what a crash
-// mid-append leaves — is truncated, so appends start clean. Temp files a
-// killed Rewrite left beside path are removed first.
-func Open(fsys storage.FS, path string, fn func(payload []byte) error) (*File, error) {
+// Open opens (or creates) the framed file at path. It hands fn the
+// file's whole frames (see Frames) and takes back how many of them, from
+// the first, fn accepted; fn checks their CRCs itself (Frame.Intact), so
+// it may check and decode them on several goroutines. Everything past
+// the last accepted frame — the torn or corrupt tail a crash mid-append
+// leaves — is truncated, so appends start clean. Temp files a killed
+// Rewrite left beside path are removed first.
+func Open(fsys storage.FS, path string, fn func(frames []Frame) (accepted int)) (*File, error) {
 	prefix := filepath.Base(path) + ".tmp"
 	// Best-effort: a temp file never holds anything acknowledged.
 	_ = sweep(fsys, filepath.Dir(path), func(name string) bool { return strings.HasPrefix(name, prefix) })
@@ -73,9 +76,10 @@ func Open(fsys storage.FS, path string, fn func(payload []byte) error) (*File, e
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
-	good, err := scan(data, Header{}, fn)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %s: %w", path, err)
+	frames := Frames(data)
+	good := 0
+	if n := fn(frames); n > 0 {
+		good = frames[n-1].End
 	}
 	return reopen(fsys, path, good)
 }

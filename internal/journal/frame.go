@@ -63,32 +63,66 @@ func Seal(dst []byte, n int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[len(dst)-n:], Table))
 }
 
+// Frame is one whole envelope in a scanned file.
+type Frame struct {
+	Payload []byte
+	// CRC is the checksum stored behind the payload; Intact compares
+	// the two.
+	CRC uint32
+	// End is the offset in the scanned data just past the frame.
+	End int
+}
+
+// Intact reports whether the frame's payload matches its stored CRC.
+func (f Frame) Intact() bool { return crc32.Checksum(f.Payload, Table) == f.CRC }
+
+// Frames splits data into its whole envelopes in file order, reading
+// only the length prefixes: it stops at a short frame or a zero or
+// oversized length prefix, and checks no CRC. A caller that checks
+// CRCs and decodes payloads on several goroutines starts here; cutting
+// at the first frame that fails either check cuts where Walk stops.
+func Frames(data []byte) []Frame {
+	var frames []Frame
+	for off := 0; ; {
+		payload, crc, end, ok := envelope(data, off)
+		if !ok {
+			return frames
+		}
+		frames = append(frames, Frame{Payload: payload, CRC: crc, End: end})
+		off = end
+	}
+}
+
 // Walk scans data frame by frame, invoking fn on each intact payload,
 // and returns the byte offset just past the last frame that both
 // checksummed and was accepted (fn returned nil). Everything at or past
 // the returned offset is a torn or corrupt tail: a short frame, a zero
 // or oversized length prefix, a CRC mismatch, or a payload fn rejected.
 func Walk(data []byte, fn func(payload []byte) error) (good int) {
-	for off := 0; ; {
-		if off+4 > len(data) {
+	for {
+		payload, crc, end, ok := envelope(data, good)
+		if !ok || crc32.Checksum(payload, Table) != crc || fn(payload) != nil {
 			return good
 		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		if n == 0 || n > MaxFrame {
-			return good
-		}
-		end := off + 4 + int(n) + 4
-		if end > len(data) || end < off {
-			return good
-		}
-		payload := data[off+4 : off+4+int(n)]
-		stored := binary.LittleEndian.Uint32(data[off+4+int(n):])
-		if crc32.Checksum(payload, Table) != stored {
-			return good
-		}
-		if err := fn(payload); err != nil {
-			return good
-		}
-		good, off = end, end
+		good = end
 	}
+}
+
+// envelope reads the frame that starts at off: its payload, the CRC
+// stored behind it and the offset just past it. ok is false when no
+// whole frame starts there: fewer than four bytes left, a zero or
+// oversized length prefix, or a frame running past the end of data.
+func envelope(data []byte, off int) (payload []byte, crc uint32, end int, ok bool) {
+	if off+4 > len(data) {
+		return nil, 0, 0, false
+	}
+	n := binary.LittleEndian.Uint32(data[off:])
+	if n == 0 || n > MaxFrame {
+		return nil, 0, 0, false
+	}
+	end = off + 4 + int(n) + 4
+	if end > len(data) || end < off {
+		return nil, 0, 0, false
+	}
+	return data[off+4 : end-4], binary.LittleEndian.Uint32(data[end-4:]), end, true
 }

@@ -782,6 +782,19 @@ func (h *ObserverHealth) Add(perObserver [][]probe.Record) {
 	}
 }
 
+// Merge folds o's tallies into h as if o's blocks had been added to h:
+// observers beyond h's tracked count are ignored. The tallies are
+// integer sums, so they do not depend on the order blocks arrive in.
+func (h *ObserverHealth) Merge(o *ObserverHealth) {
+	for i := range o.up {
+		if i >= len(h.up) {
+			break
+		}
+		h.up[i] += o.up[i]
+		h.total[i] += o.total[i]
+	}
+}
+
 // Rates returns each observer's aggregate reply rate (0 for observers
 // with no records).
 func (h *ObserverHealth) Rates() []float64 {
