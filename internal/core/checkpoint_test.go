@@ -96,12 +96,43 @@ func (p *countingProber) CollectInto(ctx context.Context, b *netsim.Block, start
 	if n <= p.failN && (p.fail == nil || p.fail[b.ID]) {
 		err := fmt.Errorf("collector down (attempt %d)", n)
 		if p.transient {
-			return bufs, MarkTransient(err)
+			return bufs, transientError{err}
 		}
 		return bufs, err
 	}
 	return p.inner.CollectInto(ctx, b, start, end, bufs)
 }
+
+// transientError declares its failure retryable through the
+// `Transient() bool` contract IsTransient documents.
+type transientError struct{ error }
+
+func (transientError) Transient() bool { return true }
+
+// TestIsTransient: an error is retryable when some error in its chain
+// says so through `Transient() bool`, and only then.
+func TestIsTransient(t *testing.T) {
+	cause := errors.New("collector down")
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{nil, false},
+		{cause, false},
+		{transientError{cause}, true},
+		{fmt.Errorf("block 7: %w", transientError{cause}), true},
+		{notTransient{cause}, false},
+	} {
+		if got := IsTransient(tc.err); got != tc.want {
+			t.Errorf("IsTransient(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
+}
+
+// notTransient implements the contract and declines it.
+type notTransient struct{ error }
+
+func (notTransient) Transient() bool { return false }
 
 func TestPipelineRetriesTransientErrors(t *testing.T) {
 	world := smallWorld(t, 8, 67)

@@ -5,35 +5,12 @@ import (
 	"fmt"
 )
 
-// Transient wraps an error to mark it retryable: the failure is expected
-// to clear on its own (a rebooting collector, a flapping link), so the
-// pipeline retries the block with backoff instead of recording a
-// BlockError on the first attempt. Probers outside this package (e.g.
-// internal/faults) can mark their own error types transient without
-// importing core by implementing `Transient() bool`.
-type Transient struct {
-	Err error
-}
-
-// Error renders the underlying failure with its transience.
-func (t *Transient) Error() string { return "transient: " + t.Err.Error() }
-
-// Unwrap exposes the cause to errors.Is/As.
-func (t *Transient) Unwrap() error { return t.Err }
-
-// Transient marks the wrapper retryable.
-func (t *Transient) Transient() bool { return true }
-
-// MarkTransient wraps err as retryable; nil stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &Transient{Err: err}
-}
-
 // IsTransient reports whether any error in err's chain declares itself
-// retryable via a `Transient() bool` method.
+// retryable via a `Transient() bool` method: the failure is expected to
+// clear on its own (a rebooting collector, a flapping link), so the
+// pipeline retries the block with backoff instead of recording a
+// BlockError on the first attempt. Probers (e.g. internal/faults) mark
+// their own error types transient without importing core.
 func IsTransient(err error) bool {
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()

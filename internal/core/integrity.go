@@ -26,6 +26,77 @@ type IntegrityVerdict struct {
 	Reason string
 }
 
+// IntegrityTally attributes the data-integrity firewall's verdicts over
+// a run: per-observer matches and comparisons, which observers were ever
+// gated, and one verdict per gated (block, observer) stream carrying the
+// first reason it was gated for. The batch pipeline adds each block's
+// verdicts once, when the block settles; the streaming daemon adds every
+// round's. The zero value is empty and ready; it is not safe for
+// concurrent use.
+type IntegrityTally struct {
+	matches, compares []int64
+	gated             []bool
+	verdicts          []IntegrityVerdict
+	seen              map[[2]int]bool // (index, observer) pairs in verdicts
+}
+
+// Add tallies the verdicts integrity.Check gave block id, the index-th of
+// the world, one per observer stream.
+func (t *IntegrityTally) Add(index int, id netsim.BlockID, verdicts []integrity.Verdict) {
+	for len(t.matches) < len(verdicts) {
+		t.matches = append(t.matches, 0)
+		t.compares = append(t.compares, 0)
+		t.gated = append(t.gated, false)
+	}
+	for oi := range verdicts {
+		v := &verdicts[oi]
+		t.matches[oi] += int64(v.Matches)
+		t.compares[oi] += int64(v.Comparisons)
+		if !v.Gated {
+			continue
+		}
+		t.gated[oi] = true
+		if t.seen == nil {
+			t.seen = map[[2]int]bool{}
+		}
+		if key := [2]int{index, oi}; !t.seen[key] {
+			t.seen[key] = true
+			t.verdicts = append(t.verdicts, IntegrityVerdict{
+				Index: index, Block: id, Observer: oi, Reason: v.Reason,
+			})
+		}
+	}
+}
+
+// Report fills the run report's firewall fields: the gated observers
+// ascending, each observer's aggregate agreement (1 when it was never
+// compared), and the verdicts ordered by (index, observer).
+func (t *IntegrityTally) Report(rep *RunReport) {
+	for oi, g := range t.gated {
+		if g {
+			rep.GatedStreams = append(rep.GatedStreams, oi)
+		}
+	}
+	if len(t.compares) > 0 {
+		rep.AgreementScores = make([]float64, len(t.compares))
+		for oi := range t.compares {
+			if t.compares[oi] == 0 {
+				rep.AgreementScores[oi] = 1
+			} else {
+				rep.AgreementScores[oi] = float64(t.matches[oi]) / float64(t.compares[oi])
+			}
+		}
+	}
+	sort.Slice(t.verdicts, func(i, j int) bool {
+		a, b := t.verdicts[i], t.verdicts[j]
+		if a.Index != b.Index {
+			return a.Index < b.Index
+		}
+		return a.Observer < b.Observer
+	})
+	rep.IntegrityVerdicts = append([]IntegrityVerdict(nil), t.verdicts...)
+}
+
 // integrityProber is the data-integrity firewall's layer: the innermost
 // one (directly around the raw prober, inside the exclusion and
 // supervision layers), so the gates judge exactly what the observers
@@ -38,10 +109,7 @@ type integrityProber struct {
 
 	mu      sync.Mutex
 	pending map[netsim.BlockID][]integrity.Verdict
-	// Committed aggregates, indexed by observer (grown lazily).
-	matches, compares []int64
-	gatedBlocks       []int
-	verdicts          []IntegrityVerdict
+	tally   IntegrityTally // the committed blocks' verdicts
 }
 
 func newIntegrityProber(inner Prober) *integrityProber {
@@ -65,12 +133,12 @@ func (p *integrityProber) CollectInto(ctx context.Context, b *netsim.Block, star
 	return bufs, nil
 }
 
-// commit consumes the block's pending verdicts, folds them into the
-// run-level aggregates, and returns per-observer health samples for the
-// breaker tracker: a gated observer scores an explicit zero, an ungated
-// observer its agreement score, and an observer with no peer overlap a
-// zero-Total sample the supervisor ignores (its reply-rate sample
-// stands). Returns no samples when no collection for the block was seen.
+// commit consumes the block's pending verdicts, adds them to the tally,
+// and returns per-observer health samples for the breaker tracker: a
+// gated observer scores an explicit zero, an ungated observer its
+// agreement score, and an observer with no peer overlap a zero-Total
+// sample the supervisor ignores (its reply-rate sample stands). Returns
+// no samples when no collection for the block was seen.
 func (p *integrityProber) commit(index int, id netsim.BlockID, _ []health.Sample) ([]health.Sample, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -79,27 +147,14 @@ func (p *integrityProber) commit(index int, id netsim.BlockID, _ []health.Sample
 		return nil, 0
 	}
 	delete(p.pending, id)
-	for len(p.matches) < len(vs) {
-		p.matches = append(p.matches, 0)
-		p.compares = append(p.compares, 0)
-		p.gatedBlocks = append(p.gatedBlocks, 0)
-	}
+	p.tally.Add(index, id, vs)
 	samples := make([]health.Sample, len(vs))
 	for oi := range vs {
-		v := &vs[oi]
-		p.matches[oi] += int64(v.Matches)
-		p.compares[oi] += int64(v.Comparisons)
-		switch {
+		switch v := &vs[oi]; {
 		case v.Gated:
 			samples[oi] = health.Sample{Up: 0, Total: 1}
 		case v.Comparisons > 0:
 			samples[oi] = health.Sample{Up: v.Matches, Total: v.Comparisons}
-		}
-		if v.Gated {
-			p.gatedBlocks[oi]++
-			p.verdicts = append(p.verdicts, IntegrityVerdict{
-				Index: index, Block: id, Observer: oi, Reason: v.Reason,
-			})
 		}
 	}
 	return samples, 0
@@ -112,34 +167,9 @@ func (p *integrityProber) discard(id netsim.BlockID) {
 	p.mu.Unlock()
 }
 
-// report fills the run report's firewall fields from the committed
-// aggregates: gated observers (ascending), per-observer aggregate
-// agreement scores, and the per-(block, observer) verdicts in world
-// order.
+// report fills the run report's firewall fields from the tally.
 func (p *integrityProber) report(rep *RunReport) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for oi, n := range p.gatedBlocks {
-		if n > 0 {
-			rep.GatedStreams = append(rep.GatedStreams, oi)
-		}
-	}
-	if len(p.compares) > 0 {
-		rep.AgreementScores = make([]float64, len(p.compares))
-		for oi := range p.compares {
-			if p.compares[oi] == 0 {
-				rep.AgreementScores[oi] = 1
-			} else {
-				rep.AgreementScores[oi] = float64(p.matches[oi]) / float64(p.compares[oi])
-			}
-		}
-	}
-	sort.Slice(p.verdicts, func(i, j int) bool {
-		a, b := p.verdicts[i], p.verdicts[j]
-		if a.Index != b.Index {
-			return a.Index < b.Index
-		}
-		return a.Observer < b.Observer
-	})
-	rep.IntegrityVerdicts = p.verdicts
+	p.tally.Report(rep)
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/events"
 	"github.com/diurnalnet/diurnal/internal/faults"
+	"github.com/diurnalnet/diurnal/internal/integrity"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 )
 
@@ -168,5 +170,80 @@ func TestIntegrityVerdictOrder(t *testing.T) {
 		if res.Report.GatedStreams[i] <= res.Report.GatedStreams[i-1] {
 			t.Fatalf("GatedStreams not ascending: %v", res.Report.GatedStreams)
 		}
+	}
+}
+
+// gatedVerdict is a verdict of a stream the firewall gated for reason.
+func gatedVerdict(reason string) integrity.Verdict {
+	return integrity.Verdict{Gated: true, Reason: reason}
+}
+
+// TestIntegrityTallyFirstReasonWins: the daemon adds a block once per
+// round, and a stream gated in several rounds keeps its first reason.
+func TestIntegrityTallyFirstReasonWins(t *testing.T) {
+	var tally IntegrityTally
+	tally.Add(3, 30, []integrity.Verdict{{}, gatedVerdict("reply-rate")})
+	tally.Add(3, 30, []integrity.Verdict{gatedVerdict("duplicates"), gatedVerdict("disagreement")})
+	var rep RunReport
+	tally.Report(&rep)
+	want := []IntegrityVerdict{
+		{Index: 3, Block: 30, Observer: 0, Reason: "duplicates"},
+		{Index: 3, Block: 30, Observer: 1, Reason: "reply-rate"},
+	}
+	if !reflect.DeepEqual(rep.IntegrityVerdicts, want) {
+		t.Fatalf("IntegrityVerdicts = %+v, want %+v", rep.IntegrityVerdicts, want)
+	}
+}
+
+// TestIntegrityTallyVerdictOrder: verdicts come out by (index, observer)
+// whatever order the blocks settled in.
+func TestIntegrityTallyVerdictOrder(t *testing.T) {
+	var tally IntegrityTally
+	tally.Add(5, 50, []integrity.Verdict{{}, gatedVerdict("reply-rate"), gatedVerdict("non-member")})
+	tally.Add(2, 20, []integrity.Verdict{{}, {}, gatedVerdict("duplicates")})
+	tally.Add(4, 40, []integrity.Verdict{gatedVerdict("out-of-window"), {}, {}})
+	var rep RunReport
+	tally.Report(&rep)
+	want := []IntegrityVerdict{
+		{Index: 2, Block: 20, Observer: 2, Reason: "duplicates"},
+		{Index: 4, Block: 40, Observer: 0, Reason: "out-of-window"},
+		{Index: 5, Block: 50, Observer: 1, Reason: "reply-rate"},
+		{Index: 5, Block: 50, Observer: 2, Reason: "non-member"},
+	}
+	if !reflect.DeepEqual(rep.IntegrityVerdicts, want) {
+		t.Fatalf("IntegrityVerdicts = %+v, want %+v", rep.IntegrityVerdicts, want)
+	}
+}
+
+// TestIntegrityTallyAgreement: agreement is matches over comparisons
+// summed across adds, and 1 for an observer never compared; an empty
+// tally reports nothing.
+func TestIntegrityTallyAgreement(t *testing.T) {
+	var tally IntegrityTally
+	var empty RunReport
+	tally.Report(&empty)
+	if empty.GatedStreams != nil || empty.AgreementScores != nil || empty.IntegrityVerdicts != nil {
+		t.Fatalf("an empty tally reported %+v", empty)
+	}
+	tally.Add(0, 10, []integrity.Verdict{{Matches: 3, Comparisons: 4}, {}, gatedVerdict("reply-rate")})
+	tally.Add(1, 11, []integrity.Verdict{{Matches: 1, Comparisons: 4}, {}, {}})
+	var rep RunReport
+	tally.Report(&rep)
+	if want := []float64{0.5, 1, 1}; !reflect.DeepEqual(rep.AgreementScores, want) {
+		t.Fatalf("AgreementScores = %v, want %v", rep.AgreementScores, want)
+	}
+}
+
+// TestIntegrityTallyGatedStreamsAscending: the gated observers are listed
+// once each, ascending, whatever order they were gated in.
+func TestIntegrityTallyGatedStreamsAscending(t *testing.T) {
+	var tally IntegrityTally
+	tally.Add(0, 10, []integrity.Verdict{{}, {}, {}, gatedVerdict("reply-rate")})
+	tally.Add(1, 11, []integrity.Verdict{{}, gatedVerdict("duplicates"), {}, gatedVerdict("reply-rate")})
+	tally.Add(2, 12, []integrity.Verdict{{}, gatedVerdict("duplicates"), {}, {}})
+	var rep RunReport
+	tally.Report(&rep)
+	if want := []int{1, 3}; !reflect.DeepEqual(rep.GatedStreams, want) {
+		t.Fatalf("GatedStreams = %v, want %v", rep.GatedStreams, want)
 	}
 }

@@ -112,10 +112,6 @@ type RunReport struct {
 	// Pipeline.Quorum contributing observers, ascending (nil when the
 	// quorum guard is disabled or nothing fell short).
 	QuorumShortfalls []int
-	// QuarantinedBlocks counts shortfall blocks excluded from world
-	// aggregates because QuarantineBelowQuorum was set. Their analyses
-	// remain in WorldResult.Blocks for inspection.
-	QuarantinedBlocks int
 	// DeadLettered lists blocks quarantined through Pipeline.DeadLetter in
 	// world order: permanent per-block failures recorded durably and
 	// skipped on resume instead of being retried forever. Their
@@ -229,9 +225,6 @@ type Pipeline struct {
 	// Quorum, when positive, flags blocks analyzed with fewer than this
 	// many contributing observers in Report.QuorumShortfalls.
 	Quorum int
-	// QuarantineBelowQuorum additionally excludes shortfall blocks from
-	// world-level aggregates (their analyses stay in Blocks).
-	QuarantineBelowQuorum bool
 	// MaxInflight bounds admitted-but-unfinished blocks (default: the
 	// worker count — backpressure from the slowest worker, no queue
 	// buildup).
@@ -473,16 +466,11 @@ dispatch:
 			res.Report.AnalyzedBlocks++
 		}
 		// Quorum guard: a block merged from too few observers carries a
-		// §2.7-style single-vantage bias, so it is flagged — and with
-		// quarantine on, kept out of the world aggregates. Observers == 0
+		// §2.7-style single-vantage bias, so it is flagged. Observers == 0
 		// means "not tracked" (quorum off, or resumed from a pre-quorum
 		// journal) and is never flagged.
 		if p.Quorum > 0 && b.Analysis != nil && b.Observers > 0 && b.Observers < p.Quorum {
 			res.Report.QuorumShortfalls = append(res.Report.QuorumShortfalls, i)
-			if p.QuarantineBelowQuorum {
-				res.Report.QuarantinedBlocks++
-				continue
-			}
 		}
 		res.aggregate(b)
 	}

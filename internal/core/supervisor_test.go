@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -137,46 +138,39 @@ func TestFlapTripsBreakerAndFlagsQuorum(t *testing.T) {
 	}
 }
 
-// TestQuarantineBelowQuorum checks that quarantined shortfall blocks keep
-// their analyses but drop out of the world aggregates.
-func TestQuarantineBelowQuorum(t *testing.T) {
+// TestQuorumFlagsWithoutDropping: the quorum guard only flags. Blocks
+// analyzed below quorum keep their analyses and count in the world
+// aggregates exactly as in a run with the guard off.
+func TestQuorumFlagsWithoutDropping(t *testing.T) {
 	world := smallWorld(t, 30, 49)
-	eng := &faults.Engine{
-		Inner: engine4(),
-		Plan:  &faults.Plan{Seed: 7, Flaps: []faults.Flap{{Observer: 3, FromCall: 1}}}, // silent all run
-	}
-	run := func(quarantine bool) *WorldResult {
-		p := &Pipeline{
-			Config:                q1Config(),
-			Engine:                eng,
-			Workers:               1,
-			Quorum:                4,
-			QuarantineBelowQuorum: quarantine,
+	run := func(quorum int) *WorldResult {
+		eng := &faults.Engine{
+			Inner: engine4(),
+			Plan:  &faults.Plan{Seed: 7, Flaps: []faults.Flap{{Observer: 3, FromCall: 1}}}, // silent all run
 		}
-		res, err := p.Run(context.Background(), world)
+		res, err := (&Pipeline{Config: q1Config(), Engine: eng, Workers: 1, Quorum: quorum}).
+			Run(context.Background(), world)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	flagged := run(false)
+	flagged, plain := run(4), run(0)
 	if len(flagged.Report.QuorumShortfalls) == 0 {
 		t.Fatal("a permanently silent observer must produce quorum shortfalls")
 	}
-	if flagged.Report.QuarantinedBlocks != 0 {
-		t.Fatal("without quarantine, shortfall blocks still aggregate")
-	}
-	quarantined := run(true)
-	if got, want := quarantined.Report.QuarantinedBlocks, len(quarantined.Report.QuorumShortfalls); got != want {
-		t.Fatalf("quarantined %d of %d shortfall blocks", got, want)
-	}
-	for _, i := range quarantined.Report.QuorumShortfalls {
-		if quarantined.Blocks[i].Analysis == nil {
-			t.Fatalf("quarantine must keep block %d's analysis for inspection", i)
+	for _, i := range flagged.Report.QuorumShortfalls {
+		if flagged.Blocks[i].Analysis == nil {
+			t.Fatalf("flagged block %d lost its analysis", i)
 		}
 	}
-	if a, b := flagged.ChangeSensitiveCount(), quarantined.ChangeSensitiveCount(); b > a {
-		t.Fatalf("quarantine cannot add change-sensitive blocks: %d > %d", b, a)
+	if a, b := fingerprintIgnoringObservers(t, flagged), fingerprintIgnoringObservers(t, plain); a != b {
+		t.Fatalf("the quorum guard changed the blocks: %.16s vs %.16s", a, b)
+	}
+	if !reflect.DeepEqual(flagged.Cells, plain.Cells) || !reflect.DeepEqual(flagged.CellCS, plain.CellCS) ||
+		!reflect.DeepEqual(flagged.ContinentCS, plain.ContinentCS) ||
+		!reflect.DeepEqual(flagged.DownDaily, plain.DownDaily) || !reflect.DeepEqual(flagged.UpDaily, plain.UpDaily) {
+		t.Fatal("flagged blocks must count in the world aggregates as in an unguarded run")
 	}
 }
 

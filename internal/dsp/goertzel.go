@@ -34,12 +34,6 @@ func GoertzelBin(x []float64, k int) complex128 {
 	return complex(s0-s1*math.Cos(w), s1*math.Sin(w))
 }
 
-// GoertzelPower returns |X_k|², the periodogram numerator of one bin.
-func GoertzelPower(x []float64, k int) float64 {
-	g := GoertzelBin(x, k)
-	return real(g)*real(g) + imag(g)*imag(g)
-}
-
 // DiurnalBins returns the DFT bin indices of the target period's
 // fundamental and its harmonics for a window of n samples spaced
 // sampleInterval seconds apart. Harmonics that would land at or above the

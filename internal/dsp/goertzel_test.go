@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// GoertzelPower returns |X_k|², the periodogram numerator of one bin: the
+// oracle SlidingDiurnal.BinPower is held to.
+func GoertzelPower(x []float64, k int) float64 {
+	g := GoertzelBin(x, k)
+	return real(g)*real(g) + imag(g)*imag(g)
+}
+
 // TestGoertzelBinMatchesFFT checks the Goertzel evaluation against the FFT
 // on random series of awkward lengths.
 func TestGoertzelBinMatchesFFT(t *testing.T) {

@@ -146,16 +146,6 @@ func Year2023() *Calendar {
 	return c
 }
 
-// Quiet returns an empty calendar (no events anywhere), used for null
-// controls.
-func Quiet(label string) *Calendar {
-	return &Calendar{
-		Events:   map[string][]netsim.Event{},
-		WFHDates: map[string]int64{},
-		Label:    label,
-	}
-}
-
 // EventsFor returns the events scheduled for a region code (nil when the
 // region has none).
 func (c *Calendar) EventsFor(code string) []netsim.Event {

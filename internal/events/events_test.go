@@ -106,16 +106,6 @@ func TestYear2023Control(t *testing.T) {
 	}
 }
 
-func TestQuiet(t *testing.T) {
-	c := Quiet("null")
-	if c.Label != "null" || len(c.Events) != 0 {
-		t.Fatalf("quiet calendar = %+v", c)
-	}
-	if _, ok := c.WFHDate("CN"); ok {
-		t.Error("quiet calendar should have no WFH dates")
-	}
-}
-
 func TestMatchWithin(t *testing.T) {
 	truth := netsim.Date(2020, time.March, 15)
 	day := int64(netsim.SecondsPerDay)

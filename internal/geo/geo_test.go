@@ -230,16 +230,6 @@ func TestPlaceBlocksProportionalToWeights(t *testing.T) {
 	}
 }
 
-func TestFindRegion(t *testing.T) {
-	regions := DefaultWorld()
-	if r := FindRegion(regions, "CN"); r == nil || r.Name != "China" {
-		t.Fatalf("FindRegion(CN) = %+v", r)
-	}
-	if r := FindRegion(regions, "ZZ"); r != nil {
-		t.Fatal("unknown code should return nil")
-	}
-}
-
 func TestCoverageTable4Accounting(t *testing.T) {
 	stats := map[CellKey]*CellStats{
 		{0, 0}:  {Responsive: 100, ChangeSensitive: 20}, // represented

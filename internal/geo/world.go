@@ -107,16 +107,6 @@ func DefaultWorld() []Region {
 	}
 }
 
-// FindRegion returns the region with the given code, or nil.
-func FindRegion(regions []Region, code string) *Region {
-	for i := range regions {
-		if regions[i].Code == code {
-			return &regions[i]
-		}
-	}
-	return nil
-}
-
 // PlaceBlocks deterministically scatters totalBlocks /24 placements over
 // the regions, proportionally to their weights. Each placement gets a
 // position inside its region, a gridcell, an archetype drawn from the

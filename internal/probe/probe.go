@@ -391,9 +391,3 @@ func (e *Engine) Names() []string {
 	}
 	return names
 }
-
-// SortRecords orders records by time (stable on equal times), used when
-// tests assemble multi-observer streams by hand.
-func SortRecords(rs []Record) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].T < rs[j].T })
-}

@@ -329,14 +329,6 @@ func TestStandardObserversNames(t *testing.T) {
 	}
 }
 
-func TestSortRecords(t *testing.T) {
-	rs := []Record{{T: 3}, {T: 1}, {T: 2}}
-	SortRecords(rs)
-	if rs[0].T != 1 || rs[2].T != 3 {
-		t.Fatalf("sorted: %+v", rs)
-	}
-}
-
 func TestCollectIntoReusesBuffers(t *testing.T) {
 	b := newBlock(t, netsim.Spec{Workers: 40, AlwaysOn: 5})
 	e := &Engine{Observers: StandardObservers(2), QuarterSeed: 9}

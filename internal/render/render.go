@@ -6,7 +6,6 @@ package render
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/diurnalnet/diurnal/internal/geo"
@@ -144,62 +143,6 @@ func Sparkline(series []float64, width int) string {
 			idx = len(sparkGlyphs) - 1
 		}
 		b.WriteRune(sparkGlyphs[idx])
-	}
-	return b.String()
-}
-
-// Histogram renders labeled bars scaled to fit width characters.
-func Histogram(labels []string, values []float64, width int) string {
-	if len(labels) != len(values) {
-		return "render: label/value mismatch"
-	}
-	max := 0.0
-	labelW := 0
-	for i, v := range values {
-		if v > max {
-			max = v
-		}
-		if len(labels[i]) > labelW {
-			labelW = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		bar := 0
-		if max > 0 {
-			bar = int(v / max * float64(width))
-		}
-		fmt.Fprintf(&b, "%-*s %s %.3g\n", labelW, labels[i], strings.Repeat("#", bar), v)
-	}
-	return b.String()
-}
-
-// TopCells formats the n largest cells of a value map as "cell value"
-// lines, ties broken by cell key for determinism.
-func TopCells(values map[geo.CellKey]int, n int) string {
-	type kv struct {
-		cell geo.CellKey
-		v    int
-	}
-	all := make([]kv, 0, len(values))
-	for c, v := range values {
-		all = append(all, kv{c, v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v > all[j].v
-		}
-		if all[i].cell.Lat != all[j].cell.Lat {
-			return all[i].cell.Lat < all[j].cell.Lat
-		}
-		return all[i].cell.Lon < all[j].cell.Lon
-	})
-	if n < len(all) {
-		all = all[:n]
-	}
-	var b strings.Builder
-	for _, e := range all {
-		fmt.Fprintf(&b, "%-12s %d\n", e.cell, e.v)
 	}
 	return b.String()
 }

@@ -103,37 +103,3 @@ func TestSparklineEdgeCases(t *testing.T) {
 		t.Errorf("flat zero series = %q", flat)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	out := Histogram([]string{"Asia", "Europe"}, []float64{10, 5}, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if strings.Count(lines[0], "#") != 20 || strings.Count(lines[1], "#") != 10 {
-		t.Fatalf("bar scaling wrong:\n%s", out)
-	}
-	if Histogram([]string{"a"}, nil, 10) == "" {
-		t.Error("mismatch should render an error string")
-	}
-}
-
-func TestTopCells(t *testing.T) {
-	values := map[geo.CellKey]int{
-		{Lat: 15, Lon: 57}: 9,
-		{Lat: 19, Lon: 58}: 20,
-		{Lat: 14, Lon: 38}: 9,
-	}
-	out := TopCells(values, 2)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.Contains(lines[0], "20") {
-		t.Fatalf("largest cell not first:\n%s", out)
-	}
-	// Ties break by key: lat 14 < lat 15.
-	if !strings.Contains(lines[1], "28N") {
-		t.Fatalf("tie break wrong:\n%s", out)
-	}
-}

@@ -20,7 +20,6 @@ import (
 
 	"github.com/diurnalnet/diurnal/internal/changepoint"
 	"github.com/diurnalnet/diurnal/internal/geo"
-	"github.com/diurnalnet/diurnal/internal/netsim"
 )
 
 // Snapshot is an open, verified snapshot serving queries. It is
@@ -440,6 +439,3 @@ func (s *Snapshot) CellKeys() []geo.CellKey {
 	}
 	return keys
 }
-
-// DayTime converts a UTC day index back to Unix seconds.
-func DayTime(day int64) int64 { return day * netsim.SecondsPerDay }

@@ -42,24 +42,6 @@ func StdDev(x []float64) float64 {
 	return math.Sqrt(Variance(x))
 }
 
-// MinMax returns the minimum and maximum of x. It panics on empty input,
-// because there is no meaningful zero value for a range.
-func MinMax(x []float64) (min, max float64) {
-	if len(x) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	min, max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of x using linear
 // interpolation between order statistics. It panics on empty input or an
 // out-of-range q.

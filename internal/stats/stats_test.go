@@ -37,19 +37,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = (%g,%g), want (-1,7)", min, max)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MinMax of empty slice should panic")
-		}
-	}()
-	MinMax(nil)
-}
-
 func TestQuantile(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{

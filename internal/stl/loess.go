@@ -206,16 +206,6 @@ func solveLocalFit(y []float64, lo, q, degree int, s *[5]float64, t *[3]float64)
 	}
 }
 
-// Loess smooths y with locally weighted regression, returning the fitted
-// value at every position. span is the neighbourhood size in points and
-// degree the local polynomial degree (0, 1 or 2). rho may be nil.
-func Loess(y []float64, span, degree int, rho []float64) []float64 {
-	var ws Workspace
-	out := make([]float64, len(y))
-	ws.loessInto(out, y, span, degree, rho)
-	return out
-}
-
 // loessInto fills dst (len(y)) with the LOESS smoothing of y. Degrees 0
 // and 2 evaluate every point with the one-shot fit. Degree 1 — the only
 // degree the pipeline uses — runs the row kernel described in the package

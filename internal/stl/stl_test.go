@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// Loess smooths y with locally weighted regression through a fresh
+// Workspace, returning the fitted value at every position. span is the
+// neighbourhood size in points and degree the local polynomial degree (0,
+// 1 or 2). rho may be nil.
+func Loess(y []float64, span, degree int, rho []float64) []float64 {
+	var ws Workspace
+	out := make([]float64, len(y))
+	ws.loessInto(out, y, span, degree, rho)
+	return out
+}
+
 // synth builds days*period samples of trend + daily sinusoid + noise.
 func synth(days, period int, trendSlope, seasonalAmp, noiseSD float64, seed int64) (y, trueTrend, trueSeasonal []float64) {
 	rng := rand.New(rand.NewSource(seed))

@@ -138,7 +138,7 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 		rc:             rc,
 		world:          world,
 		obsCount:       obsCount,
-		sig:            core.RunSignature(cfg.Core, world),
+		sig:            runSignature(cfg, world),
 		dir:            dir,
 		progress:       make(chan struct{}),
 		lastCompactSeq: -1,

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -32,6 +31,11 @@ const slidingWindowHours = 7 * 24
 // matchSlopDays is how far two changes' points may sit apart while still
 // describing the same underlying change across refreshes.
 const matchSlopDays = 2
+
+// trendEps is the per-sample settle tolerance, in addresses, of each
+// block's stl.Window; the window's guard lag is its default,
+// stl.DefaultSettleLag.
+const trendEps = 0.05
 
 // evidencePoint records one online-CUSUM alarm on the settled trend.
 type evidencePoint struct {
@@ -86,11 +90,11 @@ type detector struct {
 	rc        core.Resolved // cfg.Core
 	obsCount  int
 	blocks    []*blockState
-	lanes     []*core.Scratch // the refresh's parallel phase, one scratch per lane
-	errs      []error         // per block: the current refresh's failure, nil on success
-	hourSeen  [][4]uint64     // pushHours' scratch
-	integ     *integrityAgg   // nil unless the firewall is on
-	processed int64           // rounds fully processed
+	lanes     []*core.Scratch      // the refresh's parallel phase, one scratch per lane
+	errs      []error              // per block: the current refresh's failure, nil on success
+	hourSeen  [][4]uint64          // pushHours' scratch
+	integ     *core.IntegrityTally // nil unless the firewall is on
+	processed int64                // rounds fully processed
 	refreshes int64
 	blockErrs int64
 	nextEvent int64
@@ -100,42 +104,25 @@ type detector struct {
 	hookBlock func(b int)
 }
 
-// integrityAgg accumulates the per-round firewall verdicts: the detector
-// gates each round's per-block streams before they reach the
-// accumulator, so a lying observer never contaminates a refresh's merge,
-// and the final report attributes who was gated and why. Replay rebuilds
-// the same aggregates — Check is pure and rounds are replayed in order.
-type integrityAgg struct {
-	matches, compares []int64
-	gatedRounds       []int64
-	// first maps (block, observer) to the first gate reason seen, so the
-	// report carries one attributed verdict per gated stream rather than
-	// one per round.
-	first map[[2]int]string
-}
-
-// gate judges one block's round streams and returns the streams with the
-// gated ones dropped. perObs is never mutated: a copy-on-write slice
-// protects the caller's round (it may still be journaled or retried).
-func (g *integrityAgg) gate(b int, bs *blockState, perObs [][]probe.Record, start, end int64) [][]probe.Record {
+// gate judges one block's round streams, tallies the verdicts, and
+// returns the streams with the gated ones dropped, so a lying observer
+// never contaminates a refresh's merge. perObs is never mutated: a
+// copy-on-write slice protects the caller's round (it may still be
+// journaled or retried). Replay rebuilds the same tally — Check is pure
+// and rounds are replayed in order.
+func (d *detector) gate(b int, perObs [][]probe.Record, start, end int64) [][]probe.Record {
+	bs := d.blocks[b]
 	verdicts := integrity.Check(integrity.Config{}, perObs, bs.eb, start, end)
+	d.integ.Add(b, bs.id, verdicts)
 	kept, copied := perObs, false
 	for oi := range verdicts {
-		v := &verdicts[oi]
-		g.matches[oi] += int64(v.Matches)
-		g.compares[oi] += int64(v.Comparisons)
-		if !v.Gated {
+		if !verdicts[oi].Gated {
 			continue
 		}
 		if !copied {
 			kept, copied = append([][]probe.Record(nil), perObs...), true
 		}
 		kept[oi] = nil
-		g.gatedRounds[oi]++
-		key := [2]int{b, oi}
-		if _, ok := g.first[key]; !ok {
-			g.first[key] = v.Reason
-		}
 	}
 	return kept
 }
@@ -155,12 +142,7 @@ func newDetector(cfg Config, rc core.Resolved, world []*dataset.WorldBlock, obsC
 		d.lanes[i] = core.NewScratch()
 	}
 	if rc.Config().Integrity {
-		d.integ = &integrityAgg{
-			matches:     make([]int64, obsCount),
-			compares:    make([]int64, obsCount),
-			gatedRounds: make([]int64, obsCount),
-			first:       map[[2]int]string{},
-		}
+		d.integ = &core.IntegrityTally{}
 	}
 	bins := dsp.DiurnalBins(slidingWindowHours, 3600, float64(netsim.SecondsPerDay), 3)
 	for _, wb := range world {
@@ -173,8 +155,7 @@ func newDetector(cfg Config, rc core.Resolved, world []*dataset.WorldBlock, obsC
 			sliding: dsp.NewSlidingDiurnal(slidingWindowHours, bins, 0),
 		}
 		bs.front = rc.NewFrontState(bs.eb)
-		bs.window.Eps = cfg.TrendEps
-		bs.window.Lag = cfg.SettleLag
+		bs.window.Eps = trendEps
 		d.blocks = append(d.blocks, bs)
 	}
 	return d
@@ -212,7 +193,7 @@ func (d *detector) ingest(r *Round) ([]Event, error) {
 	for b, perObs := range r.Blocks {
 		bs := d.blocks[b]
 		if d.integ != nil {
-			perObs = d.integ.gate(b, bs, perObs, r.Start, r.End)
+			perObs = d.gate(b, perObs, r.Start, r.End)
 		}
 		for o, recs := range perObs {
 			bs.acc[o] = append(bs.acc[o], recs...)
@@ -552,47 +533,10 @@ func (d *detector) result() (*core.WorldResult, error) {
 		wr.Blocks = append(wr.Blocks, core.BlockOutcome{ID: bs.id, Place: bs.place, Analysis: bs.last})
 	}
 	if d.integ != nil {
-		d.integ.report(wr.Report, d.blocks)
+		d.integ.Report(wr.Report)
 	}
 	wr.Reaggregate()
 	return wr, nil
-}
-
-// report fills the run report's firewall fields from the round-by-round
-// aggregates, mirroring the batch pipeline's attribution: gated
-// observers ascending, per-observer aggregate agreement, and one verdict
-// per gated (block, observer) pair in world order.
-func (g *integrityAgg) report(rep *core.RunReport, blocks []*blockState) {
-	for oi, n := range g.gatedRounds {
-		if n > 0 {
-			rep.GatedStreams = append(rep.GatedStreams, oi)
-		}
-	}
-	if len(g.compares) > 0 {
-		rep.AgreementScores = make([]float64, len(g.compares))
-		for oi := range g.compares {
-			if g.compares[oi] == 0 {
-				rep.AgreementScores[oi] = 1
-			} else {
-				rep.AgreementScores[oi] = float64(g.matches[oi]) / float64(g.compares[oi])
-			}
-		}
-	}
-	keys := make([][2]int, 0, len(g.first))
-	for k := range g.first {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		rep.IntegrityVerdicts = append(rep.IntegrityVerdicts, core.IntegrityVerdict{
-			Index: k[0], Block: blocks[k[0]].id, Observer: k[1], Reason: g.first[k],
-		})
-	}
 }
 
 // scores snapshots every block's sliding diurnal score.

@@ -65,12 +65,6 @@ type Config struct {
 	// Ingest blocks — bounded admission, not unbounded buffering — when
 	// the analysis loop falls this far behind.
 	MaxQueue int
-	// TrendEps is the per-sample settle tolerance for the windowed STL
-	// refresh (default 0.05 addresses).
-	TrendEps float64
-	// SettleLag overrides the settled-frontier guard distance in samples
-	// (0: stl.DefaultSettleLag; negative: no guard).
-	SettleLag int
 	// Watchdog, when positive, bounds how long the analysis loop may go
 	// without completing a step before it is declared wedged and
 	// restarted from the WAL (state rebuild is the same deterministic
@@ -117,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 64
-	}
-	if c.TrendEps == 0 {
-		c.TrendEps = 0.05
 	}
 	if c.Clock == nil {
 		c.Clock = health.System

@@ -9,6 +9,7 @@ package stream
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -461,5 +462,63 @@ func TestWALRejectsForeignSignature(t *testing.T) {
 	other.Core.CUSUM.Threshold = 5
 	if _, err := Open(dir, world, f.Observers(), other); err == nil {
 		t.Fatal("foreign-config WAL opened without error")
+	}
+}
+
+// TestWALSignsSchedule: the daemon's schedule is part of its run. A
+// directory reopened with another round length, refresh cadence or
+// confirmation depth would replay its rounds into other events, so Open
+// refuses it as a different run's instead of reporting the intact WAL
+// pair inconsistent; the same schedule spelled out reopens.
+func TestWALSignsSchedule(t *testing.T) {
+	world := testWorld(t, 2, 9)
+	cfg := testConfig()
+	f := testFeeder(t, testEngine(1), world, cfg)
+	dir := t.TempDir()
+	d, err := Open(dir, world, f.Observers(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, err := f.Round(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Ingest(context.Background(), r0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(*Config)
+		foreign bool
+	}{
+		{"defaults spelled out", func(c *Config) { c.RoundLen, c.ConfirmRefreshes = netsim.SecondsPerDay, 2 }, false},
+		{"RoundLen", func(c *Config) { c.RoundLen = 2 * 3600 }, true},
+		{"RefreshEvery", func(c *Config) { c.RefreshEvery = 1 }, true},
+		{"ConfirmRefreshes", func(c *Config) { c.ConfirmRefreshes = 3 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			other := cfg
+			tc.edit(&other)
+			d, err := Open(dir, world, f.Observers(), other)
+			if !tc.foreign {
+				if err != nil {
+					t.Fatalf("same schedule refused: %v", err)
+				}
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil {
+				d.Close()
+				t.Fatal("WAL reopened under another schedule")
+			}
+			if !strings.Contains(err.Error(), "belongs to a different run") {
+				t.Fatalf("want the different-run refusal, got: %v", err)
+			}
+		})
 	}
 }

@@ -4,9 +4,10 @@ package stream
 // ("rounds" and "events") are internal/journal segmented logs in the
 // daemon directory; this file decides only what their frames carry: a
 // tag byte followed by a gob payload. Every segment opens with an 'S'
-// header frame binding it to core.RunSignature(config, world), so a WAL
-// from a different run or world is rejected instead of silently replayed
-// into foreign state.
+// header frame binding it to the run (runSignature: the analysis config,
+// the world and the daemon's schedule), so a WAL from a different run,
+// world or schedule is rejected instead of silently replayed into foreign
+// state.
 //
 // Compaction rewrites a journal as one checkpoint-anchored base segment:
 // a 'K' frame re-encoding every journaled round losslessly (or a 'P'
@@ -17,10 +18,13 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 
+	"github.com/diurnalnet/diurnal/internal/core"
+	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
@@ -250,6 +254,19 @@ func decoded(fn func(decodedFrame) error) func([]byte) error {
 	}
 }
 
+// runSignature is what a daemon's segments are signed with:
+// core.RunSignature of the analysis config and world, then the schedule
+// replay derives events under (round length, refresh cadence and
+// confirmation depth, defaults applied). A WAL reopened under another
+// schedule would replay into other events, so it is refused as another
+// run's rather than reported inconsistent.
+func runSignature(cfg Config, world []*dataset.WorldBlock) []byte {
+	h := sha256.New()
+	h.Write(core.RunSignature(cfg.Core, world))
+	_ = binary.Write(h, binary.LittleEndian, [3]int64{cfg.RoundLen, int64(cfg.RefreshEvery), int64(cfg.ConfirmRefreshes)})
+	return h.Sum(nil)
+}
+
 // segmentHeader is the header of every journal segment: an 'S' frame
 // carrying the run signature sig, checked when a segment is reopened.
 func segmentHeader(sig []byte) (journal.Header, error) {
@@ -262,7 +279,7 @@ func segmentHeader(sig []byte) (journal.Header, error) {
 			return fmt.Errorf("segment does not start with a signature header")
 		}
 		if !bytes.Equal(df.Sig, sig) {
-			return fmt.Errorf("segment belongs to a different run (config or world changed); delete the stream directory to start over")
+			return fmt.Errorf("segment belongs to a different run (config, world or schedule changed); delete the stream directory to start over")
 		}
 		return nil
 	})}, nil

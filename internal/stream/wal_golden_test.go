@@ -3,7 +3,9 @@ package stream
 // The daemon journals' on-disk format, pinned by a committed directory.
 //
 // testdata/golden-wal/ was written by TestWriteWALGolden on the commit
-// before the daemon journals moved onto internal/journal:
+// before the daemon journals moved onto internal/journal, and re-pinned
+// the same way when the daemon's run signature gained its schedule (only
+// the segments' 'S' header frames changed):
 //
 //	go test ./internal/stream -run '^TestWriteWALGolden$' -count=1 \
 //	    -args -golden-out "$PWD/internal/stream/testdata/golden-wal"
