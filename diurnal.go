@@ -389,8 +389,6 @@ type (
 	// StreamEvent is one change detection emitted by a streaming run,
 	// exactly once, with a contiguous sequence number.
 	StreamEvent = stream.Event
-	// StreamStats snapshots streaming-daemon health.
-	StreamStats = stream.Stats
 )
 
 // StreamOptions configures a crash-safe streaming run.

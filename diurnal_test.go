@@ -1,6 +1,7 @@
 package diurnal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -216,7 +217,7 @@ func TestAnalyzeRecordsFacade(t *testing.T) {
 
 func TestStoreReplayThroughFacade(t *testing.T) {
 	// Archive observations with the dataset store, then analyze a block
-	// from the archive without re-simulating.
+	// replayed from the archive without re-simulating.
 	dir := t.TempDir()
 	spec := dataset.Spec{Name: "replay", Start: Date(2020, 1, 1), Weeks: 4, Sites: []string{"e", "j"}}
 	world, err := dataset.BuildWorld(dataset.WorldOpts{
@@ -233,18 +234,26 @@ func TestStoreReplayThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, start, end, _, blocks, err := store.Index()
+	replay, err := store.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blocks) == 0 {
-		t.Fatal("empty store")
+	var wb *dataset.WorldBlock // the store archives only responsive blocks
+	for _, b := range world {
+		if len(b.EverActive()) > 0 {
+			wb = b
+			break
+		}
 	}
-	perObs, eb, err := store.LoadBlock(blocks[0])
+	if wb == nil {
+		t.Fatal("no responsive block")
+	}
+	start, end := spec.Start, spec.End()
+	perObs, err := replay.CollectInto(context.Background(), wb.Block, start, end, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnalyzeRecords(DefaultConfig(start, end), perObs, eb)
+	a, err := AnalyzeRecords(DefaultConfig(start, end), perObs, wb.EverActive())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,13 +118,6 @@ func (o *Online) Update(v float64) bool {
 	return true
 }
 
-// UpdateBatch feeds a chunk of samples in order.
-func (o *Online) UpdateBatch(xs []float64) {
-	for _, v := range xs {
-		o.Update(v)
-	}
-}
-
 // Changes returns the changes detected so far, in time order, identical to
 // mergeContiguous(detectOnePass(x, opts, nil)) over every sample fed. The
 // last change may still extend if future samples continue the transition;
@@ -135,11 +128,3 @@ func (o *Online) Changes() []Change { return o.changes }
 // State snapshots the recursion state. Persist it together with Changes
 // to resume via RestoreOnline.
 func (o *Online) State() OnlineState { return o.s }
-
-// Count returns how many samples have been fed.
-func (o *Online) Count() int {
-	if !o.s.Started {
-		return 0
-	}
-	return o.s.Next
-}

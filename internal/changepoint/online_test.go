@@ -198,3 +198,18 @@ func TestOnlineEmptyBaseline(t *testing.T) {
 		t.Fatal("detector dead after empty baseline")
 	}
 }
+
+// Count returns how many samples have been fed.
+func (o *Online) Count() int {
+	if !o.s.Started {
+		return 0
+	}
+	return o.s.Next
+}
+
+// UpdateBatch feeds a chunk of samples in order.
+func (o *Online) UpdateBatch(xs []float64) {
+	for _, v := range xs {
+		o.Update(v)
+	}
+}

@@ -73,18 +73,17 @@ type Checkpointer struct {
 	Fence func() error
 	// CompactBytes, when positive, bounds the journal: once an Append
 	// grows the file past it, the journal is compacted in place (see
-	// Compact). Set it before the first Append; it is not consulted
+	// compactLocked). Set it before the first Append; it is not consulted
 	// concurrently with mutation.
 	CompactBytes int64
 
-	mu          sync.Mutex
-	fsys        storage.FS
-	f           *journal.File // nil once closed
-	path        string
-	sig         []byte
-	prior       map[checkpointKey]*BlockOutcome
-	appended    int
-	compactions int64
+	mu       sync.Mutex
+	fsys     storage.FS
+	f        *journal.File // nil once closed
+	path     string
+	sig      []byte
+	prior    map[checkpointKey]*BlockOutcome
+	appended int
 }
 
 // JournalEntry is one decoded block frame from a checkpoint journal, in
@@ -207,9 +206,6 @@ func OpenCheckpointFS(path string, fsys storage.FS) (*Checkpointer, error) {
 	return c, nil
 }
 
-// Path returns the journal's file path.
-func (c *Checkpointer) Path() string { return c.path }
-
 // Entries returns how many block outcomes the journal holds (prior plus
 // appended this session).
 func (c *Checkpointer) Entries() int {
@@ -305,25 +301,12 @@ func (c *Checkpointer) appendLocked(frame []byte) error {
 	return nil
 }
 
-// Compact rewrites the journal in place as its deduplicated base: one
-// header frame plus exactly one block frame per (index, ID), keeping
+// compactLocked rewrites the journal in place as its deduplicated base:
+// one header frame plus exactly one block frame per (index, ID), keeping
 // the first append (later duplicates are fenced writers' byte-identical
-// repeats). The rewrite is the journal's atomic rewrite, so a kill at
-// any point leaves either the old journal or the new base, never a torn
-// hybrid.
-func (c *Checkpointer) Compact() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.compactLocked()
-}
-
-// Compactions reports how many times the journal was rewritten.
-func (c *Checkpointer) Compactions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.compactions
-}
-
+// repeats). The rewrite is the journal's atomic rewrite, so a kill at any
+// point leaves either the old journal or the new base, never a torn
+// hybrid. c.mu is held.
 func (c *Checkpointer) compactLocked() error {
 	if c.f == nil {
 		return fmt.Errorf("core: checkpoint %s is closed", c.path)
@@ -359,7 +342,6 @@ func (c *Checkpointer) compactLocked() error {
 	if err := c.f.Rewrite(out); err != nil {
 		return fmt.Errorf("core: compacting checkpoint: %w", err)
 	}
-	c.compactions++
 	return nil
 }
 

@@ -21,11 +21,27 @@ func TestCheckpointAutoCompactionBoundsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.CompactBytes = 4 << 10
+	// A compaction replaces the journal by an atomic rename, so the file
+	// at path stops being the one opened here. Holding it open keeps its
+	// inode from being reused by a later temp file.
+	opened, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
 	first, err := (&Pipeline{Config: q1Config(), Engine: engine4(), Checkpoint: cp}).Run(context.Background(), world)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Compactions() == 0 {
+	was, err := opened.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(was, now) {
 		t.Fatal("the 4KiB bound never triggered a compaction")
 	}
 	if err := cp.Close(); err != nil {
@@ -127,4 +143,11 @@ func TestCheckpointCompactDedupsAndSweepsTemps(t *testing.T) {
 	if cp2.Entries() != len(world) {
 		t.Fatalf("deduplicated base resumes %d blocks, want %d", cp2.Entries(), len(world))
 	}
+}
+
+// Compact compacts the journal now, as an Append past CompactBytes does.
+func (c *Checkpointer) Compact() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.compactLocked()
 }

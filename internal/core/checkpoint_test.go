@@ -470,9 +470,13 @@ func TestReplayProberCorruptionSurfacesInRunReport(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("fsck missed a bit flip")
 	}
-	bad := rep.BadBlocks()
-	if len(bad) != 1 || bad[0] != victim {
-		t.Fatalf("fsck quarantined %v, want [%v]", bad, victim)
+	if len(rep.Faults) == 0 {
+		t.Fatal("fsck faulted no log")
+	}
+	for _, f := range rep.Faults {
+		if f.ID != victim {
+			t.Fatalf("fsck faulted block %v, want only %v", f.ID, victim)
+		}
 	}
 
 	replay, err := store.Replay()

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -455,20 +456,6 @@ func TestStoreErrors(t *testing.T) {
 	if _, err := OpenStore(t.TempDir()); err == nil {
 		t.Error("expected error opening empty dir")
 	}
-	dir := t.TempDir()
-	spec := Spec{Name: "x", Start: start2020, Weeks: 1, Sites: []string{"e"}}
-	world, err := BuildWorld(WorldOpts{Blocks: 3, Seed: 5, Start: spec.Start, End: spec.End()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, _ := EngineFor(spec, nil)
-	store, err := CreateStore(dir, spec, eng, world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := store.LoadBlock(0xffffff); err == nil {
-		t.Error("expected error for unknown block")
-	}
 }
 
 func TestRecordCodecQuickRoundTrip(t *testing.T) {
@@ -499,4 +486,51 @@ func TestRecordCodecQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Index reads the store's manifest: the tests' view of what CreateStore
+// archived.
+func (s *Store) Index() (name string, start, end int64, sites []string, blocks []netsim.BlockID, err error) {
+	idx, err := s.readIndex()
+	if err != nil {
+		return "", 0, 0, nil, nil, err
+	}
+	for _, b := range idx.Blocks {
+		blocks = append(blocks, netsim.BlockID(b.ID))
+	}
+	return idx.Name, idx.Start, idx.End, idx.Sites, blocks, nil
+}
+
+// LoadBlock decodes one block's whole per-observer logs and its E(b)
+// straight from the archive, by block ID: the oracle the store tests
+// check archived content and corruption scoping against. A damaged log
+// surfaces as an error wrapping ErrCorruptLog.
+func (s *Store) LoadBlock(id netsim.BlockID) (perObs [][]probe.Record, eb []int, err error) {
+	idx, err := s.readIndex()
+	if err != nil {
+		return nil, nil, err
+	}
+	found := false
+	for _, b := range idx.Blocks {
+		if netsim.BlockID(b.ID) == id {
+			eb = b.EverActive
+			found = true
+			break
+		}
+	}
+	if !found {
+		return nil, nil, fmt.Errorf("dataset: block %v not in store", id)
+	}
+	for oi := 0; oi < len(idx.Sites); oi++ {
+		data, err := s.logData(logName(id, oi))
+		if err != nil {
+			return nil, nil, fmt.Errorf("dataset: block %v obs %d: %w", id, oi, err)
+		}
+		records, err := DecodeRecordsBytes(data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dataset: block %v obs %d: %w", id, oi, err)
+		}
+		perObs = append(perObs, records)
+	}
+	return perObs, eb, nil
 }

@@ -113,27 +113,16 @@ func WriteRecords(w io.Writer, records []probe.Record) error {
 	return bw.Flush()
 }
 
-// DecodeRecordsBytes decodes an observation log held entirely in memory —
-// the zero-copy path for mmap'd store files. Semantics match ReadRecords:
+// AppendRecordsBytes decodes a log from memory, appending only records
+// with start <= T < end to buf — the replay prober's collection path,
+// which decodes straight from the mapped file into the caller's reusable
+// buffer with no intermediate record slice. Semantics match ReadRecords:
 // the same structure is decoded, the CRC32C trailer is verified, and
 // trailing bytes are rejected, with every failure wrapping ErrCorruptLog.
 // Unlike the streaming reader, the checksum is computed in one pass over
 // the raw bytes (hardware CRC32C) instead of per byte through a reader
-// shim, and no intermediate buffering is allocated.
-func DecodeRecordsBytes(data []byte) ([]probe.Record, error) {
-	return appendRecordsBytes(nil, data, false, 0, 0)
-}
-
-// AppendRecordsBytes decodes a log from memory, appending only records
-// with start <= T < end to buf — the replay prober's collection path,
-// which decodes straight from the mapped file into the caller's reusable
-// buffer with no intermediate record slice. Verification is identical to
-// DecodeRecordsBytes.
+// shim.
 func AppendRecordsBytes(buf []probe.Record, data []byte, start, end int64) ([]probe.Record, error) {
-	return appendRecordsBytes(buf, data, true, start, end)
-}
-
-func appendRecordsBytes(buf []probe.Record, data []byte, clip bool, start, end int64) ([]probe.Record, error) {
 	if len(data) < len(logMagic) {
 		return buf, fmt.Errorf("dataset: reading magic: truncated log: %w", ErrCorruptLog)
 	}
@@ -163,11 +152,7 @@ func appendRecordsBytes(buf []probe.Record, data []byte, clip bool, start, end i
 	// count is read before any checksum, and a corrupt one must not be
 	// able to demand gigabytes.
 	reserve := int(min(count, uint64(len(data)-off)/3))
-	if clip {
-		buf = slices.Grow(buf, reserve)
-	} else {
-		buf = make([]probe.Record, 0, reserve)
-	}
+	buf = slices.Grow(buf, reserve)
 	for i := uint64(0); i < count; i++ {
 		delta, n := binary.Uvarint(data[off:])
 		if n <= 0 {
@@ -183,7 +168,7 @@ func appendRecordsBytes(buf []probe.Record, data []byte, clip bool, start, end i
 			return buf, fmt.Errorf("dataset: record %d has invalid up flag %d: %w", i, up, ErrCorruptLog)
 		}
 		prev += int64(delta)
-		if clip && (prev < start || prev >= end) {
+		if prev < start || prev >= end {
 			continue
 		}
 		buf = append(buf, probe.Record{T: prev, Addr: addr, Up: up == 1})

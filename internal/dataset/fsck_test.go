@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -240,4 +241,19 @@ func writeLog(t *testing.T, path string, data []byte) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BadBlocks returns the distinct block IDs with at least one damaged log
+// — the quarantine set a replay run must skip or re-probe.
+func (r *VerifyReport) BadBlocks() []netsim.BlockID {
+	seen := map[netsim.BlockID]bool{}
+	var out []netsim.BlockID
+	for _, f := range r.Faults {
+		if !seen[f.ID] {
+			seen[f.ID] = true
+			out = append(out, f.ID)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -312,4 +313,10 @@ func TestDecodeImplausibleCountAllocatesLittle(t *testing.T) {
 			t.Errorf("%s: allocated %d bytes decoding a %d-byte log, want < 1 MiB", name, got, len(crafted))
 		}
 	}
+}
+
+// DecodeRecordsBytes decodes a whole observation log held in memory:
+// AppendRecordsBytes over a window that clips nothing.
+func DecodeRecordsBytes(data []byte) ([]probe.Record, error) {
+	return AppendRecordsBytes(nil, data, math.MinInt64, math.MaxInt64)
 }

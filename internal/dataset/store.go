@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -30,7 +29,7 @@ import (
 //
 // Reads go through memory-mapped views of the log files (a portable
 // read-into-memory fallback serves non-Linux platforms and builds tagged
-// diurnal_nommap), decoded zero-copy by DecodeRecordsBytes: no per-log
+// diurnal_nommap), decoded zero-copy by AppendRecordsBytes: no per-log
 // open fd is held after mapping and no bufio shim sits between the bytes
 // and the varint decoder. Mappings are cached per log and released by
 // Close. A Store is safe for concurrent readers.
@@ -173,18 +172,6 @@ func logName(id netsim.BlockID, obs int) string {
 	return fmt.Sprintf("blk-%06x.obs%d.log", uint32(id), obs)
 }
 
-// Index returns the store's manifest.
-func (s *Store) Index() (name string, start, end int64, sites []string, blocks []netsim.BlockID, err error) {
-	idx, err := s.readIndex()
-	if err != nil {
-		return "", 0, 0, nil, nil, err
-	}
-	for _, b := range idx.Blocks {
-		blocks = append(blocks, netsim.BlockID(b.ID))
-	}
-	return idx.Name, idx.Start, idx.End, idx.Sites, blocks, nil
-}
-
 func (s *Store) readIndex() (*storeIndex, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, "index.json"))
 	if err != nil {
@@ -198,43 +185,6 @@ func (s *Store) readIndex() (*storeIndex, error) {
 		return nil, fmt.Errorf("dataset: corrupt index: %w", err)
 	}
 	return &idx, nil
-}
-
-// LoadBlock reads one block's per-observer record streams and its E(b).
-// A damaged log surfaces as an error wrapping ErrCorruptLog, scoped to
-// this block only — the rest of the store stays readable.
-func (s *Store) LoadBlock(id netsim.BlockID) (perObs [][]probe.Record, eb []int, err error) {
-	idx, err := s.readIndex()
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.loadBlockIdx(idx, id)
-}
-
-func (s *Store) loadBlockIdx(idx *storeIndex, id netsim.BlockID) (perObs [][]probe.Record, eb []int, err error) {
-	found := false
-	for _, b := range idx.Blocks {
-		if netsim.BlockID(b.ID) == id {
-			eb = b.EverActive
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, nil, fmt.Errorf("dataset: block %v not in store", id)
-	}
-	for oi := 0; oi < len(idx.Sites); oi++ {
-		data, err := s.logData(logName(id, oi))
-		if err != nil {
-			return nil, nil, fmt.Errorf("dataset: block %v obs %d: %w", id, oi, err)
-		}
-		records, err := DecodeRecordsBytes(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dataset: block %v obs %d: %w", id, oi, err)
-		}
-		perObs = append(perObs, records)
-	}
-	return perObs, eb, nil
 }
 
 // LogFault is one damaged observation log found by Verify.
@@ -258,21 +208,6 @@ type VerifyReport struct {
 // Clean reports whether the store passed verification.
 func (r *VerifyReport) Clean() bool {
 	return len(r.Faults) == 0 && len(r.DuplicateIndex) == 0
-}
-
-// BadBlocks returns the distinct block IDs with at least one damaged log
-// — the quarantine set a replay run must skip or re-probe.
-func (r *VerifyReport) BadBlocks() []netsim.BlockID {
-	seen := map[netsim.BlockID]bool{}
-	var out []netsim.BlockID
-	for _, f := range r.Faults {
-		if !seen[f.ID] {
-			seen[f.ID] = true
-			out = append(out, f.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // String renders an fsck-style summary.
@@ -375,9 +310,6 @@ type ReplayProber struct {
 	store *Store
 	idx   *storeIndex
 }
-
-// Observers returns the number of observer streams per block.
-func (p *ReplayProber) Observers() int { return len(p.idx.Sites) }
 
 // CollectInto loads the block's archived streams, clipping records to
 // [start, end). The bufs contract matches probe.Engine.CollectInto.

@@ -13,11 +13,10 @@
 // depends only on the transform length and write into reusable buffers, so
 // a worker that analyzes millions of blocks pays the trigonometry and
 // allocation once per distinct series length; Scratch.DiurnalStats is the
-// diurnal test the pipeline runs. The streaming daemon's incremental
-// primitives (GoertzelBin, SlidingDiurnal) live beside it. The one-shot
-// convenience functions the package once exported (FFT, IFFT, FFTReal,
-// Periodogram, DiurnalScore, DiurnalSNR) survive only in the package's
-// tests, as the naive oracles the plan layer is checked against.
+// diurnal test the pipeline and the streaming daemon's refreshes run. The
+// one-shot convenience functions the package once exported (FFT, IFFT,
+// FFTReal, Periodogram, DiurnalScore, DiurnalSNR) survive only in the
+// package's tests, as the naive oracles the plan layer is checked against.
 package dsp
 
 // DiurnalScoreOpts configures the diurnal-energy test.

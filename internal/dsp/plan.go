@@ -53,9 +53,6 @@ func NewPlan(n int) *Plan {
 	return p
 }
 
-// Len returns the transform length the plan was built for.
-func (p *Plan) Len() int { return p.n }
-
 func (p *Plan) initPow2(n int) {
 	p.perm = make([]int, n)
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
@@ -127,21 +124,10 @@ func (p *Plan) chirpSpectrum(chirp []complex128) []complex128 {
 }
 
 // Transform computes the forward DFT of src into dst. Both must have
-// length Len(); dst may be the same slice as src. src is otherwise not
-// modified.
+// the length n the plan was built for (NewPlan(n)); dst may be the same
+// slice as src. src is otherwise not modified.
 func (p *Plan) Transform(dst, src []complex128) {
 	p.transform(dst, src, false)
-}
-
-// InverseInto computes the inverse DFT of src into dst, normalized by 1/N
-// so that InverseInto∘Transform is the identity up to floating-point
-// error. Both slices must have length Len(); dst may alias src.
-func (p *Plan) InverseInto(dst, src []complex128) {
-	p.transform(dst, src, true)
-	inv := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= inv
-	}
 }
 
 func (p *Plan) transform(dst, src []complex128, inverse bool) {
@@ -251,9 +237,6 @@ func PlanReal(n int) *RealPlan {
 	rp.zf = make([]complex128, n)
 	return rp
 }
-
-// Len returns the real series length the plan was built for.
-func (rp *RealPlan) Len() int { return rp.n }
 
 // HalfSpectrum computes spectrum bins 0..n/2 of the DFT of (x - shift)
 // into dst, which must have length n/2+1. The shift (typically the series

@@ -291,3 +291,15 @@ func BenchmarkDiurnalStats(b *testing.B) {
 		}
 	}
 }
+
+// InverseInto computes the inverse DFT of src into dst, normalized by 1/N
+// so that InverseInto∘Transform is the identity up to floating-point
+// error. Both slices must have the length n the plan was built for
+// (NewPlan(n)); dst may alias src.
+func (p *Plan) InverseInto(dst, src []complex128) {
+	p.transform(dst, src, true)
+	inv := complex(1/float64(p.n), 0)
+	for i := range dst {
+		dst[i] *= inv
+	}
+}

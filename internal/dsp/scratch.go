@@ -15,15 +15,14 @@ type Stats struct {
 	SNR   float64
 }
 
-// Scratch holds per-worker reusable DSP state: FFT plans cached by length
-// and the periodogram/band/neighbourhood buffers of the diurnal test. A
-// Scratch is not safe for concurrent use — give each goroutine its own
-// (the pipeline does, via core.Scratch) rather than sharing one behind a
-// lock; the zero cost of a per-worker cache beats serializing every
-// transform.
+// Scratch holds per-worker reusable DSP state: real-input FFT plans
+// cached by length and the periodogram/band/neighbourhood buffers of the
+// diurnal test. A Scratch is not safe for concurrent use — give each
+// goroutine its own (the pipeline does, via core.Scratch) rather than
+// sharing one behind a lock; the zero cost of a per-worker cache beats
+// serializing every transform.
 type Scratch struct {
 	real map[int]*RealPlan
-	cplx map[int]*Plan
 
 	spec  []complex128 // half-spectrum buffer
 	p     []float64    // periodogram buffer
@@ -33,7 +32,7 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch; plans are built lazily per length.
 func NewScratch() *Scratch {
-	return &Scratch{real: map[int]*RealPlan{}, cplx: map[int]*Plan{}}
+	return &Scratch{real: map[int]*RealPlan{}}
 }
 
 // RealPlan returns the cached real-input plan for length n, building it on
@@ -45,17 +44,6 @@ func (s *Scratch) RealPlan(n int) *RealPlan {
 	rp := PlanReal(n)
 	s.real[n] = rp
 	return rp
-}
-
-// Plan returns the cached complex plan for length n, building it on first
-// use.
-func (s *Scratch) Plan(n int) *Plan {
-	if p, ok := s.cplx[n]; ok {
-		return p
-	}
-	p := NewPlan(n)
-	s.cplx[n] = p
-	return p
 }
 
 // Periodogram returns the one-sided power spectral estimate |X_k|^2 / N

@@ -654,3 +654,13 @@ func TestProfileSeparation(t *testing.T) {
 		t.Errorf("home accuracy %.0f%% < 80%%", 100*r.HomeAccuracy)
 	}
 }
+
+// SensitiveFraction returns the change-sensitive share of responsive
+// blocks for a dataset (the paper's 3.3–6.4%).
+func (r *Table2Result) SensitiveFraction(name string) float64 {
+	c := r.Counts[name]
+	if c.Responsive == 0 {
+		return 0
+	}
+	return float64(c.ChangeSensitive) / float64(c.Responsive)
+}

@@ -96,13 +96,3 @@ func (r *Table2Result) String() string {
 	row("change-sensitive", func(c counts) int { return c.ChangeSensitive })
 	return fmt.Sprintf("Table 2 — blocks before and after filtering (%d simulated /24s)\n%s", r.Blocks, t)
 }
-
-// SensitiveFraction returns the change-sensitive share of responsive
-// blocks for a dataset (the paper's 3.3–6.4%).
-func (r *Table2Result) SensitiveFraction(name string) float64 {
-	c := r.Counts[name]
-	if c.Responsive == 0 {
-		return 0
-	}
-	return float64(c.ChangeSensitive) / float64(c.Responsive)
-}

@@ -53,9 +53,6 @@
 //   - SpoofPositive: positive replies are forged for addresses the round
 //     never probed, many outside the block's target list E(b).
 //
-// clock.go — Clock/Jump: a controllable time source with scheduled
-// jumps, for code that must survive wall-clock anomalies.
-//
 // fs.go — FS/FSPlan: a filesystem wrapper injecting write-path faults
 // (short writes, failed fsyncs/renames, ENOSPC budgets, torn buffers)
 // into the WAL, snapshot, and ledger writers.

@@ -45,6 +45,3 @@ func (s *SlowReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	}
 	return s.R.ReadAt(p, off)
 }
-
-// Reads reports how many ReadAt calls arrived (including aborted ones).
-func (s *SlowReaderAt) Reads() int64 { return s.reads.Load() }

@@ -50,3 +50,6 @@ func TestSlowReaderAtZeroDelay(t *testing.T) {
 		t.Fatalf("ReadAt = %d, %v", n, err)
 	}
 }
+
+// Reads reports how many ReadAt calls arrived (including aborted ones).
+func (s *SlowReaderAt) Reads() int64 { return s.reads.Load() }

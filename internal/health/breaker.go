@@ -322,17 +322,6 @@ func (t *Tracker) Scores() []float64 {
 	return out
 }
 
-// States returns the current breaker states by observer index.
-func (t *Tracker) States() []State {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]State, len(t.obs))
-	for i := range t.obs {
-		out[i] = t.obs[i].state
-	}
-	return out
-}
-
 // Transitions returns the recorded state changes in decision order.
 func (t *Tracker) Transitions() []Transition {
 	t.mu.Lock()

@@ -201,3 +201,14 @@ func TestFakeClock(t *testing.T) {
 		t.Fatal("After(0) must fire immediately")
 	}
 }
+
+// States returns the current breaker states by observer index.
+func (t *Tracker) States() []State {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]State, len(t.obs))
+	for i := range t.obs {
+		out[i] = t.obs[i].state
+	}
+	return out
+}

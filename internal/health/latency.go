@@ -85,21 +85,6 @@ func (l *Latency) Observe(d time.Duration) {
 	l.n++
 }
 
-// Samples returns how many durations have been observed.
-func (l *Latency) Samples() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Quantile returns the q-quantile of the remembered window, or false when
-// no samples exist yet.
-func (l *Latency) Quantile(q float64) (time.Duration, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.quantileLocked(q)
-}
-
 func (l *Latency) quantileLocked(q float64) (time.Duration, bool) {
 	n := l.n
 	if n == 0 {

@@ -210,17 +210,6 @@ func (c *ActiveCache) ActiveNow(addr int) bool {
 // Block returns the block the cache was built over.
 func (c *ActiveCache) Block() *Block { return c.b }
 
-// CountActive is Block.CountActive through the cache.
-func (c *ActiveCache) CountActive(t int64) int {
-	n := 0
-	for a := 0; a < 256; a++ {
-		if c.Active(a, t) {
-			n++
-		}
-	}
-	return n
-}
-
 // refreshT recomputes the address-independent state for timestamp t: the
 // outage/renumbering state, local calendar fields, the dormancy factor,
 // and which WFH/holiday events are currently active.

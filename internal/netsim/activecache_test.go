@@ -119,3 +119,14 @@ func TestActiveCacheCountActive(t *testing.T) {
 		}
 	}
 }
+
+// CountActive is Block.CountActive through the cache.
+func (c *ActiveCache) CountActive(t int64) int {
+	n := 0
+	for a := 0; a < 256; a++ {
+		if c.Active(a, t) {
+			n++
+		}
+	}
+	return n
+}

@@ -188,9 +188,6 @@ func (b *Block) AddEvent(e Event) {
 // Events returns the block's event schedule.
 func (b *Block) Events() []Event { return b.events }
 
-// Kind returns the kind of address addr (0..255).
-func (b *Block) Kind(addr int) AddressKind { return b.kinds[addr] }
-
 // EverActive returns the indices of addresses that have ever responded —
 // the paper's E(b) target list (§2.2): everything allocated and not
 // firewalled.

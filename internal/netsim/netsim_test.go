@@ -538,3 +538,11 @@ func TestHomeMembershipStableAcrossDays(t *testing.T) {
 		t.Fatalf("evening membership churns too much: %d of %d overlap", inter, len(d0))
 	}
 }
+
+// Kind returns the kind of address addr (0..255).
+func (b *Block) Kind(addr int) AddressKind { return b.kinds[addr] }
+
+// Float64 returns the next value in [0, 1).
+func (r *RNG) Float64() float64 {
+	return float64(r.Uint64()>>11) / float64(1<<53)
+}

@@ -56,11 +56,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns the next value in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
 // Intn returns a uniform integer in [0, n). It panics when n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -125,19 +125,6 @@ func (d *Detector) init(availability float64, params Params) error {
 	return nil
 }
 
-// Belief returns the current P(block up).
-func (d *Detector) Belief() float64 { return d.belief }
-
-// State returns the current decision.
-func (d *Detector) State() State { return d.state }
-
-// Observe updates the belief with one probe result at time t. Probe
-// results must arrive in time order. It is ObserveAll over one record.
-func (d *Detector) Observe(t int64, up bool) {
-	one := [1]probe.Record{{T: t, Up: up}}
-	d.ObserveAll(one[:])
-}
-
 // Outages returns the detected outage intervals so far. The last interval
 // has End == 0 when the block is still down.
 func (d *Detector) Outages() []Interval { return d.outages }
@@ -173,7 +160,7 @@ func FromRecords(records []probe.Record, availability float64, params Params) ([
 }
 
 // ObserveAll updates the belief with a run of probe results, in order — the
-// detector's one update loop: Observe and FromRecords drive it, and the
+// detector's one update loop: FromRecords drives it, and the
 // analysis kernel hands it each equal-timestamp run of the merged stream as
 // its walk produces it. The belief, state, and parameters are held in locals
 // for the run: a world run pushes millions of records through the detector,

@@ -276,3 +276,16 @@ func TestObserveSaturationFastPath(t *testing.T) {
 		}
 	}
 }
+
+// Belief returns the current P(block up).
+func (d *Detector) Belief() float64 { return d.belief }
+
+// Observe updates the belief with one probe result at time t. Probe
+// results must arrive in time order. It is ObserveAll over one record.
+func (d *Detector) Observe(t int64, up bool) {
+	one := [1]probe.Record{{T: t, Up: up}}
+	d.ObserveAll(one[:])
+}
+
+// State returns the current decision.
+func (d *Detector) State() State { return d.state }

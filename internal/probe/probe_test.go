@@ -464,3 +464,34 @@ func TestExtraLossSeesTimeOrderedCalls(t *testing.T) {
 		t.Error("ExtraLoss calls arrived out of time order")
 	}
 }
+
+// Run probes block b from start (inclusive) to end (exclusive), then
+// invokes fn for every record in (T, observer index) order: obs is the
+// observer index into e.Observers, records from one observer are strictly
+// ordered, and ties across observers resolve by observer index. Records
+// are collected before the first call, so fn never interleaves with the
+// observers' Down and ExtraLoss hooks.
+func (e *Engine) Run(b *netsim.Block, start, end int64, fn func(obs int, r Record)) error {
+	return e.RunContext(context.Background(), b, start, end, fn)
+}
+
+// RunContext is Run with cancellation: collection checks ctx between
+// rounds and stops as soon as the context is done; the records gathered so
+// far are emitted and ctx.Err() is returned.
+func (e *Engine) RunContext(ctx context.Context, b *netsim.Block, start, end int64, fn func(obs int, r Record)) error {
+	bufs, err := e.CollectInto(ctx, b, start, end, nil)
+	next := make([]int, len(bufs))
+	for {
+		oi := -1
+		for i, buf := range bufs {
+			if next[i] < len(buf) && (oi < 0 || buf[next[i]].T < bufs[oi][next[oi]].T) {
+				oi = i
+			}
+		}
+		if oi < 0 {
+			return err
+		}
+		fn(oi, bufs[oi][next[oi]])
+		next[oi]++
+	}
+}

@@ -10,11 +10,11 @@ package shard
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/diurnalnet/diurnal/internal/core"
-	"github.com/diurnalnet/diurnal/internal/faults"
 	"github.com/diurnalnet/diurnal/internal/health"
 )
 
@@ -53,7 +53,7 @@ func TestSkewedWorkerNeverWronglyFenced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			skewed := skewLedger(t, dir, sig, &faults.Clock{Base: base, Offset: tc.offset, Drift: tc.drift})
+			skewed := skewLedger(t, dir, sig, &skewedClock{Base: base, Offset: tc.offset, Drift: tc.drift})
 			claim, err := skewed.tryClaim(skewed.man.Shards[0], "skewed")
 			if err != nil || claim == nil {
 				t.Fatalf("initial claim: %v, %v", claim, err)
@@ -96,7 +96,7 @@ func TestExpiredLeaseAlwaysFenced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			skewed := skewLedger(t, dir, sig, &faults.Clock{Base: base, Offset: tc.offset})
+			skewed := skewLedger(t, dir, sig, &skewedClock{Base: base, Offset: tc.offset})
 			ghost, err := skewed.tryClaim(skewed.man.Shards[0], "ghost")
 			if err != nil || ghost == nil {
 				t.Fatalf("initial claim: %v, %v", ghost, err)
@@ -138,9 +138,9 @@ func TestBackwardJumpSelfFences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jumpy := skewLedger(t, dir, sig, &faults.Clock{
+	jumpy := skewLedger(t, dir, sig, &skewedClock{
 		Base:  base,
-		Jumps: []faults.Jump{{After: 15 * time.Second, Delta: -2 * time.Minute}},
+		Jumps: []clockJump{{After: 15 * time.Second, Delta: -2 * time.Minute}},
 	})
 	claim, err := jumpy.tryClaim(jumpy.man.Shards[0], "jumpy")
 	if err != nil || claim == nil {
@@ -163,5 +163,121 @@ func TestBackwardJumpSelfFences(t *testing.T) {
 	}
 	if err := claim.Check(); !errors.Is(err, core.ErrFenced) {
 		t.Errorf("jumped worker Check = %v, want ErrFenced so late appends are blocked", err)
+	}
+}
+
+// clockJump is a step change in a skewed clock's wall time, applied once
+// the base clock has run After past the clock's first use.
+type clockJump struct {
+	After time.Duration
+	Delta time.Duration
+}
+
+// skewedClock models a machine whose wall clock is wrong: a constant
+// offset, a rate error (broken NTP slewing), and scheduled step changes
+// (an NTP slam or a VM migration). It is a health.Clock, so a ledger
+// handle can run against a skewed view of time while the rest of the
+// test drives a shared base clock. The zero value reads the system clock
+// unskewed; set the fields before first use and do not change them after.
+type skewedClock struct {
+	// Base supplies real time (default health.System; tests use
+	// health.Fake so skew scenarios are deterministic).
+	Base health.Clock
+	// Offset is added to every reading.
+	Offset time.Duration
+	// Drift is the rate error in seconds gained per base second (1e-4 ≈
+	// 8.6 s/day fast; negative runs slow). It accrues from first use.
+	Drift float64
+	// Jumps are step changes applied in addition to Offset and Drift.
+	Jumps []clockJump
+
+	mu       sync.Mutex
+	anchor   time.Time
+	anchored bool
+}
+
+func (c *skewedClock) base() health.Clock {
+	if c.Base != nil {
+		return c.Base
+	}
+	return health.System
+}
+
+// Now returns the skewed wall time.
+func (c *skewedClock) Now() time.Time {
+	now := c.base().Now()
+	c.mu.Lock()
+	if !c.anchored {
+		c.anchor, c.anchored = now, true
+	}
+	elapsed := now.Sub(c.anchor)
+	c.mu.Unlock()
+	skew := c.Offset + time.Duration(float64(elapsed)*c.Drift)
+	for _, j := range c.Jumps {
+		if elapsed >= j.After {
+			skew += j.Delta
+		}
+	}
+	return now.Add(skew)
+}
+
+// After returns a timer channel. Like real timers, it runs on the
+// monotonic clock: wall offset and jumps do not move in-flight timers,
+// but a rate error does — a fast clock's d-second timer fires after only
+// d/(1+Drift) base seconds.
+func (c *skewedClock) After(d time.Duration) <-chan time.Time {
+	if c.Drift != 0 && d > 0 {
+		d = time.Duration(float64(d) / (1 + c.Drift))
+	}
+	return c.base().After(d)
+}
+
+func TestClockOffsetDriftJumps(t *testing.T) {
+	base := health.NewFake()
+	c := &skewedClock{
+		Base:   base,
+		Offset: 5 * time.Second,
+		Drift:  0.1, // 10% fast
+		Jumps:  []clockJump{{After: 100 * time.Second, Delta: -30 * time.Second}},
+	}
+	t0 := c.Now() // anchors drift accrual
+	if got, want := t0.Sub(base.Now()), 5*time.Second; got != want {
+		t.Fatalf("initial skew %v, want %v", got, want)
+	}
+	base.Advance(50 * time.Second)
+	if got, want := c.Now().Sub(base.Now()), 5*time.Second+5*time.Second; got != want {
+		t.Errorf("skew after 50s %v, want %v (offset + 10%% drift)", got, want)
+	}
+	base.Advance(50 * time.Second) // total elapsed 100s: jump applies
+	if got, want := c.Now().Sub(base.Now()), 15*time.Second-30*time.Second; got != want {
+		t.Errorf("skew after jump %v, want %v", got, want)
+	}
+}
+
+func TestClockZeroValueIsUnskewed(t *testing.T) {
+	var c skewedClock
+	d := time.Since(c.Now())
+	if d < -time.Second || d > time.Second {
+		t.Errorf("zero-value clock far from system time: %v", d)
+	}
+}
+
+// TestClockAfterDriftScaling: a fast clock's timers fire early in base
+// time, a slow clock's late; offset and jumps leave timers alone.
+func TestClockAfterDriftScaling(t *testing.T) {
+	base := health.NewFake()
+	fast := &skewedClock{Base: base, Drift: 1.0, Offset: time.Hour} // 2x speed
+	ch := fast.After(10 * time.Second)
+	base.Advance(4 * time.Second)
+	select {
+	case <-ch:
+		t.Fatal("timer fired too early")
+	default:
+	}
+	base.Advance(1 * time.Second) // 5 base seconds = 10 fast seconds
+	select {
+	case <-ch:
+	default:
+		t.Fatal("timer did not fire at scaled deadline")
 	}
 }

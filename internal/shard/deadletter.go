@@ -78,9 +78,6 @@ func OpenDeadLetters(dir string) (*DeadLetterStore, error) {
 	return &DeadLetterStore{dir: dir, cache: make(map[string]string)}, nil
 }
 
-// Dir returns the quarantine directory.
-func (s *DeadLetterStore) Dir() string { return s.dir }
-
 func dlName(index int, id netsim.BlockID) string {
 	return fmt.Sprintf("dl-%06d-%06x.json", index, uint32(id))
 }

@@ -229,3 +229,6 @@ func TestWorkerAllPoisonShard(t *testing.T) {
 		t.Fatalf("audit saw %d dead letters, want %d", audit.DeadLetters, r.End-r.Start)
 	}
 }
+
+// Dir returns the quarantine directory.
+func (s *DeadLetterStore) Dir() string { return s.dir }

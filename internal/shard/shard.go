@@ -38,7 +38,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/diurnalnet/diurnal/internal/health"
@@ -181,16 +180,6 @@ func Open(dir string, sig []byte, opt Options) (*Ledger, error) {
 	return &Ledger{dir: dir, man: man, ttl: ttl, poll: poll, clock: clock, dead: dead}, nil
 }
 
-// Dir returns the ledger directory.
-func (l *Ledger) Dir() string { return l.dir }
-
-// Manifest returns a copy of the ledger's manifest.
-func (l *Ledger) Manifest() Manifest {
-	man := l.man
-	man.Shards = append([]Range(nil), l.man.Shards...)
-	return man
-}
-
 // DeadLetters returns the ledger's quarantine store.
 func (l *Ledger) DeadLetters() *DeadLetterStore { return l.dead }
 
@@ -262,63 +251,4 @@ func (l *Ledger) done(shard int) (*DoneMarker, bool) {
 		return nil, false
 	}
 	return &m, true
-}
-
-// Clean garbage-collects the ledger's reclaimable artifacts: superseded
-// lease files (every token below a live shard's top), all leases of
-// completed shards, and temp litter older than the lease TTL left by
-// crashed claimers and renamers (.claim* and *.tmp* files). Checkpoint
-// journals are never removed — the merge step reads every token's
-// journal to apply its precedence rules — and a live shard's top lease
-// is the fence, so it is never touched either. Clean returns the names
-// it removed and is safe to run concurrently with active workers.
-func (l *Ledger) Clean() ([]string, error) {
-	var removed []string
-	for _, r := range l.man.Shards {
-		leases, err := l.tokenFiles(r.Index, "lease")
-		if err != nil {
-			return removed, err
-		}
-		if len(leases) == 0 {
-			continue
-		}
-		_, isDone := l.done(r.Index)
-		top := len(leases) - 1
-		for i, lf := range leases {
-			if !isDone && i == top {
-				continue
-			}
-			if err := os.Remove(lf.Path); err != nil {
-				if errors.Is(err, fs.ErrNotExist) {
-					continue
-				}
-				return removed, fmt.Errorf("shard: cleaning lease %s: %w", lf.Path, err)
-			}
-			removed = append(removed, filepath.Base(lf.Path))
-		}
-	}
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return removed, fmt.Errorf("shard: listing ledger: %w", err)
-	}
-	// Temp litter younger than the TTL may belong to a claim or rename
-	// still in flight; only aged litter is provably abandoned.
-	cutoff := l.clock.Now().Add(-l.ttl)
-	for _, e := range entries {
-		name := e.Name()
-		if !e.Type().IsRegular() {
-			continue
-		}
-		if !strings.HasPrefix(name, ".claim") && !strings.Contains(name, ".tmp") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil || info.ModTime().After(cutoff) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(l.dir, name)); err == nil {
-			removed = append(removed, name)
-		}
-	}
-	return removed, nil
 }

@@ -316,3 +316,10 @@ func TestShardedRunMatchesSingleProcess(t *testing.T) {
 		t.Fatal("a run with dead letters must report degraded")
 	}
 }
+
+// Manifest returns a copy of the ledger's manifest.
+func (l *Ledger) Manifest() Manifest {
+	man := l.man
+	man.Shards = append([]Range(nil), l.man.Shards...)
+	return man
+}

@@ -333,3 +333,29 @@ func BenchmarkTrainLogistic(b *testing.B) {
 		}
 	}
 }
+
+// N returns the number of samples in the CDF.
+func (c *CDF) N() int { return len(c.sorted) }
+
+// Points returns (value, fraction<=value) pairs at each distinct sample,
+// suitable for plotting a CDF curve like the paper's Figure 3.
+func (c *CDF) Points() (values, fractions []float64) {
+	n := len(c.sorted)
+	for i := 0; i < n; i++ {
+		if i+1 < n && c.sorted[i+1] == c.sorted[i] {
+			continue
+		}
+		values = append(values, c.sorted[i])
+		fractions = append(fractions, float64(i+1)/float64(n))
+	}
+	return values, fractions
+}
+
+// F1 returns the harmonic mean of precision and recall.
+func (c *Confusion) F1() float64 {
+	p, r := c.Precision(), c.Recall()
+	if p+r == 0 {
+		return 0
+	}
+	return 2 * p * r / (p + r)
+}

@@ -67,16 +67,6 @@ func (w *Window) Observe(trend []float64) int {
 	return w.settled
 }
 
-// Settled returns the settled prefix length: trend samples [0, Settled)
-// are considered final. It never decreases.
-func (w *Window) Settled() int { return w.settled }
-
-// Reset clears all refresh history.
-func (w *Window) Reset() {
-	w.prev = w.prev[:0]
-	w.settled = 0
-}
-
 // String summarizes the window state for diagnostics.
 func (w *Window) String() string {
 	return fmt.Sprintf("stl.Window{settled=%d, seen=%d}", w.settled, len(w.prev))

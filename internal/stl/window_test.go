@@ -108,3 +108,13 @@ func TestWindowLagGuard(t *testing.T) {
 		t.Errorf("unguarded settled = %d, want 300", got)
 	}
 }
+
+// Reset clears all refresh history.
+func (w *Window) Reset() {
+	w.prev = w.prev[:0]
+	w.settled = 0
+}
+
+// Settled returns the settled prefix length: trend samples [0, Settled)
+// are considered final. It never decreases.
+func (w *Window) Settled() int { return w.settled }

@@ -1,11 +1,11 @@
 package stream
 
 // BenchmarkStreamingStep measures the steady-state per-round cost of the
-// streaming detector — accumulation, sliding-DFT updates, and the
-// amortized share of weekly refreshes — on a small faulty world. This is
-// the number that bounds how far behind real time a daemon can fall. The
-// lanes=1 and lanes=GOMAXPROCS sub-benchmarks show what the refresh's
-// parallel phase buys on this machine.
+// streaming detector — accumulation and the amortized share of weekly
+// refreshes — on a small faulty world. This is the number that bounds how
+// far behind real time a daemon can fall. The lanes=1 and
+// lanes=GOMAXPROCS sub-benchmarks show what the refresh's parallel phase
+// buys on this machine.
 
 import (
 	"context"

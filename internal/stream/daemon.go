@@ -702,7 +702,6 @@ func (d *Daemon) Result() (*core.WorldResult, error) {
 type detSnapshot struct {
 	processed, refreshes, blockErrs int64
 	rebuilds, certifications        int64
-	scores                          []float64
 }
 
 func snapshotDet(det *detector) detSnapshot {
@@ -710,7 +709,6 @@ func snapshotDet(det *detector) detSnapshot {
 		processed: det.processed,
 		refreshes: det.refreshes,
 		blockErrs: det.blockErrs,
-		scores:    det.scores(),
 	}
 	for _, bs := range det.blocks {
 		certs, _ := bs.front.Certified()
@@ -735,7 +733,6 @@ func (d *Daemon) Stats() Stats {
 		BlockErrors:          d.detStats.blockErrs,
 		FrontRebuilds:        d.detStats.rebuilds,
 		BeliefCertifications: d.detStats.certifications,
-		DiurnalScores:        append([]float64(nil), d.detStats.scores...),
 		DiskBytes:            gov.Bytes,
 		DiskBudget:           d.cfg.DiskBudget,
 		WALSegments:          gov.Segments,

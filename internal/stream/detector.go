@@ -8,7 +8,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -16,17 +15,12 @@ import (
 	"github.com/diurnalnet/diurnal/internal/changepoint"
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
-	"github.com/diurnalnet/diurnal/internal/dsp"
 	"github.com/diurnalnet/diurnal/internal/geo"
 	"github.com/diurnalnet/diurnal/internal/integrity"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
 	"github.com/diurnalnet/diurnal/internal/stl"
 )
-
-// slidingWindowHours is the sliding-DFT window: one week of hourly
-// samples, matching the weekly STL period.
-const slidingWindowHours = 7 * 24
 
 // matchSlopDays is how far two changes' points may sit apart while still
 // describing the same underlying change across refreshes.
@@ -70,8 +64,6 @@ type blockState struct {
 	stale    bool
 	rebuilds int // times front was rebuilt
 
-	sliding *dsp.SlidingDiurnal
-
 	window    stl.Window
 	online    *changepoint.Online
 	onlineFed int
@@ -92,7 +84,6 @@ type detector struct {
 	blocks    []*blockState
 	lanes     []*core.Scratch      // the refresh's parallel phase, one scratch per lane
 	errs      []error              // per block: the current refresh's failure, nil on success
-	hourSeen  [][4]uint64          // pushHours' scratch
 	integ     *core.IntegrityTally // nil unless the firewall is on
 	processed int64                // rounds fully processed
 	refreshes int64
@@ -144,15 +135,13 @@ func newDetector(cfg Config, rc core.Resolved, world []*dataset.WorldBlock, obsC
 	if rc.Config().Integrity {
 		d.integ = &core.IntegrityTally{}
 	}
-	bins := dsp.DiurnalBins(slidingWindowHours, 3600, float64(netsim.SecondsPerDay), 3)
 	for _, wb := range world {
 		bs := &blockState{
-			id:      wb.ID,
-			place:   wb.Place,
-			eb:      wb.EverActive(),
-			acc:     make([][]probe.Record, obsCount),
-			fed:     make([]int, obsCount),
-			sliding: dsp.NewSlidingDiurnal(slidingWindowHours, bins, 0),
+			id:    wb.ID,
+			place: wb.Place,
+			eb:    wb.EverActive(),
+			acc:   make([][]probe.Record, obsCount),
+			fed:   make([]int, obsCount),
 		}
 		bs.front = rc.NewFrontState(bs.eb)
 		bs.window.Eps = trendEps
@@ -181,11 +170,11 @@ func (d *detector) validateRound(r *Round) error {
 	return nil
 }
 
-// ingest processes one round: accumulate records, advance the sliding
-// diurnal scores, and — when a refresh is due — run the shared analysis
-// kernel and the emission logic. Returned events are in emission order
-// with their sequence numbers assigned; journaling them is the caller's
-// job. The round's record slices are retained.
+// ingest processes one round: accumulate records and — when a refresh
+// is due — run the shared analysis kernel and the emission logic.
+// Returned events are in emission order with their sequence numbers
+// assigned; journaling them is the caller's job. The round's record
+// slices are retained.
 func (d *detector) ingest(r *Round) ([]Event, error) {
 	if err := d.validateRound(r); err != nil {
 		return nil, err
@@ -198,7 +187,6 @@ func (d *detector) ingest(r *Round) ([]Event, error) {
 		for o, recs := range perObs {
 			bs.acc[o] = append(bs.acc[o], recs...)
 		}
-		d.pushHours(bs, r.Start, r.End, perObs)
 	}
 	d.processed++
 	var events []Event
@@ -211,37 +199,6 @@ func (d *detector) ingest(r *Round) ([]Event, error) {
 		events = evs
 	}
 	return events, nil
-}
-
-// pushHours feeds the block's hourly distinct-responder counts — a cheap
-// incremental proxy for the active-address series — into the sliding DFT,
-// one pass over the round's records, through the detector's reusable set of
-// responders per hour (one bit per address). A window that does not end on
-// the hour (roundWindow clips the last round to AnalysisEnd, and the batch
-// kernel accepts any window, so the daemon must too) gives its trailing
-// partial hour a sample of its own rather than dropping the records in it.
-func (d *detector) pushHours(bs *blockState, start, end int64, perObs [][]probe.Record) {
-	hours := int((end - start + 3599) / 3600)
-	if hours <= 0 {
-		return
-	}
-	if cap(d.hourSeen) < hours {
-		d.hourSeen = make([][4]uint64, hours)
-	}
-	seen := d.hourSeen[:hours]
-	clear(seen)
-	for _, recs := range perObs {
-		for _, rec := range recs {
-			if !rec.Up || rec.T < start || rec.T >= end {
-				continue
-			}
-			seen[(rec.T-start)/3600][rec.Addr>>6] |= 1 << (rec.Addr & 63)
-		}
-	}
-	for _, s := range seen {
-		n := bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
-		bs.sliding.Push(float64(n))
-	}
 }
 
 // refresh runs the shared analysis kernel over every block's accumulated
@@ -537,15 +494,6 @@ func (d *detector) result() (*core.WorldResult, error) {
 	}
 	wr.Reaggregate()
 	return wr, nil
-}
-
-// scores snapshots every block's sliding diurnal score.
-func (d *detector) scores() []float64 {
-	out := make([]float64, len(d.blocks))
-	for i, bs := range d.blocks {
-		out[i] = bs.sliding.Score()
-	}
-	return out
 }
 
 func abs64(v int64) int64 {

@@ -3,7 +3,7 @@ package stream
 // Feeder turns a batch prober into a round stream.
 //
 // The probing engine seeds per-observer state (next-round phase, probe
-// cursor) afresh on every RunContext call, so collecting a sub-window
+// cursor) afresh on every collection call, so collecting a sub-window
 // does NOT produce the records a whole-window collection produces over
 // that sub-window. A feeder therefore collects each block's full analysis
 // window exactly once — the same collection the batch pipeline performs —

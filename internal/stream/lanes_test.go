@@ -69,7 +69,7 @@ func sameRun(t *testing.T, label string, got, want detectorRun) {
 		}
 	}
 	if !reflect.DeepEqual(got.stats, want.stats) {
-		t.Errorf("%s: counters and scores %+v, want %+v", label, got.stats, want.stats)
+		t.Errorf("%s: counters %+v, want %+v", label, got.stats, want.stats)
 	}
 	if got.fp != want.fp {
 		t.Errorf("%s: fingerprint %s, want %s", label, got.fp[:16], want.fp[:16])
@@ -77,9 +77,8 @@ func sameRun(t *testing.T, label string, got, want detectorRun) {
 }
 
 // TestRefreshLanesInvariance: one lane, two, three and more lanes than
-// blocks journal the same events, counters, diurnal scores and result, on
-// a faulty world and on a world with a lying observer and the integrity
-// firewall armed.
+// blocks journal the same events, counters and result, on a faulty world
+// and on a world with a lying observer and the integrity firewall armed.
 func TestRefreshLanesInvariance(t *testing.T) {
 	start, _ := testWindow()
 	faulty := func(t *testing.T) ([]*dataset.WorldBlock, *Feeder, Config) {

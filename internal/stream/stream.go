@@ -1,8 +1,9 @@
 // Package stream turns the batch analysis pipeline into a long-running
-// service: a daemon that ingests probe rounds incrementally, maintains
-// per-block sliding-DFT diurnal scores and online CUSUM evidence, and
-// emits change events with bounded latency instead of rediscovering the
-// quarter retrospectively.
+// service: a daemon that ingests probe rounds incrementally, re-runs the
+// shared analysis kernel over them every few rounds, keeps online CUSUM
+// evidence on each block's settled trend, and emits change events
+// confirmed across refreshes with bounded latency instead of rediscovering
+// the quarter retrospectively.
 //
 // Robustness is the design center. Every ingested round lands in a
 // durable CRC-framed WAL (an internal/journal segmented log, like the
@@ -48,8 +49,10 @@ type Config struct {
 	// refresh (classification needs a complete baseline).
 	Core core.Config
 	// RoundLen is the seconds of data one ingested round covers (default
-	// one day). It must be a multiple of 3600 so rounds tile the hourly
-	// sliding-score grid.
+	// one day); the last round is clipped to AnalysisEnd and may be
+	// shorter. It must be a positive multiple of 3600. No analysis needs
+	// whole hours any more; the check stays so the inputs a daemon
+	// accepts do not change.
 	RoundLen int64
 	// RefreshEvery runs a full trend refresh every N rounds (default 1:
 	// every round). Refreshes are where candidates are found, confirmed,
@@ -243,9 +246,6 @@ type Stats struct {
 	// Each makes its refresh slower than one that advances by the new
 	// rounds.
 	FrontRebuilds, BeliefCertifications int64
-	// DiurnalScores holds each block's current sliding-DFT diurnal score
-	// (zero until the block's hourly window fills).
-	DiurnalScores []float64
 	// DiskBytes is the bytes the daemon's journals occupy right now;
 	// DiskBudget echoes the configured bound (0: unlimited).
 	DiskBytes, DiskBudget int64
