@@ -19,11 +19,6 @@ import (
 // exportAllowlist names the internal exports and exported methods that
 // keep no non-test caller on purpose, each with its reason.
 var exportAllowlist = map[string]string{
-	"internal/changepoint.RestoreOnline": "restores the online detector's " +
-		"state; the daemon's reopen from detector state (ROADMAP item 6) " +
-		"will call it, and its round-trip test pins the encoding until then",
-	"internal/changepoint.Online.State": "the snapshot RestoreOnline " +
-		"restores; the same reopen will write it (ROADMAP item 6)",
 	"internal/core.BlockError.Unwrap": "errors.Is and errors.As reach a " +
 		"block's cause through it, by an interface package errors keeps " +
 		"unexported",

@@ -1,8 +1,10 @@
 package changepoint
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -320,6 +322,97 @@ func TestDetectDriftSwampsExcursions(t *testing.T) {
 	}
 	if len(changes) == 0 {
 		t.Fatal("control detection found nothing; test series too weak")
+	}
+}
+
+// TestDetectRampAnalytic checks Detect against CUSUM worked out by hand.
+// The series is flat through index p, climbs (or falls) by slope per
+// sample through index q, then stays flat. Over the flat prefix each sum
+// gains -drift a sample and resets to zero, so the ramp's sum last left
+// zero at p. Over the ramp the sum in its direction gains slope-drift a
+// sample, so it first exceeds the threshold k samples in, at
+// k = floor(threshold/(slope-drift)) + 1. The ramp goes on alarming in
+// steps that each start where the last alarmed, and those merge into one
+// change. Reversed in time the same holds from q, so the reverse pass puts
+// the change's end at q. Each case lists k from that arithmetic; the
+// slopes and drifts are dyadic, so the sums are exact and k(slope-drift)
+// may equal the threshold without exceeding it.
+func TestDetectRampAnalytic(t *testing.T) {
+	const p, q, n = 20, 60, 90
+	for _, tc := range []struct {
+		slope, drift, threshold float64
+		k                       int
+	}{
+		{0.25, 0.0625, 1, 6},   // 3/16 a sample: 5 give 0.9375, 6 give 1.125
+		{0.3125, 0.0625, 1, 5}, // 1/4 a sample: 4 give exactly 1, which is not above it
+		{0.5, 0.125, 2, 6},     // 3/8 a sample: 5 give 1.875, 6 give 2.25
+		{1, 0, 1, 2},           // no drift: 1 a sample, but the flat prefix never goes below zero
+	} {
+		for _, dir := range []Direction{Up, Down} {
+			name := fmt.Sprintf("slope=%v/drift=%v/threshold=%v/%v", tc.slope, tc.drift, tc.threshold, dir)
+			t.Run(name, func(t *testing.T) {
+				x := make([]float64, n)
+				for i := range x {
+					x[i] = 7 + float64(dir)*tc.slope*float64(min(max(i-p, 0), q-p))
+				}
+				want := Change{Start: p, Alarm: p + tc.k, End: q, Dir: dir, Amplitude: x[q] - x[p]}
+				if tc.drift == 0 {
+					// Without drift the flat prefix adds exactly 0, so neither
+					// sum ever drops below zero: the last reset is the initial
+					// one at index 0, and the same holds for the reversed
+					// series' flat tail, whose last reset is at its index 0.
+					want.Start, want.End = 0, n-1
+					want.Amplitude = x[n-1] - x[0]
+				}
+				got, err := Detect(x, Opts{Threshold: tc.threshold, Drift: tc.drift})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 1 || got[0] != want {
+					t.Errorf("got %+v, want [%+v]", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestDetectForwardPassCausal: the forward recursion reads no sample
+// ahead of the one it is at, so cutting a series anywhere leaves every
+// alarm before the cut, and every cumulative sum up to it, as the whole
+// series has them. Noisy step series trip the recursion many times, and
+// the cuts include the ends.
+func TestDetectForwardPassCausal(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	opts := Opts{Threshold: 1, Drift: 0.004}
+	for trial := 0; trial < 10; trial++ {
+		n := 500 + rng.Intn(1000)
+		x := make([]float64, n)
+		level := 0.0
+		for i := range x {
+			if i > 0 && rng.Intn(97) == 0 {
+				level += rng.NormFloat64() * 3
+			}
+			x[i] = level + rng.NormFloat64()*0.1
+		}
+		full := &Sums{Pos: make([]float64, n), Neg: make([]float64, n)}
+		whole := detectOnePass(x, opts, full)
+		if len(whole) < 2 {
+			t.Fatalf("trial %d: %d alarms over %d samples; the cuts would prove little", trial, len(whole), n)
+		}
+		for _, cut := range []int{0, 1, 2, 7, rng.Intn(n), whole[len(whole)/2].Alarm, n - 1, n} {
+			part := &Sums{Pos: make([]float64, cut), Neg: make([]float64, cut)}
+			got := detectOnePass(x[:cut], opts, part)
+			want := whole
+			for len(want) > 0 && want[len(want)-1].Alarm >= cut {
+				want = want[:len(want)-1]
+			}
+			if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+				t.Fatalf("trial %d cut %d: alarms %+v, the whole series has %+v before the cut", trial, cut, got, want)
+			}
+			if !reflect.DeepEqual(part.Pos, full.Pos[:cut]) || !reflect.DeepEqual(part.Neg, full.Neg[:cut]) {
+				t.Fatalf("trial %d cut %d: cumulative sums differ from the whole series'", trial, cut)
+			}
+		}
 	}
 }
 

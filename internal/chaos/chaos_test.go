@@ -313,19 +313,44 @@ func TestOracleBites(t *testing.T) {
 	}
 }
 
-// TestCheckEventsBoundsEvidence: an event's online evidence is -1 (none)
-// or a round no later than its emission; anything else breaks the
-// streaming contract.
-func TestCheckEventsBoundsEvidence(t *testing.T) {
-	ev := stream.Event{FirstSeenSeq: 40, EligibleSeq: 41, EmitSeq: 42}
+// TestCheckEventsBounds: a journal passes only when its events are
+// numbered from 0 without a gap and each one emitted before the final
+// flush came within the latency bound of being first seen and eligible;
+// the early count and the worst latency skip the final flush's events.
+func TestCheckEventsBounds(t *testing.T) {
+	const rounds = 84
+	cfg := testConfig()
+	bound := cfg.LatencyBound()
+	// ev returns event seq, first seen at round 10 and eligible at round
+	// eligible, emitted lat rounds after the later of the two.
+	ev := func(seq, eligible, lat int64) stream.Event {
+		return stream.Event{Seq: seq, FirstSeenSeq: 10, EligibleSeq: eligible, EmitSeq: max(10, eligible) + lat}
+	}
+	flushed := stream.Event{Seq: 1, FirstSeenSeq: 10, EligibleSeq: 10, EmitSeq: rounds - 1}
 	for _, tc := range []struct {
-		evidence int64
-		ok       bool
-	}{{-2, false}, {-1, true}, {0, true}, {42, true}, {43, false}} {
-		ev.EvidenceSeq = tc.evidence
-		if _, _, err := CheckEvents([]stream.Event{ev}, 84, testConfig()); (err == nil) != tc.ok {
-			t.Errorf("evidence at round %d, emitted at 42: got %v, want ok=%v", tc.evidence, err, tc.ok)
-		}
+		name  string
+		evs   []stream.Event
+		early int
+		worst int64
+		ok    bool
+	}{
+		{"empty", nil, 0, 0, true},
+		{"within", []stream.Event{ev(0, 5, 0), ev(1, 20, bound-1)}, 2, bound - 1, true},
+		{"at bound", []stream.Event{ev(0, 30, bound)}, 1, bound, true},
+		{"past bound", []stream.Event{ev(0, 5, 1), ev(1, 30, bound+1)}, 2, bound + 1, false},
+		{"final flush exempt", []stream.Event{ev(0, 5, 2), flushed}, 1, 2, true},
+		{"gap", []stream.Event{ev(0, 5, 0), ev(2, 5, 0)}, 2, 0, false},
+		{"not from 0", []stream.Event{ev(1, 5, 0)}, 1, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			early, worst, err := CheckEvents(tc.evs, rounds, cfg)
+			if (err == nil) != tc.ok {
+				t.Errorf("got %v, want ok=%v", err, tc.ok)
+			}
+			if early != tc.early || worst != tc.worst {
+				t.Errorf("early %d worst %d, want early %d worst %d", early, worst, tc.early, tc.worst)
+			}
+		})
 	}
 }
 

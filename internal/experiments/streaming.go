@@ -45,8 +45,11 @@ type StreamingResult struct {
 	// TruthMatched counts events attributable to a scheduled simulator
 	// event; MeanLagDays averages, over those, the days between the true
 	// onset and the end of the round whose refresh emitted the event.
-	TruthMatched int
-	MeanLagDays  float64
+	// SeenLagDays and EligibleLagDays average the same to the end of the
+	// event's FirstSeenSeq round, and of max(FirstSeenSeq, EligibleSeq):
+	// what is left of MeanLagDays after them is the confirmation wait.
+	TruthMatched                              int
+	MeanLagDays, SeenLagDays, EligibleLagDays float64
 }
 
 // String renders the check as text.
@@ -64,8 +67,8 @@ func (r *StreamingResult) String() string {
 	fmt.Fprintf(&b, "  kill-and-resume: %s (%d daemon incarnations, exact event-log identity)\n", verdict(r.Identical), r.Incarnations)
 	fmt.Fprintf(&b, "  latency bound:   %s (worst emit latency %d rounds, bound %d)\n",
 		verdict(r.MaxLatencyRounds <= r.LatencyBoundRounds), r.MaxLatencyRounds, r.LatencyBoundRounds)
-	fmt.Fprintf(&b, "  ground truth:    %d events matched scheduled changes, mean detection lag %.1f days\n",
-		r.TruthMatched, r.MeanLagDays)
+	fmt.Fprintf(&b, "  ground truth:    %d events matched scheduled changes, mean detection lag %.1f days (onset to first seen %.1f, to seen and eligible %.1f)\n",
+		r.TruthMatched, r.MeanLagDays, r.SeenLagDays, r.EligibleLagDays)
 	return b.String()
 }
 
@@ -134,16 +137,20 @@ func Streaming(opts Options) (*StreamingResult, error) {
 	// ground-truth lag over the reference events.
 	res.EarlyEvents, res.MaxLatencyRounds, _ = chaos.CheckEvents(ref.Events, feeder.Rounds(), cfg)
 	res.LatencyBoundRounds = cfg.LatencyBound()
-	var lagSum float64
+	var emitSum, seenSum, eligibleSum float64
 	for _, ev := range ref.Events {
 		if onset, ok := truthOnset(world[ev.Block], ev.Change); ok {
 			res.TruthMatched++
-			frontier := start + (ev.EmitSeq+1)*netsim.SecondsPerDay
-			lagSum += float64(frontier-onset) / float64(netsim.SecondsPerDay)
+			lag := func(seq int64) float64 {
+				return float64(start+(seq+1)*netsim.SecondsPerDay-onset) / float64(netsim.SecondsPerDay)
+			}
+			emitSum += lag(ev.EmitSeq)
+			seenSum += lag(ev.FirstSeenSeq)
+			eligibleSum += lag(max(ev.FirstSeenSeq, ev.EligibleSeq))
 		}
 	}
-	if res.TruthMatched > 0 {
-		res.MeanLagDays = lagSum / float64(res.TruthMatched)
+	if n := float64(res.TruthMatched); n > 0 {
+		res.MeanLagDays, res.SeenLagDays, res.EligibleLagDays = emitSum/n, seenSum/n, eligibleSum/n
 	}
 
 	// The killed run: SIGKILL (Abort) at seeded-random points until the

@@ -45,6 +45,20 @@ func drawRho(rng *rand.Rand, kind, n int) []float64 {
 	return rho
 }
 
+// diurnalSeries builds n hourly samples of a noisy daily rhythm with a
+// mid-series level drop.
+func diurnalSeries(rng *rand.Rand, n int) []float64 {
+	y := make([]float64, n)
+	for i := range y {
+		level := 50.0
+		if i > n/2 {
+			level = 35
+		}
+		y[i] = level + 10*math.Sin(2*math.Pi*float64(i)/24) + rng.NormFloat64()
+	}
+	return y
+}
+
 // drawSeries returns n samples, either small integers (active-address
 // counts: products and sums stay exact for a while, so a reordering can
 // hide) or a noisy real-valued rhythm (every operation rounds).

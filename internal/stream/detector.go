@@ -7,36 +7,21 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
-	"github.com/diurnalnet/diurnal/internal/changepoint"
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
 	"github.com/diurnalnet/diurnal/internal/geo"
 	"github.com/diurnalnet/diurnal/internal/integrity"
 	"github.com/diurnalnet/diurnal/internal/netsim"
 	"github.com/diurnalnet/diurnal/internal/probe"
-	"github.com/diurnalnet/diurnal/internal/stl"
 )
 
 // matchSlopDays is how far two changes' points may sit apart while still
 // describing the same underlying change across refreshes.
 const matchSlopDays = 2
-
-// trendEps is the per-sample settle tolerance, in addresses, of each
-// block's stl.Window; the window's guard lag is its default,
-// stl.DefaultSettleLag.
-const trendEps = 0.05
-
-// evidencePoint records one online-CUSUM alarm on the settled trend.
-type evidencePoint struct {
-	t   int64 // wall-clock time of the alarm sample
-	seq int64 // round seq of the refresh that fed it
-	dir changepoint.Direction
-}
 
 // candidate tracks one potential change across refreshes.
 type candidate struct {
@@ -63,14 +48,6 @@ type blockState struct {
 	fed      []int
 	stale    bool
 	rebuilds int // times front was rebuilt
-
-	window    stl.Window
-	online    *changepoint.Online
-	onlineFed int
-	normMean  float64
-	normStd   float64
-	frozen    bool
-	evidence  []evidencePoint
 
 	cands []*candidate
 	last  *core.BlockAnalysis
@@ -144,7 +121,6 @@ func newDetector(cfg Config, rc core.Resolved, world []*dataset.WorldBlock, obsC
 			fed:   make([]int, obsCount),
 		}
 		bs.front = rc.NewFrontState(bs.eb)
-		bs.window.Eps = trendEps
 		d.blocks = append(d.blocks, bs)
 	}
 	return d
@@ -260,11 +236,10 @@ func (d *detector) analyzeAll(seq int64) {
 
 // analyzeBlock is block b's step in a refresh's parallel phase: the
 // block's front half advanced over the records ingested since the last
-// refresh, the kernel's analysis of it, then the block's settled-prefix
-// evidence and candidate tracking. It writes only the block's own state
-// and the lane's scratch. The new analysis replaces bs.last at once, so no
-// more than one analysis per lane is alive beside the world's current
-// ones.
+// refresh, the kernel's analysis of it, then the block's candidate
+// tracking. It writes only the block's own state and the lane's scratch.
+// The new analysis replaces bs.last at once, so no more than one analysis
+// per lane is alive beside the world's current ones.
 //
 // The front half is rebuilt — reset, then advanced over all of bs.acc in
 // one call — when it refuses the new records (one lands where its
@@ -302,7 +277,6 @@ func (d *detector) analyzeBlock(ln, b int, seq int64) (err error) {
 		return err
 	}
 	bs.last = a
-	d.observeEvidence(bs, a, seq)
 	d.trackCandidates(bs, a, seq)
 	return nil
 }
@@ -315,66 +289,6 @@ func (bs *blockState) unfed() [][]probe.Record {
 		out[o] = s[bs.fed[o]:]
 	}
 	return out
-}
-
-// observeEvidence advances the settled-prefix online CUSUM: trend samples
-// that have stopped moving between refreshes are normalized against the
-// frozen baseline statistics and fed to the incremental detector, whose
-// alarms timestamp when streaming evidence for a change first sufficed.
-func (d *detector) observeEvidence(bs *blockState, a *core.BlockAnalysis, seq int64) {
-	if a.Trend == nil {
-		return
-	}
-	c := d.rc.Config()
-	settled := bs.window.Observe(a.Trend)
-	if !bs.frozen {
-		// Freeze normalization on the first refresh (which the refresh
-		// gate already holds past the baseline window): the batch z-score
-		// over a growing window is a moving target, so the online
-		// detector normalizes against fixed baseline statistics instead.
-		n := int((c.BaselineEnd - c.AnalysisStart) / c.SampleStep)
-		if n <= 0 || n > len(a.Trend) {
-			n = len(a.Trend)
-		}
-		var sum, sumsq float64
-		flat := true
-		for _, v := range a.Trend[:n] {
-			sum += v
-			sumsq += v * v
-			flat = flat && v == a.Trend[0]
-		}
-		mean := sum / float64(n)
-		variance := sumsq/float64(n) - mean*mean
-		std := 1.0
-		if variance > 0 && !flat {
-			std = math.Sqrt(variance)
-		}
-		// A baseline whose samples are all equal has no spread to scale by,
-		// whatever the one-pass variance rounds to (it is 0 at some levels
-		// and a few parts in a million at others), so it gets unit scale: a
-		// later move counts in addresses. The batch z-score instead gives a
-		// zero-spread trend all zeros (stats.ZScore).
-		bs.normMean, bs.normStd, bs.frozen = mean, std, true
-		o, err := changepoint.NewOnline(c.CUSUM)
-		if err == nil {
-			bs.online = o
-		}
-	}
-	if bs.online == nil {
-		return
-	}
-	for i := bs.onlineFed; i < settled && i < len(a.Trend); i++ {
-		if bs.online.Update((a.Trend[i] - bs.normMean) / bs.normStd) {
-			cs := bs.online.Changes()
-			last := cs[len(cs)-1]
-			bs.evidence = append(bs.evidence, evidencePoint{
-				t:   c.AnalysisStart + int64(last.Alarm)*c.SampleStep,
-				seq: seq,
-				dir: last.Dir,
-			})
-		}
-		bs.onlineFed = i + 1
-	}
 }
 
 // trackCandidates matches this refresh's full-window detections against
@@ -457,26 +371,11 @@ func (d *detector) emit(b int, bs *blockState, frontier, seq int64, final bool) 
 			FirstSeenSeq: cand.firstSeenSeq,
 			EligibleSeq:  cand.eligibleSeq,
 			EmitSeq:      seq,
-			EvidenceSeq:  matchEvidence(bs.evidence, cand.change),
 		}
 		d.nextEvent++
 		out = append(out, ev)
 	}
 	return out
-}
-
-// matchEvidence finds the earliest online-CUSUM alarm attributable to the
-// change: same direction, alarm time within the change's span plus a
-// day of trend smearing on each side. Returns -1 when streaming evidence
-// never fired (edge-of-window changes settle only at the final refresh).
-func matchEvidence(evidence []evidencePoint, ch core.Change) int64 {
-	day := int64(netsim.SecondsPerDay)
-	for _, ep := range evidence {
-		if ep.dir == ch.Dir && ep.t >= ch.Start-day && ep.t <= ch.End+day {
-			return ep.seq
-		}
-	}
-	return -1
 }
 
 // result assembles a WorldResult from the final refresh's analyses,

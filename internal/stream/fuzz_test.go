@@ -42,7 +42,7 @@ func fuzzWALBytes(f *testing.F) []byte {
 	if err := appendFrame(w, frameRound, r); err != nil {
 		f.Fatal(err)
 	}
-	ev := Event{Seq: 0, ID: netsim.BlockID(7), Change: core.Change{Point: 86400, Dir: 1}, EvidenceSeq: -1}
+	ev := Event{Seq: 0, ID: netsim.BlockID(7), Change: core.Change{Point: 86400, Dir: 1}}
 	if err := appendFrame(w, frameEvent, ev); err != nil {
 		f.Fatal(err)
 	}

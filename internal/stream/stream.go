@@ -1,9 +1,8 @@
 // Package stream turns the batch analysis pipeline into a long-running
 // service: a daemon that ingests probe rounds incrementally, re-runs the
-// shared analysis kernel over them every few rounds, keeps online CUSUM
-// evidence on each block's settled trend, and emits change events
-// confirmed across refreshes with bounded latency instead of rediscovering
-// the quarter retrospectively.
+// shared analysis kernel over them every few rounds, and emits the
+// kernel's change events once they hold across refreshes, with bounded
+// latency, instead of rediscovering the quarter retrospectively.
 //
 // Robustness is the design center. Every ingested round lands in a
 // durable CRC-framed WAL (an internal/journal segmented log, like the
@@ -205,19 +204,15 @@ type Event struct {
 	ID    netsim.BlockID
 	// Change is the detected change as of the emitting refresh.
 	Change core.Change
-	// FirstSeenSeq is the round sequence of the refresh that first
-	// surfaced the candidate; EligibleSeq the round at which the
-	// stability guard (boundary + outage-pair horizons past the change)
-	// was satisfied; EmitSeq the round whose refresh emitted it. The
-	// bounded-latency contract is
+	// FirstSeenSeq is the round sequence of the refresh that began the
+	// candidate's unbroken run of presence up to its emission (a refresh
+	// that misses the candidate starts the run over); EligibleSeq the
+	// round at which the stability guard (boundary + outage-pair horizons
+	// past the change) was satisfied; EmitSeq the round whose refresh
+	// emitted it. The bounded-latency contract is
 	//
 	//	EmitSeq - max(FirstSeenSeq, EligibleSeq) <= ConfirmRefreshes*RefreshEvery
 	FirstSeenSeq, EligibleSeq, EmitSeq int64
-	// EvidenceSeq is the round at which the online CUSUM over the settled
-	// trend prefix first alarmed for this change, or -1 when the change
-	// was surfaced by the full-window detector alone (evidence near the
-	// window edge settles only at the final refresh).
-	EvidenceSeq int64
 }
 
 // Stats is a point-in-time snapshot of daemon health.

@@ -437,6 +437,28 @@ func TestDaemonResolvesCore(t *testing.T) {
 	}
 }
 
+// TestHandSetCUSUMMatchesResolved: spelling the CUSUM that DefaultConfig
+// resolves to out by hand changes nothing: the daemon emits the same
+// events and reaches the same fingerprint.
+func TestHandSetCUSUMMatchesResolved(t *testing.T) {
+	world := testWorld(t, 12, 3)
+	cfg := testConfig()
+	f := testFeeder(t, testEngine(3), world, cfg)
+	evs, fp := runStream(t, t.TempDir(), world, f, cfg)
+	if len(evs) == 0 {
+		t.Fatal("DefaultConfig emitted no events; the comparison would prove nothing")
+	}
+	hand := cfg
+	hand.Core.CUSUM = changepoint.Opts{Threshold: 1, Drift: 0.004}
+	handEvs, handFP := runStream(t, t.TempDir(), world, f, hand)
+	if !reflect.DeepEqual(evs, handEvs) {
+		t.Errorf("CUSUM set by hand: %d events, by default %d, and they differ", len(handEvs), len(evs))
+	}
+	if handFP != fp {
+		t.Errorf("CUSUM set by hand: fingerprint %.16s, by default %.16s", handFP, fp)
+	}
+}
+
 // TestWALRejectsForeignSignature: a stream directory from a different
 // config or world refuses to open instead of replaying foreign state.
 func TestWALRejectsForeignSignature(t *testing.T) {

@@ -27,7 +27,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/diurnalnet/diurnal/internal/changepoint"
+	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
+	"github.com/diurnalnet/diurnal/internal/netsim"
 )
 
 var goldenOut = flag.String("golden-out", "", "directory TestWriteWALGolden writes the journal fixture into")
@@ -163,6 +166,38 @@ func TestWALGoldenFormat(t *testing.T) {
 	for i := range evs {
 		if evs[i] != ref[i] {
 			t.Fatalf("fixture event %d diverges: %+v vs %+v", i, evs[i], ref[i])
+		}
+	}
+}
+
+// TestEventFrameDropsRemovedField: event frames journaled when Event still
+// carried EvidenceSeq (the round of the daemon's since-removed online
+// CUSUM alarm) decode into today's Event with every remaining field
+// intact. gob matches struct fields by name and skips those the receiver
+// lacks, so an events WAL written before the removal still reopens.
+func TestEventFrameDropsRemovedField(t *testing.T) {
+	type oldEvent struct {
+		Seq                                int64
+		Block                              int
+		ID                                 netsim.BlockID
+		Change                             core.Change
+		FirstSeenSeq, EligibleSeq, EmitSeq int64
+		EvidenceSeq                        int64
+	}
+	ch := core.Change{Dir: changepoint.Down, Start: 3600, Alarm: 7200, End: 10800, Point: 9000, Amplitude: -1.25, RawAmplitude: -4.5}
+	for _, evidence := range []int64{-1, 0, 41} {
+		old := oldEvent{Seq: 7, Block: 3, ID: 0x0a0b0c, Change: ch, FirstSeenSeq: 40, EligibleSeq: 42, EmitSeq: 44, EvidenceSeq: evidence}
+		payload, err := encodeStreamFrame(frameEvent, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		df, err := decodeStreamFrame(payload)
+		if err != nil {
+			t.Fatalf("evidence %d: %v", evidence, err)
+		}
+		want := Event{Seq: 7, Block: 3, ID: 0x0a0b0c, Change: ch, FirstSeenSeq: 40, EligibleSeq: 42, EmitSeq: 44}
+		if df.Tag != frameEvent || df.Event == nil || *df.Event != want {
+			t.Fatalf("evidence %d: decoded %q frame %+v, want an event frame %+v", evidence, df.Tag, df.Event, want)
 		}
 	}
 }
