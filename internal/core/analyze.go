@@ -242,14 +242,15 @@ func (cfg Config) AnalyzeRecords(perObs [][]probe.Record, eb []int) (*BlockAnaly
 }
 
 // AnalyzeCollectedScratch is the shared analysis kernel: it takes
-// already-collected per-observer probe streams and runs sanitization, the
-// per-stream repair pass, one merged-order walk that reconstructs the
-// series and tracks the outage belief together (see frontHalf),
-// classification, and trend/change detection. The world driver
+// already-collected per-observer probe streams and runs the record-level
+// half — sanitization, the per-stream repair pass, and one merged-order
+// walk that reconstructs the series and tracks the outage belief together
+// — on sc's FrontState, advanced once over the whole history, then
+// classification and trend/change detection. The world driver
 // (AnalyzeBlockScratch) collects then calls here. The streaming daemon
-// (internal/stream) advances a FrontState by each refresh's new records
-// instead, which gives what this gives over the whole history; this is its
-// oracle. perObs is not modified; sc may be nil for a one-shot call.
+// keeps a FrontState per block instead and advances it by each refresh's
+// new records, which gives what this gives over the whole history. perObs
+// is not modified; sc may be nil for a one-shot call.
 func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
 	r, err := cfg.Resolve()
 	if err != nil {
@@ -261,9 +262,9 @@ func (cfg Config) AnalyzeCollectedScratch(perObs [][]probe.Record, eb []int, sc 
 	return r.analyzeCollected(perObs, eb, sc)
 }
 
-// Reconstruct runs the kernel's record-level half alone (see frontHalf), as
-// cfg's SanitizeRecords, Repair and Integrity ask, for callers that stop at
-// the series, such as the paper's reconstruction tables. It returns the
+// Reconstruct runs the kernel's record-level half alone (see FrontState),
+// as cfg's SanitizeRecords, Repair and Integrity ask, for callers that stop
+// at the series, such as the paper's reconstruction tables. It returns the
 // series and the outages that would mask its changes, or an error when eb
 // is empty. perObs is not modified; sc may be nil for a one-shot call.
 func (cfg Config) Reconstruct(perObs [][]probe.Record, eb []int, sc *Scratch) (*reconstruct.Series, []outage.Interval, error) {
@@ -271,89 +272,29 @@ func (cfg Config) Reconstruct(perObs [][]probe.Record, eb []int, sc *Scratch) (*
 	if err != nil {
 		return nil, nil, err
 	}
+	if len(eb) == 0 {
+		return nil, nil, fmt.Errorf("core: empty target list")
+	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	series, outages, _, err := r.frontHalf(perObs, eb, sc)
-	return series, outages, err
+	series, outages, _ := r.advanceOnce(perObs, eb, sc).front(sc)
+	return series, outages, nil
 }
 
 // analyzeCollected is the kernel behind AnalyzeCollectedScratch.
 func (r Resolved) analyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
-	if len(eb) == 0 {
-		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
-	}
-	series, outages, san, err := r.frontHalf(perObs, eb, sc)
-	if err != nil {
-		return nil, err
-	}
-	return r.analyzeResolvedSeries(series, outages, san, sc)
+	return r.advanceOnce(perObs, eb, sc).Analyze(sc)
 }
 
-// frontHalf is the record-level half of the kernel: steps 1–3 of the
-// paper's Table 1 (sanitize, combine the observers, reconstruct with
-// 1-loss repair) plus the §2.6 outage cross-check. It reads perObs and
-// never writes it. Where the staged composition Sanitize → Repair1Loss →
-// MergeInto → ResolveContested → Reconstruct + outage.FromRecords (which it
-// equals bit for bit, and which stays the test oracle) rewrites the streams
-// and takes six to eight passes, it takes two. Pass 1 (Cursor.Load), per
-// stream, sanitizes a dirty stream into the Scratch, repairs as flips and
-// tallies; pass 2 walks the streams in merged order and hands each run to
-// the address-state accumulator and the belief detector while it is in
-// cache.
-//
-// The belief's availability is the reply rate of the merged stream, and
-// the detector needs it before its first record. Pass 1's tally is that
-// rate exactly when the walk drops nothing; when it does drop —
-// cross-observer timestamp ties under Integrity, duplicate floods with
-// sanitizing off, never on clean data — the belief alone walks again with
-// the corrected rate.
-func (r Resolved) frontHalf(perObs [][]probe.Record, eb []int, sc *Scratch) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
-	var sanitize *reconstruct.Sanitizer
-	if r.c.SanitizeRecords {
-		lo, hi := r.sanitizeWindow()
-		sanitize = &reconstruct.Sanitizer{Start: lo, End: hi}
-	}
-	cur := &sc.cursor
-	cur.Dedup, cur.Resolve = !r.c.SanitizeRecords, r.c.Integrity
-	records, responsive, runs, san := cur.Load(perObs, r.c.Repair, sanitize)
-	if err := sc.acc.Reset(eb, runs); err != nil {
-		return nil, nil, san, err
-	}
-	// The detector's availability is estimated from the stream itself, as
-	// outage.FromRecords does (mean reply rate, the long-term A estimate of
-	// §2.8); det stays nil when there is nothing to detect: masking
-	// disabled, an empty stream, a block that never answered. NewDetector
-	// inlines here, which keeps the detector on this frame; it has no error
-	// to give for a rate in (0, 1] under default Params, and a nil det
-	// would mean no masking, as when FromRecords failed.
-	var det *outage.Detector
-	if r.c.OutageMaskMinHours >= 0 && responsive > 0 {
-		det, _ = outage.NewDetector(float64(responsive)/float64(records), outage.Params{})
-	}
-	walk(cur, &sc.acc, det)
-	if dropped, droppedUp := cur.Dropped(); dropped > 0 && det != nil {
-		det = nil
-		if responsive > droppedUp {
-			det, _ = outage.NewDetector(float64(responsive-droppedUp)/float64(records-dropped), outage.Params{})
-		}
-		cur.Rewind()
-		walk(cur, nil, det)
-	}
-	return sc.acc.Finish(), r.maskingOutages(det), san, nil
-}
-
-// walk drains the cursor, handing every run of the merged stream to the
-// accumulator and to the belief detector; either may be nil.
-func walk(cur *reconstruct.Cursor, acc *reconstruct.Accumulator, det *outage.Detector) {
-	for run := cur.Next(); run != nil; run = cur.Next() {
-		if acc != nil {
-			acc.Add(run)
-		}
-		if det != nil {
-			det.ObserveAll(run)
-		}
-	}
+// advanceOnce is the batch kernel's record-level half: sc's FrontState,
+// reset for the block, advanced once over its whole history.
+func (r Resolved) advanceOnce(perObs [][]probe.Record, eb []int, sc *Scratch) *FrontState {
+	f := &sc.front
+	f.cfg, f.eb, f.once = r, eb, true
+	f.Reset()
+	f.Advance(perObs)
+	return f
 }
 
 // sanitizeWindow is the window sanitizing keeps records in: the analysis
@@ -629,21 +570,20 @@ func (r Resolved) toWallClock(changes []changepoint.Change, a *BlockAnalysis) []
 }
 
 // Scratch holds one worker's reusable analysis state: the probe record
-// buffers, the merged-order cursor and the address-state accumulator of the
-// record walk, the classifier's cached FFT plans and resample buffers, and
-// the STL workspace. A world-scale run hands each worker goroutine its
-// own Scratch (Pipeline.Run does), so the per-block hot path allocates only
-// for outputs that outlive the block; everything length-dependent is paid
-// once per distinct series length. A Scratch is not safe for concurrent
-// use — per-worker ownership, not a shared locked cache, is the design
-// (see DESIGN.md).
+// buffers, the front half the kernel advances once per block (its cursor,
+// accumulator and stream buffers), the classifier's cached FFT plans and
+// resample buffers, and the STL workspace. A world-scale run hands each
+// worker goroutine its own Scratch (Pipeline.Run does), so the per-block
+// hot path allocates only for outputs that outlive the block; everything
+// length-dependent is paid once per distinct series length. A Scratch is
+// not safe for concurrent use — per-worker ownership, not a shared locked
+// cache, is the design (see DESIGN.md).
 type Scratch struct {
 	perObs [][]probe.Record
+	front  FrontState
 	// walked and replay are FrontState.Analyze's record buffers: the held
 	// records' merged walk, and the trace's decoding.
 	walked, replay []probe.Record
-	cursor         reconstruct.Cursor
-	acc            reconstruct.Accumulator
 	class          *blockclass.Scratch
 	stl            stl.Workspace
 }

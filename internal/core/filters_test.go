@@ -139,7 +139,7 @@ func detectOutages(t *testing.T, cfg Config, merged []probe.Record) []outage.Int
 	t.Helper()
 	cfg.Repair = false
 	cfg.SanitizeRecords = false
-	_, outages, _, err := mustResolve(cfg).frontHalf([][]probe.Record{merged}, []int{1}, NewScratch())
+	_, outages, err := cfg.Reconstruct([][]probe.Record{merged}, []int{1}, NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}

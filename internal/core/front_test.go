@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -15,8 +16,9 @@ import (
 )
 
 // The front half of the kernel — sanitize, repair, merge, contest
-// resolution, reconstruction, outage belief — is two passes that never
-// materialise the merged stream and never write the caller's streams. The
+// resolution, reconstruction, outage belief — is a FrontState that never
+// materialises the merged stream and never writes the caller's streams;
+// the batch kernel advances the one its Scratch holds once per block. The
 // tests here hold it, bit for bit, to the staged composition of the
 // exported stages it replaced (reference_test.go), which rewrites its
 // input, and hold it to leaving its own input as it was. They are the only
@@ -204,12 +206,12 @@ func mustResolve(cfg Config) Resolved {
 	return r
 }
 
-// TestFrontHalfMatchesStaged is the differential oracle. Each of the two
+// TestAdvanceOnceMatchesStaged is the differential oracle. Each of the two
 // workers owns one Scratch for all its cases, as a pipeline worker does, so
-// under the race detector a cursor or accumulator shared between workers
-// would show. The kernel gets each case's own streams, which it must leave
-// as they were; the oracle gets a copy.
-func TestFrontHalfMatchesStaged(t *testing.T) {
+// under the race detector a front half shared between workers would show.
+// The kernel gets each case's own streams, which it must leave as they
+// were; the oracle gets a copy.
+func TestAdvanceOnceMatchesStaged(t *testing.T) {
 	base := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay)
 	cases := frontCases(t)
 	type tally struct{ compared, rewalked, withOutages int }
@@ -220,13 +222,15 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			sc, ref := NewScratch(), NewScratch()
+			var merged []probe.Record
 			for ci := w; ci < len(cases); ci += workers {
 				fc := cases[ci]
 				headers, records := slices.Clone(fc.perObs), cloneStreams(fc.perObs)
 				for _, cfg := range frontConfigs(base) {
 					name := fmt.Sprintf("%s repair=%v sanitize=%v integrity=%v",
 						fc.name, cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity)
-					want, err := cfg.referenceAnalyzeCollected(cloneStreams(fc.perObs), fc.eb, ref)
+					staged := cloneStreams(fc.perObs)
+					want, err := cfg.referenceAnalyzeCollected(staged, fc.eb, &merged, ref)
 					if err != nil {
 						t.Errorf("%s: oracle: %v", name, err)
 						continue
@@ -253,7 +257,7 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 						t.Errorf("%s: Reconstruct: %v", name, err)
 					}
 					tallies[w].compared++
-					if dropped, _ := sc.cursor.Dropped(); dropped > 0 {
+					if dropped(staged, merged) > 0 {
 						tallies[w].rewalked++
 					}
 					if len(got.Outages) > 0 {
@@ -272,7 +276,7 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 		total.rewalked += tl.rewalked
 		total.withOutages += tl.withOutages
 	}
-	t.Logf("%d analyses compared; %d took the dropped-records re-walk, %d masked with a non-empty outage list",
+	t.Logf("%d analyses compared; %d dropped records in the walk (the belief's re-walk), %d masked with a non-empty outage list",
 		total.compared, total.rewalked, total.withOutages)
 	if total.rewalked == 0 {
 		t.Error("no case dropped records in the walk: the corrected-availability re-walk went untested")
@@ -282,12 +286,57 @@ func TestFrontHalfMatchesStaged(t *testing.T) {
 	}
 }
 
-// TestFrontHalfRewalkCorrectsAvailability pins the one trap on the
+// TestScratchReuseMatchesFresh runs one Scratch over blocks A, B, A — the
+// two-observer contest, whose walk drops a record a round and so traces
+// its merged stream, then nine observers with another target list — under
+// Integrity with sanitizing and repair off, and holds each result bit for
+// bit to a fresh Scratch's: nothing of one block's front half may reach
+// the next.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	c := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay)
+	c.Integrity, c.SanitizeRecords, c.Repair = true, false, false
+	cfg := mustResolve(c)
+	byName := map[string]frontCase{}
+	for _, fc := range frontCases(t) {
+		byName[fc.name] = fc
+	}
+	a, b := byName["contest/hand-built"], byName["k9/raw"]
+	if slices.Equal(a.eb, b.eb) || len(a.perObs) == len(b.perObs) {
+		t.Fatal("blocks A and B must differ in target list and observer count")
+	}
+	sc := NewScratch()
+	for i, fc := range []frontCase{a, b, a} {
+		want, err := cfg.analyzeCollected(fc.perObs, fc.eb, NewScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cfg.analyzeCollected(fc.perObs, fc.eb, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameAnalysis(got, want); err != nil {
+			t.Errorf("block %d (%s) on a reused Scratch: %v", i, fc.name, err)
+		}
+	}
+}
+
+// dropped is how many records the staged composition's merge of streams,
+// as it left them sanitized, dropped: within-run duplicates and collapsed
+// contests.
+func dropped(streams [][]probe.Record, merged []probe.Record) int {
+	n := -len(merged)
+	for _, s := range streams {
+		n += len(s)
+	}
+	return n
+}
+
+// TestAdvanceOnceRewalkCorrectsAvailability pins the one trap on the
 // hand-built contest, where it is large: the merged stream is a quarter
-// shorter than the streams' sum, so a belief run on pass 1's tally would
-// use the wrong availability. Sanitizing is off so that the contest's
-// last 250 rounds, past the window's end, are walked too.
-func TestFrontHalfRewalkCorrectsAvailability(t *testing.T) {
+// shorter than the streams' sum, so a belief run on the per-stream tally
+// would use the wrong availability. Sanitizing is off so that the
+// contest's last 250 rounds, past the window's end, are walked too.
+func TestAdvanceOnceRewalkCorrectsAvailability(t *testing.T) {
 	c := DefaultConfig(q1Start, q1Start+frontDays*netsim.SecondsPerDay)
 	c.Integrity, c.SanitizeRecords = true, false
 	cfg := mustResolve(c)
@@ -295,18 +344,16 @@ func TestFrontHalfRewalkCorrectsAvailability(t *testing.T) {
 	fc := cases[len(cases)-1]
 	sc := NewScratch()
 	var got, want front
+	got.series, got.outages, got.san = cfg.advanceOnce(fc.perObs, fc.eb, sc).front(sc)
+	staged := cloneStreams(fc.perObs)
+	var merged []probe.Record
 	var err error
-	got.series, got.outages, got.san, err = cfg.frontHalf(fc.perObs, fc.eb, sc)
+	want.series, want.outages, want.san, err = cfg.referenceFrontHalf(staged, fc.eb, &merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped, droppedUp := sc.cursor.Dropped()
-	if dropped != 3000 {
-		t.Fatalf("walk dropped %d records (%d responsive), want one per round = 3000", dropped, droppedUp)
-	}
-	want.series, want.outages, want.san, err = cfg.referenceFrontHalf(cloneStreams(fc.perObs), fc.eb, nil)
-	if err != nil {
-		t.Fatal(err)
+	if n := dropped(staged, merged); n != 3000 {
+		t.Fatalf("the merge dropped %d records, want one per round = 3000", n)
 	}
 	if err := sameFront(got, want); err != nil {
 		t.Error(err)
@@ -365,14 +412,14 @@ func fuzzFront(data []byte) (r Resolved, perObs [][]probe.Record, eb []int) {
 	return mustResolve(cfg), perObs, eb
 }
 
-// FuzzFrontHalf: whatever the records, the two-pass walk neither panics,
-// nor departs from the staged composition, nor writes the streams it was
-// given. Only the record-level half runs:
+// FuzzAdvanceOnce: whatever the records, the batch kernel's front half
+// neither panics, nor departs from the staged composition, nor writes the
+// streams it was given. Only the record-level half runs:
 // the series-level half is a function of what is compared here, and with
 // sanitizing off it is not safe on arbitrary timestamps
 // (blockclass.bestWindow steps day by day from the series' first day to
 // its last).
-func FuzzFrontHalf(f *testing.F) {
+func FuzzAdvanceOnce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 3, 2})
 	// Three observers, rounds a few steps apart, ties across streams.
@@ -399,10 +446,7 @@ func FuzzFrontHalf(f *testing.F) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		got.series, got.outages, got.san, err = cfg.frontHalf(perObs, eb, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got.series, got.outages, got.san = cfg.advanceOnce(perObs, eb, sc).front(sc)
 		if err := sameFront(got, want); err != nil {
 			t.Fatalf("repair=%v sanitize=%v integrity=%v, %d streams: %v",
 				cfg.c.Repair, cfg.c.SanitizeRecords, cfg.c.Integrity, len(perObs), err)
@@ -439,9 +483,12 @@ func benchBlocks(tb testing.TB) []frontCase {
 	return out
 }
 
-// BenchmarkFrontHalf reads the walk against the staged composition it
-// replaced in one run, on a warm Scratch, over fresh copies of the records
-// (the staged composition edits them) made outside the timer:
+// BenchmarkFrontHalf reads the front half against the staged composition
+// it replaced in one run, over fresh copies of the records (the staged
+// composition edits them) made outside the timer: "oneshot" is the batch
+// kernel's, on a warm Scratch; "rebuild" is a daemon's per-block state
+// reset and advanced over the whole history, as on the first refresh
+// after Open.
 //
 //	go test -run '^$' -bench FrontHalf -benchtime 200x ./internal/core
 func BenchmarkFrontHalf(b *testing.B) {
@@ -454,14 +501,21 @@ func BenchmarkFrontHalf(b *testing.B) {
 			}
 		}
 		sc := NewScratch()
+		daemon := cfg.NewFrontState(fc.eb)
 		var merged []probe.Record
 		for _, half := range []struct {
 			name string
 			run  func() (*reconstruct.Series, error)
 		}{
-			{"walk", func() (*reconstruct.Series, error) {
-				s, _, _, err := cfg.frontHalf(input, fc.eb, sc)
-				return s, err
+			{"oneshot", func() (*reconstruct.Series, error) {
+				s, _, _ := cfg.advanceOnce(input, fc.eb, sc).front(sc)
+				return s, nil
+			}},
+			{"rebuild", func() (*reconstruct.Series, error) {
+				daemon.Reset()
+				daemon.Advance(input)
+				s, _, _ := daemon.front(sc)
+				return s, nil
 			}},
 			{"staged", func() (*reconstruct.Series, error) {
 				s, _, _, err := cfg.referenceFrontHalf(input, fc.eb, &merged)
@@ -488,42 +542,34 @@ func BenchmarkFrontHalf(b *testing.B) {
 	}
 }
 
-// TestFrontHalfAllocations: on a warm Scratch the front half allocates only
-// what the BlockAnalysis retains — the Series and its two columns, the
-// belief's interval list and the filtered copy of it. The cursor and the
-// accumulator live in the Scratch, the detector on the kernel's stack.
-func TestFrontHalfAllocations(t *testing.T) {
+// TestAdvanceOnceBytes: on a warm Scratch the batch kernel's front half
+// allocates at most twice what the Series it returns holds — its two
+// columns, sized to the tally's bound on the points — beside the belief's
+// interval lists. The stream buffers, cursor and repairs live in the
+// Scratch, and a clean stream is read where it lies.
+func TestAdvanceOnceBytes(t *testing.T) {
 	cfg := mustResolve(q1Config())
-	// appends is how many times append allocates while a list grows from
-	// nil to n elements one at a time (capacities double).
-	appends := func(n int) float64 {
-		if n == 0 {
-			return 0
-		}
-		return 1 + math.Ceil(math.Log2(float64(n)))
-	}
 	for _, fc := range benchBlocks(t) {
 		input := cloneStreams(fc.perObs)
-		raw, err := outage.FromRecords(reconstruct.MergeInto(nil, input), 0, outage.Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		sc := NewScratch()
-		var kept int
+		var columns int
 		run := func() {
-			_, outages, _, err := cfg.frontHalf(input, fc.eb, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kept = len(outages)
+			s, _, _ := cfg.advanceOnce(input, fc.eb, sc).front(sc)
+			columns = 8 * (cap(s.Times) + cap(s.Counts))
 		}
 		run()
-		allocs := testing.AllocsPerRun(5, run)
-		// Series, Times, Counts; then the two interval lists.
-		limit := 3 + appends(len(raw)) + appends(kept)
-		if allocs > limit {
-			t.Errorf("%s: warm front half allocates %.0f times per block, want <= %.0f (%d belief intervals, %d kept)",
-				fc.name, allocs, limit, len(raw), kept)
+		var before, after runtime.MemStats
+		const runs = 5
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
 		}
+		runtime.ReadMemStats(&after)
+		perCall := int(after.TotalAlloc-before.TotalAlloc) / runs
+		if limit := 2*columns + 64<<10; perCall > limit {
+			t.Errorf("%s: warm front half allocates %d bytes per block, want <= %d (Series columns %d bytes)",
+				fc.name, perCall, limit, columns)
+		}
+		t.Logf("%s: %d bytes per block, Series columns %d", fc.name, perCall, columns)
 	}
 }

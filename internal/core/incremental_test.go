@@ -11,18 +11,21 @@ import (
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
 
-// The incremental front half against the batch one: whatever pieces a
-// block's streams arrive in, FrontState gives after every piece what
-// frontHalf gives over everything so far.
+// The front half advanced a piece at a time: whatever pieces a block's
+// streams arrive in, a FrontState gives after every piece what the staged
+// composition gives over everything so far, and what the batch kernel's
+// state, advanced once, gives.
 
 // piecewise feeds rounds to a FrontState and checks it after every
-// every-th one and the last against frontHalf over the concatenation so
-// far, and with analyze the whole analysis at the end. It returns how many
-// Advances were refused and rebuilt.
+// every-th one and the last against the staged composition over the
+// concatenation so far, and with analyze the whole analysis at the end
+// against the batch kernel's. It returns how many Advances were refused
+// and rebuilt.
 func piecewise(t *testing.T, cfg Resolved, eb []int, rounds [][][]probe.Record, every int, analyze bool) (rebuilds int) {
 	t.Helper()
 	st := cfg.NewFrontState(eb)
-	sc, ref := NewScratch(), NewScratch()
+	sc, batch := NewScratch(), NewScratch()
+	var merged []probe.Record
 	var history [][]probe.Record
 	for ri, round := range rounds {
 		for len(history) < len(round) {
@@ -43,9 +46,9 @@ func piecewise(t *testing.T, cfg Resolved, eb []int, rounds [][][]probe.Record, 
 		}
 		var got, want front
 		var err error
-		want.series, want.outages, want.san, err = cfg.frontHalf(history, eb, ref)
+		want.series, want.outages, want.san, err = cfg.referenceFrontHalf(cloneStreams(history), eb, &merged)
 		if err != nil {
-			t.Fatalf("round %d: batch: %v", ri, err)
+			t.Fatalf("round %d: oracle: %v", ri, err)
 		}
 		got.series, got.outages, got.san = st.front(sc)
 		if err := sameFront(got, want); err != nil {
@@ -57,7 +60,7 @@ func piecewise(t *testing.T, cfg Resolved, eb []int, rounds [][][]probe.Record, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cfg.analyzeCollected(history, eb, ref)
+		want, err := cfg.analyzeCollected(history, eb, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,8 +162,9 @@ func fuzzRounds(perObs [][]probe.Record, seed byte) [][][]probe.Record {
 // FuzzIncrementalFrontHalf: random streams, with late, duplicate,
 // conflicting and cross-observer-tied records, split into random rounds,
 // under every Repair × SanitizeRecords × Integrity choice, give after
-// every round the front half frontHalf gives over everything so far. The
-// first byte draws the rounds; the rest is FuzzFrontHalf's encoding.
+// every round the front half the staged composition gives over everything
+// so far. The first byte draws the rounds; the rest is FuzzAdvanceOnce's
+// encoding.
 func FuzzIncrementalFrontHalf(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{5, 7, 3, 2})

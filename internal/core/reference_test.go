@@ -35,26 +35,27 @@ func (cfg Config) referenceDetectOutages(merged []probe.Record) []outage.Interva
 	return kept
 }
 
-// referenceAnalyzeCollected is the parent commit's Config.analyzeCollected:
-// the front half as a composition of the exported stages, each a pass of
-// its own over the records, with the merged stream materialised. It is the
-// oracle the two-pass walk is held to, bit for bit, in front_test.go.
-func (r Resolved) referenceAnalyzeCollected(perObs [][]probe.Record, eb []int, sc *Scratch) (*BlockAnalysis, error) {
+// referenceAnalyzeCollected is the kernel with its front half as a
+// composition of the exported stages, each a pass of its own over the
+// records, with the merged stream materialised in *merged. It is the
+// oracle FrontState is held to, bit for bit, in front_test.go and
+// incremental_test.go. It rewrites perObs.
+func (r Resolved) referenceAnalyzeCollected(perObs [][]probe.Record, eb []int, merged *[]probe.Record, sc *Scratch) (*BlockAnalysis, error) {
 	if len(eb) == 0 {
 		return &BlockAnalysis{Series: &reconstruct.Series{}}, nil
 	}
-	series, outages, san, err := r.referenceFrontHalf(perObs, eb, nil)
+	series, outages, san, err := r.referenceFrontHalf(perObs, eb, merged)
 	if err != nil {
 		return nil, err
 	}
 	return r.analyzeResolvedSeries(series, outages, san, sc)
 }
 
-// referenceFrontHalf is the record-level half of the parent's kernel:
-// Sanitize ×k → Repair1Loss ×k → MergeInto → ResolveContested →
-// Reconstruct → detectOutages. merged is the reusable merge buffer Scratch
-// used to hold (nil for a one-shot call). It rewrites perObs, as the
-// parent's kernel did.
+// referenceFrontHalf is the record-level half of the kernel as the staged
+// composition: Sanitize ×k → Repair1Loss ×k → MergeInto →
+// ResolveContested → Reconstruct → detectOutages. merged is the reusable
+// merge buffer (nil for a one-shot call). It rewrites perObs, as the
+// kernel once did.
 func (r Resolved) referenceFrontHalf(perObs [][]probe.Record, eb []int, merged *[]probe.Record) (*reconstruct.Series, []outage.Interval, reconstruct.SanitizeReport, error) {
 	cfg := r.c
 	var san reconstruct.SanitizeReport

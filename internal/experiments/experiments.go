@@ -100,6 +100,11 @@ type classification struct {
 	sensitive  bool
 }
 
+// scratches backs reconstructBlock, as core.Config.AnalyzeBlock's pool
+// backs it: experiments reconstruct from many goroutines, each block on a
+// warm Scratch.
+var scratches = sync.Pool{New: func() any { return core.NewScratch() }}
+
 // reconstructBlock is every experiment's records → Series step: the front
 // half of the kernel the pipeline runs (core.Config.Reconstruct), under the
 // paper's configuration for the window [start, end) with 1-loss repair on
@@ -107,7 +112,9 @@ type classification struct {
 func reconstructBlock(perObs [][]probe.Record, eb []int, start, end int64, repair bool) (*reconstruct.Series, error) {
 	cfg := core.DefaultConfig(start, end)
 	cfg.Repair = repair
-	series, _, err := cfg.Reconstruct(perObs, eb, nil)
+	sc := scratches.Get().(*core.Scratch)
+	defer scratches.Put(sc)
+	series, _, err := cfg.Reconstruct(perObs, eb, sc)
 	return series, err
 }
 
@@ -140,7 +147,7 @@ func ScanTimes(perObs [][]probe.Record, eb []int) []int64 {
 		}
 	}
 	cur := reconstruct.Cursor{Dedup: true}
-	cur.Reset(perObs)
+	cur.Reset(perObs, nil)
 	run := cur.Next()
 	if run == nil || targets == 0 {
 		return nil
@@ -177,11 +184,16 @@ func medianScan(scans []int64, window int64) int64 {
 
 // meanReplyRate returns the fraction of the streams' records that
 // answered — with repair set, as 1-loss repair leaves them — the quantity
-// Figure 6d compares across observers, from the kernel's pass-1 tally
-// (reconstruct.Cursor.Load). It returns 0 for no records.
+// Figure 6d compares across observers, from the kernel's per-stream tally
+// (reconstruct.Repairer.Tally). It returns 0 for no records.
 func meanReplyRate(streams [][]probe.Record, repair bool) float64 {
-	var cur reconstruct.Cursor
-	records, responsive, _, _ := cur.Load(streams, repair, nil)
+	records, responsive := 0, 0
+	var flips reconstruct.Flips
+	for _, s := range streams {
+		var rp reconstruct.Repairer
+		up, _, _ := rp.Tally(s, repair, len(s), &flips)
+		records, responsive = records+len(s), responsive+up
+	}
 	if records == 0 {
 		return 0
 	}

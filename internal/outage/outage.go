@@ -98,8 +98,8 @@ const minAvailability, maxAvailability = 0.05, 0.99
 // about blocks with lower A).
 func NewDetector(availability float64, params Params) (*Detector, error) {
 	// Small enough to inline, so a caller whose detector does not outlive
-	// it (FromRecords, the analysis kernel once per block) keeps the
-	// detector on its stack; init is the part too big for that.
+	// it (FromRecords) keeps the detector on its stack; init is the part
+	// too big for that.
 	d := new(Detector)
 	if err := d.init(availability, params); err != nil {
 		return nil, err

@@ -121,3 +121,26 @@ func TestRepairerCarriesState(t *testing.T) {
 		}
 	}
 }
+
+// TestSanitizerAppendReadsCleanInPlace: a clean stream on an empty tail
+// comes back as itself, neither copied nor written, and a clean piece after
+// it is appended as it is, with nothing tallied; a piece that steps back
+// in time is sorted in.
+func TestSanitizerAppendReadsCleanInPlace(t *testing.T) {
+	stream := []probe.Record{{T: 1, Addr: 1}, {T: 1, Addr: 2, Up: true}, {T: 2, Addr: 1, Up: true}}
+	orig := slices.Clone(stream)
+	s := Sanitizer{Start: 0, End: 10}
+	var rep SanitizeReport
+	got := s.Append(nil, stream, &rep)
+	if len(got) != len(stream) || &got[0] != &stream[0] || !slices.Equal(stream, orig) || rep != (SanitizeReport{}) {
+		t.Fatalf("clean stream on an empty tail: got %v %+v, want the stream itself untallied", got, rep)
+	}
+	tail := s.Append(slices.Clone(got), []probe.Record{{T: 3, Addr: 2}}, &rep)
+	if want := append(slices.Clone(orig), probe.Record{T: 3, Addr: 2}); !slices.Equal(tail, want) || rep != (SanitizeReport{}) {
+		t.Fatalf("clean piece: got %v %+v, want %v untallied", tail, rep, want)
+	}
+	tail = s.Append(tail, []probe.Record{{T: 2, Addr: 3}}, &rep)
+	if tail[3] != (probe.Record{T: 2, Addr: 3}) || rep.Reordered != 1 {
+		t.Fatalf("late piece: got %v %+v, want it sorted in and counted", tail, rep)
+	}
+}

@@ -23,8 +23,9 @@ import (
 // because a lone non-response sandwiched between responses is more likely
 // a lost query than a briefly unused address. Patterns 001, 110 and others
 // are left untouched. Records must be in time order (as produced by the
-// prober). The kernel keeps the repairs as Flips instead (Cursor.Load);
-// outside tests only the staged benchmark (bench/staged.go) calls this.
+// prober). The kernel keeps the repairs as Flips that its Cursor applies
+// instead (core.FrontState); outside tests only the staged benchmark
+// (bench/staged.go) calls this.
 func Repair1Loss(records []probe.Record) {
 	var r Repairer
 	var flips Flips
@@ -185,21 +186,19 @@ func (r *SanitizeReport) Merge(o SanitizeReport) {
 // Duplicates, disagreeing repeats as Conflicts with the first observation
 // kept. The returned slice aliases records. A clean stream passes through
 // untouched with a zero report, so the pass is safe to run unconditionally.
-// The kernel sanitizes in Cursor.Load; outside tests only the staged
-// benchmark (bench/staged.go) calls this.
+// The kernel sanitizes a piece at a time with a Sanitizer
+// (core.FrontState); outside tests only the staged benchmark
+// (bench/staged.go) calls this.
 func Sanitize(records []probe.Record, start, end int64) ([]probe.Record, SanitizeReport) {
 	var rep SanitizeReport
-	if firstViolation(records, start, end) < len(records) {
-		s := Sanitizer{Start: start, End: end}
-		records = s.Append(records[:0], records, &rep)
-	}
-	return records, rep
+	s := Sanitizer{Start: start, End: end}
+	return s.Append(records[:0], records, &rep), rep
 }
 
 // firstViolation returns the index of the first record that breaks
 // Sanitize's invariants — out of [start, end), behind the record before it,
 // or an address repeated in one equal-timestamp run — or len(records): the
-// one clean check of Sanitize and Cursor.Load.
+// one clean check of Sanitizer.Append.
 func firstViolation(records []probe.Record, start, end int64) int {
 	// Where each address was last seen; start-1 is no in-window timestamp
 	// (it wraps to MaxInt64 at worst, which end excludes). In a time-ordered
@@ -237,7 +236,22 @@ type Sanitizer struct {
 // precedes tail is then untouched by next, and the result is the one
 // Sanitize gives the whole stream. tail may alias next's storage from
 // below (Sanitize passes records[:0]).
+//
+// A clean next — firstViolation finds nothing, and it starts after tail
+// and at or after the last record so far — is appended as it is, without
+// the re-sort and the run scan; on an empty tail it is returned itself,
+// uncopied, for the caller to read in place.
 func (s *Sanitizer) Append(tail, next []probe.Record, rep *SanitizeReport) []probe.Record {
+	if n := len(next); n == 0 {
+		return tail
+	} else if firstViolation(next, s.Start, s.End) == n &&
+		(len(tail) == 0 || tail[len(tail)-1].T < next[0].T) && (!s.seen || s.prevT <= next[0].T) {
+		s.prevT, s.seen = next[n-1].T, true
+		if len(tail) == 0 {
+			return next
+		}
+		return append(tail, next...)
+	}
 	from := len(tail)
 	for _, r := range next {
 		if r.T < s.Start || r.T >= s.End {
@@ -305,7 +319,7 @@ func MergeInto(dst []probe.Record, perObserver [][]probe.Record) []probe.Record 
 		out = make([]probe.Record, 0, total)
 	}
 	c := Cursor{Dedup: true}
-	c.Reset(perObserver)
+	c.Reset(perObserver, nil)
 	for run := c.Next(); run != nil; run = c.Next() {
 		out = append(out, run...)
 	}

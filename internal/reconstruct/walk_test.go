@@ -125,24 +125,14 @@ func TestCursorMatchesReferenceMerge(t *testing.T) {
 				}
 				c.Dedup, c.Resolve = dedup, resolve
 				in := cloneAll(streams)
-				c.Reset(in)
+				c.Reset(in, nil)
 				got := drain(t, &c)
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d dedup=%v resolve=%v: walk differs from MergeInto+ResolveContested (%d vs %d records)",
 						trial, dedup, resolve, len(got), len(want))
 				}
-				total, up := 0, 0
-				for _, s := range streams {
-					total += len(s)
-					up += responsive(s)
-				}
-				dropped, droppedUp := c.Dropped()
-				if dropped != total-len(want) || droppedUp != up-responsive(want) {
-					t.Fatalf("trial %d dedup=%v resolve=%v: Dropped() = %d, %d; the merged stream is short %d, %d",
-						trial, dedup, resolve, dropped, droppedUp, total-len(want), up-responsive(want))
-				}
 				// A second walk over the same streams repeats the first.
-				c.Reset(in)
+				c.Reset(in, nil)
 				if again := drain(t, &c); !slices.Equal(again, want) {
 					t.Fatalf("trial %d: second walk differs from the first", trial)
 				}
@@ -151,29 +141,30 @@ func TestCursorMatchesReferenceMerge(t *testing.T) {
 	}
 }
 
-// TestCursorLoadRepairsAndTallies: the walk after Load is Sanitize (when
-// asked), repair and merge, tallied in advance, and so is the walk after
-// Rewind; the streams Load was given are left as they were.
-func TestCursorLoadRepairsAndTallies(t *testing.T) {
+// TestCursorAppliesRepairs: the walk over streams that Sanitize left as
+// they are or cleaned (when asked), with the repairs Repairer.Tally marked
+// as Flips, is sanitize, repair and merge, as the tallies said in advance,
+// and so is a second walk after Reset; the streams the walk reads are left
+// as they were.
+func TestCursorAppliesRepairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var c Cursor // reused, so that a sanitized copy or a repair left over from one trial would show in the next
+	var c Cursor // reused, so that a repair left over from one trial would show in the next
 	for trial := 0; trial < 300; trial++ {
 		dirty, repair := trial%2 == 1, trial%3 != 2
-		var san *Sanitizer
-		if trial%4 != 3 {
-			san = &Sanitizer{Start: 2, End: 60} // clips the ends of most streams
-		}
+		sanitize := trial%4 != 3
 		streams := randomStreams(rng, 1+rng.Intn(5), dirty)
-		orig := cloneAll(streams)
 		want := cloneAll(streams)
-		var wantRep SanitizeReport
-		wantRuns := 0
+		flips := make([]Flips, len(streams))
+		var records, up, runs, wantRecords, wantUp, wantRuns int
 		for i := range want {
-			if san != nil {
-				var rep SanitizeReport
-				want[i], rep = Sanitize(want[i], san.Start, san.End)
-				wantRep.Merge(rep)
+			if sanitize {
+				// Sanitize clips the ends of most streams.
+				streams[i], _ = Sanitize(streams[i], 2, 60)
+				want[i], _ = Sanitize(want[i], 2, 60)
 			}
+			var rp Repairer
+			u, n, _ := rp.Tally(streams[i], repair, len(streams[i]), &flips[i])
+			records, up, runs = records+len(streams[i]), up+u, runs+n
 			if repair {
 				referenceRepair1Loss(want[i])
 			}
@@ -182,32 +173,44 @@ func TestCursorLoadRepairsAndTallies(t *testing.T) {
 					wantRuns++
 				}
 			}
+			wantRecords += len(want[i])
+			wantUp += responsive(want[i])
 		}
-		records, up, runs, rep := c.Load(streams, repair, san)
-		c.Dedup = san == nil // as the kernel walks: sanitized streams hold no repeats
-		wantRecords, wantUp := 0, 0
-		for _, s := range want {
-			wantRecords += len(s)
-			wantUp += responsive(s)
+		if !repair {
+			flips = nil
 		}
-		if records != wantRecords || up != wantUp || runs != wantRuns || rep != wantRep {
-			t.Fatalf("trial %d: Load tallied %d records, %d responsive, %d runs, %+v; want %d, %d, %d, %+v",
-				trial, records, up, runs, rep, wantRecords, wantUp, wantRuns, wantRep)
+		if records != wantRecords || up != wantUp || runs != wantRuns {
+			t.Fatalf("trial %d: tallied %d records, %d responsive, %d runs; want %d, %d, %d",
+				trial, records, up, runs, wantRecords, wantUp, wantRuns)
 		}
+		orig := cloneAll(streams)
+		c.Dedup = !sanitize // as the kernel walks: sanitized streams hold no repeats
+		c.Reset(streams, flips)
 		merged := referenceMergeInto(nil, want)
 		if got := drain(t, &c); !slices.Equal(got, merged) {
-			t.Fatalf("trial %d repair=%v sanitize=%v: walk after Load differs from sanitize + repair + merge", trial, repair, san != nil)
+			t.Fatalf("trial %d repair=%v sanitize=%v: walk differs from sanitize + repair + merge", trial, repair, sanitize)
 		}
-		c.Rewind()
+		c.Reset(streams, flips)
 		if got := drain(t, &c); !slices.Equal(got, merged) {
-			t.Fatalf("trial %d: walk after Rewind differs from the first", trial)
+			t.Fatalf("trial %d: walk after Reset differs from the first", trial)
 		}
 		for i := range streams {
 			if !slices.Equal(streams[i], orig[i]) {
-				t.Fatalf("trial %d: Load or the walk wrote stream %d", trial, i)
+				t.Fatalf("trial %d: the walk wrote stream %d", trial, i)
 			}
 		}
 	}
+}
+
+// responsive counts the records that answered.
+func responsive(records []probe.Record) int {
+	up := 0
+	for _, r := range records {
+		if r.Up {
+			up++
+		}
+	}
+	return up
 }
 
 func sameSeries(a, b *Series) bool {
