@@ -1,7 +1,7 @@
 GO ?= go
 FSCK_DIR ?= /tmp/diurnal-fsck-store
 
-.PHONY: build test tier1 vet race race-crashsafe fsck soak experiments bench
+.PHONY: build test tier1 vet race race-crashsafe fsck soak experiments
 
 build:
 	$(GO) build ./...
@@ -47,18 +47,3 @@ soak:
 
 experiments:
 	$(GO) run ./cmd/experiments
-
-# bench runs every go-test benchmark in the repo with allocation reporting
-# and records the machine-readable summary (ns/op, B/op, allocs/op) in
-# $(BENCH_JSON) via cmd/benchjson; the usual text output still streams to
-# the terminal. It is a working aid: bench/run.sh (see BENCHMARK.json) is
-# the benchmark of record. The default output is an untracked scratch
-# file, so a run neither overwrites a committed BENCH_<n>.json nor becomes
-# the "highest sibling" baseline benchjson would compare itself against.
-# The default single-iteration run keeps the full-world benchmarks
-# affordable; override BENCH_ARGS (e.g. -benchtime=2s -bench=Periodogram)
-# for steady-state numbers on a chosen subset.
-BENCH_JSON ?= BENCH_local.json
-BENCH_ARGS ?= -benchtime=1x
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem $(BENCH_ARGS) ./... | $(GO) run ./cmd/benchjson -o $(BENCH_JSON)

@@ -28,8 +28,8 @@
 // observations of a whole-week window as a replayable store. -breaker
 // supervises the observers with circuit breakers seeded by the §2.7
 // pre-scan, -hedge re-dispatches stragglers past an adaptive deadline
-// (requires -breaker, whose pre-scan seeds the deadline model), and
-// -quorum N flags blocks analyzed with fewer than N observers.
+// learned from completed blocks, and -quorum N flags blocks analyzed with
+// fewer than N observers.
 //
 // scan and daemon: -integrity arms the data-integrity firewall against
 // observers that lie rather than fail. A stream that trips a per-block
@@ -340,7 +340,7 @@ func defineScan(fs *flag.FlagSet, j *job) {
 	fs.StringVar(&j.resume, "resume", "", "journal finished blocks to this file and resume from it after a crash")
 	fs.StringVar(&ro.DeadLetterPath, "deadletter", "", "quarantine poison blocks into this directory and skip them on later runs")
 	fs.BoolVar(&ro.Breaker, "breaker", false, "supervise observers with runtime circuit breakers (implies the pre-scan health check)")
-	fs.BoolVar(&ro.Hedge, "hedge", false, "re-dispatch straggler blocks past an adaptive latency deadline (requires -breaker)")
+	fs.BoolVar(&ro.Hedge, "hedge", false, "re-dispatch straggler blocks past an adaptive latency deadline")
 	fs.IntVar(&ro.Quorum, "quorum", 0, "flag blocks analyzed with fewer than this many observers (0 disables)")
 	j.check = func(map[string]bool) error {
 		resumeDir := filepath.Dir(j.resume)
@@ -349,7 +349,6 @@ func defineScan(fs *flag.FlagSet, j *job) {
 		return errors.Join(
 			check(ro.Workers < 0, "-workers must be >= 0 (got %d)", ro.Workers),
 			check(ro.Quorum < 0, "-quorum must be >= 0 (got %d)", ro.Quorum),
-			check(ro.Hedge && !ro.Breaker, "-hedge requires -breaker: the breaker pre-scan seeds the straggler deadline model"),
 			check(j.resume != "" && resumeDir != "." && statErr != nil, "-resume %s: directory %s does not exist", j.resume, resumeDir),
 			// A store holds whole weeks: archiving less than the analyzed
 			// window would make a replay of it disagree with this run.

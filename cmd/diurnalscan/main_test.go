@@ -25,7 +25,7 @@ func TestFlagMatrix(t *testing.T) {
 		{"negative workers", "scan -workers -2", exitUsage},
 		{"explicit workers", "scan -workers 8", runs},
 		{"negative quorum", "scan -quorum -1", exitUsage},
-		{"hedge without breaker", "scan -hedge", exitUsage},
+		{"hedge without breaker", "scan -hedge", runs},
 		{"hedge with breaker", "scan -hedge -breaker", runs},
 		{"worker and merge", "worker -merge m w", exitUsage},
 		{"shards without worker", "scan -shards 4", exitUsage},

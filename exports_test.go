@@ -55,17 +55,36 @@ var exportAllowlist = map[string]string{
 // anonymous, a named interface of a standard-library package the module
 // imports, or error. A type's own method receivers are no use of it.
 // Module packages are type-checked from source, the standard library
-// through its export data; fields, interface methods and the root
-// package's API are not checked. Each internal package is a subtest.
+// through its export data; interface methods and the root package's API
+// are not checked (TestKnobsHaveSetters checks fields). Each internal
+// package is a subtest.
 func TestExportsHaveCallers(t *testing.T) {
+	m := loadModule(t)
+	m.eachInternal(t, func(t *testing.T, p string) {
+		for _, key := range m.unused(p) {
+			if _, ok := exportAllowlist[key]; !ok {
+				t.Errorf("%s is exported but no non-test file uses it: delete it, "+
+					"move it into a _test.go file, or allowlist it with a reason", key)
+			}
+		}
+	})
+	for key := range exportAllowlist {
+		if !m.names(key) {
+			t.Errorf("allowlist entry %s names nothing", key)
+		}
+	}
+}
+
+// loadModule type-checks every package of the module from its non-test
+// source.
+func loadModule(t *testing.T) *moduleChecker {
 	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const module = "github.com/diurnalnet/diurnal"
 	m := &moduleChecker{
 		root:    root,
-		module:  module,
+		module:  "github.com/diurnalnet/diurnal",
 		fset:    token.NewFileSet(),
 		std:     importer.Default(),
 		pkgs:    map[string]*types.Package{},
@@ -74,37 +93,31 @@ func TestExportsHaveCallers(t *testing.T) {
 		ifaces:  map[string][]*types.Interface{},
 		seen:    map[types.Type]bool{},
 		stdPkgs: map[string]*types.Package{},
+		reads:   map[*types.Var]bool{},
+		writes:  map[*types.Var]bool{},
 	}
-	paths, err := m.packagePaths()
-	if err != nil {
+	if m.paths, err = m.packagePaths(); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range paths {
+	for _, p := range m.paths {
 		var noGo *build.NoGoError
 		if _, err := m.Import(p); err != nil && !errors.As(err, &noGo) {
 			t.Fatal(err)
 		}
 	}
 	m.addStdInterfaces()
+	return m
+}
 
-	for _, p := range paths {
-		rel := strings.TrimPrefix(p, module+"/")
+// eachInternal runs check as one subtest per package under internal/,
+// named for its path below internal/.
+func (m *moduleChecker) eachInternal(t *testing.T, check func(t *testing.T, p string)) {
+	for _, p := range m.paths {
+		rel := strings.TrimPrefix(p, m.module+"/")
 		if m.pkgs[p] == nil || !strings.HasPrefix(rel, "internal/") {
 			continue
 		}
-		t.Run(strings.TrimPrefix(rel, "internal/"), func(t *testing.T) {
-			for _, key := range m.unused(p) {
-				if _, ok := exportAllowlist[key]; !ok {
-					t.Errorf("%s is exported but no non-test file uses it: delete it, "+
-						"move it into a _test.go file, or allowlist it with a reason", key)
-				}
-			}
-		})
-	}
-	for key := range exportAllowlist {
-		if !m.names(key) {
-			t.Errorf("allowlist entry %s names nothing", key)
-		}
+		t.Run(strings.TrimPrefix(rel, "internal/"), func(t *testing.T) { check(t, p) })
 	}
 }
 
@@ -207,6 +220,9 @@ type moduleChecker struct {
 	ifaces       map[string][]*types.Interface // by method name
 	seen         map[types.Type]bool           // interfaces already in ifaces
 	stdPkgs      map[string]*types.Package     // standard-library imports
+	paths        []string                      // the module's packages
+	reads        map[*types.Var]bool           // struct fields non-test code reads
+	writes       map[*types.Var]bool           // and writes (see recordFields)
 }
 
 // packagePaths lists the import paths of the module's directories holding
@@ -264,8 +280,10 @@ func (m *moduleChecker) Import(importPath string) (*types.Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: m}
 	pkg, err := conf.Check(importPath, m.fset, files, info)
@@ -300,6 +318,7 @@ func (m *moduleChecker) Import(importPath string) (*types.Package, error) {
 			m.addInterface(tv.Type)
 		}
 	}
+	m.recordFields(files, info)
 	m.pkgs[importPath] = pkg
 	m.files[importPath] = files
 	return pkg, nil

@@ -117,7 +117,7 @@ func TestSmallDiurnalBlockNarrowSwing(t *testing.T) {
 }
 
 func TestIntermittentNoiseNotDiurnal(t *testing.T) {
-	b, err := netsim.NewBlock(6, 76, netsim.Spec{Intermittent: 120, Duty: 0.5})
+	b, err := netsim.NewBlock(6, 76, netsim.Spec{Intermittent: 120})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,8 +281,9 @@ type Crash struct {
 // kills it after killAfter completed block collections, resumes a fresh
 // copy of p from the journal, and holds the resumed result to the
 // uninterrupted fingerprint want. The kill must land mid-run and leave
-// no duplicate frame, and the resume must restore blocks. The Crash it
-// returns is never nil.
+// no duplicate frame, and the resume must restore blocks and leave the
+// journal holding exactly one block frame per world block, which is what
+// bounds it. The Crash it returns is never nil.
 func BatchKillResume(ctx context.Context, p core.Pipeline, world []*dataset.WorldBlock, path string, killAfter int, want string) (*Crash, error) {
 	c := &Crash{}
 	killCtx, kill := context.WithCancel(ctx)
@@ -328,6 +329,17 @@ func BatchKillResume(ctx context.Context, p core.Pipeline, world []*dataset.Worl
 	}
 	if c.Resumed == 0 {
 		return c, fmt.Errorf("resumed run restored nothing from a journal holding %d blocks", c.Journaled)
+	}
+	_, entries, _, err := core.ReadCheckpoint(path)
+	if err != nil {
+		return c, err
+	}
+	frames := map[int]bool{}
+	for _, e := range entries {
+		frames[e.Index] = true
+	}
+	if len(entries) != len(world) || len(frames) != len(world) {
+		return c, fmt.Errorf("resumed journal holds %d block frames for %d blocks, want one for each of %d", len(entries), len(frames), len(world))
 	}
 	return c, nil
 }

@@ -4,10 +4,10 @@ package core
 // outcome is journaled to an append-only file, so a killed run resumes by
 // replaying the journal and analyzing only the blocks it never finished.
 // The file is a journal.File: CRC-framed, its torn tail truncated on
-// open, a short write rolled back, and compaction an atomic rewrite under
-// the journal's poison rule. A header frame binds the journal to one
-// (config, world) pair so a stale file can never leak foreign results
-// into a run.
+// open and a short write rolled back. A header frame binds the journal to
+// one (config, world) pair so a stale file can never leak foreign results
+// into a run. The journal needs no compaction to stay bounded: a resumed
+// run skips the blocks it holds, and Pipeline.Run appends each block once.
 
 import (
 	"bytes"
@@ -71,14 +71,8 @@ type Checkpointer struct {
 	// shard layer installs a lease check here so a worker whose lease was
 	// reassigned cannot journal late results (see core.ErrFenced).
 	Fence func() error
-	// CompactBytes, when positive, bounds the journal: once an Append
-	// grows the file past it, the journal is compacted in place (see
-	// compactLocked). Set it before the first Append; it is not consulted
-	// concurrently with mutation.
-	CompactBytes int64
 
 	mu       sync.Mutex
-	fsys     storage.FS
 	f        *journal.File // nil once closed
 	path     string
 	sig      []byte
@@ -94,8 +88,8 @@ type JournalEntry struct {
 	Outcome *BlockOutcome
 }
 
-// decodeJournal is the one checkpoint decoder, behind OpenCheckpointFS,
-// ReadCheckpoint and compaction. It checks every frame's CRC and decodes
+// decodeJournal is the one checkpoint decoder, behind OpenCheckpointFS
+// and ReadCheckpoint. It checks every frame's CRC and decodes
 // it on GOMAXPROCS goroutines, each frame into its own slot, then reads
 // the slots in file order up to the first frame that failed either
 // check: that frame starts the torn tail. A checkpoint frame that
@@ -188,9 +182,9 @@ func OpenCheckpoint(path string) (*Checkpointer, error) {
 
 // OpenCheckpointFS is OpenCheckpoint through an injectable filesystem;
 // fault-injection tests script write failures here. It also sweeps temp
-// files a killed compaction left beside the journal.
+// files a killed compaction of an older build left beside the journal.
 func OpenCheckpointFS(path string, fsys storage.FS) (*Checkpointer, error) {
-	c := &Checkpointer{path: path, fsys: fsys, prior: map[checkpointKey]*BlockOutcome{}}
+	c := &Checkpointer{path: path, prior: map[checkpointKey]*BlockOutcome{}}
 	var entries []JournalEntry
 	f, err := journal.Open(fsys, path, func(frames []journal.Frame) (accepted int) {
 		c.sig, entries, accepted = decodeJournal(frames)
@@ -280,13 +274,6 @@ func (c *Checkpointer) Append(index int, o BlockOutcome) error {
 		return err
 	}
 	c.appended++
-	if c.CompactBytes > 0 && c.f.Size() > c.CompactBytes {
-		// Best-effort in-line compaction: the frame above is durable
-		// whatever happens here. A failure that leaves the journal usable
-		// only leaves it oversized; one that poisons it refuses every
-		// later Append.
-		c.compactLocked()
-	}
 	return nil
 }
 
@@ -297,50 +284,6 @@ func (c *Checkpointer) appendLocked(frame []byte) error {
 	}
 	if err := c.f.Append(frame); err != nil {
 		return fmt.Errorf("core: appending checkpoint frame: %w", err)
-	}
-	return nil
-}
-
-// compactLocked rewrites the journal in place as its deduplicated base:
-// one header frame plus exactly one block frame per (index, ID), keeping
-// the first append (later duplicates are fenced writers' byte-identical
-// repeats). The rewrite is the journal's atomic rewrite, so a kill at any
-// point leaves either the old journal or the new base, never a torn
-// hybrid. c.mu is held.
-func (c *Checkpointer) compactLocked() error {
-	if c.f == nil {
-		return fmt.Errorf("core: checkpoint %s is closed", c.path)
-	}
-	if c.sig == nil {
-		return nil // nothing bound, nothing journaled
-	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("core: syncing checkpoint before compaction: %w", err)
-	}
-	data, err := c.fsys.ReadFile(c.path)
-	if err != nil {
-		return fmt.Errorf("core: reading checkpoint %s: %w", c.path, err)
-	}
-	sig, entries, _ := decodeJournal(journal.Frames(data))
-	out, err := encodeHeader(sig)
-	if err != nil {
-		return err
-	}
-	seen := make(map[checkpointKey]bool, len(entries))
-	for _, e := range entries {
-		k := checkpointKey{Index: e.Index, ID: e.Outcome.ID}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		frame, err := encodeBlockFrame(e.Index, *e.Outcome)
-		if err != nil {
-			return err
-		}
-		out = append(out, frame...)
-	}
-	if err := c.f.Rewrite(out); err != nil {
-		return fmt.Errorf("core: compacting checkpoint: %w", err)
 	}
 	return nil
 }

@@ -137,7 +137,7 @@ func (notTransient) Transient() bool { return false }
 func TestPipelineRetriesTransientErrors(t *testing.T) {
 	world := smallWorld(t, 8, 67)
 	cp := &countingProber{inner: engine4(), failN: 2, transient: true}
-	p := &Pipeline{Config: q1Config(), Engine: cp, RetryBackoff: 1}
+	p := &Pipeline{Config: q1Config(), Engine: cp, retryBackoff: 1}
 	res, err := p.Run(context.Background(), world)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestPipelineDoesNotRetryPermanentErrors(t *testing.T) {
 		fail[wb.ID] = true
 	}
 	cp := &countingProber{inner: engine4(), failN: 1, transient: false, fail: fail}
-	p := &Pipeline{Config: q1Config(), Engine: cp, RetryBackoff: 1}
+	p := &Pipeline{Config: q1Config(), Engine: cp, retryBackoff: 1}
 	res, err := p.Run(context.Background(), probed)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestPipelineRetriesDisabled(t *testing.T) {
 		fail[wb.ID] = true
 	}
 	cp := &countingProber{inner: engine4(), failN: 1, transient: true, fail: fail}
-	p := &Pipeline{Config: q1Config(), Engine: cp, MaxRetries: -1, RetryBackoff: 1}
+	p := &Pipeline{Config: q1Config(), Engine: cp, MaxRetries: -1, retryBackoff: 1}
 	res, err := p.Run(context.Background(), probed)
 	if err != nil {
 		t.Fatal(err)

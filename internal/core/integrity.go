@@ -105,7 +105,6 @@ func (t *IntegrityTally) Report(rep *RunReport) {
 // verdicts stay pending until the block settles (see layer).
 type integrityProber struct {
 	layerBase
-	cfg integrity.Config
 
 	mu      sync.Mutex
 	pending map[netsim.BlockID][]integrity.Verdict
@@ -121,7 +120,7 @@ func (p *integrityProber) CollectInto(ctx context.Context, b *netsim.Block, star
 	if err != nil {
 		return bufs, err
 	}
-	verdicts := integrity.Check(p.cfg, bufs, b.EverActive(), start, end)
+	verdicts := integrity.Check(integrity.Config{}, bufs, b.EverActive(), start, end)
 	for oi := range verdicts {
 		if verdicts[oi].Gated {
 			bufs[oi] = bufs[oi][:0]

@@ -126,7 +126,7 @@ func settleFixture(t *testing.T, ctx context.Context) (*run, []*countingLayer, *
 		Config:       cfg,
 		Engine:       eng,
 		Workers:      4,
-		RetryBackoff: time.Millisecond,
+		retryBackoff: time.Millisecond,
 		Breaker:      &breaker,
 		Quorum:       2,
 		// The deadline follows the median so the late losers' own full-stall

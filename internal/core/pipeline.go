@@ -194,9 +194,6 @@ type Pipeline struct {
 	// default of 2; negative disables retries. Non-transient errors are
 	// never retried.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt (default 10ms). Backoff waits honor ctx cancellation.
-	RetryBackoff time.Duration
 	// Checkpoint, when non-nil, journals every completed block outcome
 	// and, on resume, restores journaled blocks instead of re-analyzing
 	// them. See OpenCheckpoint.
@@ -235,6 +232,10 @@ type Pipeline struct {
 	MemoryBudget int64
 	// Clock injects time for the hedging watchdog (default wall clock).
 	Clock health.Clock
+	// retryBackoff is the delay before the first retry, doubling per
+	// attempt (default 10ms); in-package tests shorten it. Backoff waits
+	// honor ctx cancellation.
+	retryBackoff time.Duration
 }
 
 // Run probes and analyzes every block, in parallel, and aggregates the
@@ -314,7 +315,7 @@ func (p *Pipeline) newRun(ctx context.Context, world []*dataset.WorldBlock) (*ru
 		eng:     p.Engine,
 		workers: p.Workers,
 		retries: p.MaxRetries,
-		backoff: p.RetryBackoff,
+		backoff: p.retryBackoff,
 		res: &WorldResult{
 			Blocks:      make([]BlockOutcome, len(world)),
 			Cells:       map[geo.CellKey]*geo.CellStats{},

@@ -40,8 +40,6 @@ type WorldOpts struct {
 	// window (default 0.03); RenumberProb likewise for renumbering events
 	// (default 0.02). Set negative to disable.
 	OutageProb, RenumberProb float64
-	// Regions overrides the atlas (default geo.DefaultWorld()).
-	Regions []geo.Region
 }
 
 // SpecFor translates a geographic archetype into a concrete block
@@ -97,10 +95,6 @@ func BuildWorld(opts WorldOpts) ([]*WorldBlock, error) {
 	if opts.End <= opts.Start {
 		return nil, fmt.Errorf("dataset: empty window [%d,%d)", opts.Start, opts.End)
 	}
-	regions := opts.Regions
-	if regions == nil {
-		regions = geo.DefaultWorld()
-	}
 	outageProb := opts.OutageProb
 	if outageProb == 0 {
 		outageProb = 0.03
@@ -109,7 +103,7 @@ func BuildWorld(opts WorldOpts) ([]*WorldBlock, error) {
 	if renumberProb == 0 {
 		renumberProb = 0.02
 	}
-	placements, err := geo.PlaceBlocks(regions, opts.Blocks, opts.Seed)
+	placements, err := geo.PlaceBlocks(geo.DefaultWorld(), opts.Blocks, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

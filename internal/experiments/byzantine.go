@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -112,7 +113,7 @@ func byzantine(opts Options, severities []float64) (*ByzantineResult, error) {
 	}
 
 	res := &ByzantineResult{Observers: observers}
-	clean, err := (&core.Pipeline{Config: armed, Engine: newEngine(nil)}).Run(opts.ctx(), world)
+	clean, err := (&core.Pipeline{Config: armed, Engine: newEngine(nil)}).Run(context.Background(), world)
 	if err != nil {
 		return nil, fmt.Errorf("clean baseline: %w", err)
 	}
@@ -125,11 +126,11 @@ func byzantine(opts Options, severities []float64) (*ByzantineResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			run, err := (&core.Pipeline{Config: armed, Engine: newEngine(plan)}).Run(opts.ctx(), world)
+			run, err := (&core.Pipeline{Config: armed, Engine: newEngine(plan)}).Run(context.Background(), world)
 			if err != nil {
 				return nil, fmt.Errorf("%s severity %.2f: %w", attack, sev, err)
 			}
-			raw, err := (&core.Pipeline{Config: cfg, Engine: newEngine(plan)}).Run(opts.ctx(), world)
+			raw, err := (&core.Pipeline{Config: cfg, Engine: newEngine(plan)}).Run(context.Background(), world)
 			if err != nil {
 				return nil, fmt.Errorf("%s severity %.2f (disarmed): %w", attack, sev, err)
 			}

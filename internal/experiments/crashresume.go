@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -103,7 +104,7 @@ func CrashResume(opts Options) (*CrashResumeResult, error) {
 	eng := &probe.Engine{Observers: probe.StandardObservers(4), QuarterSeed: opts.seed()}
 
 	// Reference: the uninterrupted run.
-	full, err := (&core.Pipeline{Config: cfg, Engine: eng}).Run(opts.ctx(), world)
+	full, err := (&core.Pipeline{Config: cfg, Engine: eng}).Run(context.Background(), world)
 	if err != nil {
 		return nil, fmt.Errorf("uninterrupted run: %w", err)
 	}
@@ -127,7 +128,7 @@ func CrashResume(opts Options) (*CrashResumeResult, error) {
 	// Killed after KillAfter collections, exactly as a signal would
 	// cancel the run, with the journal attached; then resumed by a fresh
 	// pipeline from the same journal.
-	leg, err := chaos.BatchKillResume(opts.ctx(), core.Pipeline{Config: cfg, Engine: eng}, world,
+	leg, err := chaos.BatchKillResume(context.Background(), core.Pipeline{Config: cfg, Engine: eng}, world,
 		filepath.Join(dir, "run.ckpt"), res.KillAfter, want)
 	res.InterruptedErr, res.JournaledAtCrash = leg.InterruptedErr, leg.Journaled
 	res.ResumedFromJournal, res.ResumedFingerprint = leg.Resumed, leg.Fingerprint
@@ -147,7 +148,7 @@ func CrashResume(opts Options) (*CrashResumeResult, error) {
 		MinDeadline: time.Millisecond,
 		Poll:        time.Millisecond,
 	}
-	leg, err = chaos.BatchKillResume(opts.ctx(), core.Pipeline{Config: cfg, Engine: eng, Hedge: hedge}, world,
+	leg, err = chaos.BatchKillResume(context.Background(), core.Pipeline{Config: cfg, Engine: eng, Hedge: hedge}, world,
 		filepath.Join(dir, "hedged.ckpt"), res.KillAfter, want)
 	res.HedgedJournaledAtCrash, res.HedgedDuplicates = leg.Journaled, leg.Duplicates
 	res.HedgedResumed, res.HedgedHedges = leg.Resumed, leg.Hedges

@@ -15,7 +15,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -37,8 +36,6 @@ type Options struct {
 	Blocks int
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Ctx, when non-nil, cancels long experiment runs early.
-	Ctx context.Context
 }
 
 func (o Options) blocks(def int) int {
@@ -46,13 +43,6 @@ func (o Options) blocks(def int) int {
 		return o.Blocks
 	}
 	return def
-}
-
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
 }
 
 func (o Options) seed() uint64 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -151,7 +152,7 @@ func Longrun(opts Options) (*LongrunResult, error) {
 		cc.BaselineEnd = qstart + 14*netsim.SecondsPerDay
 		cfg := stream.Config{Core: cc, RefreshEvery: 7, ConfirmRefreshes: 2}
 		eng := &probe.Engine{Observers: probe.StandardObservers(4), QuarterSeed: opts.seed() + uint64(q)}
-		feeder, err := stream.NewFeeder(opts.ctx(), eng, world, cfg)
+		feeder, err := stream.NewFeeder(context.Background(), eng, world, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +161,7 @@ func Longrun(opts Options) (*LongrunResult, error) {
 		// governance at all. Governance must not change results, only
 		// bound disk.
 		refDir := filepath.Join(root, fmt.Sprintf("q%d-ref", q))
-		ref, err := chaos.RunToEnd(opts.ctx(), chaos.Setup{Dir: refDir, World: world, Feeder: feeder, Config: cfg}, nil)
+		ref, err := chaos.RunToEnd(context.Background(), chaos.Setup{Dir: refDir, World: world, Feeder: feeder, Config: cfg}, nil)
 		if err != nil {
 			return res, fmt.Errorf("quarter %d reference run: %w", q, err)
 		}
@@ -183,7 +184,7 @@ func Longrun(opts Options) (*LongrunResult, error) {
 			}
 			return nil
 		}
-		run, err := chaos.KillLoop(opts.ctx(), chaos.Setup{Dir: runDir, World: world, Feeder: feeder, Config: gcfg}, ref,
+		run, err := chaos.KillLoop(context.Background(), chaos.Setup{Dir: runDir, World: world, Feeder: feeder, Config: gcfg}, ref,
 			chaos.Kills{Rng: rng, Kill: true, Account: account})
 		if err != nil {
 			res.Identical = false
@@ -302,7 +303,7 @@ func longrunPressure(opts Options, s chaos.Setup, ref *chaos.Outcome, res *Longr
 	for seq := int64(0); seq < s.Feeder.Rounds() && err == nil; seq++ {
 		var r *stream.Round
 		if r, err = s.Feeder.Round(seq); err == nil {
-			err = d.Ingest(opts.ctx(), r)
+			err = d.Ingest(context.Background(), r)
 		}
 	}
 	st := d.Stats()
@@ -316,7 +317,7 @@ func longrunPressure(opts Options, s chaos.Setup, ref *chaos.Outcome, res *Longr
 
 	// Clean reopen on the real filesystem: the torn prefix replays and
 	// the stream runs to the end, identical to the reference.
-	if _, err := chaos.RunToEnd(opts.ctx(), s, ref); err != nil {
+	if _, err := chaos.RunToEnd(context.Background(), s, ref); err != nil {
 		return fmt.Errorf("resume after pressure: %w", err)
 	}
 	res.ResumedAfterPressure = true

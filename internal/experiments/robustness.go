@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -99,11 +100,11 @@ func Robustness(opts Options) (*RobustnessResult, error) {
 			Engine:          newEngine(),
 			ExcludeSuspects: true,
 			HealthSample:    16,
-		}).Run(opts.ctx(), world)
+		}).Run(context.Background(), world)
 		if err != nil {
 			return nil, fmt.Errorf("severity %.2f: %w", sev, err)
 		}
-		raw, err := (&core.Pipeline{Config: rawCfg, Engine: newEngine()}).Run(opts.ctx(), world)
+		raw, err := (&core.Pipeline{Config: rawCfg, Engine: newEngine()}).Run(context.Background(), world)
 		if err != nil {
 			return nil, fmt.Errorf("severity %.2f (unmitigated): %w", sev, err)
 		}

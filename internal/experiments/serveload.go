@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -82,7 +83,7 @@ func ServeLoad(opts Options) (*ServeLoadResult, error) {
 	}
 	cc := core.DefaultConfig(start, end)
 	eng := &probe.Engine{Observers: probe.StandardObservers(4), QuarterSeed: opts.seed()}
-	res, err := (&core.Pipeline{Config: cc, Engine: eng}).Run(opts.ctx(), world)
+	res, err := (&core.Pipeline{Config: cc, Engine: eng}).Run(context.Background(), world)
 	if err != nil {
 		return nil, fmt.Errorf("analysis run: %w", err)
 	}

@@ -166,7 +166,7 @@ func ShardFailover(opts Options) (*ShardFailoverResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := (&core.Pipeline{Config: cfg, Engine: faulty, DeadLetter: refDL}).Run(opts.ctx(), world)
+	ref, err := (&core.Pipeline{Config: cfg, Engine: faulty, DeadLetter: refDL}).Run(context.Background(), world)
 	if err != nil {
 		return nil, fmt.Errorf("reference run: %w", err)
 	}
@@ -188,7 +188,7 @@ func ShardFailover(opts Options) (*ShardFailoverResult, error) {
 	// Worker 1 runs alone first and dies: its prober cancels the worker's
 	// whole context after KillAfter collections — kill -9 as the ledger
 	// sees it (no lease release, no journal close, a torn tail possible).
-	killCtx, kill := context.WithCancel(opts.ctx())
+	killCtx, kill := context.WithCancel(context.Background())
 	defer kill()
 	w1 := &shard.Worker{
 		ID:     "w1",
@@ -217,7 +217,7 @@ func ShardFailover(opts Options) (*ShardFailoverResult, error) {
 				Engine: faulty,
 				World:  world,
 			}
-			reports[i], errs[i] = w.Run(opts.ctx())
+			reports[i], errs[i] = w.Run(context.Background())
 		}(i)
 	}
 	wg.Wait()
@@ -283,7 +283,7 @@ func ShardFailover(opts Options) (*ShardFailoverResult, error) {
 			Workers:   1,
 			RenewGate: stall.Allow,
 		}
-		stallRep, stallErr = w.Run(opts.ctx())
+		stallRep, stallErr = w.Run(context.Background())
 	}()
 	// The healthy worker starts late enough that the stalled worker holds
 	// a shard first, then sweeps everything — including the stalled
@@ -293,7 +293,7 @@ func ShardFailover(opts Options) (*ShardFailoverResult, error) {
 	go func() {
 		defer swg.Done()
 		w := &shard.Worker{ID: "w-live", Ledger: stallLedger, Config: cfg, Engine: faulty, World: world}
-		liveRep, liveErr = w.Run(opts.ctx())
+		liveRep, liveErr = w.Run(context.Background())
 	}()
 	swg.Wait()
 	if stallErr != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -93,7 +94,7 @@ func Streaming(opts Options) (*StreamingResult, error) {
 	eng := &probe.Engine{Observers: probe.StandardObservers(4), QuarterSeed: opts.seed()}
 
 	// Reference 1: the batch pipeline.
-	batch, err := (&core.Pipeline{Config: cc, Engine: eng}).Run(opts.ctx(), world)
+	batch, err := (&core.Pipeline{Config: cc, Engine: eng}).Run(context.Background(), world)
 	if err != nil {
 		return nil, fmt.Errorf("batch run: %w", err)
 	}
@@ -104,7 +105,7 @@ func Streaming(opts Options) (*StreamingResult, error) {
 
 	// One collection, shared by every streaming leg: the feeder chops the
 	// same records batch analyzed into daily rounds.
-	feeder, err := stream.NewFeeder(opts.ctx(), eng, world, cfg)
+	feeder, err := stream.NewFeeder(context.Background(), eng, world, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +121,7 @@ func Streaming(opts Options) (*StreamingResult, error) {
 	defer os.RemoveAll(tmp)
 
 	// Reference 2: the uninterrupted streaming run.
-	ref, err := chaos.RunToEnd(opts.ctx(), chaos.Setup{Dir: tmp + "/ref", World: world, Feeder: feeder, Config: cfg}, nil)
+	ref, err := chaos.RunToEnd(context.Background(), chaos.Setup{Dir: tmp + "/ref", World: world, Feeder: feeder, Config: cfg}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("uninterrupted streaming run: %w", err)
 	}
@@ -158,7 +159,7 @@ func Streaming(opts Options) (*StreamingResult, error) {
 	// an exact prefix of the reference, and the final state must be
 	// identical.
 	killed := chaos.Setup{Dir: tmp + "/killed", World: world, Feeder: feeder, Config: cfg}
-	run, err := chaos.KillLoop(opts.ctx(), killed, ref, chaos.Kills{Rng: rand.New(rand.NewSource(int64(opts.seed()))), Kill: true})
+	run, err := chaos.KillLoop(context.Background(), killed, ref, chaos.Kills{Rng: rand.New(rand.NewSource(int64(opts.seed()))), Kill: true})
 	res.Incarnations = run.Lives
 	if err != nil {
 		return res, fmt.Errorf("killed run: %w", err)

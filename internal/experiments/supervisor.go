@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,7 +131,7 @@ func Supervisor(opts Options) (*SupervisorResult, error) {
 
 	// Phase 1: the plain baseline, timed.
 	t0 := time.Now()
-	plain, err := (&core.Pipeline{Config: cfg, Engine: eng}).Run(opts.ctx(), world)
+	plain, err := (&core.Pipeline{Config: cfg, Engine: eng}).Run(context.Background(), world)
 	if err != nil {
 		return nil, fmt.Errorf("plain run: %w", err)
 	}
@@ -155,7 +156,7 @@ func Supervisor(opts Options) (*SupervisorResult, error) {
 		Quorum:          2,
 		MaxInflight:     8,
 		MemoryBudget:    64 << 20,
-	}).Run(opts.ctx(), world)
+	}).Run(context.Background(), world)
 	if err != nil {
 		return nil, fmt.Errorf("supervised clean run: %w", err)
 	}
@@ -197,7 +198,7 @@ func Supervisor(opts Options) (*SupervisorResult, error) {
 			Probation: max(2, n/32),
 		},
 		Quorum: observers,
-	}).Run(opts.ctx(), world)
+	}).Run(context.Background(), world)
 	if err != nil {
 		return res, fmt.Errorf("flap run: %w", err)
 	}
@@ -281,7 +282,7 @@ func Supervisor(opts Options) (*SupervisorResult, error) {
 			MaxConcurrent: 4,
 			Poll:          2 * time.Millisecond,
 		},
-	}).Run(opts.ctx(), world)
+	}).Run(context.Background(), world)
 	if err != nil {
 		return res, fmt.Errorf("stalled run: %w", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -114,7 +115,7 @@ func Table5(opts Options) (*Table5Result, error) {
 	cfg.BaselineEnd = netsim.Date(2020, time.January, 29)
 	eng := &probe.Engine{Observers: probe.StandardObservers(4), QuarterSeed: opts.seed()}
 	pipe := &core.Pipeline{Config: cfg, Engine: eng}
-	run, err := pipe.Run(opts.ctx(), world)
+	run, err := pipe.Run(context.Background(), world)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +261,7 @@ func LocationValidation(opts Options) (*LocationValidationResult, error) {
 	cfg.BaselineEnd = netsim.Date(2020, time.January, 29)
 	eng := &probe.Engine{Observers: probe.StandardObservers(4), QuarterSeed: opts.seed()}
 	pipe := &core.Pipeline{Config: cfg, Engine: eng}
-	run, err := pipe.Run(opts.ctx(), subset)
+	run, err := pipe.Run(context.Background(), subset)
 	if err != nil {
 		return nil, err
 	}

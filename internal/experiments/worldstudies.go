@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -53,7 +54,7 @@ func runWorldStudy(label string, cal *events.Calendar, start, end, baselineEnd i
 	cfg.BaselineEnd = baselineEnd
 	eng := &probe.Engine{Observers: probe.StandardObservers(4), QuarterSeed: opts.seed()}
 	pipe := &core.Pipeline{Config: cfg, Engine: eng}
-	run, err := pipe.Run(opts.ctx(), world)
+	run, err := pipe.Run(context.Background(), world)
 	if err != nil {
 		return nil, err
 	}

@@ -62,11 +62,11 @@ type BreakerConfig struct {
 	// Probation is how many blocks a half-open observer is included for
 	// before the breaker decides to close or re-open (default 8).
 	Probation int
-	// MinHealthy is the number of closed observers that must always
+	// minHealthy is the number of closed observers that must always
 	// remain: a trip that would leave fewer is suppressed, mirroring the
 	// pre-scan rule that the check never discards every observer
-	// (default 1).
-	MinHealthy int
+	// (default 1; in-package tests raise it).
+	minHealthy int
 }
 
 // DefaultBreaker returns the default breaker tuning.
@@ -88,8 +88,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Probation <= 0 {
 		c.Probation = 8
 	}
-	if c.MinHealthy <= 0 {
-		c.MinHealthy = 1
+	if c.minHealthy <= 0 {
+		c.minHealthy = 1
 	}
 	return c
 }
@@ -242,7 +242,7 @@ func (t *Tracker) ObserveBlock(samples []Sample) {
 		st := &t.obs[i]
 		switch st.state {
 		case Closed:
-			if st.samples >= t.cfg.MinSamples && st.score < med-t.cfg.Tol && healthy > t.cfg.MinHealthy {
+			if st.samples >= t.cfg.MinSamples && st.score < med-t.cfg.Tol && healthy > t.cfg.minHealthy {
 				t.shift(i, Open, fmt.Sprintf("score %.2f fell below median %.2f - %.2f", st.score, med, t.cfg.Tol))
 				st.openedAt = t.seq
 				healthy--

@@ -75,14 +75,14 @@ func TestBreakerTripAndReadmit(t *testing.T) {
 }
 
 func TestBreakerMinHealthyFloor(t *testing.T) {
-	tr := NewTracker(BreakerConfig{Alpha: 1, Tol: 0.1, MinSamples: 1, MinHealthy: 2})
+	tr := NewTracker(BreakerConfig{Alpha: 1, Tol: 0.1, MinSamples: 1, minHealthy: 2})
 	// Two observers, both would be "below median - tol" of each other in
-	// turn; MinHealthy 2 must suppress every trip.
+	// turn; minHealthy 2 must suppress every trip.
 	for i := 0; i < 5; i++ {
 		tr.ObserveBlock([]Sample{{Up: 90, Total: 100}, {Up: 0, Total: 100}})
 	}
 	if ex := tr.Excluded(); len(ex) != 0 {
-		t.Fatalf("MinHealthy=2 with 2 observers must never trip, got %v", ex)
+		t.Fatalf("minHealthy=2 with 2 observers must never trip, got %v", ex)
 	}
 }
 

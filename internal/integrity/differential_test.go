@@ -74,12 +74,12 @@ var wildTimes = []int64{
 // mostly, damaged the way one of the attacks or a sloppy caller would.
 func genCase(rng *rand.Rand) checkCase {
 	var c checkCase
-	c.cfg.BucketSeconds = []int64{600, 900, 3600, 7200, 86400, 90000}[rng.Intn(6)]
+	c.cfg.bucketSeconds = []int64{600, 900, 3600, 7200, 86400, 90000}[rng.Intn(6)]
 	if rng.Intn(4) == 0 {
-		c.cfg.BucketSeconds = 600 + rng.Int63n(89401)
+		c.cfg.bucketSeconds = 600 + rng.Int63n(89401)
 	}
 	if rng.Intn(3) == 0 {
-		c.cfg.MinOverlap = 1 + rng.Intn(6)
+		c.cfg.minOverlap = 1 + rng.Intn(6)
 	}
 	for _, a := range rng.Perm(256)[:1+rng.Intn(200)] {
 		c.eb = append(c.eb, a)
@@ -95,7 +95,7 @@ func genCase(rng *rand.Rand) checkCase {
 	c.start = []int64{-3_000_000, -7, 0, 1_577_836_800}[rng.Intn(4)] + rng.Int63n(100_000)
 	span := 660 * (1 + rng.Int63n(400))
 	if rng.Intn(3) == 0 {
-		span = c.cfg.BucketSeconds * (1 + rng.Int63n(40))
+		span = c.cfg.bucketSeconds * (1 + rng.Int63n(40))
 	}
 	c.end = c.start + span
 	seed := rng.Uint64()
@@ -111,7 +111,7 @@ func genCase(rng *rand.Rand) checkCase {
 		switch kind {
 		case 0: // empty
 			s = nil
-		case 1: // under MinRecords
+		case 1: // under minRecords
 			s = s[:min(len(s), rng.Intn(32))]
 		case 2: // shuffled
 			rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
@@ -169,7 +169,7 @@ func genCase(rng *rand.Rand) checkCase {
 	case 1:
 		c.end = c.start - rng.Int63n(1_000_000)
 	case 2:
-		c.end = c.start + 1 + rng.Int63n(c.cfg.BucketSeconds)
+		c.end = c.start + 1 + rng.Int63n(c.cfg.bucketSeconds)
 	case 3:
 		if !wild {
 			c.start, c.end = math.MinInt64, math.MaxInt64
@@ -190,11 +190,11 @@ func TestCheckMatchesReference(t *testing.T) {
 		got, want := c.check(), c.reference()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d (bucket %d, window [%d,%d), %d observers):\n got %+v\nwant %+v",
-				i, c.cfg.BucketSeconds, c.start, c.end, len(c.perObs), got, want)
+				i, c.cfg.bucketSeconds, c.start, c.end, len(c.perObs), got, want)
 		}
 		suspects, judged := 0, 0
 		for oi, v := range got {
-			if v.Records >= 32 { // genCase leaves MinRecords at its default
+			if v.Records >= 32 { // genCase leaves minRecords at its default
 				judged++
 				if !isOrdered(c.perObs[oi]) && v.Duplicates > 0 {
 					recount++
@@ -247,9 +247,9 @@ func fuzzCase(data []byte) checkCase {
 	copy(hdr[:], data)
 	data = data[min(len(data), len(hdr)):]
 	var c checkCase
-	c.cfg.BucketSeconds = []int64{600, 601, 3600, 86400, 90000}[hdr[1]%5]
-	c.cfg.MinRecords = []int{0, 1, 4}[hdr[6]%3]
-	c.cfg.MinOverlap = int(hdr[6] / 3 % 3)
+	c.cfg.bucketSeconds = []int64{600, 601, 3600, 86400, 90000}[hdr[1]%5]
+	c.cfg.minRecords = []int{0, 1, 4}[hdr[6]%3]
+	c.cfg.minOverlap = int(hdr[6] / 3 % 3)
 	c.start = int64(int16(binary.LittleEndian.Uint16(hdr[2:]))) * 997
 	c.end = c.start + int64(binary.LittleEndian.Uint16(hdr[4:]))*61 - 500
 	for a := 0; a < 256; a += 1 + int(hdr[7]%5) {
@@ -290,7 +290,7 @@ func FuzzCheck(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := fuzzCase(data)
 		if got, want := c.check(), c.reference(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("window [%d,%d), bucket %d:\n got %+v\nwant %+v", c.start, c.end, c.cfg.BucketSeconds, got, want)
+			t.Fatalf("window [%d,%d), bucket %d:\n got %+v\nwant %+v", c.start, c.end, c.cfg.bucketSeconds, got, want)
 		}
 	})
 }

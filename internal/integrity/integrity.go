@@ -41,72 +41,61 @@ import (
 	"github.com/diurnalnet/diurnal/internal/probe"
 )
 
-// Config holds the firewall's gate ceilings. The zero value takes the
-// defaults; every ceiling is a fraction of the observer's own records.
+// The firewall's gate ceilings, each a fraction of the observer's own
+// records.
+const (
+	// maxOutOfWindow is the ceiling on the fraction of records
+	// timestamped outside the collection window.
+	maxOutOfWindow = 0.05
+	// maxNonMember is the ceiling on the fraction of records naming
+	// addresses outside the block's target list E(b). Honest observers
+	// probe only E(b), so the honest rate is zero.
+	maxNonMember = 0.02
+	// maxDuplicate is the ceiling on the fraction of records repeating
+	// an exact (time, addr) observation already in the stream.
+	maxDuplicate = 0.05
+	// maxRateDelta is the relative reply-rate shortfall versus the
+	// leave-one-out peer median before an observer is suspect: a stream
+	// whose positives were rate-limited away answers markedly less than
+	// its peers over the same block. It is deliberately loose — honest
+	// observers on unlucky probing phases run noticeably below the
+	// median in sparse blocks, and a false accusation costs real
+	// coverage. The gate needs at least three judged streams — with
+	// fewer there is no median to deviate from.
+	maxRateDelta = 0.5
+	// minAgreement is the floor on the cross-observer agreement score
+	// (matching votes / compared votes) before an observer is suspect.
+	minAgreement = 0.5
+)
+
+// Config exports nothing: the firewall runs one fixed configuration. Its
+// zero value takes the defaults of its three fields, which only this
+// package's differential tests vary.
 type Config struct {
-	// BucketSeconds is the cross-observer agreement granularity:
+	// bucketSeconds is the cross-observer agreement granularity:
 	// observations of the same address within the same aligned bucket
 	// are treated as overlapping and compared (default 3600).
 	// Unsynchronized observers never share exact timestamps, so the
 	// agreement check needs a coarser notion of "the same time".
-	BucketSeconds int64
-	// MaxOutOfWindow is the ceiling on the fraction of records
-	// timestamped outside the collection window (default 0.05).
-	MaxOutOfWindow float64
-	// MaxNonMember is the ceiling on the fraction of records naming
-	// addresses outside the block's target list E(b) (default 0.02).
-	// Honest observers probe only E(b), so the honest rate is zero.
-	MaxNonMember float64
-	// MaxDuplicate is the ceiling on the fraction of records repeating
-	// an exact (time, addr) observation already in the stream
-	// (default 0.05).
-	MaxDuplicate float64
-	// MaxRateDelta is the relative reply-rate shortfall versus the
-	// leave-one-out peer median before an observer is suspect (default
-	// 0.5): a stream whose positives were rate-limited away answers
-	// markedly less than its peers over the same block. The default is
-	// deliberately loose — honest observers on unlucky probing phases
-	// run noticeably below the median in sparse blocks, and a false
-	// accusation costs real coverage. The gate needs at least three
-	// judged streams — with fewer there is no median to deviate from.
-	MaxRateDelta float64
-	// MinAgreement is the floor on the cross-observer agreement score
-	// (matching votes / compared votes) before an observer is suspect
-	// (default 0.5).
-	MinAgreement float64
-	// MinOverlap is the minimum number of compared votes before the
+	bucketSeconds int64
+	// minOverlap is the minimum number of compared votes before the
 	// agreement gate may fire (default 12) — two observers that barely
 	// overlap say nothing about each other.
-	MinOverlap int
-	// MinRecords is the minimum stream size before a stream is judged
+	minOverlap int
+	// minRecords is the minimum stream size before a stream is judged
 	// at all (default 32): a handful of records has no stable rates.
-	MinRecords int
+	minRecords int
 }
 
 func (c Config) withDefaults() Config {
-	if c.BucketSeconds <= 0 {
-		c.BucketSeconds = 3600
+	if c.bucketSeconds <= 0 {
+		c.bucketSeconds = 3600
 	}
-	if c.MaxOutOfWindow <= 0 {
-		c.MaxOutOfWindow = 0.05
+	if c.minOverlap <= 0 {
+		c.minOverlap = 12
 	}
-	if c.MaxNonMember <= 0 {
-		c.MaxNonMember = 0.02
-	}
-	if c.MaxDuplicate <= 0 {
-		c.MaxDuplicate = 0.05
-	}
-	if c.MaxRateDelta <= 0 {
-		c.MaxRateDelta = 0.5
-	}
-	if c.MinAgreement <= 0 {
-		c.MinAgreement = 0.5
-	}
-	if c.MinOverlap <= 0 {
-		c.MinOverlap = 12
-	}
-	if c.MinRecords <= 0 {
-		c.MinRecords = 32
+	if c.minRecords <= 0 {
+		c.minRecords = 32
 	}
 	return c
 }
@@ -184,7 +173,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Check judges each observer's raw record stream for one block against
 // the collection window [start, end) and the target list eb, and
-// returns one verdict per stream. Streams shorter than MinRecords are
+// returns one verdict per stream. Streams shorter than minRecords are
 // never judged (their verdicts stay clean), and when every judged
 // stream is suspect none is gated. perObs is not modified and nothing of
 // it is retained.
@@ -208,7 +197,7 @@ func Check(c Config, perObs [][]probe.Record, eb []int, start, end int64) []Verd
 	for oi, records := range perObs {
 		out[oi].Observer = oi
 		out[oi].Records = len(records)
-		if len(records) < c.MinRecords {
+		if len(records) < c.minRecords {
 			continue
 		}
 		s.judged = append(s.judged, oi)
@@ -221,8 +210,8 @@ func Check(c Config, perObs [][]probe.Record, eb []int, start, end int64) []Verd
 	judged := len(s.judged)
 	loBucket, buckets := int64(0), 0
 	if lo <= hi {
-		loBucket = lo / c.BucketSeconds
-		buckets = int(hi/c.BucketSeconds-loBucket) + 1
+		loBucket = lo / c.bucketSeconds
+		buckets = int(hi/c.bucketSeconds-loBucket) + 1
 	}
 	if n := buckets * judged; cap(s.table) < n {
 		s.table = make([]votes, n)
@@ -234,7 +223,7 @@ func Check(c Config, perObs [][]probe.Record, eb []int, start, end int64) []Verd
 	// Per-stream sanity tallies and per-bucket votes. Votes only count
 	// in-window member records — a record both gates reject must not
 	// also poison the agreement comparison.
-	win := window{start, end, c.BucketSeconds, loBucket}
+	win := window{start, end, c.bucketSeconds, loBucket}
 	for ji, oi := range s.judged {
 		s.tally(ji, &out[oi], perObs[oi], &member, win)
 	}
@@ -265,16 +254,16 @@ func Check(c Config, perObs [][]probe.Record, eb []int, start, end int64) []Verd
 		v := &out[oi]
 		n := float64(v.Records)
 		switch {
-		case float64(v.OutOfWindow)/n > c.MaxOutOfWindow:
+		case float64(v.OutOfWindow)/n > maxOutOfWindow:
 			v.Suspect, v.Reason = true, "out-of-window"
-		case float64(v.NonMember)/n > c.MaxNonMember:
+		case float64(v.NonMember)/n > maxNonMember:
 			v.Suspect, v.Reason = true, "non-member"
-		case float64(v.Duplicates)/n > c.MaxDuplicate:
+		case float64(v.Duplicates)/n > maxDuplicate:
 			v.Suspect, v.Reason = true, "duplicates"
 		default:
 			if judged >= 3 {
 				v.PeerRate = peerMedian(v.ReplyRate)
-				if v.ReplyRate < v.PeerRate*(1-c.MaxRateDelta) {
+				if v.ReplyRate < v.PeerRate*(1-maxRateDelta) {
 					v.Suspect, v.Reason = true, "reply-rate"
 				}
 			}
@@ -289,7 +278,7 @@ func Check(c Config, perObs [][]probe.Record, eb []int, start, end int64) []Verd
 	suspects := 0
 	for _, oi := range s.judged {
 		v := &out[oi]
-		if !v.Suspect && v.Comparisons >= c.MinOverlap && v.AgreementScore() < c.MinAgreement {
+		if !v.Suspect && v.Comparisons >= c.minOverlap && v.AgreementScore() < minAgreement {
 			v.Suspect, v.Reason = true, "disagreement"
 		}
 		if v.Suspect {

@@ -242,12 +242,3 @@ func TestCheckPure(t *testing.T) {
 		}
 	}
 }
-
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.BucketSeconds != 3600 || c.MaxOutOfWindow != 0.05 || c.MaxNonMember != 0.02 ||
-		c.MaxDuplicate != 0.05 || c.MaxRateDelta != 0.5 || c.MinAgreement != 0.5 ||
-		c.MinOverlap != 12 || c.MinRecords != 32 {
-		t.Errorf("unexpected defaults: %+v", c)
-	}
-}

@@ -37,7 +37,7 @@ func checkReference(c Config, perObs [][]probe.Record, eb []int, start, end int6
 		v := &out[oi]
 		v.Observer = oi
 		v.Records = len(records)
-		if len(records) < c.MinRecords {
+		if len(records) < c.minRecords {
 			continue
 		}
 		judged++
@@ -62,7 +62,7 @@ func checkReference(c Config, perObs [][]probe.Record, eb []int, start, end int6
 				v.NonMember++
 				continue
 			}
-			bk := r.T / c.BucketSeconds
+			bk := r.T / c.bucketSeconds
 			bv := buckets[bk]
 			if bv == nil {
 				bv = &votes{}
@@ -104,16 +104,16 @@ func checkReference(c Config, perObs [][]probe.Record, eb []int, start, end int6
 		}
 		n := float64(v.Records)
 		switch {
-		case float64(v.OutOfWindow)/n > c.MaxOutOfWindow:
+		case float64(v.OutOfWindow)/n > maxOutOfWindow:
 			v.Suspect, v.Reason = true, "out-of-window"
-		case float64(v.NonMember)/n > c.MaxNonMember:
+		case float64(v.NonMember)/n > maxNonMember:
 			v.Suspect, v.Reason = true, "non-member"
-		case float64(v.Duplicates)/n > c.MaxDuplicate:
+		case float64(v.Duplicates)/n > maxDuplicate:
 			v.Suspect, v.Reason = true, "duplicates"
 		default:
 			if judged >= 3 {
 				v.PeerRate = peerMedian(v.ReplyRate)
-				if v.ReplyRate < v.PeerRate*(1-c.MaxRateDelta) {
+				if v.ReplyRate < v.PeerRate*(1-maxRateDelta) {
 					v.Suspect, v.Reason = true, "reply-rate"
 				}
 			}
@@ -178,7 +178,7 @@ func checkReference(c Config, perObs [][]probe.Record, eb []int, start, end int6
 		if perBucket[oi] == nil {
 			continue
 		}
-		if !v.Suspect && v.Comparisons >= c.MinOverlap && v.AgreementScore() < c.MinAgreement {
+		if !v.Suspect && v.Comparisons >= c.minOverlap && v.AgreementScore() < minAgreement {
 			v.Suspect, v.Reason = true, "disagreement"
 		}
 		if v.Suspect {

@@ -53,7 +53,6 @@ func scan(data []byte, hdr Header, fn func([]byte) error) (good int, err error) 
 // File is one framed file open for append. It is not safe for
 // concurrent use; its owner serializes access.
 type File struct {
-	fsys storage.FS
 	path string
 	f    storage.File
 	size int64
@@ -66,8 +65,9 @@ type File struct {
 // the first, fn accepted; fn checks their CRCs itself (Frame.Intact), so
 // it may check and decode them on several goroutines. Everything past
 // the last accepted frame — the torn or corrupt tail a crash mid-append
-// leaves — is truncated, so appends start clean. Temp files a killed
-// Rewrite left beside path are removed first.
+// leaves — is truncated, so appends start clean. Temp files beside path
+// are removed first: a directory an older build wrote, which rewrote
+// files in place, may hold one a kill left mid-rewrite.
 func Open(fsys storage.FS, path string, fn func(frames []Frame) (accepted int)) (*File, error) {
 	prefix := filepath.Base(path) + ".tmp"
 	// Best-effort: a temp file never holds anything acknowledged.
@@ -91,7 +91,7 @@ func reopen(fsys storage.FS, path string, good int) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: opening %s: %w", path, err)
 	}
-	jf := &File{fsys: fsys, path: path, f: f, size: int64(good)}
+	jf := &File{path: path, f: f, size: int64(good)}
 	if err := jf.cut(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: truncating the torn tail of %s: %w", path, err)
@@ -108,9 +108,6 @@ func (f *File) cut() error {
 	_, err := f.f.Seek(f.size, io.SeekStart)
 	return err
 }
-
-// Size reports the file's length: the end of its last intact frame.
-func (f *File) Size() int64 { return f.size }
 
 // Append writes whole frames with a single write(); they are durable
 // across process death once it returns (Close syncs them for power
@@ -132,36 +129,6 @@ func (f *File) Append(frames []byte) error {
 		f.failed = err
 	}
 	return err
-}
-
-// Rewrite atomically replaces the file with data, which must be whole
-// frames, and reopens it for append behind them. A failed replace is
-// judged by the poison rule (see the package comment).
-func (f *File) Rewrite(data []byte) error {
-	if f.failed != nil {
-		return f.failed
-	}
-	if landed, err := replace(f.fsys, f.path, data); err != nil {
-		if landed {
-			f.failed = err
-		}
-		return err
-	}
-	nf, err := f.fsys.OpenFile(f.path, os.O_RDWR, 0o644)
-	if err == nil {
-		if _, err = nf.Seek(int64(len(data)), io.SeekStart); err != nil {
-			nf.Close()
-		}
-	}
-	if err != nil {
-		// The replace landed, but the handle still points at the old,
-		// unlinked file.
-		f.failed = fmt.Errorf("journal: reopening %s after a rewrite: %w", f.path, err)
-		return f.failed
-	}
-	f.f.Close()
-	f.f, f.size = nf, int64(len(data))
-	return nil
 }
 
 // Sync flushes the file to stable storage.

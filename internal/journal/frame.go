@@ -4,8 +4,8 @@
 //   - the frame envelope, [u32 length | payload | u32 CRC32C], with the
 //     length little-endian and the CRC over the payload alone;
 //   - a framed file (File): scanned at open with its torn tail
-//     truncated, appended to with one write() per call and rolled back
-//     when that write comes up short, and rewritten atomically;
+//     truncated, and appended to with one write() per call, rolled back
+//     when that write comes up short;
 //   - a segmented log (Log) of such files behind an atomically swapped
 //     manifest: rotation, compaction to a base segment, replay, and the
 //     sweep of files a killed rotation or compaction left behind.
@@ -14,16 +14,15 @@
 // bytes in and get payload bytes back.
 //
 // One rule, the poison rule, covers every atomic replace the package
-// makes, of a rewritten file or of a log's manifest. When the replace
-// fails, the path is read back. If the old contents still stand, the
-// writer carries on. If the new contents landed anyway (the rename
-// succeeded and only the directory fsync after it failed), or the read
-// back fails so nobody can tell, the writer is poisoned: its handle may
-// point at a file the directory no longer names, or a manifest on disk
-// may list a segment it does not know, so every later append, rotation,
-// compaction and rewrite refuses with the original error, and nothing
-// is deleted. A poisoned writer is merely a crashed one: reopening reads
-// the truth from disk.
+// makes, of a log's manifest. When the replace fails, the path is read
+// back. If the old contents still stand, the writer carries on. If the
+// new contents landed anyway (the rename succeeded and only the
+// directory fsync after it failed), or the read back fails so nobody can
+// tell, the writer is poisoned: a manifest on disk may list a segment it
+// does not know, so every later append, rotation and compaction refuses
+// with the original error, and nothing is deleted. A poisoned writer is
+// merely a crashed one: reopening reads the truth from disk. A File whose
+// short write cannot be rolled back is poisoned the same way.
 package journal
 
 import (

@@ -257,7 +257,7 @@ func (l *Log) create(payloads ...[]byte) (*File, error) {
 		l.fsys.Remove(path)
 		return nil, fmt.Errorf("journal: creating segment %s: %w", path, err)
 	}
-	return &File{fsys: l.fsys, path: path, f: f, size: int64(len(l.buf))}, nil
+	return &File{path: path, f: f, size: int64(len(l.buf))}, nil
 }
 
 // install swaps in a manifest listing keep and then seg, and makes seg

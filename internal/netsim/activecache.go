@@ -85,7 +85,7 @@ type ActiveCache struct {
 
 type workerGenDraws struct {
 	gen    uint64
-	arrive int64 // WorkStart + habit, without the per-day jitter
+	arrive int64 // workStart + habit, without the per-day jitter
 	leave  int64
 }
 
@@ -146,7 +146,7 @@ func (b *Block) NewActiveCache() *ActiveCache {
 		return c
 	}
 	if b.spec.DormantProb > 0 {
-		c.dormEpochLen = int64(b.spec.DormantEpochDays) * SecondsPerDay
+		c.dormEpochLen = int64(b.spec.dormantEpochDays) * SecondsPerDay
 		c.dormPhase = int64(HashUnit(b.Seed, saltDormantPhase) * float64(c.dormEpochLen))
 	}
 	return c
@@ -198,7 +198,7 @@ func (c *ActiveCache) ActiveNow(addr int) bool {
 		d := &c.duty[addr]
 		if !c.dutySet.has(addr) || d.slot != c.slot3h || d.gen != c.gen {
 			d.slot, d.gen = c.slot3h, c.gen
-			d.up = HashUnit(c.b.Seed, uint64(addr), c.gen, uint64(c.slot3h), saltDuty) < c.b.spec.Duty
+			d.up = HashUnit(c.b.Seed, uint64(addr), c.gen, uint64(c.slot3h), saltDuty) < duty
 			c.dutySet.set(addr)
 		}
 		return d.up
@@ -342,7 +342,7 @@ func (c *ActiveCache) workerActive(addr int) bool {
 		}
 		wd.coin = HashUnit(c.b.Seed, uint64(addr), c.gen, uint64(c.day), salt)
 	}
-	prob := c.b.spec.PresenceProb
+	prob := presenceProb
 	if off {
 		prob = c.b.spec.WeekendWorkProb
 	}
@@ -352,9 +352,9 @@ func (c *ActiveCache) workerActive(addr int) bool {
 	wg := &c.wgen[addr]
 	if !c.genSet.has(addr) || wg.gen != c.gen {
 		wg.gen = c.gen
-		wg.arrive = c.b.spec.WorkStart +
+		wg.arrive = workStart +
 			int64(HashUnit(c.b.Seed, uint64(addr), c.gen, saltArrive)*5400)
-		wg.leave = c.b.spec.WorkEnd +
+		wg.leave = workEnd +
 			int64(HashUnit(c.b.Seed, uint64(addr), c.gen, saltLeave)*7200)
 		c.genSet.set(addr)
 	}

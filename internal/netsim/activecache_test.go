@@ -13,7 +13,7 @@ func richBlock(t *testing.T, seed uint64) *Block {
 	spec := Spec{
 		Workers: 90, Homes: 70, AlwaysOn: 20, Intermittent: 40, Firewalled: 16,
 		TZOffset:    8 * 3600,
-		DormantProb: 0.3, DormantEpochDays: 14,
+		DormantProb: 0.3, dormantEpochDays: 14,
 	}
 	b, err := NewBlock(0x0a0b0c, seed, spec)
 	if err != nil {

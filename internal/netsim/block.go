@@ -85,53 +85,47 @@ type Spec struct {
 
 	// TZOffset is the block's local-time offset east of UTC in seconds.
 	TZOffset int64
-	// WorkStart and WorkEnd are local seconds-of-day bounding the work
-	// window; zero values default to 08:00–17:00.
-	WorkStart, WorkEnd int64
-	// PresenceProb is the chance a worker shows up on a given workday
-	// (default 0.9).
-	PresenceProb float64
 	// WeekendWorkProb is the chance a worker comes in on a weekend day
 	// (default 0.03).
 	WeekendWorkProb float64
 	// HomeProb is the chance a home device is on during a given evening
 	// (default 0.8).
 	HomeProb float64
-	// Duty is the intermittent-address duty cycle (default 0.5).
-	Duty float64
 	// DormantProb is the chance that, in any given dormancy epoch (of
-	// DormantEpochDays), the block's human population goes mostly quiet —
+	// dormantEpochDays), the block's human population goes mostly quiet —
 	// offices empty for a remodel, a lab between projects, an ISP pool
 	// drained. This is the behavioural churn (non-stationarity) the paper
 	// observes in §3.4: longer observation windows intersect more epochs
 	// and so find fewer consistently diurnal blocks. Zero disables it.
 	DormantProb float64
-	// DormantEpochDays is the dormancy epoch length (default 56 when
-	// DormantProb > 0). Epoch boundaries are phase-shifted per block so
-	// dormancy never synchronizes across the world.
-	DormantEpochDays int
+	// dormantEpochDays is the dormancy epoch length (default 56 when
+	// DormantProb > 0; in-package tests shorten it). Epoch boundaries are
+	// phase-shifted per block so dormancy never synchronizes across the
+	// world.
+	dormantEpochDays int
 }
+
+// Every block shares one work schedule and one duty cycle.
+const (
+	// workStart and workEnd are the local seconds-of-day bounding the
+	// work window, 08:00–17:00.
+	workStart, workEnd = 8 * 3600, 17 * 3600
+	// presenceProb is the chance a worker shows up on a given workday.
+	presenceProb = 0.9
+	// duty is the intermittent-address duty cycle.
+	duty = 0.5
+)
 
 func (s *Spec) withDefaults() Spec {
 	out := *s
-	if out.WorkStart == 0 && out.WorkEnd == 0 {
-		out.WorkStart = 8 * 3600
-		out.WorkEnd = 17 * 3600
-	}
-	if out.PresenceProb == 0 {
-		out.PresenceProb = 0.9
-	}
 	if out.WeekendWorkProb == 0 {
 		out.WeekendWorkProb = 0.03
 	}
 	if out.HomeProb == 0 {
 		out.HomeProb = 0.8
 	}
-	if out.Duty == 0 {
-		out.Duty = 0.5
-	}
-	if out.DormantProb > 0 && out.DormantEpochDays == 0 {
-		out.DormantEpochDays = 56
+	if out.DormantProb > 0 && out.dormantEpochDays == 0 {
+		out.dormantEpochDays = 56
 	}
 	return out
 }
@@ -157,8 +151,7 @@ func NewBlock(id BlockID, seed uint64, spec Spec) (*Block, error) {
 	if total > 256 {
 		return nil, fmt.Errorf("netsim: spec populates %d addresses > 256", total)
 	}
-	if spec.PresenceProb < 0 || spec.PresenceProb > 1 || spec.HomeProb < 0 || spec.HomeProb > 1 ||
-		spec.Duty < 0 || spec.Duty > 1 || spec.WeekendWorkProb < 0 || spec.WeekendWorkProb > 1 ||
+	if spec.HomeProb < 0 || spec.HomeProb > 1 || spec.WeekendWorkProb < 0 || spec.WeekendWorkProb > 1 ||
 		spec.DormantProb < 0 || spec.DormantProb > 1 {
 		return nil, fmt.Errorf("netsim: probability out of [0,1] in spec %+v", spec)
 	}
@@ -224,14 +217,14 @@ func (b *Block) Active(addr int, t int64) bool {
 		return b.homeActive(addr, t, gen)
 	case Intermittent:
 		slot := floorDiv(t+b.spec.TZOffset, 3*3600)
-		return HashUnit(b.Seed, uint64(addr), gen, uint64(slot), saltDuty) < b.spec.Duty
+		return HashUnit(b.Seed, uint64(addr), gen, uint64(slot), saltDuty) < duty
 	default:
 		return false
 	}
 }
 
 // workerActive implements the workday schedule: present on workdays with
-// PresenceProb during [WorkStart+jitter, WorkEnd+jitter) local time,
+// presenceProb during [workStart+jitter, workEnd+jitter) local time,
 // absent on weekends/holidays/curfews (rare weekend work aside), and
 // absent entirely once the address's owner adopts work-from-home.
 func (b *Block) workerActive(addr int, t int64, gen uint64) bool {
@@ -247,14 +240,14 @@ func (b *Block) workerActive(addr int, t int64, gen uint64) bool {
 		if HashUnit(b.Seed, uint64(addr), gen, uint64(day), saltWeekend) >= b.spec.WeekendWorkProb*dorm {
 			return false
 		}
-	} else if HashUnit(b.Seed, uint64(addr), gen, uint64(day), saltPresent) >= b.spec.PresenceProb*dorm {
+	} else if HashUnit(b.Seed, uint64(addr), gen, uint64(day), saltPresent) >= presenceProb*dorm {
 		return false
 	}
 	// Stable per-address habits plus small per-day jitter.
-	arrive := b.spec.WorkStart +
+	arrive := workStart +
 		int64(HashUnit(b.Seed, uint64(addr), gen, saltArrive)*5400) + // 0..90 min habit
 		int64(HashUnit(b.Seed, uint64(addr), gen, uint64(day), saltDayJitter)*1800) // 0..30 min today
-	leave := b.spec.WorkEnd +
+	leave := workEnd +
 		int64(HashUnit(b.Seed, uint64(addr), gen, saltLeave)*7200) // 0..2 h habit
 	return sod >= arrive && sod < leave
 }
@@ -300,7 +293,7 @@ func (b *Block) dormancyFactor(t int64) float64 {
 	if b.spec.DormantProb <= 0 {
 		return 1
 	}
-	epochLen := int64(b.spec.DormantEpochDays) * SecondsPerDay
+	epochLen := int64(b.spec.dormantEpochDays) * SecondsPerDay
 	phase := int64(HashUnit(b.Seed, saltDormantPhase) * float64(epochLen))
 	epoch := floorDiv(t+phase, epochLen)
 	if HashUnit(b.Seed, uint64(epoch), saltDormant) < b.spec.DormantProb {

@@ -59,7 +59,7 @@ func TestNewBlockValidation(t *testing.T) {
 	if _, err := NewBlock(1, 1, Spec{Workers: -1}); err == nil {
 		t.Error("expected error for negative count")
 	}
-	if _, err := NewBlock(1, 1, Spec{Workers: 1, PresenceProb: 1.5}); err == nil {
+	if _, err := NewBlock(1, 1, Spec{Workers: 1, HomeProb: 1.5}); err == nil {
 		t.Error("expected error for probability > 1")
 	}
 }
@@ -200,7 +200,7 @@ func TestHomeEveningPattern(t *testing.T) {
 }
 
 func TestIntermittentDutyCycle(t *testing.T) {
-	b, err := NewBlock(4, 25, Spec{Intermittent: 200, Duty: 0.5})
+	b, err := NewBlock(4, 25, Spec{Intermittent: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestDormancyDisabledByDefault(t *testing.T) {
 func TestDormancyCreatesQuietEpochs(t *testing.T) {
 	// With a high dormancy probability some epochs should be quiet and
 	// others normal, and the pattern must be deterministic.
-	spec := Spec{Workers: 80, DormantProb: 0.5, DormantEpochDays: 28}
+	spec := Spec{Workers: 80, DormantProb: 0.5, dormantEpochDays: 28}
 	b, err := NewBlock(21, 401, spec)
 	if err != nil {
 		t.Fatal(err)

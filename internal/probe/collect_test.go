@@ -223,9 +223,8 @@ func TestCollectMatchesReference(t *testing.T) {
 			obs := probe.StandardObservers(4)
 			for i := range obs {
 				obs[i].Extra = extra
-				obs[i].MaxPerRound = []int{0, 3, 8, 1}[i]
 			}
-			obs[0].Loss = &probe.LossModel{Base: 0.1, DiurnalAmp: 0.3, PeakSecond: 5 * 3600, TZOffset: -3 * 3600}
+			obs[0].Loss = &probe.LossModel{Base: 0.1, DiurnalAmp: 0.3, TZOffset: -3 * 3600}
 			return &probe.Engine{Observers: obs, QuarterSeed: 99}
 		}})
 	}
@@ -307,11 +306,11 @@ func TestCollectMatchesReference(t *testing.T) {
 // FuzzCollect drives random engines over random blocks and windows and
 // holds Collect and Run to the reference loop.
 func FuzzCollect(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(0), uint8(0), uint8(0), uint16(0), uint32(86400), uint8(5), uint8(60), uint32(3600), uint32(7200), true)
-	f.Add(uint64(7), uint8(6), uint8(1), uint8(3), uint8(2), uint16(137), uint32(301), uint8(0), uint8(0), uint32(0), uint32(0), false)
-	f.Add(uint64(42), uint8(2), uint8(3), uint8(4), uint8(16), uint16(659), uint32(200000), uint8(255), uint8(255), uint32(50000), uint32(100), true)
+	f.Add(uint64(1), uint8(4), uint8(0), uint8(0), uint16(0), uint32(86400), uint8(5), uint8(60), uint32(3600), uint32(7200), true)
+	f.Add(uint64(7), uint8(6), uint8(1), uint8(3), uint16(137), uint32(301), uint8(0), uint8(0), uint32(0), uint32(0), false)
+	f.Add(uint64(42), uint8(2), uint8(3), uint8(4), uint16(659), uint32(200000), uint8(255), uint8(255), uint32(50000), uint32(100), true)
 	jan6 := netsim.Date(2020, time.January, 6)
-	f.Fuzz(func(t *testing.T, seed uint64, nObs, phaseMode, extra, maxPer uint8, startOff uint16, length uint32,
+	f.Fuzz(func(t *testing.T, seed uint64, nObs, phaseMode, extra uint8, startOff uint16, length uint32,
 		base, amp uint8, downAt, downLen uint32, burst bool) {
 		u := func(salt uint64, n int) int { return int(netsim.Hash64(seed, salt) % uint64(n)) }
 		spec := netsim.Spec{
@@ -334,7 +333,6 @@ func FuzzCollect(f *testing.F) {
 					obs[i].Phase = int64(u(uint64(10+i), 4)) * 200
 				}
 				obs[i].Extra = int(extra % 5)
-				obs[i].MaxPerRound = int(maxPer % 20)
 			}
 			obs[0].Loss = &probe.LossModel{
 				Base: float64(base) / 255, DiurnalAmp: float64(amp) / 255, TZOffset: int64(u(7, 86400)),

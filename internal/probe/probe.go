@@ -21,8 +21,12 @@ import (
 
 const saltLoss uint64 = 0x10c1
 
-// DefaultMaxPerRound is Trinocular's per-round probe budget.
-const DefaultMaxPerRound = 16
+// maxPerRound is Trinocular's per-round probe budget.
+const maxPerRound = 16
+
+// lossPeakSecond is the local second-of-day of a congested link's peak
+// loss, 20:00.
+const lossPeakSecond = 20 * 3600
 
 // LossModel describes congestive loss on an observer's upstream link. A
 // probe (or its response) crossing the link is dropped independently with
@@ -35,9 +39,6 @@ type LossModel struct {
 	// DiurnalAmp is the peak additional loss probability at the busiest
 	// local hour.
 	DiurnalAmp float64
-	// PeakSecond is the local second-of-day of peak congestion
-	// (default 20:00).
-	PeakSecond int64
 	// TZOffset is the link's local-time offset east of UTC in seconds.
 	TZOffset int64
 	// Match restricts the loss to some destinations (the paper saw loss
@@ -57,13 +58,9 @@ func (l *LossModel) Rate(id netsim.BlockID, t int64) float64 {
 	}
 	rate := l.Base
 	if l.DiurnalAmp > 0 {
-		peak := l.PeakSecond
-		if peak == 0 {
-			peak = 20 * 3600
-		}
 		sod := netsim.SecondOfDay(t + l.TZOffset)
 		// Raised cosine centered on the peak hour.
-		phase := 2 * math.Pi * float64(sod-peak) / float64(netsim.SecondsPerDay)
+		phase := 2 * math.Pi * float64(sod-lossPeakSecond) / float64(netsim.SecondsPerDay)
 		rate += l.DiurnalAmp * (1 + math.Cos(phase)) / 2
 	}
 	if rate > 1 {
@@ -83,8 +80,6 @@ type Observer struct {
 	// independently and run unsynchronized" (§2.7); round k probes at
 	// start + Phase + k*RoundSeconds.
 	Phase int64
-	// MaxPerRound caps probes per round (default 16).
-	MaxPerRound int
 	// Extra is the number of additional probes sent per round even after
 	// a positive response — zero for standard Trinocular, up to 4 for the
 	// §2.8 designed observer.
@@ -129,7 +124,7 @@ func (e *Engine) Validate() error {
 		return fmt.Errorf("probe: no observers")
 	}
 	for i, o := range e.Observers {
-		if o.MaxPerRound < 0 || o.Extra < 0 {
+		if o.Extra < 0 {
 			return fmt.Errorf("probe: observer %d (%s) has negative budget", i, o.Name)
 		}
 		if o.Phase < 0 || o.Phase >= netsim.RoundSeconds {
@@ -171,7 +166,7 @@ type prober struct {
 	o      *Observer
 	oi     int       // index into Engine.Observers and the record buffers
 	cursor int       // next position in the shared probing order
-	budget int       // probes per round: MaxPerRound + Extra, capped at |E(b)|
+	budget int       // probes per round: maxPerRound + Extra, capped at |E(b)|
 	rate   []float64 // Loss.table for this block and window
 }
 
@@ -216,11 +211,7 @@ func (e *Engine) CollectInto(ctx context.Context, b *netsim.Block, start, end in
 	ps := make([]prober, len(e.Observers))
 	for i := range e.Observers {
 		o := &e.Observers[i]
-		budget := o.MaxPerRound
-		if budget == 0 {
-			budget = DefaultMaxPerRound
-		}
-		budget = min(budget+o.Extra, len(order))
+		budget := min(maxPerRound+o.Extra, len(order))
 		// Observers run unsynchronized (§2.7): besides the phase offset,
 		// each starts at a different point of the shared probing order, so
 		// their coverage of always-responding blocks interleaves instead

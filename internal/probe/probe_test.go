@@ -32,7 +32,7 @@ func TestValidate(t *testing.T) {
 	if err := e.Validate(); err == nil {
 		t.Error("expected error for phase >= round")
 	}
-	e = &Engine{Observers: []Observer{{Name: "x", MaxPerRound: -1}}}
+	e = &Engine{Observers: []Observer{{Name: "x", Extra: -1}}}
 	if err := e.Validate(); err == nil {
 		t.Error("expected error for negative budget")
 	}
@@ -138,8 +138,8 @@ func TestBudgetExhaustedOnDeadBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != DefaultMaxPerRound {
-		t.Fatalf("probes = %d, want %d", count, DefaultMaxPerRound)
+	if count != maxPerRound {
+		t.Fatalf("probes = %d, want %d", count, maxPerRound)
 	}
 }
 

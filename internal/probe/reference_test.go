@@ -84,15 +84,12 @@ func runReferenceLoop(e *Engine, ctx context.Context, b *netsim.Block, start, en
 	}
 }
 
-// roundReference is the previous Engine.round, verbatim.
+// roundReference is the previous Engine.round, verbatim but for the
+// budget, which is no longer per observer.
 func roundReference(e *Engine, ac *netsim.ActiveCache, oi int, t int64, order []int, cursor *int, fn func(obs int, r Record)) {
 	b := ac.Block()
 	o := &e.Observers[oi]
-	budget := o.MaxPerRound
-	if budget == 0 {
-		budget = DefaultMaxPerRound
-	}
-	budget += o.Extra
+	budget := maxPerRound + o.Extra
 	if budget > len(order) {
 		budget = len(order)
 	}
@@ -124,15 +121,12 @@ func roundReference(e *Engine, ac *netsim.ActiveCache, oi int, t int64, order []
 	}
 }
 
-// roundIntoReference is the previous Engine.roundInto, verbatim.
+// roundIntoReference is the previous Engine.roundInto, verbatim but for
+// the budget, which is no longer per observer.
 func roundIntoReference(e *Engine, ac *netsim.ActiveCache, oi int, t int64, order []int, cursor *int, buf []Record) []Record {
 	b := ac.Block()
 	o := &e.Observers[oi]
-	budget := o.MaxPerRound
-	if budget == 0 {
-		budget = DefaultMaxPerRound
-	}
-	budget += o.Extra
+	budget := maxPerRound + o.Extra
 	if budget > len(order) {
 		budget = len(order)
 	}

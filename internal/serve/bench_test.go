@@ -1,9 +1,8 @@
 package serve
 
-// Benchmarks feeding BENCH_7.json: codec throughput plus the load
-// harness driven at 1× and 10× the admission ceiling, reporting the
-// server-side p50/p99 and shed counts via b.ReportMetric (benchjson
-// records the custom units under "extra").
+// Benchmarks of codec throughput plus the load harness driven at 1× and
+// 10× the admission ceiling, reporting the server-side p50/p99 and shed
+// counts via b.ReportMetric.
 
 import (
 	"os"

@@ -172,7 +172,7 @@ func TestChaosOverloadWithFailingSwaps(t *testing.T) {
 func TestChaosSlowDisk(t *testing.T) {
 	dir := t.TempDir()
 	path, _, _, _, _ := writeTestSnapshot(t, dir)
-	s := New(Config{Dir: dir, QueryTimeout: 30 * time.Millisecond, CacheCap: 1, FreshTTL: time.Nanosecond})
+	s := New(Config{Dir: dir, QueryTimeout: 30 * time.Millisecond, cacheCap: 1, FreshTTL: time.Nanosecond})
 	defer s.Close()
 	if err := s.Install(path); err != nil {
 		t.Fatal(err)

@@ -32,9 +32,14 @@ type LoadOptions struct {
 	Requests int
 	// Seed makes the request mix reproducible (default 1).
 	Seed int64
-	// MixCell/MixRegion/MixTopK weight the class mix (default 8:3:1).
-	MixCell, MixRegion, MixTopK int
 }
+
+// The request mix weights the three classes cell:region:topk as 8:3:1.
+const (
+	mixCell   = 8
+	mixRegion = 3
+	mixTopK   = 1
+)
 
 func (o LoadOptions) withDefaults() LoadOptions {
 	if o.Workers <= 0 {
@@ -45,9 +50,6 @@ func (o LoadOptions) withDefaults() LoadOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MixCell <= 0 && o.MixRegion <= 0 && o.MixTopK <= 0 {
-		o.MixCell, o.MixRegion, o.MixTopK = 8, 3, 1
 	}
 	return o
 }
@@ -118,7 +120,7 @@ func RunLoad(h http.Handler, cells []geo.CellKey, opts LoadOptions) *LoadReport 
 			rng := rand.New(rand.NewSource(opts.Seed + int64(w)*7919))
 			out := make([]result, 0, opts.Requests)
 			for i := 0; i < opts.Requests; i++ {
-				class, target := pickRequest(rng, cells, continents, opts)
+				class, target := pickRequest(rng, cells, continents)
 				req, err := http.NewRequest(http.MethodGet, target, nil)
 				if err != nil {
 					continue
@@ -183,11 +185,10 @@ func RunLoad(h http.Handler, cells []geo.CellKey, opts LoadOptions) *LoadReport 
 }
 
 // pickRequest draws one request from the weighted class mix.
-func pickRequest(rng *rand.Rand, cells []geo.CellKey, continents []geo.Continent, opts LoadOptions) (Class, string) {
-	total := opts.MixCell + opts.MixRegion + opts.MixTopK
-	n := rng.Intn(total)
+func pickRequest(rng *rand.Rand, cells []geo.CellKey, continents []geo.Continent) (Class, string) {
+	n := rng.Intn(mixCell + mixRegion + mixTopK)
 	switch {
-	case n < opts.MixCell && len(cells) > 0:
+	case n < mixCell && len(cells) > 0:
 		lat, lon := cells[rng.Intn(len(cells))].Center()
 		v := url.Values{}
 		v.Set("lat", fmt.Sprintf("%g", lat))
@@ -196,7 +197,7 @@ func pickRequest(rng *rand.Rand, cells []geo.CellKey, continents []geo.Continent
 			v.Set("dir", "up")
 		}
 		return ClassCell, "/v1/cell?" + v.Encode()
-	case n < opts.MixCell+opts.MixRegion:
+	case n < mixCell+mixRegion:
 		cont := continents[rng.Intn(len(continents))]
 		return ClassRegion, "/v1/continent?name=" + url.QueryEscape(cont.String())
 	default:

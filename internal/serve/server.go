@@ -46,11 +46,8 @@ type Config struct {
 	// QueryTimeout is the per-request deadline propagated into snapshot
 	// disk reads (default 2s).
 	QueryTimeout time.Duration
-	// RetryAfter is the hint attached to every 503 (default 1s).
-	RetryAfter time.Duration
-	// CacheCap, FreshTTL and StaleTTL tune the response cache (defaults
-	// 4096 entries, 5s fresh, 50s stale-servable).
-	CacheCap           int
+	// FreshTTL and StaleTTL tune the response cache (defaults 5s fresh,
+	// 50s stale-servable).
 	FreshTTL, StaleTTL time.Duration
 	// ExpectSignature pins the run signature snapshots must carry. Empty
 	// pins to the first snapshot installed, so a later swap can never
@@ -71,14 +68,17 @@ type Config struct {
 	// FS is the filesystem the swap and retention paths go through
 	// (default storage.OS); tests inject a faults.FS here.
 	FS storage.FS
+	// cacheCap bounds the response cache's entries (default 4096);
+	// in-package tests shrink it.
+	cacheCap int
 }
+
+// retryAfter is the Retry-After hint, in seconds, attached to every 503.
+const retryAfter = "1"
 
 func (c Config) withDefaults() Config {
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 2 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.FS == nil {
 		c.FS = storage.OS
@@ -122,7 +122,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		admit:     newAdmission(cfg.MaxInflight),
-		cache:     newResponseCache(cfg.CacheCap, cfg.FreshTTL, cfg.StaleTTL),
+		cache:     newResponseCache(cfg.cacheCap, cfg.FreshTTL, cfg.StaleTTL),
 		mux:       http.NewServeMux(),
 		pinnedSig: append([]byte(nil), cfg.ExpectSignature...),
 		reval:     map[string]bool{},
@@ -493,17 +493,9 @@ func (s *Server) acquireCurrent() *Snapshot {
 	}
 }
 
-func (s *Server) retryAfterSeconds() string {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
 // shedResponse is the only deliberate 5xx: 503 with Retry-After.
 func (s *Server) shedResponse(w http.ResponseWriter, why string) {
-	w.Header().Set("Retry-After", s.retryAfterSeconds())
+	w.Header().Set("Retry-After", retryAfter)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusServiceUnavailable)
 	fmt.Fprintf(w, `{"error":%q}`, why)
@@ -812,7 +804,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if sn := s.cur.Load(); sn == nil {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, "no snapshot loaded", http.StatusServiceUnavailable)
 		return
 	}

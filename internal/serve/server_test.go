@@ -337,7 +337,7 @@ func TestLoadLatestSkipsDamaged(t *testing.T) {
 }
 
 func TestDeadlinePropagatesToDisk(t *testing.T) {
-	s, _ := newTestServer(t, Config{QueryTimeout: 20 * time.Millisecond, CacheCap: 1})
+	s, _ := newTestServer(t, Config{QueryTimeout: 20 * time.Millisecond, cacheCap: 1})
 	sn := s.cur.Load()
 	sn.SetReaderAt(&faults.SlowReaderAt{R: sn.readerAt(), Delay: 200 * time.Millisecond})
 	rec := get(t, s, "/v1/cell?lat=30.5&lon=114.5")

@@ -211,7 +211,6 @@ func (l *Ledger) tokenFiles(shard int, ext string) ([]tokenFile, error) {
 		return nil, fmt.Errorf("shard: listing ledger: %w", err)
 	}
 	var out []tokenFile
-	pattern := fmt.Sprintf("shard-%04d.t", shard)
 	for _, e := range entries {
 		name := e.Name()
 		var s int
@@ -222,7 +221,6 @@ func (l *Ledger) tokenFiles(shard int, ext string) ([]tokenFile, error) {
 		if name != fmt.Sprintf("shard-%04d.t%06d.%s", s, tok, ext) {
 			continue // a stray file that merely parses
 		}
-		_ = pattern
 		out = append(out, tokenFile{Token: tok, Path: filepath.Join(l.dir, name)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Token < out[j].Token })
