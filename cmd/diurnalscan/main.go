@@ -23,7 +23,7 @@
 // scan: -resume FILE journals every finished block, so a killed run rerun
 // with the same flags picks up where it stopped and produces identical
 // results. -deadletter DIR quarantines poison blocks (deterministic
-// panics, blown deadlines, corrupt records) with their fault context;
+// panics, exhausted retries, corrupt records) with their fault context;
 // later runs sharing DIR skip them. -save DIR archives the raw
 // observations of a whole-week window as a replayable store. -breaker
 // supervises the observers with circuit breakers seeded by the §2.7
@@ -357,7 +357,7 @@ func defineScan(fs *flag.FlagSet, j *job) {
 		)
 	}
 	j.body = func(ctx context.Context, world *diurnal.World, cfg diurnal.Config) (*diurnal.Report, int) {
-		ro.CheckpointPath, ro.Integrity = j.resume, j.integrity
+		ro.CheckpointPath = j.resume
 		j.quorum, j.supervise = ro.Quorum, ro.Breaker || ro.Hedge || ro.Quorum > 0
 		report, err := world.RunContext(ctx, cfg, ro)
 		if err != nil {

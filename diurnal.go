@@ -123,8 +123,9 @@ type WorldOptions struct {
 	Start, End int64
 	// Observers is the number of probing sites (1–6, default 4).
 	Observers int
-	// DisableNoise turns off random background outages and renumbering.
-	DisableNoise bool
+	// disableNoise turns off random background outages and renumbering;
+	// in-package tests set it.
+	disableNoise bool
 }
 
 // World is a simulated Internet with its probing infrastructure.
@@ -149,7 +150,7 @@ func NewWorld(opts WorldOptions) (*World, error) {
 		Start:    opts.Start,
 		End:      opts.End,
 	}
-	if opts.DisableNoise {
+	if opts.disableNoise {
 		wo.OutageProb = -1
 		wo.RenumberProb = -1
 	}
@@ -198,8 +199,8 @@ func (w *World) BlocksInRegion(code string) []int {
 }
 
 // RunOptions tunes a crash-safe world run. The zero value matches the
-// plain Run behavior: no checkpointing, no per-block deadline, default
-// transient-error retries.
+// plain Run behavior: GOMAXPROCS workers, no checkpointing, no observer
+// supervision, no quarantine.
 type RunOptions struct {
 	// Workers bounds analysis parallelism (default GOMAXPROCS). Blocks
 	// are analyzed independently, one at a time per worker; results are
@@ -210,12 +211,6 @@ type RunOptions struct {
 	// every journaled block. The journal is bound to the (config, world)
 	// pair and refuses to resume a different run.
 	CheckpointPath string
-	// BlockTimeout bounds one block's probe-and-analyze attempt (zero
-	// disables per-block deadlines).
-	BlockTimeout time.Duration
-	// MaxRetries caps extra attempts after a transient collection
-	// failure: zero means the default of 2, negative disables retries.
-	MaxRetries int
 	// Breaker enables the runtime observer supervisor: a pre-scan health
 	// check (§2.7) seeds per-observer circuit breakers, observers whose
 	// reply rate collapses mid-run are excluded until they recover, and
@@ -231,18 +226,12 @@ type RunOptions struct {
 	Quorum int
 	// DeadLetterPath, when non-empty, quarantines poison blocks into this
 	// directory: a block whose analysis fails permanently (deterministic
-	// panic, blown deadline, corrupt archive record) is recorded there
-	// with its fault context and skipped — never re-analyzed — by every
-	// later run sharing the directory. Skips and give-ups are listed in
-	// Report.Report.DeadLettered, and such a run reports Degraded.
+	// panic, exhausted transient retries, corrupt archive record) is
+	// recorded there with its fault context and skipped — never
+	// re-analyzed — by every later run sharing the directory. Skips and
+	// give-ups are listed in Report.Report.DeadLettered, and such a run
+	// reports Degraded.
 	DeadLetterPath string
-	// Integrity enables the data-integrity firewall: per-observer
-	// per-block sanity gates exclude untrustworthy streams from the
-	// merge, contested observations among the survivors resolve by
-	// observer majority, and gated streams are attributed in
-	// Report.Report.GatedStreams/IntegrityVerdicts (such a run reports
-	// Degraded). Off, results are bit-identical to prior releases.
-	Integrity bool
 }
 
 // Run probes and analyzes the whole world under cfg.
@@ -256,15 +245,10 @@ func (w *World) Run(cfg Config) (*Report, error) {
 // later RunContext with the same path resumes where this one stopped.
 func (w *World) RunContext(ctx context.Context, cfg Config, opts RunOptions) (*Report, error) {
 	p := &core.Pipeline{
-		Config:       cfg,
-		Engine:       w.engine,
-		Workers:      opts.Workers,
-		BlockTimeout: opts.BlockTimeout,
-		MaxRetries:   opts.MaxRetries,
-		Quorum:       opts.Quorum,
-	}
-	if opts.Integrity {
-		p.Config.Integrity = true
+		Config:  cfg,
+		Engine:  w.engine,
+		Workers: opts.Workers,
+		Quorum:  opts.Quorum,
 	}
 	if opts.Breaker {
 		b := health.DefaultBreaker()
@@ -321,10 +305,6 @@ type ShardOptions struct {
 	// LeaseTTL is the shard lease duration (default 30s): a worker that
 	// stops renewing for this long loses its shard to another worker.
 	LeaseTTL time.Duration
-	// BlockTimeout and MaxRetries tune the per-shard pipeline exactly as
-	// in RunOptions.
-	BlockTimeout time.Duration
-	MaxRetries   int
 }
 
 // RunShardWorker drains the ledger as one worker: it claims shards until
@@ -338,13 +318,11 @@ func (w *World) RunShardWorker(ctx context.Context, cfg Config, opts ShardOption
 		return nil, err
 	}
 	worker := &shard.Worker{
-		ID:           opts.WorkerID,
-		Ledger:       ledger,
-		Config:       cfg,
-		Engine:       w.engine,
-		World:        w.blocks,
-		BlockTimeout: opts.BlockTimeout,
-		MaxRetries:   opts.MaxRetries,
+		ID:     opts.WorkerID,
+		Ledger: ledger,
+		Config: cfg,
+		Engine: w.engine,
+		World:  w.blocks,
 	}
 	return worker.Run(ctx)
 }

@@ -66,7 +66,7 @@ func TestEndToEndWFHWorld(t *testing.T) {
 	start, end := Date(2020, 1, 1), Date(2020, 3, 25)
 	w, err := NewWorld(WorldOptions{
 		Blocks: 80, Seed: 3, Calendar: Calendar2020(),
-		Start: start, End: end, DisableNoise: true,
+		Start: start, End: end, disableNoise: true,
 	})
 	if err != nil {
 		t.Fatal(err)

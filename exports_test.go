@@ -55,9 +55,9 @@ var exportAllowlist = map[string]string{
 // anonymous, a named interface of a standard-library package the module
 // imports, or error. A type's own method receivers are no use of it.
 // Module packages are type-checked from source, the standard library
-// through its export data; interface methods and the root package's API
-// are not checked (TestKnobsHaveSetters checks fields). Each internal
-// package is a subtest.
+// through its export data. Interface methods and the root package's
+// funcs and methods are not checked; TestKnobsHaveSetters checks fields,
+// the root package's included. Each internal package is a subtest.
 func TestExportsHaveCallers(t *testing.T) {
 	m := loadModule(t)
 	m.eachInternal(t, func(t *testing.T, p string) {
@@ -83,18 +83,19 @@ func loadModule(t *testing.T) *moduleChecker {
 		t.Fatal(err)
 	}
 	m := &moduleChecker{
-		root:    root,
-		module:  "github.com/diurnalnet/diurnal",
-		fset:    token.NewFileSet(),
-		std:     importer.Default(),
-		pkgs:    map[string]*types.Package{},
-		files:   map[string][]*ast.File{},
-		uses:    map[types.Object][]token.Pos{},
-		ifaces:  map[string][]*types.Interface{},
-		seen:    map[types.Type]bool{},
-		stdPkgs: map[string]*types.Package{},
-		reads:   map[*types.Var]bool{},
-		writes:  map[*types.Var]bool{},
+		root:     root,
+		module:   "github.com/diurnalnet/diurnal",
+		fset:     token.NewFileSet(),
+		std:      importer.Default(),
+		pkgs:     map[string]*types.Package{},
+		files:    map[string][]*ast.File{},
+		uses:     map[types.Object][]token.Pos{},
+		ifaces:   map[string][]*types.Interface{},
+		seen:     map[types.Type]bool{},
+		stdPkgs:  map[string]*types.Package{},
+		reads:    map[*types.Var]bool{},
+		writes:   map[*types.Var]bool{},
+		forwards: map[*types.Var][]*types.Var{},
 	}
 	if m.paths, err = m.packagePaths(); err != nil {
 		t.Fatal(err)
@@ -223,6 +224,7 @@ type moduleChecker struct {
 	paths        []string                      // the module's packages
 	reads        map[*types.Var]bool           // struct fields non-test code reads
 	writes       map[*types.Var]bool           // and writes (see recordFields)
+	forwards     map[*types.Var][]*types.Var   // and copies from other fields
 }
 
 // packagePaths lists the import paths of the module's directories holding

@@ -198,7 +198,7 @@ func TestPipelineRetriesDisabled(t *testing.T) {
 		fail[wb.ID] = true
 	}
 	cp := &countingProber{inner: engine4(), failN: 1, transient: true, fail: fail}
-	p := &Pipeline{Config: q1Config(), Engine: cp, MaxRetries: -1, retryBackoff: 1}
+	p := &Pipeline{Config: q1Config(), Engine: cp, maxRetries: -1, retryBackoff: 1}
 	res, err := p.Run(context.Background(), probed)
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +486,7 @@ func TestReplayProberCorruptionSurfacesInRunReport(t *testing.T) {
 	cfg := q1Config()
 	cfg.AnalysisEnd = spec.End()
 	cfg.BaselineEnd = q1Start + 28*netsim.SecondsPerDay
-	res, err := (&Pipeline{Config: cfg, Engine: replay, MaxRetries: -1}).Run(context.Background(), archived)
+	res, err := (&Pipeline{Config: cfg, Engine: replay, maxRetries: -1}).Run(context.Background(), archived)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,25 +220,24 @@ func TestRunInvariancePoisonDeadLetter(t *testing.T) {
 				Plan:  &faults.Plan{Seed: 5, Poison: &faults.Poison{Prob: 0.2}},
 			},
 			Workers:    workers,
-			MaxRetries: -1,
+			maxRetries: -1,
 			DeadLetter: &memDeadLetters{},
 		}
 	}
 	requireRunParity(t, mk, world)
 }
 
-// TestRunInvarianceQuorumInflight runs with observer quorum tracking and
-// an admission bound tighter than the four-worker pool, checking the
-// supervised commit path reports the same observer counts either way.
-func TestRunInvarianceQuorumInflight(t *testing.T) {
+// TestRunInvarianceQuorum runs with observer quorum tracking, checking
+// the supervised commit path reports the same observer counts at every
+// worker count.
+func TestRunInvarianceQuorum(t *testing.T) {
 	world := smallWorld(t, 24, 94)
 	mk := func(workers int) *Pipeline {
 		return &Pipeline{
-			Config:      q1Config(),
-			Engine:      engine4(),
-			Workers:     workers,
-			Quorum:      2,
-			MaxInflight: 3,
+			Config:  q1Config(),
+			Engine:  engine4(),
+			Workers: workers,
+			Quorum:  2,
 		}
 	}
 	requireRunParity(t, mk, world)
@@ -350,17 +349,17 @@ func (p *inflightProber) CollectInto(ctx context.Context, b *netsim.Block, start
 	return p.inner.CollectInto(ctx, b, start, end, bufs)
 }
 
-// TestSuspectPrescanHonoursAdmission checks that the pre-scan, like the
-// run after it, never has more collections in flight than MaxInflight
-// admits, however many workers the run has.
-func TestSuspectPrescanHonoursAdmission(t *testing.T) {
+// TestSuspectPrescanHonoursWorkers checks that neither the pre-scan nor
+// the run after it ever has more collections in flight than the run has
+// workers: Workers is a run's one concurrency bound.
+func TestSuspectPrescanHonoursWorkers(t *testing.T) {
 	world := smallWorld(t, 16, 96)
 	eng := &inflightProber{inner: engine4()}
-	p := &Pipeline{Config: q1Config(), Engine: eng, Workers: 4, MaxInflight: 2, ExcludeSuspects: true}
+	p := &Pipeline{Config: q1Config(), Engine: eng, Workers: 2, ExcludeSuspects: true}
 	if _, err := p.Run(context.Background(), world); err != nil {
 		t.Fatal(err)
 	}
 	if eng.max > 2 {
-		t.Fatalf("%d collections in flight at once, MaxInflight is 2", eng.max)
+		t.Fatalf("%d collections in flight at once with 2 workers", eng.max)
 	}
 }

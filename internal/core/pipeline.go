@@ -31,11 +31,10 @@ type Prober interface {
 }
 
 // DeadLetterer quarantines poison blocks: blocks whose analysis fails
-// permanently (a deterministic panic, a blown per-block deadline, an
-// exhausted transient-retry budget, a corrupt archived log) are recorded
-// durably and skipped on every later attempt instead of burning their
-// retry budget again. internal/shard.DeadLetterStore is the file-backed
-// implementation.
+// permanently (a deterministic panic, an exhausted transient-retry
+// budget, a corrupt archived log) are recorded durably and skipped on
+// every later attempt instead of burning their retry budget again.
+// internal/shard.DeadLetterStore is the file-backed implementation.
 type DeadLetterer interface {
 	// Lookup reports whether the block is already quarantined, and why.
 	Lookup(index int, id netsim.BlockID) (reason string, ok bool)
@@ -185,15 +184,6 @@ type Pipeline struct {
 	// HealthSample bounds how many blocks the health pre-pass probes
 	// (default 64).
 	HealthSample int
-	// BlockTimeout bounds one block's probe-and-analyze attempt; a block
-	// that blows its deadline becomes a BlockError while the run
-	// continues. Zero disables per-block deadlines.
-	BlockTimeout time.Duration
-	// MaxRetries is how many extra attempts a block gets when collection
-	// fails with a transient error (see IsTransient). Zero means the
-	// default of 2; negative disables retries. Non-transient errors are
-	// never retried.
-	MaxRetries int
 	// Checkpoint, when non-nil, journals every completed block outcome
 	// and, on resume, restores journaled blocks instead of re-analyzing
 	// them. See OpenCheckpoint.
@@ -222,16 +212,13 @@ type Pipeline struct {
 	// Quorum, when positive, flags blocks analyzed with fewer than this
 	// many contributing observers in Report.QuorumShortfalls.
 	Quorum int
-	// MaxInflight bounds admitted-but-unfinished blocks (default: the
-	// worker count — backpressure from the slowest worker, no queue
-	// buildup).
-	MaxInflight int
-	// MemoryBudget, when positive, caps the estimated bytes of in-flight
-	// block collections; admission narrows until the estimate fits, so
-	// huge worlds cannot OOM the scheduler. See estimateBlockBytes.
-	MemoryBudget int64
 	// Clock injects time for the hedging watchdog (default wall clock).
 	Clock health.Clock
+	// maxRetries is how many extra attempts a block gets when collection
+	// fails with a transient error (see IsTransient). Zero means the
+	// default of 2; negative disables retries, as in-package tests do.
+	// Non-transient errors are never retried.
+	maxRetries int
 	// retryBackoff is the delay before the first retry, doubling per
 	// attempt (default 10ms); in-package tests shorten it. Backoff waits
 	// honor ctx cancellation.
@@ -314,7 +301,7 @@ func (p *Pipeline) newRun(ctx context.Context, world []*dataset.WorldBlock) (*ru
 		world:   world,
 		eng:     p.Engine,
 		workers: p.Workers,
-		retries: p.MaxRetries,
+		retries: p.maxRetries,
 		backoff: p.retryBackoff,
 		res: &WorldResult{
 			Blocks:      make([]BlockOutcome, len(world)),
@@ -396,14 +383,9 @@ func (r *run) execute(ctx context.Context) (*WorldResult, error) {
 		go r.hed.watch(ctx)
 		defer close(r.hed.stop)
 	}
-	// Bounded admission: dispatch stalls once MaxInflight blocks (or the
-	// MemoryBudget's worth of estimated collection bytes) are admitted but
-	// unfinished, so a huge world exerts backpressure on the dispatcher
-	// instead of queueing without bound.
-	var admit chan struct{}
-	if bound := r.admission(); bound > 0 {
-		admit = make(chan struct{}, bound)
-	}
+	// jobs is unbuffered and each worker takes one block at a time, so at
+	// most r.workers blocks are in flight: a busy pool stalls the
+	// dispatcher instead of filling a queue.
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	for _, sc := range r.scratch {
@@ -415,27 +397,14 @@ func (r *run) execute(ctx context.Context) (*WorldResult, error) {
 			// worker's whole share of the world.
 			for i := range jobs {
 				r.runBlock(ctx, i, sc)
-				if admit != nil {
-					<-admit
-				}
 			}
 		}()
 	}
 dispatch:
 	for i := range world {
-		if admit != nil {
-			select {
-			case admit <- struct{}{}:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
-			if admit != nil {
-				<-admit // the block was never handed to a worker
-			}
 			break dispatch
 		}
 	}
@@ -482,27 +451,6 @@ dispatch:
 		return res, fmt.Errorf("core: all %d blocks dead-lettered: %w", len(world), res.Report.DeadLettered[0])
 	}
 	return res, nil
-}
-
-// admission is the bound on admitted-but-unfinished blocks that
-// MaxInflight and MemoryBudget set, or 0 when neither is set.
-func (r *run) admission() int {
-	p := r.p
-	if p.MaxInflight <= 0 && p.MemoryBudget <= 0 {
-		return 0
-	}
-	inflight := p.MaxInflight
-	if inflight <= 0 {
-		inflight = r.workers
-	}
-	if p.MemoryBudget > 0 {
-		if slots := int(p.MemoryBudget / estimateBlockBytes(r.cfg.c)); slots < 1 {
-			inflight = 1
-		} else if slots < inflight {
-			inflight = slots
-		}
-	}
-	return inflight
 }
 
 // runBlock takes one block from checkpoint lookup through analysis
@@ -641,15 +589,10 @@ func (r *run) analyzeBlock(ctx context.Context, wb *dataset.WorldBlock, sc *Scra
 	}
 }
 
-// analyzeOnce is a single attempt: it applies the per-block deadline and
-// converts a worker panic into a PanicError, so one pathological block
-// becomes one BlockError instead of killing the world run.
+// analyzeOnce is a single attempt: it converts a worker panic into a
+// PanicError, so one pathological block becomes one BlockError instead of
+// killing the world run.
 func (r *run) analyzeOnce(ctx context.Context, wb *dataset.WorldBlock, sc *Scratch) (a *BlockAnalysis, err error) {
-	if r.p.BlockTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.p.BlockTimeout)
-		defer cancel()
-	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			a, err = nil, &PanicError{Value: rec, Stack: debug.Stack()}
@@ -673,7 +616,7 @@ const healthTol = 0.1
 // wasn't a multiple of the sample size, biasing rates toward whatever
 // pathology that prefix happened to have). That stride picks at most
 // sample blocks. They are collected on the run's workers, never more at
-// once than the run's admission bound, each into its worker's Scratch;
+// once than the run has workers, each into its worker's Scratch;
 // a block whose collection fails is skipped. Each picked block is
 // tallied on its own, and the tallies are folded in stride order, so the
 // rates and exclusions do not depend on the worker count.
@@ -699,13 +642,9 @@ func (r *run) suspectObservers(ctx context.Context) (excluded []int, rates []flo
 	stride := (len(world) + sample - 1) / sample
 	picks := (len(world) + stride - 1) / stride
 	tallies := make([]*reconstruct.ObserverHealth, picks)
-	lanes := min(r.workers, picks)
-	if bound := r.admission(); bound > 0 {
-		lanes = min(lanes, bound)
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, sc := range r.scratch[:lanes] {
+	for _, sc := range r.scratch[:min(r.workers, picks)] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -172,8 +172,8 @@ func newHedger(r *run, cfg health.HedgeConfig, clock health.Clock) *hedger {
 
 // run executes one block under the watchdog and returns the decided
 // outcome. It does not return until every attempt for the block has been
-// settled, so the caller's scratch and admission token stay owned by
-// exactly one live attempt.
+// settled, so the caller's scratch stays owned by exactly one live
+// attempt and its worker takes no next block before then.
 func (h *hedger) run(ctx context.Context, i int, wb *dataset.WorldBlock, sc *Scratch) (*BlockAnalysis, int, error) {
 	fl := &flight{
 		index:  i,
@@ -303,18 +303,4 @@ func (h *hedger) stats() (hedged, wins int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.hedged, h.wins
-}
-
-// estimateBlockBytes is the admission controller's per-block memory
-// heuristic: collection dominates a block's footprint, at roughly one to
-// two records per observer round over the analysis window. The estimate
-// only needs to be proportionate — MemoryBudget divides by it to bound
-// concurrent admissions.
-func estimateBlockBytes(cfg Config) int64 {
-	rounds := (cfg.AnalysisEnd - cfg.AnalysisStart) / netsim.RoundSeconds
-	if rounds < 1 {
-		rounds = 1
-	}
-	const observers, recordBytes, recordsPerRound = 6, 16, 2
-	return rounds * observers * recordBytes * recordsPerRound
 }

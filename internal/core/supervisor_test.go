@@ -4,15 +4,11 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/diurnalnet/diurnal/internal/faults"
 	"github.com/diurnalnet/diurnal/internal/health"
-	"github.com/diurnalnet/diurnal/internal/netsim"
-	"github.com/diurnalnet/diurnal/internal/probe"
 )
 
 // fingerprintIgnoringObservers fingerprints a result with every
@@ -33,7 +29,7 @@ func fingerprintIgnoringObservers(t *testing.T, res *WorldResult) string {
 
 // TestSupervisedFaultFreeRunMatchesPlain is the determinism acceptance
 // gate: with no faults injected, enabling the full supervisor (breakers,
-// hedging, quorum, bounded admission) must reproduce the plain
+// hedging, quorum) must reproduce the plain
 // pipeline's output byte for byte.
 func TestSupervisedFaultFreeRunMatchesPlain(t *testing.T) {
 	world := smallWorld(t, 200, 47)
@@ -54,8 +50,6 @@ func TestSupervisedFaultFreeRunMatchesPlain(t *testing.T) {
 		Breaker:         &breaker,
 		Hedge:           &hedge,
 		Quorum:          2,
-		MaxInflight:     4,
-		MemoryBudget:    64 << 20,
 	}
 	got, err := sup.Run(context.Background(), world)
 	if err != nil {
@@ -171,65 +165,6 @@ func TestQuorumFlagsWithoutDropping(t *testing.T) {
 		!reflect.DeepEqual(flagged.ContinentCS, plain.ContinentCS) ||
 		!reflect.DeepEqual(flagged.DownDaily, plain.DownDaily) || !reflect.DeepEqual(flagged.UpDaily, plain.UpDaily) {
 		t.Fatal("flagged blocks must count in the world aggregates as in an unguarded run")
-	}
-}
-
-// gaugedProber counts concurrent CollectInto calls.
-type gaugedProber struct {
-	inner   Prober
-	cur     atomic.Int64
-	max     atomic.Int64
-	entered sync.WaitGroup
-}
-
-func (g *gaugedProber) CollectInto(ctx context.Context, b *netsim.Block, start, end int64, bufs [][]probe.Record) ([][]probe.Record, error) {
-	n := g.cur.Add(1)
-	for {
-		m := g.max.Load()
-		if n <= m || g.max.CompareAndSwap(m, n) {
-			break
-		}
-	}
-	defer g.cur.Add(-1)
-	return g.inner.CollectInto(ctx, b, start, end, bufs)
-}
-
-// TestMaxInflightBoundsAdmission verifies the backpressure budget: with
-// MaxInflight below the worker count, no more than MaxInflight blocks
-// are ever collected concurrently.
-func TestMaxInflightBoundsAdmission(t *testing.T) {
-	world := smallWorld(t, 24, 50)
-	g := &gaugedProber{inner: engine4()}
-	p := &Pipeline{
-		Config:      q1Config(),
-		Engine:      g,
-		Workers:     8,
-		MaxInflight: 2,
-	}
-	if _, err := p.Run(context.Background(), world); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.max.Load(); got > 2 {
-		t.Fatalf("observed %d concurrent collections with MaxInflight 2", got)
-	}
-}
-
-// TestMemoryBudgetNarrowsAdmission: a budget below one block's estimate
-// must serialize admission entirely rather than rejecting the run.
-func TestMemoryBudgetNarrowsAdmission(t *testing.T) {
-	world := smallWorld(t, 10, 51)
-	g := &gaugedProber{inner: engine4()}
-	p := &Pipeline{
-		Config:       q1Config(),
-		Engine:       g,
-		Workers:      4,
-		MemoryBudget: 1, // far below any block estimate
-	}
-	if _, err := p.Run(context.Background(), world); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.max.Load(); got > 1 {
-		t.Fatalf("observed %d concurrent collections under a one-byte budget", got)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§3–§4, appendices) on the simulated substrate. Each
 // experiment is a pure function of its options (all randomness is seeded),
-// returns a typed result with a text rendering, and is exercised by a
-// bench target in the repository root. Experiments measure the kernel that
-// ships: every records → series step is core.Config.Reconstruct (through
-// reconstructBlock), and the probing measurements the kernel has no use
-// for — full-block-scan times and reply rates — live here, on the kernel's
-// cursor.
+// returns a typed result with a text rendering, and is run by
+// cmd/experiments (-only <name> runs one). Experiments measure the kernel
+// that ships: every records → series step is core.Config.Reconstruct
+// (through reconstructBlock), and the probing measurements the kernel has
+// no use for — full-block-scan times and reply rates — live here, on the
+// kernel's cursor.
 //
 // Scale note: the paper measures 5.2M /24 blocks over up to 24 weeks; the
 // defaults here use 10²–10³ blocks so a full run finishes in seconds.

@@ -28,9 +28,9 @@ type SupervisorResult struct {
 	Blocks, ProbedBlocks int
 
 	// PlainDuration and CleanDuration time the baseline run and the
-	// fault-free supervised run (breakers + hedging + quorum + bounded
-	// admission); CleanIdentical reports whether the supervised run
-	// reproduced the plain output byte for byte.
+	// fault-free supervised run (breakers + hedging + quorum);
+	// CleanIdentical reports whether the supervised run reproduced the
+	// plain output byte for byte.
 	PlainDuration, CleanDuration time.Duration
 	CleanIdentical               bool
 
@@ -154,8 +154,6 @@ func Supervisor(opts Options) (*SupervisorResult, error) {
 		Breaker:         &breaker,
 		Hedge:           &hedge,
 		Quorum:          2,
-		MaxInflight:     8,
-		MemoryBudget:    64 << 20,
 	}).Run(context.Background(), world)
 	if err != nil {
 		return nil, fmt.Errorf("supervised clean run: %w", err)

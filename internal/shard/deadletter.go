@@ -44,8 +44,8 @@ type DeadLetterEntry struct {
 	// deterministic across processes: the merged result's fingerprint
 	// incorporates it.
 	Reason string `json:"reason"`
-	// Kind classifies the fault: "panic", "timeout", "corrupt",
-	// "transient", or "other".
+	// Kind classifies the fault: "panic", "corrupt", "transient", or
+	// "other".
 	Kind string `json:"kind"`
 	// Worker and Token record who quarantined the block, when known.
 	Worker string `json:"worker,omitempty"`
@@ -161,8 +161,6 @@ func classify(err error) string {
 	switch {
 	case errors.As(err, &p):
 		return "panic"
-	case strings.Contains(err.Error(), "deadline exceeded"):
-		return "timeout"
 	case errors.Is(err, dataset.ErrCorruptLog):
 		return "corrupt"
 	case core.IsTransient(err):

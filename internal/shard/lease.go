@@ -122,7 +122,9 @@ func (l *Ledger) tryClaim(r Range, worker string) (*Claim, error) {
 
 // Check reports whether this claim has been fenced: a lease file with a
 // higher token exists, meaning the ledger considers this claim dead and
-// has reassigned the shard. Wire it as the journal's Fence hook.
+// has reassigned the shard, or the shard is done under another token
+// (whose merge may have dropped the leases). Wire it as the journal's
+// Fence hook.
 func (c *Claim) Check() error {
 	leases, err := c.ledger.tokenFiles(c.Shard.Index, "lease")
 	if err != nil {
@@ -133,6 +135,10 @@ func (c *Claim) Check() error {
 			return fmt.Errorf("shard %d token %d superseded by token %d: %w",
 				c.Shard.Index, c.Token, lf.Token, core.ErrFenced)
 		}
+	}
+	if m, ok := c.ledger.done(c.Shard.Index); ok && m.Token != c.Token {
+		return fmt.Errorf("shard %d token %d: shard done under token %d: %w",
+			c.Shard.Index, c.Token, m.Token, core.ErrFenced)
 	}
 	return nil
 }

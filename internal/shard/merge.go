@@ -128,6 +128,7 @@ func (l *Ledger) Merge(cfg core.Config, world []*dataset.WorldBlock) (*core.Worl
 	for _, r := range l.man.Shards {
 		if _, ok := l.done(r.Index); ok {
 			audit.DoneShards++
+			l.dropLeases(r.Index)
 		} else {
 			audit.IncompleteShards = append(audit.IncompleteShards, r.Index)
 		}

@@ -26,7 +26,9 @@
 // higher token now exists. Each token writes its own journal, so even a
 // write that races the fence check lands in the fenced token's file,
 // where the merge step's token-precedence rules reject it; late writes
-// are rejected, never duplicated into the merged result.
+// are rejected, never duplicated into the merged result. Once a shard is
+// done its done marker fences every other token, so the merge drops its
+// leases; journals and done markers stay.
 package shard
 
 import (
@@ -225,6 +227,41 @@ func (l *Ledger) tokenFiles(shard int, ext string) ([]tokenFile, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Token < out[j].Token })
 	return out, nil
+}
+
+// dropLeases removes every lease file of a done shard. Acquire never
+// claims a done shard and Check fences every claim but the one that
+// finished it, so those leases are dead. Best effort: a lease left behind
+// is litter, not state.
+func (l *Ledger) dropLeases(shard int) {
+	leases, err := l.tokenFiles(shard, "lease")
+	if err != nil {
+		return
+	}
+	for _, lf := range leases {
+		os.Remove(lf.Path)
+	}
+}
+
+// sweepTemps removes the ".claim*" and "*.tmp*" temporaries a killed
+// process left in the ledger directory: those whose own mtime, a
+// wall-clock stamp, is older than the lease TTL. A younger one may be a
+// peer's claim or write still in flight. Best effort, like dropLeases.
+func (l *Ledger) sweepTemps() {
+	entries, err := os.ReadDir(l.dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		claim, _ := filepath.Match(".claim*", e.Name())
+		tmp, _ := filepath.Match("*.tmp*", e.Name())
+		if !e.Type().IsRegular() || !claim && !tmp {
+			continue
+		}
+		if info, err := e.Info(); err == nil && time.Since(info.ModTime()) > l.ttl {
+			os.Remove(filepath.Join(l.dir, e.Name()))
+		}
+	}
 }
 
 // DoneMarker records a shard's completion: who finished it, under which

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -215,7 +216,7 @@ func TestDeadLetterStore(t *testing.T) {
 	if len(entries) != 2 || entries[0].Index != 3 || entries[1].Index != 11 {
 		t.Fatalf("entries %+v", entries)
 	}
-	if entries[0].Kind != "other" || entries[1].Kind != "timeout" {
+	if entries[0].Kind != "other" || entries[1].Kind != "other" {
 		t.Fatalf("kinds %q %q", entries[0].Kind, entries[1].Kind)
 	}
 	if entries[1].Worker != "w2" || entries[1].Token != 4 {
@@ -314,6 +315,88 @@ func TestShardedRunMatchesSingleProcess(t *testing.T) {
 	}
 	if !merged.Report.Degraded() {
 		t.Fatal("a run with dead letters must report degraded")
+	}
+}
+
+// TestLedgerLitterSwept checks that a sharded run leaves no dead files
+// behind: a starting worker removes claim temporaries older than the
+// lease TTL (and keeps a fresh one, which may be a peer's claim in
+// flight), and a merge drops every lease of a done shard, superseded ones
+// included, without unfencing the superseded holder. A second merge of
+// the swept ledger gives the same result.
+func TestLedgerLitterSwept(t *testing.T) {
+	world := testWorld(t, 12, 31)
+	cfg := testConfig()
+	eng := &probe.Engine{Observers: probe.StandardObservers(2), QuarterSeed: 7}
+	clk := health.NewFake()
+	dir := filepath.Join(t.TempDir(), "ledger")
+	opt := Options{TTL: time.Minute, Poll: time.Second, Clock: clk}
+	l, err := Create(dir, core.RunSignature(cfg, world), len(world), 2, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aged, fresh := filepath.Join(dir, ".claim-aged"), filepath.Join(dir, ".claim-fresh")
+	agedTmp := filepath.Join(dir, "manifest.json.tmp-aged")
+	old := time.Now().Add(-2 * opt.TTL)
+	for _, p := range []string{aged, fresh, agedTmp} {
+		if err := os.WriteFile(p, []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{aged, agedTmp} {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// w1 claims shard 0 and dies; w2 takes it over under token 2 once the
+	// lease expires, and finishes both shards.
+	stale, err := l.Acquire(context.Background(), "w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * opt.TTL)
+	w := &Worker{ID: "w2", Ledger: l, Config: cfg, Engine: eng, World: world}
+	rep, err := w.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.CompletedShards) != 2 {
+		t.Fatalf("w2 completed shards %v, want both", rep.CompletedShards)
+	}
+	for p, want := range map[string]bool{aged: false, agedTmp: false, fresh: true} {
+		if _, err := os.Stat(p); (err == nil) != want {
+			t.Errorf("%s present=%v after a worker start, want %v", filepath.Base(p), err == nil, want)
+		}
+	}
+	fps := make([]string, 2)
+	for i := range fps {
+		merged, audit, err := l.Merge(cfg, world)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !audit.Clean() {
+			t.Fatalf("merge %d: audit failed:\n%s", i+1, audit)
+		}
+		if fps[i], err = merged.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+		if leases, _ := filepath.Glob(filepath.Join(dir, "*.lease")); len(leases) != 0 {
+			t.Fatalf("merge %d left leases %v", i+1, leases)
+		}
+	}
+	if fps[0] != fps[1] {
+		t.Fatalf("second merge fingerprint %s != first %s", fps[1][:16], fps[0][:16])
+	}
+	// With its successor's lease gone, the done marker still fences w1,
+	// and its renewal does not bring a lease back.
+	if err := stale.Check(); !errors.Is(err, core.ErrFenced) {
+		t.Fatalf("superseded claim's check after the merge: %v", err)
+	}
+	if err := stale.Renew(); !errors.Is(err, core.ErrFenced) {
+		t.Fatalf("superseded claim's renewal after the merge: %v", err)
+	}
+	if leases, _ := filepath.Glob(filepath.Join(dir, "*.lease")); len(leases) != 0 {
+		t.Fatalf("a fenced renewal recreated leases %v", leases)
 	}
 }
 

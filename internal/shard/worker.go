@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
@@ -37,9 +36,6 @@ type Worker struct {
 	World  []*dataset.WorldBlock
 	// Workers bounds per-shard pipeline parallelism (default GOMAXPROCS).
 	Workers int
-	// BlockTimeout and MaxRetries pass through to the per-shard pipeline.
-	BlockTimeout time.Duration
-	MaxRetries   int
 	// RenewGate, when non-nil, is consulted before each lease renewal; a
 	// false return skips it. Tests install faults.LeaseStall here to
 	// simulate a worker that computes on while its lease rots.
@@ -72,6 +68,7 @@ func (w *Worker) Run(ctx context.Context) (*Report, error) {
 	if id == "" {
 		id = fmt.Sprintf("worker-%d", os.Getpid())
 	}
+	w.Ledger.sweepTemps()
 	rep := &Report{}
 	for {
 		claim, err := w.Ledger.Acquire(ctx, id)
@@ -147,14 +144,12 @@ func (w *Worker) runShard(ctx context.Context, claim *Claim, rep *Report) error 
 		}
 	}()
 	pipe := &core.Pipeline{
-		Config:       w.Config,
-		Engine:       w.Engine,
-		Workers:      w.Workers,
-		BlockTimeout: w.BlockTimeout,
-		MaxRetries:   w.MaxRetries,
-		Checkpoint:   cp,
-		DeadLetter:   l.dead.Scoped(r.Start, claim.Worker, claim.Token),
-		Clock:        l.clock,
+		Config:     w.Config,
+		Engine:     w.Engine,
+		Workers:    w.Workers,
+		Checkpoint: cp,
+		DeadLetter: l.dead.Scoped(r.Start, claim.Worker, claim.Token),
+		Clock:      l.clock,
 	}
 	res, runErr := pipe.Run(shardCtx, sub)
 	cancel(nil)
