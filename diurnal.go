@@ -395,9 +395,10 @@ type StreamOptions struct {
 	// 8 MiB; minimum 4096). Smaller segments bound the unit of
 	// compaction and orphan recovery.
 	SegmentBytes int64
-	// CompactBytes, when positive, compacts a WAL down to a
-	// checkpoint-anchored base segment whenever its total size exceeds
-	// this many bytes. Zero never compacts on size.
+	// CompactBytes, when positive, compacts the round WAL down to one
+	// base segment whenever its total size exceeds this many bytes. Zero
+	// never compacts it on size. The event WAL drops its superseded
+	// refresh checkpoints on its own.
 	CompactBytes int64
 	// DiskBudget, when positive, caps the daemon directory's total
 	// bytes. A round whose append would exceed the budget (after an

@@ -11,7 +11,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/faults"
@@ -171,5 +173,115 @@ func BenchmarkRefreshAtRound(b *testing.B) {
 				b.ReportMetric(float64(rebuilds)/float64(b.N), "rebuilds/op")
 			})
 		}
+	}
+}
+
+// BenchmarkReopen reopens a daemon killed right after a round's refresh,
+// half way through the stream and at its end, on an 8-block world
+// refreshed every round:
+//
+//	go test -run '^$' -bench Reopen -benchtime 10x ./internal/stream
+//
+// A reopen restores the last refresh checkpoint and analyzes nothing;
+// what it saves moves to the first live operation, whose refresh
+// advances every block's fresh front half over the whole history — the
+// next round's Ingest and Drain half way, Result at the end. Per op it
+// reports reopen-ms, the Open on GOMAXPROCS lanes; kernel-calls, the
+// blocks the reopen and the first live operation analyze together;
+// first-live-ms, the first live operation; and, half way, steady-ms, the
+// round after it, whose refresh advances the front halves by one round.
+func BenchmarkReopen(b *testing.B) {
+	world := testWorld(b, 8, 4242)
+	cfg := testConfig()
+	cfg.RefreshEvery = 1
+	f := testFeeder(b, testEngine(11), world, cfg)
+	ctx := context.Background()
+	for _, at := range []struct {
+		name   string
+		rounds int64
+	}{{"half", f.Rounds() / 2}, {"full", f.Rounds()}} {
+		b.Run(at.name, func(b *testing.B) {
+			// The directory a kill right after round at.rounds-1 leaves.
+			dir := b.TempDir()
+			d, err := Open(dir, world, f.Observers(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.Start()
+			for seq := int64(0); seq < at.rounds; seq++ {
+				r, err := f.Round(seq)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := d.Ingest(ctx, r); err != nil {
+					b.Fatal(err)
+				}
+				if err := d.Drain(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d.Abort()
+			files := readTree(b, dir)
+			var next, after *Round
+			if at.rounds+1 < f.Rounds() {
+				if next, err = f.Round(at.rounds); err != nil {
+					b.Fatal(err)
+				}
+				if after, err = f.Round(at.rounds + 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var calls atomic.Int64
+			var kernel int64
+			var reopen, first, steady time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := writeTree(b, files)
+				b.StartTimer()
+				t0 := time.Now()
+				d, err := open(dir, world, f.Observers(), cfg, runtime.GOMAXPROCS(0), func(int) { calls.Add(1) })
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				d.Start()
+				if next != nil {
+					if err := d.Ingest(ctx, next); err != nil {
+						b.Fatal(err)
+					}
+					err = d.Drain(ctx)
+				} else {
+					_, err = d.Result()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				reopen += t1.Sub(t0)
+				first += time.Since(t1)
+				kernel += calls.Swap(0)
+				if after != nil {
+					t2 := time.Now()
+					if err := d.Ingest(ctx, after); err != nil {
+						b.Fatal(err)
+					}
+					if err := d.Drain(ctx); err != nil {
+						b.Fatal(err)
+					}
+					steady += time.Since(t2)
+					calls.Store(0)
+				}
+				b.StopTimer()
+				d.Abort()
+				b.StartTimer()
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(reopen.Microseconds())/1e3/n, "reopen-ms")
+			b.ReportMetric(float64(kernel)/n, "kernel-calls")
+			b.ReportMetric(float64(first.Microseconds())/1e3/n, "first-live-ms")
+			if after != nil {
+				b.ReportMetric(float64(steady.Microseconds())/1e3/n, "steady-ms")
+			}
+		})
 	}
 }

@@ -35,9 +35,9 @@ func TestTwoNearbyChangesConfirm(t *testing.T) {
 		t.Fatalf("%d candidates, want one per change", len(bs.cands))
 	}
 	for i, cand := range bs.cands {
-		if cand.seenStreak != int64(cfg.ConfirmRefreshes) || cand.firstSeenSeq != 40 || cand.change != changes[i] {
+		if cand.SeenStreak != int64(cfg.ConfirmRefreshes) || cand.FirstSeenSeq != 40 || cand.Change != changes[i] {
 			t.Errorf("candidate %d: streak %d from round %d, change at %d; want streak %d from round 40, change at %d",
-				i, cand.seenStreak, cand.firstSeenSeq, cand.change.Point, cfg.ConfirmRefreshes, changes[i].Point)
+				i, cand.SeenStreak, cand.FirstSeenSeq, cand.Change.Point, cfg.ConfirmRefreshes, changes[i].Point)
 		}
 	}
 	if len(events) != 2 {

@@ -6,17 +6,21 @@ package stream
 //
 //	ingest:  round → rounds.wal (single write) → admission queue
 //	process: round → detector → events → events.wal → OnEvent delivery
+//	         (a refresh's checkpoint → events.wal, behind its events)
 //
 // so at any kill point rounds.wal holds every admitted round and
-// events.wal holds a prefix of the events the detector derives from them.
+// events.wal holds a prefix of the events the detector derives from them,
+// with the emission state of some refresh after that refresh's events.
 // Recovery — whether from SIGKILL (Open) or from a wedged analysis loop
-// (the watchdog) — is one code path: rebuild a fresh detector by
-// replaying rounds.wal. Determinism makes the regenerated event sequence
-// equal the journaled one on the shared prefix (verified frame by frame;
-// a mismatch fails the open rather than corrupting the log), and any
-// events the crash cut off are re-derived, appended, and delivered. Event
-// sequence numbers are therefore contiguous and each event is journaled
-// exactly once.
+// (the watchdog) — is one code path (recover): a fresh detector absorbs
+// the rounds the latest checkpoint covers without refreshing, restores
+// the checkpoint, and replays the rounds after it, refreshes included.
+// Determinism makes the events that tail regenerates equal the ones
+// journaled after the checkpoint (verified frame by frame; a mismatch
+// fails the open rather than corrupting the log), and any events the
+// crash cut off are re-derived, appended, and delivered. Event sequence
+// numbers are therefore contiguous and each event is journaled exactly
+// once.
 //
 // The watchdog uses generation fencing: every analysis loop runs under a
 // generation number, and every commit (journal append, queue pop,
@@ -82,8 +86,18 @@ type Daemon struct {
 	sheds          int64  // rounds refused under disk pressure
 	lastStorageErr string // most recent storage-plane failure
 	lastCompactSeq int64  // nextSeq at the last rounds compaction (-1: never)
-	lastAckCount   int64  // journaled count at the last events compaction (-1: never)
+	eventFrames    int64  // frames appended to the event journal since open
+	compactedAt    int64  // eventFrames at the last events compaction (-1: never)
 	lastGov        journal.Usage
+
+	// ckpt is the latest refresh checkpoint ('C' payload, tag included)
+	// the event journal holds that recovery may restore, nil when there
+	// is none; ckptAt is its NextEvent, the events journaled before it.
+	// superseded is the bytes of the journal's other checkpoints, which
+	// event compaction drops.
+	ckpt       []byte
+	ckptAt     int64
+	superseded int64
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -103,8 +117,9 @@ type Daemon struct {
 }
 
 // Open opens (or creates) a streaming daemon over dir. An existing WAL is
-// replayed: the detector state is rebuilt deterministically, journaled
-// events are verified against the regenerated sequence, and events a
+// recovered: the detector state is rebuilt from the latest refresh
+// checkpoint and the rounds after it, the events journaled after the
+// checkpoint are verified against the regenerated sequence, and events a
 // crash cut off between processing and journaling are appended. Open does
 // not start the analysis loop; call Start.
 //
@@ -142,7 +157,7 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 		dir:            dir,
 		progress:       make(chan struct{}),
 		lastCompactSeq: -1,
-		lastAckCount:   -1,
+		compactedAt:    -1,
 		lanes:          lanes,
 		hookBlock:      hookBlock,
 	}
@@ -152,73 +167,92 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 	if err != nil {
 		return nil, err
 	}
-	det := d.newDetector()
-	var regen []Event
-	rw, err := journal.OpenLog(cfg.FS, dir, "rounds", hdr, cfg.SegmentBytes, d.rebuild(det, &regen))
-	if err != nil {
+	// The event journal opens first: its latest checkpoint decides which
+	// rounds recovery absorbs and which it refreshes.
+	var scan eventScan
+	if d.events, err = journal.OpenLog(cfg.FS, dir, "events", hdr, cfg.SegmentBytes, scan.frame); err != nil {
 		return nil, err
 	}
-	d.rounds = rw
-	sawAck := false
-	ew, err := journal.OpenLog(cfg.FS, dir, "events", hdr, cfg.SegmentBytes, decoded(func(df decodedFrame) error {
-		switch df.Tag {
-		case frameEventsAck:
-			// A compacted event journal opens with the count of events the
-			// round WAL regenerates deterministically; their bodies were
-			// subsumed by the base segment.
-			if sawAck || len(d.journaled) != 0 {
-				return fmt.Errorf("event ack frame after %d journaled events", len(d.journaled))
-			}
-			sawAck = true
-			if df.Ack.Count < 0 || df.Ack.Count > int64(len(regen)) {
-				return fmt.Errorf("event journal acks %d events but the round WAL regenerates only %d; WAL pair is inconsistent", df.Ack.Count, len(regen))
-			}
-			d.journaled = append(d.journaled, regen[:df.Ack.Count]...)
-			return nil
-		case frameEvent:
-			if want := int64(len(d.journaled)); df.Event.Seq != want {
-				return fmt.Errorf("event journal seq %d, expected %d", df.Event.Seq, want)
-			}
-			d.journaled = append(d.journaled, *df.Event)
-			return nil
-		default:
-			return fmt.Errorf("unexpected %q frame in event WAL", df.Tag)
-		}
-	}))
-	if err != nil {
-		rw.Close(false)
-		return nil, err
+	d.superseded = scan.ckptBytes
+	if !scan.acked && scan.ckpt != nil {
+		d.ckpt, d.ckptAt = scan.ckpt, scan.ckptAt
+		d.superseded -= frameBytes(scan.ckpt)
 	}
-	d.events = ew
-
-	// Exactly-once check: the journal must be a prefix of the regenerated
-	// sequence (rounds are journaled before their events, so the journal
-	// can never be ahead). A divergent prefix means the WAL pair is
-	// inconsistent — refuse to run rather than emit duplicates or gaps.
-	if len(d.journaled) > len(regen) {
+	det, regen, rerun, err := d.recover(func(fn func([]byte) error) (err error) {
+		d.rounds, err = journal.OpenLog(cfg.FS, dir, "rounds", hdr, cfg.SegmentBytes, fn)
+		return err
+	})
+	if err != nil {
 		d.closeFiles(false)
-		return nil, fmt.Errorf("stream: event journal has %d events but the round WAL replays only %d; WAL pair is inconsistent", len(d.journaled), len(regen))
+		return nil, err
 	}
-	for i := range d.journaled {
-		if d.journaled[i] != regen[i] {
+	d.journaled = scan.bodies
+	if scan.acked {
+		// An event journal an earlier version compacted: its acknowledged
+		// prefix is the full replay's.
+		if scan.ack > int64(len(regen)) {
 			d.closeFiles(false)
-			return nil, fmt.Errorf("stream: journaled event %d diverges from deterministic replay; WAL pair is inconsistent", i)
+			return nil, fmt.Errorf("stream: event journal acks %d events but the round WAL regenerates only %d; WAL pair is inconsistent", scan.ack, len(regen))
 		}
+		d.journaled = append(regen[:scan.ack:scan.ack], scan.bodies...)
 	}
-	// Events the crash cut off: re-journal and deliver them now.
-	for _, ev := range regen[len(d.journaled):] {
-		if err := d.appendEventLocked(ev); err != nil {
-			d.closeFiles(false)
-			return nil, err
-		}
-		if cfg.OnEvent != nil {
+	deliver, err := d.settleLocked(det, regen, rerun)
+	if err != nil {
+		d.closeFiles(false)
+		return nil, err
+	}
+	if cfg.OnEvent != nil {
+		for _, ev := range deliver {
 			cfg.OnEvent(ev)
 		}
 	}
-	d.det = det
-	d.detStats = snapshotDet(det)
-	d.nextSeq = det.processed
 	return d, nil
+}
+
+// eventScan is what opening the event journal found: the journaled event
+// bodies, the latest refresh checkpoint, and whether the journal opens
+// with an earlier version's ack frame.
+type eventScan struct {
+	acked     bool
+	ack       int64   // events the ack frame stands for
+	bodies    []Event // the journaled events after them
+	ckpt      []byte  // the latest 'C' payload
+	ckptAt    int64   // events journaled before it
+	ckptBytes int64   // the journal bytes of every 'C' frame
+}
+
+// frame is the event journal's open callback.
+func (s *eventScan) frame(payload []byte) error {
+	df, err := decodeStreamFrame(payload)
+	if err != nil {
+		return journal.Torn(err)
+	}
+	n := s.ack + int64(len(s.bodies)) // events journaled so far
+	switch df.Tag {
+	case frameEventsAck:
+		if s.acked || n != 0 {
+			return fmt.Errorf("event ack frame after %d journaled events", n)
+		}
+		if df.Ack.Count < 0 {
+			return fmt.Errorf("event ack frame counts %d events", df.Ack.Count)
+		}
+		s.acked, s.ack = true, df.Ack.Count
+	case frameEvent:
+		if df.Event.Seq != n {
+			return fmt.Errorf("event journal seq %d, expected %d", df.Event.Seq, n)
+		}
+		s.bodies = append(s.bodies, *df.Event)
+	case frameRefresh:
+		if df.Refresh.NextEvent != n || df.Refresh.Processed < 1 {
+			return fmt.Errorf("refresh checkpoint after round %d counts %d events but follows %d; WAL pair is inconsistent",
+				df.Refresh.Processed, df.Refresh.NextEvent, n)
+		}
+		s.ckpt, s.ckptAt = append([]byte(nil), payload...), n
+		s.ckptBytes += frameBytes(payload)
+	default:
+		return fmt.Errorf("unexpected %q frame in event WAL", df.Tag)
+	}
+	return nil
 }
 
 // frameRounds expands one round-WAL data frame into the rounds it
@@ -242,24 +276,99 @@ func (d *Daemon) newDetector() *detector {
 	return det
 }
 
-// rebuild returns the round journal's replay callback: every journaled
-// round goes through det, and the events it derives are appended to
-// *regen. Open and the watchdog rebuild the detector this one way.
-func (d *Daemon) rebuild(det *detector, regen *[]Event) func([]byte) error {
-	return decoded(func(df decodedFrame) error {
+// recover builds the detector the journals imply; Open and the watchdog
+// rebuild it this one way. scan walks the round journal (opening it, or
+// replaying it) with the callback it is given. The rounds the latest
+// checkpoint d.ckpt covers are absorbed without refreshing and the
+// checkpoint restored; the rounds after it are ingested, refreshes
+// included. It returns the events those refreshes derive, and whether
+// any ran.
+func (d *Daemon) recover(scan func(fn func([]byte) error) error) (det *detector, regen []Event, rerun bool, err error) {
+	det = d.newDetector()
+	var ckpt *refreshCheckpoint
+	if d.ckpt != nil {
+		df, err := decodeStreamFrame(d.ckpt)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		ckpt = df.Refresh
+	}
+	err = scan(decoded(func(df decodedFrame) error {
 		rs, err := d.frameRounds(df)
 		if err != nil {
 			return err
 		}
 		for _, r := range rs {
+			if ckpt != nil && det.processed < ckpt.Processed {
+				if err := det.absorb(r); err != nil {
+					return err
+				}
+				if det.processed == ckpt.Processed {
+					if err := det.restore(ckpt); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			before := det.refreshes
 			evs, err := det.ingest(r)
 			if err != nil {
 				return err
 			}
-			*regen = append(*regen, evs...)
+			regen = append(regen, evs...)
+			rerun = rerun || det.refreshes != before
 		}
 		return nil
-	})
+	}))
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if ckpt != nil && det.processed < ckpt.Processed {
+		return nil, nil, false, fmt.Errorf("stream: the event journal's checkpoint covers %d rounds but the round WAL holds only %d; WAL pair is inconsistent", ckpt.Processed, det.processed)
+	}
+	return det, regen, rerun, nil
+}
+
+// settleLocked installs a recovered detector. The events journaled after
+// the restored checkpoint must be a prefix of the events the replay
+// regenerated (rounds are journaled before their events, so the journal
+// can never be ahead); a divergent prefix means the WAL pair is
+// inconsistent, and recovery refuses to run rather than emit duplicates
+// or gaps. The regenerated events a crash cut off are journaled, and
+// when the replay re-ran a refresh, a checkpoint of the last one follows
+// them, so the next recovery starts there. It returns the events it
+// journaled, for delivery.
+func (d *Daemon) settleLocked(det *detector, regen []Event, rerun bool) ([]Event, error) {
+	var base int64 // events journaled before the replayed refreshes
+	if d.ckpt != nil {
+		base = d.ckptAt
+	}
+	journaled := d.journaled[base:]
+	if len(journaled) > len(regen) {
+		return nil, fmt.Errorf("stream: event journal has %d events past its checkpoint but the round WAL replays only %d; WAL pair is inconsistent", len(journaled), len(regen))
+	}
+	for i := range journaled {
+		if journaled[i] != regen[i] {
+			return nil, fmt.Errorf("stream: journaled event %d diverges from deterministic replay; WAL pair is inconsistent", base+int64(i))
+		}
+	}
+	cut := regen[len(journaled):]
+	for _, ev := range cut {
+		if err := d.appendEventLocked(ev); err != nil {
+			return nil, err
+		}
+	}
+	if rerun {
+		payload, err := encodeStreamFrame(frameRefresh, det.checkpoint())
+		if err != nil {
+			return nil, err
+		}
+		d.appendCheckpointLocked(payload)
+	}
+	d.det = det
+	d.detStats = snapshotDet(det)
+	d.nextSeq = det.processed
+	return cut, nil
 }
 
 // govLocked sums both journals' storage-governance counters; lastGov
@@ -317,24 +426,35 @@ func (d *Daemon) compactRoundsLocked() error {
 	return nil
 }
 
-// compactEventsLocked rewrites the event WAL as a single base segment
-// holding one ack frame: every journaled event is regenerable from the
-// round WAL, so only the count needs to survive. A no-op when no event
-// was journaled since the last compaction.
+// compactEventsLocked rewrites the event WAL as a single base segment:
+// every journaled event, with the latest refresh checkpoint in its place
+// among them; the checkpoints before it are superseded and dropped. A
+// no-op when nothing was journaled since the last compaction.
 func (d *Daemon) compactEventsLocked() error {
-	if int64(len(d.journaled)) == d.lastAckCount {
+	if d.eventFrames == d.compactedAt {
 		return nil
 	}
-	payload, err := encodeStreamFrame(frameEventsAck, eventsAck{Count: int64(len(d.journaled))})
-	if err != nil {
+	payloads := make([][]byte, 0, len(d.journaled)+1)
+	for i := 0; i <= len(d.journaled); i++ {
+		if d.ckpt != nil && int64(i) == d.ckptAt {
+			payloads = append(payloads, d.ckpt)
+		}
+		if i == len(d.journaled) {
+			break
+		}
+		payload, err := encodeStreamFrame(frameEvent, d.journaled[i])
+		if err != nil {
+			d.lastStorageErr = err.Error()
+			return err
+		}
+		payloads = append(payloads, payload)
+	}
+	if err := d.events.Compact(payloads...); err != nil {
 		d.lastStorageErr = err.Error()
 		return err
 	}
-	if err := d.events.Compact(payload); err != nil {
-		d.lastStorageErr = err.Error()
-		return err
-	}
-	d.lastAckCount = int64(len(d.journaled))
+	d.compactedAt = d.eventFrames
+	d.superseded = 0
 	return nil
 }
 
@@ -412,7 +532,7 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 	// Disk-budget accounting: if admitting this frame would overrun the
 	// budget, compact first; if the journals still cannot fit it, shed
 	// the round — the WALs stay intact and the daemon keeps serving.
-	need := int64(len(payload)) + journal.Overhead
+	need := frameBytes(payload)
 	if d.cfg.DiskBudget > 0 && d.govLocked().Bytes+need > d.cfg.DiskBudget {
 		d.compactAllLocked()
 		if got := d.govLocked().Bytes; got+need > d.cfg.DiskBudget {
@@ -470,9 +590,8 @@ func (d *Daemon) validateShape(r *Round) error {
 }
 
 // appendEventLocked journals one event, retrying once after an
-// out-of-space failure by compacting the event journal (its whole
-// history collapses to one ack frame, so compaction almost always
-// frees room).
+// out-of-space failure by compacting the event journal (which drops
+// every superseded refresh checkpoint).
 func (d *Daemon) appendEventLocked(ev Event) error {
 	err := appendFrame(d.events, frameEvent, ev)
 	if err != nil && isNoSpace(err) {
@@ -485,8 +604,37 @@ func (d *Daemon) appendEventLocked(ev Event) error {
 		return err
 	}
 	d.journaled = append(d.journaled, ev)
+	d.eventFrames++
 	return nil
 }
+
+// appendCheckpointLocked journals a refresh checkpoint after every event
+// journaled so far. It is best-effort: a checkpoint only shortens
+// recovery, so a failed append is surfaced in Stats and the next recovery
+// starts from the checkpoint before it.
+//
+// The checkpoint supersedes the one before it. Once the superseded ones
+// outweigh both a segment and the rest of the journal, the event journal
+// is compacted, so they never hold more than the larger of the two and a
+// compaction's rewrite is paid for by as many bytes appended since the
+// last one.
+func (d *Daemon) appendCheckpointLocked(payload []byte) {
+	if err := d.events.Append(payload); err != nil {
+		d.lastStorageErr = err.Error()
+		return
+	}
+	if d.ckpt != nil {
+		d.superseded += frameBytes(d.ckpt)
+	}
+	d.ckpt, d.ckptAt = payload, int64(len(d.journaled))
+	d.eventFrames++
+	if d.superseded > max(d.cfg.SegmentBytes, d.events.Usage().Bytes-d.superseded) {
+		d.compactEventsLocked() // best-effort; failure is surfaced in stats
+	}
+}
+
+// frameBytes is the journal bytes one frame of payload takes.
+func frameBytes(payload []byte) int64 { return int64(len(payload)) + journal.Overhead }
 
 // bump signals every waiter (ingesters waiting for queue space, Drain,
 // the analysis loop) that state changed.
@@ -536,7 +684,12 @@ func (d *Daemon) loop(gen int64, det *detector) {
 		if hook != nil {
 			hook(r) // test seam: may block to simulate a wedged kernel
 		}
+		before := det.refreshes
 		evs, err := det.ingest(r)
+		var ckpt []byte
+		if err == nil && det.refreshes != before {
+			ckpt, err = encodeStreamFrame(frameRefresh, det.checkpoint())
+		}
 
 		d.mu.Lock()
 		if d.gen != gen || d.closed {
@@ -564,8 +717,8 @@ func (d *Daemon) loop(gen int64, det *detector) {
 				return
 			}
 		}
-		if d.cfg.CompactBytes > 0 && d.events.Usage().Bytes > d.cfg.CompactBytes {
-			d.compactEventsLocked() // best-effort; failure is surfaced in stats
+		if ckpt != nil {
+			d.appendCheckpointLocked(ckpt)
 		}
 		d.queue = d.queue[1:]
 		onEvent := d.cfg.OnEvent
@@ -606,30 +759,24 @@ func (d *Daemon) watchdog() {
 	}
 }
 
-// restartLocked fences the current analysis loop and rebuilds the
-// detector from the round WAL — crash recovery without the crash. Queued
-// rounds are already durable, so the rebuilt detector has consumed them;
-// the queue empties and admission reopens.
+// restartLocked fences the current analysis loop and recovers the
+// detector from the journals — crash recovery without the crash. Queued
+// rounds are already durable, so the recovered detector has consumed
+// them; the queue empties and admission reopens.
 func (d *Daemon) restartLocked() error {
 	d.gen++
 	d.restarts++
 	d.busy = false
-	det := d.newDetector()
-	var regen []Event
-	if err := d.rounds.Replay(d.rebuild(det, &regen)); err != nil {
+	det, regen, rerun, err := d.recover(d.rounds.Replay)
+	if err != nil {
 		return fmt.Errorf("stream: watchdog rebuild: %w", err)
 	}
 	// Journal and deliver whatever the fenced loop had derived but not
 	// yet committed.
-	var deliver []Event
-	for _, ev := range regen[len(d.journaled):] {
-		if err := d.appendEventLocked(ev); err != nil {
-			return err
-		}
-		deliver = append(deliver, ev)
+	deliver, err := d.settleLocked(det, regen, rerun)
+	if err != nil {
+		return err
 	}
-	d.det = det
-	d.detStats = snapshotDet(det)
 	d.queue = nil
 	d.bump()
 	d.wg.Add(1)
@@ -682,7 +829,8 @@ func (d *Daemon) Events() []Event {
 
 // Result assembles the world-level result from the final refresh. It
 // requires the stream to be complete and drained; the output aggregates
-// exactly as the batch pipeline does.
+// exactly as the batch pipeline does. A daemon reopened after its final
+// refresh analyzes its blocks here, once.
 func (d *Daemon) Result() (*core.WorldResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -692,7 +840,9 @@ func (d *Daemon) Result() (*core.WorldResult, error) {
 	if len(d.queue) > 0 || d.busy {
 		return nil, fmt.Errorf("stream: %d rounds still queued; Drain first", len(d.queue))
 	}
-	return d.det.result()
+	res, err := d.det.result()
+	d.detStats = snapshotDet(d.det)
+	return res, err
 }
 
 // detSnapshot mirrors the detector counters Stats reports. The analysis

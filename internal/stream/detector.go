@@ -3,7 +3,10 @@ package stream
 // The streaming detector: pure, deterministic state evolution with no
 // I/O. The daemon (and its crash/watchdog recovery) replays rounds
 // through this code; determinism here is what makes the WAL the only
-// durable state the daemon needs.
+// durable state the daemon needs. A refresh's emission state — the
+// counters and every block's candidates — is small, so the daemon
+// journals it after each refresh (checkpoint) and recovery restores it
+// instead of re-running every refresh (restore).
 
 import (
 	"fmt"
@@ -23,14 +26,15 @@ import (
 // describing the same underlying change across refreshes.
 const matchSlopDays = 2
 
-// candidate tracks one potential change across refreshes.
+// candidate tracks one potential change across refreshes. Its fields are
+// exported for the refresh checkpoint's gob encoding.
 type candidate struct {
-	change       core.Change
-	firstSeenSeq int64 // round seq starting the current presence streak
-	seenStreak   int64 // consecutive refreshes present (current streak)
-	lastRefresh  int64 // refresh counter when last present
-	eligibleSeq  int64 // round seq when the stability guard first held; -1 before
-	emitted      bool
+	Change       core.Change
+	FirstSeenSeq int64 // round seq starting the current presence streak
+	SeenStreak   int64 // consecutive refreshes present (current streak)
+	LastRefresh  int64 // refresh counter when last present
+	EligibleSeq  int64 // round seq when the stability guard first held; -1 before
+	Emitted      bool
 }
 
 // blockState is one block's streaming detector state.
@@ -51,6 +55,9 @@ type blockState struct {
 
 	cands []*candidate
 	last  *core.BlockAnalysis
+	// pending marks a block restored from a checkpoint that no refresh
+	// has analyzed since: last is nil, and result analyzes it.
+	pending bool
 }
 
 // detector evolves a whole world's streaming state round by round.
@@ -146,14 +153,28 @@ func (d *detector) validateRound(r *Round) error {
 	return nil
 }
 
-// ingest processes one round: accumulate records and — when a refresh
-// is due — run the shared analysis kernel and the emission logic.
-// Returned events are in emission order with their sequence numbers
-// assigned; journaling them is the caller's job. The round's record
-// slices are retained.
+// ingest processes one round: absorb it and — when a refresh is due —
+// run the shared analysis kernel and the emission logic. Returned events
+// are in emission order with their sequence numbers assigned; journaling
+// them is the caller's job. The round's record slices are retained.
 func (d *detector) ingest(r *Round) ([]Event, error) {
-	if err := d.validateRound(r); err != nil {
+	if err := d.absorb(r); err != nil {
 		return nil, err
+	}
+	final := d.processed == d.cfg.rounds()
+	if final || d.processed%int64(d.cfg.RefreshEvery) == 0 {
+		return d.refresh(r.End, r.Seq, final)
+	}
+	return nil, nil
+}
+
+// absorb takes one round in without refreshing: the round is validated,
+// its streams gated when the firewall is on, and its records appended to
+// every block's history. Recovery absorbs the rounds a checkpoint covers
+// before it restores the checkpoint.
+func (d *detector) absorb(r *Round) error {
+	if err := d.validateRound(r); err != nil {
+		return err
 	}
 	for b, perObs := range r.Blocks {
 		bs := d.blocks[b]
@@ -165,21 +186,54 @@ func (d *detector) ingest(r *Round) ([]Event, error) {
 		}
 	}
 	d.processed++
-	var events []Event
-	final := d.processed == d.cfg.rounds()
-	if final || d.processed%int64(d.cfg.RefreshEvery) == 0 {
-		evs, err := d.refresh(r.End, r.Seq, final)
-		if err != nil {
-			return nil, err
-		}
-		events = evs
+	return nil
+}
+
+// checkpoint returns the emission state the last refresh left: the
+// counters and every block's candidates. It shares the candidates with
+// the detector, so it must be encoded before the next refresh.
+func (d *detector) checkpoint() *refreshCheckpoint {
+	c := &refreshCheckpoint{
+		Processed: d.processed,
+		Refreshes: d.refreshes,
+		BlockErrs: d.blockErrs,
+		NextEvent: d.nextEvent,
+		Cands:     make([][]*candidate, len(d.blocks)),
 	}
-	return events, nil
+	for b, bs := range d.blocks {
+		c.Cands[b] = bs.cands
+	}
+	return c
+}
+
+// restore installs a checkpoint's emission state on a detector that has
+// absorbed exactly the rounds it covers. Every block's front half is
+// marked stale, so the next refresh rebuilds it over the whole history,
+// which gives what the incremental front half would have. The candidates
+// are copied, so c stays unchanged.
+func (d *detector) restore(c *refreshCheckpoint) error {
+	if c.Processed != d.processed || len(c.Cands) != len(d.blocks) || c.Refreshes < 1 || c.BlockErrs < 0 || c.NextEvent < 0 {
+		return fmt.Errorf("stream: refresh checkpoint after round %d over %d blocks does not fit a detector at round %d over %d blocks",
+			c.Processed, len(c.Cands), d.processed, len(d.blocks))
+	}
+	d.refreshes, d.blockErrs, d.nextEvent = c.Refreshes, c.BlockErrs, c.NextEvent
+	for b, bs := range d.blocks {
+		bs.cands = make([]*candidate, len(c.Cands[b]))
+		for i, cand := range c.Cands[b] {
+			if cand == nil {
+				return fmt.Errorf("stream: refresh checkpoint block %d has a nil candidate", b)
+			}
+			cp := *cand
+			bs.cands[i] = &cp
+		}
+		bs.last, bs.stale, bs.pending = nil, true, true
+	}
+	return nil
 }
 
 // refresh runs the shared analysis kernel over every block's accumulated
 // streams and applies the candidate-tracking and emission rules, in two
-// phases. The parallel phase (analyzeAll) touches only per-block state.
+// phases. The parallel phase (eachBlock) touches only per-block state.
 // The serial phase then walks the blocks in world order and is the only
 // one that touches shared state: the error count and the event sequence
 // numbers. The events, their numbering and every counter are therefore
@@ -199,7 +253,13 @@ func (d *detector) refresh(frontier, seq int64, final bool) ([]Event, error) {
 		}
 	}
 	d.refreshes++ // before the fan-out: trackCandidates reads it
-	d.analyzeAll(seq)
+	d.eachBlock(func(ln, b int) {
+		a, err := d.analyzeBlock(ln, b)
+		if err == nil {
+			d.trackCandidates(d.blocks[b], a, seq)
+		}
+		d.errs[b] = err
+	})
 	var events []Event
 	for b, bs := range d.blocks {
 		if d.errs[b] != nil {
@@ -211,15 +271,16 @@ func (d *detector) refresh(frontier, seq int64, final bool) ([]Event, error) {
 	return events, nil
 }
 
-// analyzeAll runs the per-block step for every block on the detector's
-// lanes, handing blocks out by an atomic index so a lane that draws cheap
-// blocks takes more of them. The calling goroutine is the first lane, so
-// one lane runs the blocks inline, with no goroutines.
-func (d *detector) analyzeAll(seq int64) {
+// eachBlock runs step for every block on the detector's lanes, handing
+// blocks out by an atomic index so a lane that draws cheap blocks takes
+// more of them. The calling goroutine is the first lane, so one lane runs
+// the blocks inline, with no goroutines. step may write only block b's
+// own state and lane ln's scratch.
+func (d *detector) eachBlock(step func(ln, b int)) {
 	var next atomic.Int64
 	work := func(ln int) {
 		for b := int(next.Add(1) - 1); b < len(d.blocks); b = int(next.Add(1) - 1) {
-			d.errs[b] = d.analyzeBlock(ln, b, seq)
+			step(ln, b)
 		}
 	}
 	var wg sync.WaitGroup
@@ -234,12 +295,14 @@ func (d *detector) analyzeAll(seq int64) {
 	wg.Wait()
 }
 
-// analyzeBlock is block b's step in a refresh's parallel phase: the
+// analyzeBlock is block b's analysis in a refresh's parallel phase: the
 // block's front half advanced over the records ingested since the last
-// refresh, the kernel's analysis of it, then the block's candidate
-// tracking. It writes only the block's own state and the lane's scratch.
-// The new analysis replaces bs.last at once, so no more than one analysis
-// per lane is alive beside the world's current ones.
+// refresh, then the kernel's analysis of it. It writes only the block's
+// own state and the lane's scratch. The new analysis replaces bs.last at
+// once, so no more than one analysis per lane is alive beside the world's
+// current ones. A failed analysis leaves the block without one, as the
+// batch pipeline leaves a failed block, so a block's analysis is its last
+// refresh's whether or not a restore came between.
 //
 // The front half is rebuilt — reset, then advanced over all of bs.acc in
 // one call — when it refuses the new records (one lands where its
@@ -251,8 +314,9 @@ func (d *detector) analyzeAll(seq int64) {
 // this refresh, and replay meets the same panic at the same refresh
 // instead of crash-looping the daemon. The lane gets a fresh scratch, so
 // whatever the panic left half-written cannot reach another block.
-func (d *detector) analyzeBlock(ln, b int, seq int64) (err error) {
+func (d *detector) analyzeBlock(ln, b int) (a *core.BlockAnalysis, err error) {
 	bs := d.blocks[b]
+	bs.last, bs.pending = nil, false
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &core.PanicError{Value: rec, Stack: debug.Stack()}
@@ -272,13 +336,11 @@ func (d *detector) analyzeBlock(ln, b int, seq int64) (err error) {
 	for o := range bs.acc {
 		bs.fed[o] = len(bs.acc[o])
 	}
-	a, err := bs.front.Analyze(d.lanes[ln])
-	if err != nil {
-		return err
+	if a, err = bs.front.Analyze(d.lanes[ln]); err != nil {
+		return nil, err
 	}
 	bs.last = a
-	d.trackCandidates(bs, a, seq)
-	return nil
+	return a, nil
 }
 
 // unfed returns, per observer, the records ingested since the front half
@@ -303,24 +365,24 @@ func (d *detector) trackCandidates(bs *blockState, a *core.BlockAnalysis, seq in
 	for _, ch := range a.Changes {
 		var found *candidate
 		for _, cand := range bs.cands {
-			dist := abs64(cand.change.Point - ch.Point)
-			if cand.change.Dir == ch.Dir && dist <= slop && cand.lastRefresh != d.refreshes &&
-				(found == nil || dist < abs64(found.change.Point-ch.Point)) {
+			dist := abs64(cand.Change.Point - ch.Point)
+			if cand.Change.Dir == ch.Dir && dist <= slop && cand.LastRefresh != d.refreshes &&
+				(found == nil || dist < abs64(found.Change.Point-ch.Point)) {
 				found = cand
 			}
 		}
 		if found == nil {
-			found = &candidate{firstSeenSeq: seq, eligibleSeq: -1}
+			found = &candidate{FirstSeenSeq: seq, EligibleSeq: -1}
 			bs.cands = append(bs.cands, found)
 		}
-		if found.lastRefresh != d.refreshes-1 || found.seenStreak == 0 {
+		if found.LastRefresh != d.refreshes-1 || found.SeenStreak == 0 {
 			// Streak broken (or new): restart the confirmation clock.
-			found.firstSeenSeq = seq
-			found.seenStreak = 0
+			found.FirstSeenSeq = seq
+			found.SeenStreak = 0
 		}
-		found.change = ch
-		found.seenStreak++
-		found.lastRefresh = d.refreshes
+		found.Change = ch
+		found.SeenStreak++
+		found.LastRefresh = d.refreshes
 	}
 }
 
@@ -340,36 +402,36 @@ func (d *detector) emit(b int, bs *blockState, frontier, seq int64, final bool) 
 	c := d.rc.Config()
 	var out []Event
 	for _, cand := range bs.cands {
-		if cand.emitted {
+		if cand.Emitted {
 			continue
 		}
-		present := cand.lastRefresh == d.refreshes
+		present := cand.LastRefresh == d.refreshes
 		if !present {
 			continue
 		}
-		horizon := cand.change.End
-		if h := cand.change.Alarm + int64(c.OutageGapDays)*day; h > horizon {
+		horizon := cand.Change.End
+		if h := cand.Change.Alarm + int64(c.OutageGapDays)*day; h > horizon {
 			horizon = h
 		}
 		horizon += int64(c.BoundaryGuardDays+1) * day
-		if cand.eligibleSeq < 0 && frontier >= horizon {
-			cand.eligibleSeq = seq
+		if cand.EligibleSeq < 0 && frontier >= horizon {
+			cand.EligibleSeq = seq
 		}
-		confirmed := cand.seenStreak >= int64(d.cfg.ConfirmRefreshes)
-		if !final && (!confirmed || cand.eligibleSeq < 0) {
+		confirmed := cand.SeenStreak >= int64(d.cfg.ConfirmRefreshes)
+		if !final && (!confirmed || cand.EligibleSeq < 0) {
 			continue
 		}
-		if cand.eligibleSeq < 0 {
-			cand.eligibleSeq = seq
+		if cand.EligibleSeq < 0 {
+			cand.EligibleSeq = seq
 		}
-		cand.emitted = true
+		cand.Emitted = true
 		ev := Event{
 			Seq:          d.nextEvent,
 			Block:        b,
 			ID:           bs.id,
-			Change:       cand.change,
-			FirstSeenSeq: cand.firstSeenSeq,
-			EligibleSeq:  cand.eligibleSeq,
+			Change:       cand.Change,
+			FirstSeenSeq: cand.FirstSeenSeq,
+			EligibleSeq:  cand.EligibleSeq,
 			EmitSeq:      seq,
 		}
 		d.nextEvent++
@@ -379,11 +441,19 @@ func (d *detector) emit(b int, bs *blockState, frontier, seq int64, final bool) 
 }
 
 // result assembles a WorldResult from the final refresh's analyses,
-// aggregated exactly as the batch pipeline aggregates.
+// aggregated exactly as the batch pipeline aggregates. A block restored
+// from the final refresh's checkpoint is analyzed here, without tracking
+// or emitting: its front half advanced over the whole stream gives the
+// final refresh's analysis.
 func (d *detector) result() (*core.WorldResult, error) {
 	if d.processed != d.cfg.rounds() {
 		return nil, fmt.Errorf("stream: %d of %d rounds processed; the stream is not complete", d.processed, d.cfg.rounds())
 	}
+	d.eachBlock(func(ln, b int) {
+		if d.blocks[b].pending {
+			d.analyzeBlock(ln, b)
+		}
+	})
 	wr := &core.WorldResult{Report: &core.RunReport{}}
 	for _, bs := range d.blocks {
 		wr.Blocks = append(wr.Blocks, core.BlockOutcome{ID: bs.id, Place: bs.place, Analysis: bs.last})

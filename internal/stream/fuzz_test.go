@@ -26,8 +26,8 @@ func openFuzzLog(dir, name string) (*journal.Log, error) {
 	return journal.OpenLog(storage.OS, dir, name, hdr, 0, decoded(func(decodedFrame) error { return nil }))
 }
 
-// fuzzWALBytes builds a small valid WAL (header, one round, one event) to
-// seed the corpus with real frame bytes.
+// fuzzWALBytes builds a small valid WAL (header, one round, one event,
+// one refresh checkpoint) to seed the corpus with real frame bytes.
 func fuzzWALBytes(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
@@ -46,6 +46,9 @@ func fuzzWALBytes(f *testing.F) []byte {
 	if err := appendFrame(w, frameEvent, ev); err != nil {
 		f.Fatal(err)
 	}
+	if err := appendFrame(w, frameRefresh, fuzzCheckpoint()); err != nil {
+		f.Fatal(err)
+	}
 	if err := w.Close(true); err != nil {
 		f.Fatal(err)
 	}
@@ -56,9 +59,21 @@ func fuzzWALBytes(f *testing.F) []byte {
 	return data
 }
 
+// fuzzCheckpoint is a refresh checkpoint over two blocks, one of them
+// tracking an emitted candidate.
+func fuzzCheckpoint() *refreshCheckpoint {
+	cand := &candidate{Change: core.Change{Point: 86400, Dir: 1}, FirstSeenSeq: 1, SeenStreak: 2, LastRefresh: 2, EligibleSeq: 2, Emitted: true}
+	return &refreshCheckpoint{Processed: 3, Refreshes: 2, NextEvent: 1, Cands: [][]*candidate{{cand}, nil}}
+}
+
 func FuzzStreamFrameDecode(f *testing.F) {
 	seed := fuzzWALBytes(f)
 	f.Add(seed)
+	ckpt, err := encodeStreamFrame(frameRefresh, fuzzCheckpoint())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{'S'})

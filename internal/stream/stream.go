@@ -7,15 +7,18 @@
 // Robustness is the design center. Every ingested round lands in a
 // durable CRC-framed WAL (an internal/journal segmented log, like the
 // checkpoint journal) before it is admitted; every emitted event carries
-// a monotonic sequence number and is journaled before delivery; and the
-// daemon's only recovery mechanism — for SIGKILL, for a wedged analysis
-// loop restarted by the watchdog, for plain restarts — is deterministic
-// replay of the round WAL, which reconstructs the exact detector state
-// and regenerates the exact event sequence. Replayed events must match
-// the journaled prefix byte for byte (a mismatch means a foreign or
-// corrupt WAL and fails loudly); events the crash cut off are re-derived
-// and appended. The result is an exactly-once event log: consumers resume
-// from their last sequence number with no duplicates and no gaps.
+// a monotonic sequence number and is journaled before delivery, followed
+// after each refresh by a checkpoint of the detector's emission state;
+// and the daemon's only recovery mechanism — for SIGKILL, for a wedged
+// analysis loop restarted by the watchdog, for plain restarts — is to
+// restore the latest checkpoint over the rounds it covers and
+// deterministically replay the round WAL after it, which reconstructs the
+// exact detector state and regenerates the exact event sequence. Replayed
+// events must match the journaled ones byte for byte (a mismatch means a
+// foreign or corrupt WAL and fails loudly); events the crash cut off are
+// re-derived and appended. The result is an exactly-once event log:
+// consumers resume from their last sequence number with no duplicates and
+// no gaps.
 //
 // Analysis itself is shared with the batch driver: each block keeps a
 // core.FrontState, the kernel's record-level half advanced by the records
@@ -77,11 +80,13 @@ type Config struct {
 	// sealed and appends move to a fresh segment, so compaction and
 	// retention operate on bounded files.
 	SegmentBytes int64
-	// CompactBytes, when positive, bounds a journal's total size: when a
-	// WAL exceeds it, the journal is rewritten as a single
-	// checkpoint-anchored base segment (lossless — replay identity is
-	// preserved) and the subsumed segments are deleted. Zero disables
-	// size-triggered compaction. Must be at least SegmentBytes.
+	// CompactBytes, when positive, bounds the round journal's size: when
+	// it exceeds CompactBytes, it is rewritten as a single base segment
+	// (lossless — replay identity is preserved) and the subsumed segments
+	// are deleted. Zero disables size-triggered compaction. The event
+	// journal is compacted whatever CompactBytes is, once its superseded
+	// refresh checkpoints outweigh both a segment and everything else in
+	// it. Must be at least SegmentBytes.
 	CompactBytes int64
 	// DiskBudget, when positive, bounds the bytes the daemon's journals
 	// may occupy together. When an admission would exceed it even after
@@ -220,8 +225,8 @@ type Stats struct {
 	// IngestedRounds and ProcessedRounds count WAL-durable and
 	// analysis-complete rounds; the difference is the queue depth.
 	IngestedRounds, ProcessedRounds int64
-	// Refreshes counts trend refreshes run (across restarts, replayed
-	// refreshes included).
+	// Refreshes counts trend refreshes run (across restarts: recovery
+	// restores the count from the refresh checkpoint).
 	Refreshes int64
 	// Events is the journaled event count.
 	Events int64
@@ -239,7 +244,8 @@ type Stats struct {
 	// refresh re-ran a block's outage belief in full to certify its trace
 	// (see core.FrontState); both since open, replayed refreshes included.
 	// Each makes its refresh slower than one that advances by the new
-	// rounds.
+	// rounds. The first refresh after recovery restores a refresh
+	// checkpoint rebuilds every block.
 	FrontRebuilds, BeliefCertifications int64
 	// DiskBytes is the bytes the daemon's journals occupy right now;
 	// DiskBudget echoes the configured bound (0: unlimited).

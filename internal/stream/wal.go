@@ -9,12 +9,19 @@ package stream
 // world or schedule is rejected instead of silently replayed into foreign
 // state.
 //
-// Compaction rewrites a journal as one checkpoint-anchored base segment:
-// a 'K' frame re-encoding every journaled round losslessly (or a 'P'
-// frame acknowledging the replay-regenerable event prefix). The 'K'
+// The event journal also carries, after each refresh's events, a 'C'
+// frame: the detector's emission state after that refresh (its counters
+// and every block's candidates). Recovery restores the latest one and
+// re-runs only the refreshes after it.
+//
+// Compaction rewrites a journal as one base segment: for rounds, a 'K'
+// frame re-encoding every journaled round losslessly; for events, every
+// journaled event frame with the latest 'C' frame in its place. The 'K'
 // re-encoding reconstructs bit-identical rounds, so deterministic replay
 // — and with it kill-and-resume event identity — is preserved across
-// every rotation and compaction boundary.
+// every rotation and compaction boundary. Event journals compacted by
+// earlier versions open with a 'P' frame instead, acknowledging an event
+// prefix that only a full replay of the round journal regenerates.
 
 import (
 	"bytes"
@@ -35,7 +42,8 @@ const (
 	frameRound         = 'R'
 	frameEvent         = 'E'
 	frameCompactRounds = 'K' // base segment: every round, re-encoded losslessly
-	frameEventsAck     = 'P' // base segment: count of replay-regenerable events
+	frameEventsAck     = 'P' // earlier base segment: count of replay-regenerable events
+	frameRefresh       = 'C' // emission state after one refresh
 )
 
 // streamHeader binds a WAL segment to one (config, world) pair.
@@ -43,11 +51,21 @@ type streamHeader struct {
 	Signature []byte
 }
 
-// eventsAck is the 'P' compaction payload: the first Count journaled
-// events were compacted away; deterministic replay of the round WAL
-// regenerates them exactly.
+// eventsAck is the 'P' payload earlier versions' event compaction wrote:
+// the first Count journaled events were compacted away, and only a full
+// replay of the round WAL regenerates them. Open still reads it.
 type eventsAck struct {
 	Count int64
+}
+
+// refreshCheckpoint is the 'C' payload: the detector's emission state
+// after the refresh that processed round Processed-1. It follows that
+// refresh's events in the event journal, so NextEvent equals the number of
+// events journaled before it. Cands holds every block's candidates in
+// tracking order.
+type refreshCheckpoint struct {
+	Processed, Refreshes, BlockErrs, NextEvent int64
+	Cands                                      [][]*candidate
 }
 
 // compactBase is the 'K' compaction payload: every journaled round,
@@ -175,14 +193,15 @@ func expandCompactBase(cb *compactBase, cfg Config, blocks, obsCount int) ([]*Ro
 }
 
 // decodedFrame is one decoded stream frame: exactly one of Sig, Round,
-// Event, Base, Ack is set, per Tag.
+// Event, Base, Ack, Refresh is set, per Tag.
 type decodedFrame struct {
-	Tag   byte
-	Sig   []byte
-	Round *Round
-	Event *Event
-	Base  *compactBase
-	Ack   *eventsAck
+	Tag     byte
+	Sig     []byte
+	Round   *Round
+	Event   *Event
+	Base    *compactBase
+	Ack     *eventsAck
+	Refresh *refreshCheckpoint
 }
 
 // decodeStreamFrame decodes one stream-frame payload. It never panics on
@@ -225,6 +244,12 @@ func decodeStreamFrame(payload []byte) (decodedFrame, error) {
 			return decodedFrame{}, err
 		}
 		df.Ack = &a
+	case frameRefresh:
+		var c refreshCheckpoint
+		if err := dec.Decode(&c); err != nil {
+			return decodedFrame{}, err
+		}
+		df.Refresh = &c
 	default:
 		return decodedFrame{}, fmt.Errorf("stream: unknown frame tag %q", df.Tag)
 	}

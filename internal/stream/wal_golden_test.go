@@ -1,21 +1,29 @@
 package stream
 
-// The daemon journals' on-disk format, pinned by a committed directory.
+// The daemon journals' on-disk format, pinned by committed directories.
 //
-// testdata/golden-wal/ was written by TestWriteWALGolden on the commit
-// before the daemon journals moved onto internal/journal, and re-pinned
-// the same way when the daemon's run signature gained its schedule (only
-// the segments' 'S' header frames changed):
+// testdata/golden-wal-checkpoints/ is today's format, written by
+// TestWriteWALGolden:
 //
 //	go test ./internal/stream -run '^TestWriteWALGolden$' -count=1 \
-//	    -args -golden-out "$PWD/internal/stream/testdata/golden-wal"
+//	    -args -golden-out "$PWD/internal/stream/testdata/golden-wal-checkpoints"
 //
-// Two daemon lives ingest the fixture's rounds under small segment and
-// compaction thresholds, so the round journal has rotated and been
-// compacted to a base segment. TestWALGoldenFormat re-runs the writer
-// in a fresh process (gob numbers its types in the order a process first
-// encodes them) and requires the same file names and bytes, manifests
-// included. It then resumes a copy of the fixture.
+// Two daemon lives ingest a one-block world's rounds under small segment
+// and compaction thresholds, refreshing every round once the baseline is
+// in. The round journal has been compacted to a 'K' base segment and has
+// rotated after it. The event journal holds events and refresh
+// checkpoints ('C' frames); it has been compacted to its events and the
+// checkpoint of the day, dropping the superseded ones, and has rotated
+// after that too. TestWALGoldenFormat re-runs the writer in a fresh
+// process (gob numbers its types in the order a process first encodes
+// them) and requires the same file names and bytes, manifests included.
+// It then resumes a copy of the fixture.
+//
+// testdata/golden-wal/ is read-only: the format before refresh
+// checkpoints, written by the writer of its day on a two-block world
+// (and re-pinned when the run signature gained the daemon's schedule).
+// TestWALGoldenBeforeCheckpoints opens a copy, which replays in full, and
+// finishes the stream with the events and result of an uninterrupted run.
 
 import (
 	"bytes"
@@ -25,29 +33,60 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/diurnalnet/diurnal/internal/changepoint"
 	"github.com/diurnalnet/diurnal/internal/core"
 	"github.com/diurnalnet/diurnal/internal/dataset"
+	"github.com/diurnalnet/diurnal/internal/events"
+	"github.com/diurnalnet/diurnal/internal/journal"
 	"github.com/diurnalnet/diurnal/internal/netsim"
+	"github.com/diurnalnet/diurnal/internal/probe"
+	"github.com/diurnalnet/diurnal/internal/storage"
 )
 
 var goldenOut = flag.String("golden-out", "", "directory TestWriteWALGolden writes the journal fixture into")
 
-const goldenDir = "testdata/golden-wal"
+const (
+	goldenDir       = "testdata/golden-wal-checkpoints"
+	legacyGoldenDir = "testdata/golden-wal"
+)
 
 // goldenLives is how many rounds each daemon life of the fixture has
-// ingested when it closes.
-var goldenLives = []int64{6, 10}
+// ingested when it closes; the second finishes the six-week stream.
+var goldenLives = []int64{31, 42}
 
+// goldenWAL is the fixture's world, feeder and config: one block over
+// six weeks, one observer, a refresh every round. The round journal's
+// base segment stays under CompactBytes, so the last compaction is
+// followed by a rotation.
 func goldenWAL(t *testing.T) ([]*dataset.WorldBlock, *Feeder, Config) {
+	t.Helper()
+	start, _ := testWindow()
+	end := start + 6*7*netsim.SecondsPerDay
+	world, err := dataset.BuildWorld(dataset.WorldOpts{Blocks: 1, Seed: 49, Calendar: events.Year2020(), Start: start, End: end})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Core.AnalysisEnd = end
+	cfg.RefreshEvery = 1
+	cfg.SegmentBytes = 4 << 10
+	cfg.CompactBytes = 64 << 10
+	eng := &probe.Engine{Observers: probe.StandardObservers(1), QuarterSeed: 28}
+	return world, testFeeder(t, eng, world, cfg), cfg
+}
+
+// legacyGoldenWAL is the read-only fixture's world, feeder and config,
+// and how many rounds it holds.
+func legacyGoldenWAL(t *testing.T) ([]*dataset.WorldBlock, *Feeder, Config, int64) {
 	t.Helper()
 	world := testWorld(t, 2, 2028)
 	cfg := testConfig()
 	cfg.SegmentBytes = 4 << 10
 	cfg.CompactBytes = 64 << 10
-	return world, testFeeder(t, testEngine(28), world, cfg), cfg
+	return world, testFeeder(t, testEngine(28), world, cfg), cfg, 10
 }
 
 // feedGolden opens a daemon over dir and ingests rounds up to to,
@@ -91,7 +130,7 @@ func TestWriteWALGolden(t *testing.T) {
 }
 
 // readTree returns every file directly under dir by name.
-func readTree(t *testing.T, dir string) map[string][]byte {
+func readTree(t testing.TB, dir string) map[string][]byte {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -106,6 +145,48 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 		files[e.Name()] = data
 	}
 	return files
+}
+
+// writeTree writes files into a fresh directory and returns it.
+func writeTree(t testing.TB, files map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// manifestSegments returns the segments a journal manifest lists.
+func manifestSegments(t *testing.T, data []byte) []string {
+	t.Helper()
+	var m struct{ Segments []string }
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Segments
+}
+
+// journalTags returns the tags of the data frames the journal name in
+// dir holds, in order, opened under the signature of cfg and world.
+func journalTags(t *testing.T, dir, name string, cfg Config, world []*dataset.WorldBlock) []byte {
+	t.Helper()
+	hdr, err := segmentHeader(runSignature(cfg.withDefaults(), world))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tags []byte
+	l, err := journal.OpenLog(storage.OS, dir, name, hdr, 0, decoded(func(df decodedFrame) error {
+		tags = append(tags, df.Tag)
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close(false)
+	return tags
 }
 
 func TestWALGoldenFormat(t *testing.T) {
@@ -130,28 +211,31 @@ func TestWALGoldenFormat(t *testing.T) {
 		}
 	}
 
-	// The fixture has rotated and compacted: its round manifest lists a
-	// base segment (not the first one ever written) and segments after it.
-	var m struct{ Segments []string }
-	if err := json.Unmarshal(want["rounds.wal.manifest"], &m); err != nil {
-		t.Fatal(err)
+	// The fixture has compacted and then rotated both journals: each
+	// manifest lists a base segment (not the first one ever written) and
+	// segments after it.
+	for _, name := range []string{"rounds", "events"} {
+		if segs := manifestSegments(t, want[name+".wal.manifest"]); len(segs) < 2 || segs[0] == name+"-00000001.wal" {
+			t.Fatalf("fixture's %s manifest %v shows no compaction followed by a rotation", name, segs)
+		}
 	}
-	if len(m.Segments) < 2 || m.Segments[0] == "rounds-00000001.wal" {
-		t.Fatalf("fixture's round manifest %v shows no compaction followed by a rotation", m.Segments)
+	world, f, cfg := goldenWAL(t)
+	dir := writeTree(t, want)
+	tags := journalTags(t, dir, "events", cfg, world)
+	if !bytes.Contains(tags, []byte{frameEvent}) || !bytes.Contains(tags, []byte{frameRefresh}) {
+		t.Fatalf("fixture's event journal holds frames %q, want events and refresh checkpoints", tags)
 	}
 
 	// A copy resumes where the fixture stopped, with the events an
-	// uninterrupted run journals.
-	world, f, cfg := goldenWAL(t)
+	// uninterrupted run journals, and restores the result without
+	// re-running a refresh.
 	last := goldenLives[len(goldenLives)-1]
-	ref := feedGolden(t, t.TempDir(), world, f, testConfig(), last)
-	dir := t.TempDir()
-	for name, data := range want {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	ref := feedGolden(t, t.TempDir(), world, f, testConfigFor(cfg), last)
+	if len(ref) == 0 {
+		t.Fatal("the fixture's stream emits no events; the comparison would be vacuous")
 	}
-	d, err := Open(dir, world, f.Observers(), cfg)
+	var calls int
+	d, err := open(dir, world, f.Observers(), cfg, 1, func(int) { calls++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +243,49 @@ func TestWALGoldenFormat(t *testing.T) {
 	if next := d.NextIngestSeq(); next != last {
 		t.Fatalf("fixture resumes at round %d, want %d", next, last)
 	}
-	evs := d.Events()
-	if len(evs) != len(ref) {
-		t.Fatalf("fixture holds %d events, an uninterrupted run %d", len(evs), len(ref))
+	if calls != 0 {
+		t.Errorf("opening the fixture analyzed %d blocks; its last checkpoint covers every round", calls)
 	}
-	for i := range evs {
-		if evs[i] != ref[i] {
-			t.Fatalf("fixture event %d diverges: %+v vs %+v", i, evs[i], ref[i])
-		}
+	if evs := d.Events(); !reflect.DeepEqual(evs, ref) {
+		t.Fatalf("fixture holds events %+v, an uninterrupted run %+v", evs, ref)
+	}
+	if _, err := d.Result(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testConfigFor is cfg without the fixture's storage thresholds, which a
+// reference run does not need.
+func testConfigFor(cfg Config) Config {
+	cfg.SegmentBytes, cfg.CompactBytes = 0, 0
+	return cfg
+}
+
+// TestWALGoldenBeforeCheckpoints: a directory written before the event
+// journal carried refresh checkpoints opens by replaying every round,
+// and the stream finishes with an uninterrupted run's events and result.
+func TestWALGoldenBeforeCheckpoints(t *testing.T) {
+	world, f, cfg, held := legacyGoldenWAL(t)
+	refEvs, refFP := runStream(t, t.TempDir(), world, f, testConfigFor(cfg))
+	dir := writeTree(t, readTree(t, legacyGoldenDir))
+	if tags := journalTags(t, dir, "events", cfg, world); bytes.Contains(tags, []byte{frameRefresh}) {
+		t.Fatalf("the legacy fixture's event journal holds refresh checkpoints: %q", tags)
+	}
+	d, err := Open(dir, world, f.Observers(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next := d.NextIngestSeq(); next != held {
+		d.Close()
+		t.Fatalf("legacy fixture resumes at round %d, want %d", next, held)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, fp := runStream(t, dir, world, f, cfg)
+	if !reflect.DeepEqual(evs, refEvs) || fp != refFP {
+		t.Fatalf("legacy fixture finished with %d events and fingerprint %.16s, an uninterrupted run %d and %.16s",
+			len(evs), fp, len(refEvs), refFP)
 	}
 }
 

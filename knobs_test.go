@@ -38,6 +38,9 @@ var knobAllowlist = map[string]string{
 		"this covers Engine.Clock, its test seam",
 	"internal/chaos": "test harness: the kill-and-resume cells are " +
 		"configured by the soaks that run them",
+	"internal/stream.eventsAck.Count": "a read-only frame: event journals " +
+		"compacted before refresh checkpoints open with a 'P' frame, which " +
+		"Open still reads; nothing writes one any more",
 	"internal/outage.Params": "bench/staged.go passes outage.Params{} and " +
 		"bench/ is frozen between benchmark changes; the certificate " +
 		"tests vary every field",
