@@ -58,7 +58,8 @@
 // drains and exits 0; -watchdog DUR restarts a wedged step by the same
 // replay. The final report equals a batch run of the same world. -walseg
 // rotates the WALs into bounded segments, -walcompact folds the round
-// WAL to one base segment past the given size, and -diskbudget caps DIR:
+// WAL to one base segment each time the given bytes of rounds have been
+// appended after its last base, and -diskbudget caps DIR:
 // a round that would exceed it is shed and the daemon exits 6.
 //
 // serve: publishes a finished run as a columnar snapshot under SNAPDIR
@@ -382,7 +383,7 @@ func defineDaemon(fs *flag.FlagSet, j *job) {
 	fs.IntVar(&so.MaxQueue, "maxqueue", 64, "admitted-but-unprocessed round bound (ingestion blocks beyond it)")
 	fs.DurationVar(&so.Watchdog, "watchdog", 0, "restart a wedged analysis step after this long (0 disables)")
 	fs.Int64Var(&so.SegmentBytes, "walseg", 0, "rotate WAL segments at this many bytes (default 8MiB)")
-	fs.Int64Var(&so.CompactBytes, "walcompact", 0, "compact the round WAL to one base segment when it exceeds this many bytes (0 never)")
+	fs.Int64Var(&so.CompactBytes, "walcompact", 0, "compact the round WAL to one base segment once this many bytes of rounds are appended after its last base (0 never)")
 	fs.Int64Var(&so.DiskBudget, "diskbudget", 0, "shed rounds when the daemon directory would exceed this many bytes (0 unlimited)")
 	j.check = func(set map[string]bool) error {
 		return errors.Join(

@@ -396,8 +396,8 @@ type StreamOptions struct {
 	// compaction and orphan recovery.
 	SegmentBytes int64
 	// CompactBytes, when positive, compacts the round WAL down to one
-	// base segment whenever its total size exceeds this many bytes. Zero
-	// never compacts it on size. The event WAL drops its superseded
+	// base segment whenever more than this many bytes of rounds have been
+	// appended since its last base. Zero never compacts it on size. The event WAL drops its superseded
 	// refresh checkpoints on its own.
 	CompactBytes int64
 	// DiskBudget, when positive, caps the daemon directory's total

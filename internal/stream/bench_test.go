@@ -8,7 +8,9 @@ package stream
 // buys on this machine.
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -282,6 +284,79 @@ func BenchmarkReopen(b *testing.B) {
 			if after != nil {
 				b.ReportMetric(float64(steady.Microseconds())/1e3/n, "steady-ms")
 			}
+		})
+	}
+}
+
+// frameSink keeps BenchmarkRoundFrame's encodings live.
+var frameSink []byte
+
+// BenchmarkRoundFrame encodes and decodes every round of a faulty feed
+// over 8 blocks and 3 observers as a round-journal frame payload: packed,
+// as the daemon journals rounds, and gob, as earlier versions did and
+// the read-only decoder still reads:
+//
+//	go test -run '^$' -bench RoundFrame ./internal/stream
+//
+// Per op it reports us/round and B/round, the payload's size.
+func BenchmarkRoundFrame(b *testing.B) {
+	world := testWorld(b, 8, 4242)
+	start, _ := testWindow()
+	eng := &faults.Engine{Inner: testEngine(11), Plan: faults.DefaultPlan(3, 0.3, start, 23)}
+	f := testFeeder(b, eng, world, testConfig().withDefaults())
+	rounds := make([]*Round, f.Rounds())
+	for i := range rounds {
+		r, err := f.Round(int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds[i] = r
+	}
+	codecs := []struct {
+		name   string
+		encode func(r *Round) []byte
+	}{
+		{"packed", func(r *Round) []byte { return encodeRoundFrame(nil, r) }},
+		{"gob", func(r *Round) []byte {
+			var buf bytes.Buffer
+			buf.WriteByte(frameGobRound)
+			if err := gob.NewEncoder(&buf).Encode(r); err != nil {
+				b.Fatal(err)
+			}
+			return buf.Bytes()
+		}},
+	}
+	for _, c := range codecs {
+		payloads := make([][]byte, len(rounds))
+		var size int
+		for i, r := range rounds {
+			payloads[i] = c.encode(r)
+			size += len(payloads[i])
+		}
+		report := func(b *testing.B, elapsed time.Duration) {
+			n := float64(b.N) * float64(len(rounds))
+			b.ReportMetric(float64(elapsed.Nanoseconds())/1e3/n, "us/round")
+			b.ReportMetric(float64(size)/float64(len(rounds)), "B/round")
+		}
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			t0 := time.Now()
+			for i := 0; i < b.N; i++ {
+				for _, r := range rounds {
+					frameSink = c.encode(r)
+				}
+			}
+			report(b, time.Since(t0))
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			t0 := time.Now()
+			for i := 0; i < b.N; i++ {
+				for _, p := range payloads {
+					if _, err := decodeStreamFrame(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			report(b, time.Since(t0))
 		})
 	}
 }

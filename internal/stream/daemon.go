@@ -86,6 +86,9 @@ type Daemon struct {
 	sheds          int64  // rounds refused under disk pressure
 	lastStorageErr string // most recent storage-plane failure
 	lastCompactSeq int64  // nextSeq at the last rounds compaction (-1: never)
+	sinceBase      int64  // round journal bytes appended since its last base
+	legacyRounds   bool   // the round journal lists a segment signed before packed rounds
+	roundBuf       []byte // Ingest's round frame payload, reused
 	eventFrames    int64  // frames appended to the event journal since open
 	compactedAt    int64  // eventFrames at the last events compaction (-1: never)
 	lastGov        journal.Usage
@@ -163,7 +166,11 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 
-	hdr, err := segmentHeader(d.sig)
+	hdr, err := segmentHeader(d.sig, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	rhdr, err := segmentHeader(roundSignature(d.sig), d.sig, func() { d.legacyRounds = true })
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +186,17 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 		d.superseded -= frameBytes(scan.ckpt)
 	}
 	det, regen, rerun, err := d.recover(func(fn func([]byte) error) (err error) {
-		d.rounds, err = journal.OpenLog(cfg.FS, dir, "rounds", hdr, cfg.SegmentBytes, fn)
+		d.rounds, err = journal.OpenLog(cfg.FS, dir, "rounds", rhdr, cfg.SegmentBytes, func(payload []byte) error {
+			if err := fn(payload); err != nil {
+				return err
+			}
+			if payload[0] == frameCompactRounds {
+				d.sinceBase = 0
+			} else {
+				d.sinceBase += frameBytes(payload)
+			}
+			return nil
+		})
 		return err
 	})
 	if err != nil {
@@ -256,11 +273,12 @@ func (s *eventScan) frame(payload []byte) error {
 }
 
 // frameRounds expands one round-WAL data frame into the rounds it
-// journals: an 'R' frame is one round, a 'K' base frame is every round
-// up to its compaction point, reconstructed bit-identically.
+// journals: a round frame, packed or gob, is one round, a 'K' base frame
+// is every round up to its compaction point, reconstructed
+// bit-identically.
 func (d *Daemon) frameRounds(df decodedFrame) ([]*Round, error) {
 	switch df.Tag {
-	case frameRound:
+	case frameRound, frameGobRound:
 		return []*Round{df.Round}, nil
 	case frameCompactRounds:
 		return expandCompactBase(df.Base, d.cfg, len(d.world), d.obsCount)
@@ -386,12 +404,12 @@ func (d *Daemon) govLocked() journal.Usage {
 	}
 }
 
-// compactRoundsLocked rewrites the round WAL as a single base segment.
-// It is lossless: the journaled rounds are collected by replay,
-// re-encoded columnarly, and reconstruct bit-identically, so replay
-// identity — and with it event identity — is unaffected. A no-op when
-// nothing was admitted since the last compaction (the base is already
-// minimal).
+// compactRoundsLocked rewrites the round WAL as a single base segment,
+// signed with the round signature. It is lossless: the journaled rounds
+// are collected by replay, re-encoded columnarly, and reconstruct
+// bit-identically, so replay identity — and with it event identity — is
+// unaffected. A no-op when nothing was admitted since the last
+// compaction (the base is already minimal).
 func (d *Daemon) compactRoundsLocked() error {
 	if d.nextSeq == d.lastCompactSeq {
 		return nil
@@ -423,6 +441,8 @@ func (d *Daemon) compactRoundsLocked() error {
 		return err
 	}
 	d.lastCompactSeq = d.nextSeq
+	d.sinceBase = 0
+	d.legacyRounds = false
 	return nil
 }
 
@@ -525,10 +545,16 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 			d.mu.Lock()
 		}
 	}
-	payload, err := encodeStreamFrame(frameRound, r)
-	if err != nil {
-		return err
+	if d.legacyRounds {
+		// A segment signed before packed round frames is rewritten into
+		// the base first, so that no segment a binary unable to read them
+		// would accept ever holds one.
+		if err := d.compactRoundsLocked(); err != nil {
+			return fmt.Errorf("stream: rewriting the round journal before packed rounds: %w", err)
+		}
 	}
+	d.roundBuf = encodeRoundFrame(d.roundBuf[:0], r)
+	payload := d.roundBuf
 	// Disk-budget accounting: if admitting this frame would overrun the
 	// budget, compact first; if the journals still cannot fit it, shed
 	// the round — the WALs stay intact and the daemon keeps serving.
@@ -559,11 +585,12 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 		}
 	}
 	d.nextSeq++
+	d.sinceBase += need
 	d.queue = append(d.queue, r)
 	if len(d.queue) > d.maxDepth {
 		d.maxDepth = len(d.queue)
 	}
-	if d.cfg.CompactBytes > 0 && d.rounds.Usage().Bytes > d.cfg.CompactBytes {
+	if d.cfg.CompactBytes > 0 && d.sinceBase > d.cfg.CompactBytes {
 		d.compactRoundsLocked() // best-effort; failure is surfaced in stats
 	}
 	d.bump()

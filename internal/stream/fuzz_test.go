@@ -5,6 +5,8 @@ package stream
 // to replay, but they must never panic, and whatever opens must be usable.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,15 +21,25 @@ import (
 // openFuzzLog opens the journal name in dir the way the daemon opens its
 // own, bound to the fuzz signature.
 func openFuzzLog(dir, name string) (*journal.Log, error) {
-	hdr, err := segmentHeader([]byte("fuzz-sig"))
+	hdr, err := segmentHeader([]byte("fuzz-sig"), nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return journal.OpenLog(storage.OS, dir, name, hdr, 0, decoded(func(decodedFrame) error { return nil }))
 }
 
-// fuzzWALBytes builds a small valid WAL (header, one round, one event,
-// one refresh checkpoint) to seed the corpus with real frame bytes.
+// fuzzRound is a two-block round: one stream with a record before the
+// round's start, one empty.
+func fuzzRound() *Round {
+	return &Round{
+		Seq: 0, Start: 0, End: 86400,
+		Blocks: [][][]probe.Record{{{{T: 60, Addr: 3, Up: true}, {T: -120, Addr: 4}}}, {nil}},
+	}
+}
+
+// fuzzWALBytes builds a small valid WAL (header, one packed round, one
+// event, one refresh checkpoint) to seed the corpus with real frame
+// bytes.
 func fuzzWALBytes(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
@@ -35,11 +47,7 @@ func fuzzWALBytes(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	r := &Round{
-		Seq: 0, Start: 0, End: 86400,
-		Blocks: [][][]probe.Record{{{{T: 60, Addr: 3, Up: true}, {T: 120, Addr: 4}}}},
-	}
-	if err := appendFrame(w, frameRound, r); err != nil {
+	if err := w.Append(encodeRoundFrame(nil, fuzzRound())); err != nil {
 		f.Fatal(err)
 	}
 	ev := Event{Seq: 0, ID: netsim.BlockID(7), Change: core.Change{Point: 86400, Dir: 1}}
@@ -74,6 +82,16 @@ func FuzzStreamFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(ckpt)
+	// Both round decoders: the packed frame written today and the gob
+	// frame earlier versions wrote, encoded here with gob directly.
+	f.Add(encodeRoundFrame(nil, fuzzRound()))
+	var gobRound bytes.Buffer
+	gobRound.WriteByte(frameGobRound)
+	if err := gob.NewEncoder(&gobRound).Encode(fuzzRound()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(gobRound.Bytes())
+	f.Add([]byte{frameRound, 0, 0, 0, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{'S'})

@@ -275,7 +275,7 @@ func TestRestoreFallsBackPastLastCheckpoint(t *testing.T) {
 // appendToEvents appends payload to the event journal in dir.
 func appendToEvents(t *testing.T, dir string, world []*dataset.WorldBlock, cfg Config, payload []byte) {
 	t.Helper()
-	hdr, err := segmentHeader(runSignature(cfg.withDefaults(), world))
+	hdr, err := segmentHeader(runSignature(cfg.withDefaults(), world), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestRestoreAckedJournalReplays(t *testing.T) {
 		t.Fatal("no events journaled at the kill; the ack would acknowledge nothing")
 	}
 	d.Close()
-	hdr, err := segmentHeader(runSignature(cfg.withDefaults(), world))
+	hdr, err := segmentHeader(runSignature(cfg.withDefaults(), world), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

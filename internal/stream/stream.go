@@ -80,8 +80,9 @@ type Config struct {
 	// sealed and appends move to a fresh segment, so compaction and
 	// retention operate on bounded files.
 	SegmentBytes int64
-	// CompactBytes, when positive, bounds the round journal's size: when
-	// it exceeds CompactBytes, it is rewritten as a single base segment
+	// CompactBytes, when positive, bounds the round journal's growth:
+	// once more than CompactBytes of rounds have been appended since its
+	// last base segment, it is rewritten as a single base segment
 	// (lossless — replay identity is preserved) and the subsumed segments
 	// are deleted. Zero disables size-triggered compaction. The event
 	// journal is compacted whatever CompactBytes is, once its superseded

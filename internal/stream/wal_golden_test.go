@@ -2,16 +2,17 @@ package stream
 
 // The daemon journals' on-disk format, pinned by committed directories.
 //
-// testdata/golden-wal-checkpoints/ is today's format, written by
+// testdata/golden-wal-packed/ is today's format, written by
 // TestWriteWALGolden:
 //
 //	go test ./internal/stream -run '^TestWriteWALGolden$' -count=1 \
-//	    -args -golden-out "$PWD/internal/stream/testdata/golden-wal-checkpoints"
+//	    -args -golden-out "$PWD/internal/stream/testdata/golden-wal-packed"
 //
 // Two daemon lives ingest a one-block world's rounds under small segment
 // and compaction thresholds, refreshing every round once the baseline is
-// in. The round journal has been compacted to a 'K' base segment and has
-// rotated after it. The event journal holds events and refresh
+// in. The round journal holds packed round frames in segments signed
+// with the round signature; it has been compacted to a 'K' base segment
+// and has rotated after it. The event journal holds events and refresh
 // checkpoints ('C' frames); it has been compacted to its events and the
 // checkpoint of the day, dropping the superseded ones, and has rotated
 // after that too. TestWALGoldenFormat re-runs the writer in a fresh
@@ -19,11 +20,18 @@ package stream
 // them) and requires the same file names and bytes, manifests included.
 // It then resumes a copy of the fixture.
 //
-// testdata/golden-wal/ is read-only: the format before refresh
-// checkpoints, written by the writer of its day on a two-block world
-// (and re-pinned when the run signature gained the daemon's schedule).
-// TestWALGoldenBeforeCheckpoints opens a copy, which replays in full, and
-// finishes the stream with the events and result of an uninterrupted run.
+// Two older fixtures are read-only; a test opens a copy of each and
+// finishes the stream with the events and result of an uninterrupted
+// run:
+//
+//   - testdata/golden-wal-gob-rounds/ is the same world as written before
+//     packed round frames: gob round frames in segments signed with the
+//     plain run signature (TestWALGoldenGobRounds).
+//   - testdata/golden-wal/ is the format before refresh checkpoints,
+//     written by the writer of its day on a two-block world (and
+//     re-pinned when the run signature gained the daemon's schedule). It
+//     replays in full, and its first append rewrites its round journal
+//     under the round signature (TestWALGoldenBeforeCheckpoints).
 
 import (
 	"bytes"
@@ -49,8 +57,9 @@ import (
 var goldenOut = flag.String("golden-out", "", "directory TestWriteWALGolden writes the journal fixture into")
 
 const (
-	goldenDir       = "testdata/golden-wal-checkpoints"
-	legacyGoldenDir = "testdata/golden-wal"
+	goldenDir          = "testdata/golden-wal-packed"
+	gobRoundsGoldenDir = "testdata/golden-wal-gob-rounds"
+	legacyGoldenDir    = "testdata/golden-wal"
 )
 
 // goldenLives is how many rounds each daemon life of the fixture has
@@ -58,9 +67,9 @@ const (
 var goldenLives = []int64{31, 42}
 
 // goldenWAL is the fixture's world, feeder and config: one block over
-// six weeks, one observer, a refresh every round. The round journal's
-// base segment stays under CompactBytes, so the last compaction is
-// followed by a rotation.
+// six weeks, one observer, a refresh every round. The round journal is
+// compacted each time CompactBytes of rounds have been appended since its
+// last base, and the rounds after the last compaction rotate.
 func goldenWAL(t *testing.T) ([]*dataset.WorldBlock, *Feeder, Config) {
 	t.Helper()
 	start, _ := testWindow()
@@ -73,7 +82,7 @@ func goldenWAL(t *testing.T) ([]*dataset.WorldBlock, *Feeder, Config) {
 	cfg.Core.AnalysisEnd = end
 	cfg.RefreshEvery = 1
 	cfg.SegmentBytes = 4 << 10
-	cfg.CompactBytes = 64 << 10
+	cfg.CompactBytes = 16 << 10
 	eng := &probe.Engine{Observers: probe.StandardObservers(1), QuarterSeed: 28}
 	return world, testFeeder(t, eng, world, cfg), cfg
 }
@@ -170,10 +179,15 @@ func manifestSegments(t *testing.T, data []byte) []string {
 }
 
 // journalTags returns the tags of the data frames the journal name in
-// dir holds, in order, opened under the signature of cfg and world.
+// dir holds, in order, opened under the signature of cfg and world (for
+// rounds, either round signature).
 func journalTags(t *testing.T, dir, name string, cfg Config, world []*dataset.WorldBlock) []byte {
 	t.Helper()
-	hdr, err := segmentHeader(runSignature(cfg.withDefaults(), world))
+	sig := runSignature(cfg.withDefaults(), world)
+	hdr, err := segmentHeader(sig, nil, nil)
+	if name == "rounds" {
+		hdr, err = segmentHeader(roundSignature(sig), sig, func() {})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +239,16 @@ func TestWALGoldenFormat(t *testing.T) {
 	if !bytes.Contains(tags, []byte{frameEvent}) || !bytes.Contains(tags, []byte{frameRefresh}) {
 		t.Fatalf("fixture's event journal holds frames %q, want events and refresh checkpoints", tags)
 	}
+	tags = journalTags(t, dir, "rounds", cfg, world)
+	if tags[0] != frameCompactRounds || !bytes.Contains(tags, []byte{frameRound}) || bytes.Contains(tags, []byte{frameGobRound}) {
+		t.Fatalf("fixture's round journal holds frames %q, want a base and packed rounds", tags)
+	}
+	sig := runSignature(cfg.withDefaults(), world)
+	for i, s := range segmentSigs(t, dir, "rounds") {
+		if !bytes.Equal(s, roundSignature(sig)) {
+			t.Fatalf("fixture's round segment %d is not signed with the round signature", i)
+		}
+	}
 
 	// A copy resumes where the fixture stopped, with the events an
 	// uninterrupted run journals, and restores the result without
@@ -261,9 +285,77 @@ func testConfigFor(cfg Config) Config {
 	return cfg
 }
 
+// segmentSigs returns the signature each segment of the journal name in
+// dir opens with, in manifest order.
+func segmentSigs(t *testing.T, dir, name string) [][]byte {
+	t.Helper()
+	manifest, err := os.ReadFile(filepath.Join(dir, name+".wal.manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sigs [][]byte
+	for _, seg := range manifestSegments(t, manifest) {
+		data, err := os.ReadFile(filepath.Join(dir, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := journal.Frames(data)
+		if len(frames) == 0 {
+			t.Fatalf("segment %s holds no frame", seg)
+		}
+		df, err := decodeStreamFrame(frames[0].Payload)
+		if err != nil || df.Tag != frameStreamHeader {
+			t.Fatalf("segment %s does not open with a signature header: %v", seg, err)
+		}
+		sigs = append(sigs, df.Sig)
+	}
+	return sigs
+}
+
+// TestWALGoldenGobRounds: a directory whose round journal was written
+// before packed round frames — gob round frames, segments signed with the
+// plain run signature — opens from its last refresh checkpoint, and the
+// stream finishes with an uninterrupted run's events and result.
+func TestWALGoldenGobRounds(t *testing.T) {
+	world, f, cfg := goldenWAL(t)
+	refEvs, refFP := runStream(t, t.TempDir(), world, f, testConfigFor(cfg))
+	dir := writeTree(t, readTree(t, gobRoundsGoldenDir))
+	sig := runSignature(cfg.withDefaults(), world)
+	for i, s := range segmentSigs(t, dir, "rounds") {
+		if !bytes.Equal(s, sig) {
+			t.Fatalf("the gob-rounds fixture's round segment %d is not signed with the plain run signature", i)
+		}
+	}
+	if tags := journalTags(t, dir, "rounds", cfg, world); !bytes.Contains(tags, []byte{frameGobRound}) || bytes.Contains(tags, []byte{frameRound}) {
+		t.Fatalf("the gob-rounds fixture's round journal holds frames %q, want gob rounds only", tags)
+	}
+	var calls int
+	d, err := open(dir, world, f.Observers(), cfg, 1, func(int) { calls++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := d.NextIngestSeq()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if last := goldenLives[len(goldenLives)-1]; next != last {
+		t.Fatalf("the gob-rounds fixture resumes at round %d, want %d", next, last)
+	}
+	if calls != 0 {
+		t.Errorf("opening the gob-rounds fixture analyzed %d blocks; its last checkpoint covers every round", calls)
+	}
+	evs, fp := runStream(t, dir, world, f, cfg)
+	if !reflect.DeepEqual(evs, refEvs) || fp != refFP {
+		t.Fatalf("the gob-rounds fixture finished with %d events and fingerprint %.16s, an uninterrupted run %d and %.16s",
+			len(evs), fp, len(refEvs), refFP)
+	}
+}
+
 // TestWALGoldenBeforeCheckpoints: a directory written before the event
 // journal carried refresh checkpoints opens by replaying every round,
 // and the stream finishes with an uninterrupted run's events and result.
+// Its round segments are signed with the plain run signature; once a
+// round is appended, none is left.
 func TestWALGoldenBeforeCheckpoints(t *testing.T) {
 	world, f, cfg, held := legacyGoldenWAL(t)
 	refEvs, refFP := runStream(t, t.TempDir(), world, f, testConfigFor(cfg))
@@ -279,8 +371,29 @@ func TestWALGoldenBeforeCheckpoints(t *testing.T) {
 		d.Close()
 		t.Fatalf("legacy fixture resumes at round %d, want %d", next, held)
 	}
+	sig := runSignature(cfg.withDefaults(), world)
+	for i, s := range segmentSigs(t, dir, "rounds") {
+		if !bytes.Equal(s, sig) {
+			d.Close()
+			t.Fatalf("the legacy fixture's round segment %d is not signed with the plain run signature", i)
+		}
+	}
+	// Its first append rewrites the round journal first.
+	d.Start()
+	r, err := f.Round(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Ingest(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+	for i, s := range segmentSigs(t, dir, "rounds") {
+		if !bytes.Equal(s, roundSignature(sig)) {
+			t.Fatalf("after a round was appended to the legacy fixture, its round segment %d is still signed with the plain run signature", i)
+		}
 	}
 	evs, fp := runStream(t, dir, world, f, cfg)
 	if !reflect.DeepEqual(evs, refEvs) || fp != refFP {
