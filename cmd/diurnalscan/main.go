@@ -57,10 +57,9 @@
 // WAL replay to the exact detector state and event sequence; SIGTERM
 // drains and exits 0; -watchdog DUR restarts a wedged step by the same
 // replay. The final report equals a batch run of the same world. -walseg
-// rotates the WALs into bounded segments, -walcompact folds the round
-// WAL to one base segment each time the given bytes of rounds have been
-// appended after its last base, and -diskbudget caps DIR:
-// a round that would exceed it is shed and the daemon exits 6.
+// rotates the WALs into bounded segments (the round WAL is append-only,
+// bounded by the window), and -diskbudget caps DIR: a round that would
+// exceed it is shed and the daemon exits 6.
 //
 // serve: publishes a finished run as a columnar snapshot under SNAPDIR
 // (running the world first if there is none) and answers queries over
@@ -383,7 +382,6 @@ func defineDaemon(fs *flag.FlagSet, j *job) {
 	fs.IntVar(&so.MaxQueue, "maxqueue", 64, "admitted-but-unprocessed round bound (ingestion blocks beyond it)")
 	fs.DurationVar(&so.Watchdog, "watchdog", 0, "restart a wedged analysis step after this long (0 disables)")
 	fs.Int64Var(&so.SegmentBytes, "walseg", 0, "rotate WAL segments at this many bytes (default 8MiB)")
-	fs.Int64Var(&so.CompactBytes, "walcompact", 0, "compact the round WAL to one base segment once this many bytes of rounds are appended after its last base (0 never)")
 	fs.Int64Var(&so.DiskBudget, "diskbudget", 0, "shed rounds when the daemon directory would exceed this many bytes (0 unlimited)")
 	j.check = func(set map[string]bool) error {
 		return errors.Join(
@@ -391,7 +389,6 @@ func defineDaemon(fs *flag.FlagSet, j *job) {
 			check(so.RefreshEvery < 1 || so.ConfirmRefreshes < 1 || so.MaxQueue < 1, "-refresh, -confirm and -maxqueue must be >= 1"),
 			check(set["watchdog"] && so.Watchdog <= 0, "-watchdog must be positive (got %s)", so.Watchdog),
 			check(set["walseg"] && so.SegmentBytes < 4096, "-walseg must be >= 4096 bytes (got %d)", so.SegmentBytes),
-			check(set["walcompact"] && so.CompactBytes <= 0, "-walcompact must be positive (got %d)", so.CompactBytes),
 			check(set["diskbudget"] && so.DiskBudget <= 0, "-diskbudget must be positive (got %d)", so.DiskBudget),
 		)
 	}

@@ -57,9 +57,9 @@ func TestFlagMatrix(t *testing.T) {
 
 		// Storage-governance rows: WAL sizing is daemon-only, retention
 		// and the publish budget are serve-only, and the size floors hold.
-		{"daemon governance flags", "daemon -walseg 65536 -walcompact 1048576 -diskbudget 16777216 d", runs},
+		{"daemon governance flags", "daemon -walseg 65536 -diskbudget 16777216 d", runs},
 		{"walseg without daemon", "scan -walseg 65536", exitUsage},
-		{"walcompact without daemon", "scan -walcompact 1048576", exitUsage},
+		{"daemon walcompact removed", "daemon -walcompact 1048576 d", exitUsage},
 		{"diskbudget without daemon", "scan -diskbudget 16777216", exitUsage},
 		{"daemon tiny walseg", "daemon -walseg 512 d", exitUsage},
 		{"daemon zero diskbudget set", "daemon -diskbudget 0 d", exitUsage},

@@ -393,17 +393,14 @@ type StreamOptions struct {
 	Watchdog time.Duration
 	// SegmentBytes rotates WAL segments at roughly this size (default
 	// 8 MiB; minimum 4096). Smaller segments bound the unit of
-	// compaction and orphan recovery.
-	SegmentBytes int64
-	// CompactBytes, when positive, compacts the round WAL down to one
-	// base segment whenever more than this many bytes of rounds have been
-	// appended since its last base. Zero never compacts it on size. The event WAL drops its superseded
+	// compaction and orphan recovery. The round WAL is append-only,
+	// bounded by the analysis window; the event WAL drops its superseded
 	// refresh checkpoints on its own.
-	CompactBytes int64
+	SegmentBytes int64
 	// DiskBudget, when positive, caps the daemon directory's total
 	// bytes. A round whose append would exceed the budget (after an
-	// emergency compaction) is shed with ErrStreamDiskPressure instead
-	// of being admitted.
+	// emergency compaction of the event WAL) is shed with
+	// ErrStreamDiskPressure instead of being admitted.
 	DiskBudget int64
 	// OnEvent, when non-nil, receives each event right after it is
 	// journaled, in sequence order.
@@ -430,7 +427,6 @@ func (w *World) RunStream(ctx context.Context, cfg Config, opts StreamOptions) (
 		MaxQueue:         opts.MaxQueue,
 		Watchdog:         opts.Watchdog,
 		SegmentBytes:     opts.SegmentBytes,
-		CompactBytes:     opts.CompactBytes,
 		DiskBudget:       opts.DiskBudget,
 		OnEvent:          opts.OnEvent,
 	}

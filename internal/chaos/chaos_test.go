@@ -161,7 +161,6 @@ func (c cell) run(t *testing.T) {
 	k := Kills{Rng: rand.New(rand.NewSource(c.seed)), Kill: c.kills}
 	if c.disk {
 		s.Config.SegmentBytes = 16 << 10
-		s.Config.CompactBytes = 128 << 10
 		s.Config.DiskBudget = 8 << 20
 		k.Faulted = func(n int, rng *rand.Rand) (stream.Config, bool) {
 			if n == 48 {

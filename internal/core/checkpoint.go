@@ -394,6 +394,13 @@ func RunSignature(cfg Config, world []*dataset.WorldBlock) []byte {
 	return h.Sum(nil)
 }
 
+// Gob numbers the types a process encodes in the order it first meets
+// them and writes those numbers into its stream, so RunSignature's digest
+// would depend on whatever the process gob-encoded before its first
+// call. Signing once at init, before any other gob use, gives Config and
+// the block-ID list the same numbers in every process.
+func init() { RunSignature(Config{}, nil) }
+
 // Fingerprint digests everything the run computed per block (outcomes in
 // world order, block errors, analyzed count) into a hex string. Two runs
 // of the same world and config — interrupted-and-resumed or not — must

@@ -22,12 +22,11 @@ import (
 )
 
 // Longrun governance knobs, scaled so every mechanism fires at test
-// size: 8 KiB segments force rotations within a quarter, the compaction
-// threshold forces several base rewrites, and the disk budget is the
-// fixed byte bound the whole run must live inside without shedding.
+// size: 32 KiB segments force rotations within a quarter, and the disk
+// budget is the fixed byte bound the whole run must live inside without
+// shedding; it holds a whole quarter of the append-only round journal.
 const (
 	longrunSegmentBytes = 32 << 10
-	longrunCompactBytes = 256 << 10
 	longrunDiskBudget   = 8 << 20
 	longrunQuarterDays  = 28
 	longrunQuarters     = 3
@@ -51,7 +50,7 @@ type LongrunResult struct {
 	// Incarnations is the total daemon lives across all killed quarters.
 	Incarnations int
 	// Rotations and Compactions total the WAL segment rollovers and
-	// base-segment rewrites observed across every incarnation.
+	// event-journal rewrites observed across every incarnation.
 	Rotations, Compactions int64
 	// Identical reports that every killed, governed quarter finished with
 	// the exact event log and result fingerprint of its uninterrupted,
@@ -168,11 +167,9 @@ func Longrun(opts Options) (*LongrunResult, error) {
 
 		// The governed run, killed at seeded-random points: every life's
 		// rotations, compactions and footprint are accounted, and no
-		// round may be shed under a budget sized for the steady
-		// compacted state.
+		// round may be shed under a budget sized for a whole quarter.
 		gcfg := cfg
 		gcfg.SegmentBytes = longrunSegmentBytes
-		gcfg.CompactBytes = longrunCompactBytes
 		gcfg.DiskBudget = longrunDiskBudget
 		runDir := filepath.Join(root, fmt.Sprintf("q%d-run", q))
 		account := func(st stream.Stats) error {
@@ -279,8 +276,8 @@ func Longrun(opts Options) (*LongrunResult, error) {
 	if res.SnapshotsKept == 0 || res.SnapshotsKept > longrunRetain {
 		return res, fmt.Errorf("retention kept %d snapshots, want 1..%d", res.SnapshotsKept, longrunRetain)
 	}
-	if res.Rotations == 0 || res.Compactions == 0 {
-		return res, fmt.Errorf("governance never fired: %d rotations, %d compactions", res.Rotations, res.Compactions)
+	if res.Rotations == 0 {
+		return res, fmt.Errorf("governance never fired: no WAL segment rotated")
 	}
 	return res, nil
 }

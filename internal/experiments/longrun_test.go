@@ -22,7 +22,7 @@ func TestLongrun(t *testing.T) {
 	if !res.Identical || res.Incarnations < 2*res.Quarters {
 		t.Fatalf("kill-and-resume under governance was not exercised:\n%s", res)
 	}
-	if res.Rotations == 0 || res.Compactions == 0 {
+	if res.Rotations == 0 {
 		t.Fatalf("WAL governance never fired:\n%s", res)
 	}
 	if res.PeakJournalBytes > res.DiskBudget || res.LitterFiles != 0 {

@@ -182,7 +182,7 @@ func (l *Log) Append(payload []byte) error {
 	}
 	frame := int64(len(payload) + Overhead)
 	if l.segBytes > 0 && l.tail.size > int64(len(l.hdr.Payload)+Overhead) && l.tail.size+frame > l.segBytes {
-		if err := l.rotate(); err != nil {
+		if err := l.Rotate(); err != nil {
 			return err
 		}
 	}
@@ -194,8 +194,14 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// rotate seals the tail and moves appends to a fresh segment.
-func (l *Log) rotate() error {
+// Rotate seals the tail and moves appends to a fresh segment, which
+// opens with the log's header: Append calls it past the segment
+// threshold, and an owner whose header changed calls it so that no new
+// frame lands in a segment opened under the old one.
+func (l *Log) Rotate() error {
+	if l.tail.failed != nil {
+		return l.tail.failed
+	}
 	if err := l.tail.Sync(); err != nil {
 		return fmt.Errorf("journal: sealing %s: %w", l.tail.path, err)
 	}

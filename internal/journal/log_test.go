@@ -79,6 +79,78 @@ func TestWALRotationReplay(t *testing.T) {
 	}
 }
 
+// TestLogRotateUnderNewHeader: an owner whose header changed rotates
+// before appending, so the frames after the rotation land in a segment
+// that opens with the new header while the sealed one keeps the old, and
+// a reopen replays both in order.
+func TestLogRotateUnderNewHeader(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := collectEvents(t, dir, 0)
+	for i := 0; i < 3; i++ {
+		if err := w.Append([]byte(walEvent(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	newHeader := Header{Payload: []byte("S wal-test-sig v2"), Check: func(p []byte) error {
+		if !bytes.Equal(p, []byte("S wal-test-sig v2")) {
+			return testHeader.Check(p)
+		}
+		return nil
+	}}
+	open := func() (*Log, []string) {
+		var got []string
+		l, err := OpenLog(storage.OS, dir, "j", newHeader, 0, func(p []byte) error {
+			got = append(got, string(p))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, got
+	}
+	w, _ = open()
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < 5; i++ {
+		if err := w.Append([]byte(walEvent(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u := w.Usage(); u.Segments != 2 || u.Rotations != 1 {
+		t.Fatalf("after a rotation the log has %d segments and %d rotations, want 2 and 1", u.Segments, u.Rotations)
+	}
+	if err := w.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		hdr    []byte
+		frames int
+	}{{testHeader.Payload, 3}, {newHeader.Payload, 2}} {
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("j-%08d.wal", i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := Frames(data)
+		if len(frames) != 1+want.frames || !bytes.Equal(frames[0].Payload, want.hdr) {
+			t.Fatalf("segment %d holds %d frames under header %q, want %d under %q", i+1, len(frames)-1, frames[0].Payload, want.frames, want.hdr)
+		}
+	}
+	w, got := open()
+	defer w.Close(false)
+	if len(got) != 5 {
+		t.Fatalf("reopen replayed %d events, want 5", len(got))
+	}
+	for i, ev := range got {
+		if ev != walEvent(i) {
+			t.Fatalf("event %d diverged across the rotation: %q", i, ev)
+		}
+	}
+}
+
 // TestWALTornTail: garbage after the last intact frame of the NEWEST
 // segment is truncated on open (a torn final append); the same damage
 // mid-journal is corruption and must refuse to open.

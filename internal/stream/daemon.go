@@ -85,9 +85,7 @@ type Daemon struct {
 	// Storage governance.
 	sheds          int64  // rounds refused under disk pressure
 	lastStorageErr string // most recent storage-plane failure
-	lastCompactSeq int64  // nextSeq at the last rounds compaction (-1: never)
-	sinceBase      int64  // round journal bytes appended since its last base
-	legacyRounds   bool   // the round journal lists a segment signed before packed rounds
+	legacyTail     bool   // the round journal's tail is signed as before packed rounds
 	roundBuf       []byte // Ingest's round frame payload, reused
 	eventFrames    int64  // frames appended to the event journal since open
 	compactedAt    int64  // eventFrames at the last events compaction (-1: never)
@@ -152,17 +150,16 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 		return nil, fmt.Errorf("stream: creating %s: %w", dir, err)
 	}
 	d := &Daemon{
-		cfg:            cfg,
-		rc:             rc,
-		world:          world,
-		obsCount:       obsCount,
-		sig:            runSignature(cfg, world),
-		dir:            dir,
-		progress:       make(chan struct{}),
-		lastCompactSeq: -1,
-		compactedAt:    -1,
-		lanes:          lanes,
-		hookBlock:      hookBlock,
+		cfg:         cfg,
+		rc:          rc,
+		world:       world,
+		obsCount:    obsCount,
+		sig:         runSignature(cfg, world),
+		dir:         dir,
+		progress:    make(chan struct{}),
+		compactedAt: -1,
+		lanes:       lanes,
+		hookBlock:   hookBlock,
 	}
 	d.ctx, d.cancel = context.WithCancel(context.Background())
 
@@ -170,7 +167,9 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 	if err != nil {
 		return nil, err
 	}
-	rhdr, err := segmentHeader(roundSignature(d.sig), d.sig, func() { d.legacyRounds = true })
+	// Every open and replay checks the segments' headers in manifest
+	// order, so the last check leaves legacyTail describing the tail.
+	rhdr, err := segmentHeader(roundSignature(d.sig), d.sig, func(legacy bool) { d.legacyTail = legacy })
 	if err != nil {
 		return nil, err
 	}
@@ -186,17 +185,7 @@ func open(dir string, world []*dataset.WorldBlock, obsCount int, cfg Config, lan
 		d.superseded -= frameBytes(scan.ckpt)
 	}
 	det, regen, rerun, err := d.recover(func(fn func([]byte) error) (err error) {
-		d.rounds, err = journal.OpenLog(cfg.FS, dir, "rounds", rhdr, cfg.SegmentBytes, func(payload []byte) error {
-			if err := fn(payload); err != nil {
-				return err
-			}
-			if payload[0] == frameCompactRounds {
-				d.sinceBase = 0
-			} else {
-				d.sinceBase += frameBytes(payload)
-			}
-			return nil
-		})
+		d.rounds, err = journal.OpenLog(cfg.FS, dir, "rounds", rhdr, cfg.SegmentBytes, fn)
 		return err
 	})
 	if err != nil {
@@ -273,9 +262,9 @@ func (s *eventScan) frame(payload []byte) error {
 }
 
 // frameRounds expands one round-WAL data frame into the rounds it
-// journals: a round frame, packed or gob, is one round, a 'K' base frame
-// is every round up to its compaction point, reconstructed
-// bit-identically.
+// journals: a round frame, packed or gob, is one round, and a 'K' base
+// frame an earlier version's compaction wrote is every round up to its
+// compaction point, reconstructed bit-identically.
 func (d *Daemon) frameRounds(df decodedFrame) ([]*Round, error) {
 	switch df.Tag {
 	case frameRound, frameGobRound:
@@ -404,48 +393,6 @@ func (d *Daemon) govLocked() journal.Usage {
 	}
 }
 
-// compactRoundsLocked rewrites the round WAL as a single base segment,
-// signed with the round signature. It is lossless: the journaled rounds
-// are collected by replay, re-encoded columnarly, and reconstruct
-// bit-identically, so replay identity — and with it event identity — is
-// unaffected. A no-op when nothing was admitted since the last
-// compaction (the base is already minimal).
-func (d *Daemon) compactRoundsLocked() error {
-	if d.nextSeq == d.lastCompactSeq {
-		return nil
-	}
-	var rounds []*Round
-	if err := d.rounds.Replay(decoded(func(df decodedFrame) error {
-		rs, err := d.frameRounds(df)
-		if err != nil {
-			return err
-		}
-		rounds = append(rounds, rs...)
-		return nil
-	})); err != nil {
-		d.lastStorageErr = err.Error()
-		return err
-	}
-	cb, err := buildCompactBase(rounds, len(d.world), d.obsCount)
-	if err != nil {
-		d.lastStorageErr = err.Error()
-		return err
-	}
-	payload, err := encodeStreamFrame(frameCompactRounds, cb)
-	if err != nil {
-		d.lastStorageErr = err.Error()
-		return err
-	}
-	if err := d.rounds.Compact(payload); err != nil {
-		d.lastStorageErr = err.Error()
-		return err
-	}
-	d.lastCompactSeq = d.nextSeq
-	d.sinceBase = 0
-	d.legacyRounds = false
-	return nil
-}
-
 // compactEventsLocked rewrites the event WAL as a single base segment:
 // every journaled event, with the latest refresh checkpoint in its place
 // among them; the checkpoints before it are superseded and dropped. A
@@ -476,15 +423,6 @@ func (d *Daemon) compactEventsLocked() error {
 	d.compactedAt = d.eventFrames
 	d.superseded = 0
 	return nil
-}
-
-// compactAllLocked compacts both journals, keeping the first error.
-func (d *Daemon) compactAllLocked() error {
-	err := d.compactRoundsLocked()
-	if eerr := d.compactEventsLocked(); err == nil {
-		err = eerr
-	}
-	return err
 }
 
 // Start launches the analysis loop and, when configured, the watchdog.
@@ -545,22 +483,25 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 			d.mu.Lock()
 		}
 	}
-	if d.legacyRounds {
-		// A segment signed before packed round frames is rewritten into
-		// the base first, so that no segment a binary unable to read them
-		// would accept ever holds one.
-		if err := d.compactRoundsLocked(); err != nil {
-			return fmt.Errorf("stream: rewriting the round journal before packed rounds: %w", err)
+	if d.legacyTail {
+		// A tail signed before packed round frames is sealed first, so
+		// that no segment a binary unable to read them would accept ever
+		// holds one.
+		if err := d.rounds.Rotate(); err != nil {
+			d.lastStorageErr = err.Error()
+			return fmt.Errorf("stream: sealing the round journal before packed rounds: %w", err)
 		}
+		d.legacyTail = false
 	}
 	d.roundBuf = encodeRoundFrame(d.roundBuf[:0], r)
 	payload := d.roundBuf
 	// Disk-budget accounting: if admitting this frame would overrun the
-	// budget, compact first; if the journals still cannot fit it, shed
-	// the round — the WALs stay intact and the daemon keeps serving.
+	// budget, compact the event journal first; if the journals still
+	// cannot fit it, shed the round — the WALs stay intact and the daemon
+	// keeps serving.
 	need := frameBytes(payload)
 	if d.cfg.DiskBudget > 0 && d.govLocked().Bytes+need > d.cfg.DiskBudget {
-		d.compactAllLocked()
+		d.compactEventsLocked()
 		if got := d.govLocked().Bytes; got+need > d.cfg.DiskBudget {
 			d.sheds++
 			d.lastStorageErr = fmt.Sprintf("disk budget %d exhausted: journals hold %d bytes, round %d needs %d more", d.cfg.DiskBudget, got, r.Seq, need)
@@ -569,12 +510,12 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 	}
 	if err := d.rounds.Append(payload); err != nil {
 		// An out-of-space append was rolled back to the last intact frame;
-		// compaction may free enough to retry once.
+		// compacting the event journal may free enough to retry once.
 		if !isNoSpace(err) {
 			d.lastStorageErr = err.Error()
 			return err
 		}
-		d.compactAllLocked()
+		d.compactEventsLocked()
 		if err = d.rounds.Append(payload); err != nil {
 			d.sheds++
 			d.lastStorageErr = err.Error()
@@ -585,13 +526,9 @@ func (d *Daemon) Ingest(ctx context.Context, r *Round) error {
 		}
 	}
 	d.nextSeq++
-	d.sinceBase += need
 	d.queue = append(d.queue, r)
 	if len(d.queue) > d.maxDepth {
 		d.maxDepth = len(d.queue)
-	}
-	if d.cfg.CompactBytes > 0 && d.sinceBase > d.cfg.CompactBytes {
-		d.compactRoundsLocked() // best-effort; failure is surfaced in stats
 	}
 	d.bump()
 	return nil

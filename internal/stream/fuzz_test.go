@@ -82,15 +82,32 @@ func FuzzStreamFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(ckpt)
-	// Both round decoders: the packed frame written today and the gob
-	// frame earlier versions wrote, encoded here with gob directly.
+	// Every round decoder: the packed frame written today, and the gob
+	// frame and the 'K' base earlier versions wrote, encoded here with
+	// gob directly.
 	f.Add(encodeRoundFrame(nil, fuzzRound()))
-	var gobRound bytes.Buffer
-	gobRound.WriteByte(frameGobRound)
-	if err := gob.NewEncoder(&gobRound).Encode(fuzzRound()); err != nil {
-		f.Fatal(err)
+	r := fuzzRound()
+	base := compactBase{Rounds: 1, Blocks: make([]compactBlock, len(r.Blocks))}
+	for b, perObs := range r.Blocks {
+		for _, recs := range perObs {
+			cs := compactStream{Data: packRecords(nil, recs, 0), Cuts: []int64{0, int64(len(recs))}}
+			base.Blocks[b].Obs = append(base.Blocks[b].Obs, cs)
+		}
 	}
-	f.Add(gobRound.Bytes())
+	for _, legacy := range []struct {
+		tag byte
+		v   any
+	}{{frameGobRound, r}, {frameCompactRounds, base}} {
+		var payload bytes.Buffer
+		payload.WriteByte(legacy.tag)
+		if err := gob.NewEncoder(&payload).Encode(legacy.v); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := decodeStreamFrame(payload.Bytes()); err != nil {
+			f.Fatalf("the %q seed does not decode: %v", legacy.tag, err)
+		}
+		f.Add(payload.Bytes())
+	}
 	f.Add([]byte{frameRound, 0, 0, 0, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})

@@ -391,15 +391,14 @@ func TestRestoreAckedJournalReplays(t *testing.T) {
 	}
 }
 
-// TestEventJournalDropsSupersededCheckpoints: with no CompactBytes, the
-// event journal is still compacted once its superseded checkpoints
-// outweigh both a segment and the rest of it, so after a refresh they
+// TestEventJournalDropsSupersededCheckpoints: the event journal is
+// compacted once its superseded checkpoints outweigh both a segment and the rest of it, so after a refresh they
 // never do, across a kill and reopen too; the stream finishes with the
 // uninterrupted run's events and result.
 func TestEventJournalDropsSupersededCheckpoints(t *testing.T) {
 	world, f, cfg := restoreSetup(t, 1)
 	refEvents, refFP := runStream(t, t.TempDir(), world, f, cfg)
-	cfg.SegmentBytes, cfg.CompactBytes = 4<<10, 0
+	cfg.SegmentBytes = 4 << 10
 	dir := t.TempDir()
 	var compactions int64
 	// check holds the daemon's count of superseded checkpoint bytes to

@@ -77,23 +77,14 @@ type Config struct {
 	Watchdog time.Duration
 	// SegmentBytes is the WAL rotation threshold (default 8 MiB, minimum
 	// 4 KiB): once a journal's tail segment exceeds it, the tail is
-	// sealed and appends move to a fresh segment, so compaction and
-	// retention operate on bounded files.
+	// sealed and appends move to a fresh segment. The round journal is
+	// append-only, bounded by the analysis window.
 	SegmentBytes int64
-	// CompactBytes, when positive, bounds the round journal's growth:
-	// once more than CompactBytes of rounds have been appended since its
-	// last base segment, it is rewritten as a single base segment
-	// (lossless — replay identity is preserved) and the subsumed segments
-	// are deleted. Zero disables size-triggered compaction. The event
-	// journal is compacted whatever CompactBytes is, once its superseded
-	// refresh checkpoints outweigh both a segment and everything else in
-	// it. Must be at least SegmentBytes.
-	CompactBytes int64
 	// DiskBudget, when positive, bounds the bytes the daemon's journals
 	// may occupy together. When an admission would exceed it even after
-	// compaction, Ingest sheds the round with ErrDiskPressure instead of
-	// corrupting a WAL; the caller decides whether to retry, alert, or
-	// stop. Must be at least SegmentBytes.
+	// compacting the event journal, Ingest sheds the round with
+	// ErrDiskPressure instead of corrupting a WAL; the caller decides
+	// whether to retry, alert, or stop. Must be at least SegmentBytes.
 	DiskBudget int64
 	// FS is the filesystem the journals are written through (default the
 	// real filesystem). Tests substitute a faults.FS here to script
@@ -147,9 +138,6 @@ func (c Config) validate() error {
 	}
 	if c.SegmentBytes < 4096 {
 		return fmt.Errorf("stream: WAL segment threshold %d bytes (minimum 4096)", c.SegmentBytes)
-	}
-	if c.CompactBytes < 0 || (c.CompactBytes > 0 && c.CompactBytes < c.SegmentBytes) {
-		return fmt.Errorf("stream: WAL compaction threshold %d bytes must be 0 or >= the segment threshold %d", c.CompactBytes, c.SegmentBytes)
 	}
 	if c.DiskBudget < 0 || (c.DiskBudget > 0 && c.DiskBudget < c.SegmentBytes) {
 		return fmt.Errorf("stream: disk budget %d bytes must be 0 or >= the segment threshold %d", c.DiskBudget, c.SegmentBytes)
@@ -254,7 +242,7 @@ type Stats struct {
 	// WALSegments counts live segment files across both journals.
 	WALSegments int
 	// Rotations and Compactions count WAL segment rollovers and
-	// base-segment rewrites since open.
+	// event-journal rewrites since open.
 	Rotations, Compactions int64
 	// PressureSheds counts rounds refused admission because the disk
 	// budget was exhausted even after compaction.

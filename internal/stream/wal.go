@@ -11,28 +11,30 @@ package stream
 //
 // Round frames ('D') are packed by hand (encodeRoundFrame): the round's
 // header as varints, then each (block, observer) stream's record count
-// and its records in the delta-varint packing the 'K' base shares. Round
-// segments are signed with the run signature hashed with the round codec's version
+// and its records in a delta-varint packing. Round segments are signed
+// with the run signature hashed with the round codec's version
 // (roundSignature), so a binary that predates the codec refuses them as
 // another run's rather than cutting the journal at the first frame it
 // cannot read. Gob round frames ('R') and segments signed with the plain
 // run signature are what earlier versions wrote; they are read, never
-// written, and a daemon that finds such a segment compacts the round
-// journal before its first append. Every other payload is gob.
+// written, and a daemon whose round journal ends in such a segment
+// seals it by a rotation before its first append. Every other payload
+// is gob.
+//
+// The round journal is append-only, bounded by the analysis window that
+// replay needs whole. Earlier versions rewrote it as one base segment, a
+// 'K' frame holding every round; such a base is still read.
 //
 // The event journal also carries, after each refresh's events, a 'C'
 // frame: the detector's emission state after that refresh (its counters
 // and every block's candidates). Recovery restores the latest one and
-// re-runs only the refreshes after it.
-//
-// Compaction rewrites a journal as one base segment: for rounds, a 'K'
-// frame re-encoding every journaled round losslessly; for events, every
-// journaled event frame with the latest 'C' frame in its place. The 'K'
-// re-encoding reconstructs bit-identical rounds, so deterministic replay
-// — and with it kill-and-resume event identity — is preserved across
-// every rotation and compaction boundary. Event journals compacted by
-// earlier versions open with a 'P' frame instead, acknowledging an event
-// prefix that only a full replay of the round journal regenerates.
+// re-runs only the refreshes after it. Compaction rewrites the event
+// journal as one base segment, every journaled event frame with the
+// latest 'C' frame in its place, so deterministic replay — and with it
+// kill-and-resume event identity — is preserved across every rotation
+// and compaction boundary. Event journals compacted by earlier versions
+// open with a 'P' frame instead, acknowledging an event prefix that only
+// a full replay of the round journal regenerates.
 
 import (
 	"bytes"
@@ -53,7 +55,7 @@ const (
 	frameRound         = 'D' // one round, packed (encodeRoundFrame)
 	frameGobRound      = 'R' // one round, gob: earlier versions' round frame, read only
 	frameEvent         = 'E'
-	frameCompactRounds = 'K' // base segment: every round, re-encoded losslessly
+	frameCompactRounds = 'K' // earlier versions' base segment: every round, read only
 	frameEventsAck     = 'P' // earlier base segment: count of replay-regenerable events
 	frameRefresh       = 'C' // emission state after one refresh
 )
@@ -80,12 +82,13 @@ type refreshCheckpoint struct {
 	Cands                                      [][]*candidate
 }
 
-// compactBase is the 'K' compaction payload: every journaled round,
-// re-encoded columnarly per (block, observer) stream. Data is the
-// delta-varint packing of the stream's records across all rounds; Cuts
-// holds Rounds+1 record-index offsets, so round s owns records
-// [Cuts[s], Cuts[s+1]). Round windows are not stored — they are derived
-// from Config.roundWindow, the same rule that validated them at ingest.
+// compactBase is the 'K' payload earlier versions' round compaction
+// wrote: every journaled round, encoded columnarly per (block, observer)
+// stream. Data is the delta-varint packing of the stream's records
+// across all rounds; Cuts holds Rounds+1 record-index offsets, so round
+// s owns records [Cuts[s], Cuts[s+1]). Round windows are not stored —
+// they are derived from Config.roundWindow, the same rule that validated
+// them at ingest.
 type compactBase struct {
 	Rounds int64
 	Blocks []compactBlock
@@ -100,11 +103,11 @@ type compactStream struct {
 	Cuts []int64
 }
 
-// packRecords appends recs to the delta-varint packing in dst. prev is
-// the running previous timestamp (deltas may be negative; the dataset
-// store's strictly-ordered codec is deliberately not reused here
+// packRecords appends recs to the delta-varint packing in dst, deltas
+// taken from prev, the previous timestamp (deltas may be negative; the
+// dataset store's strictly-ordered codec is deliberately not reused here
 // because WAL rounds carry raw observer output).
-func packRecords(dst []byte, recs []probe.Record, prev int64) ([]byte, int64) {
+func packRecords(dst []byte, recs []probe.Record, prev int64) []byte {
 	for _, r := range recs {
 		dst = binary.AppendVarint(dst, r.T-prev)
 		prev = r.T
@@ -114,7 +117,7 @@ func packRecords(dst []byte, recs []probe.Record, prev int64) ([]byte, int64) {
 		}
 		dst = append(dst, r.Addr, up)
 	}
-	return dst, prev
+	return dst
 }
 
 // minPackedRecord is the fewest bytes a packed record takes: a one-byte
@@ -170,7 +173,7 @@ func encodeRoundFrame(dst []byte, r *Round) []byte {
 	for _, perObs := range r.Blocks {
 		for _, recs := range perObs {
 			dst = binary.AppendUvarint(dst, uint64(len(recs)))
-			dst, _ = packRecords(dst, recs, r.Start)
+			dst = packRecords(dst, recs, r.Start)
 		}
 	}
 	return dst
@@ -237,33 +240,6 @@ func unpackRound(data []byte) (*Round, error) {
 		return nil, fmt.Errorf("stream: packed round has %d trailing bytes", len(data))
 	}
 	return r, nil
-}
-
-// buildCompactBase re-encodes rounds (which must be the complete
-// journal, seqs 0..len-1) as a base-segment payload.
-func buildCompactBase(rounds []*Round, blocks, obsCount int) (*compactBase, error) {
-	cb := &compactBase{Rounds: int64(len(rounds)), Blocks: make([]compactBlock, blocks)}
-	for i, r := range rounds {
-		if r.Seq != int64(i) {
-			return nil, fmt.Errorf("stream: compacting round seq %d at journal position %d", r.Seq, i)
-		}
-	}
-	for b := range cb.Blocks {
-		cb.Blocks[b].Obs = make([]compactStream, obsCount)
-		for o := 0; o < obsCount; o++ {
-			cuts := make([]int64, 1, len(rounds)+1)
-			var data []byte
-			var prev, count int64
-			for _, r := range rounds {
-				recs := r.Blocks[b][o]
-				data, prev = packRecords(data, recs, prev)
-				count += int64(len(recs))
-				cuts = append(cuts, count)
-			}
-			cb.Blocks[b].Obs[o] = compactStream{Data: data, Cuts: cuts}
-		}
-	}
-	return cb, nil
 }
 
 // expandCompactBase reconstructs the journaled rounds from a base
@@ -441,9 +417,9 @@ func roundSignature(sig []byte) []byte {
 
 // segmentHeader is the header of every journal segment: an 'S' frame
 // carrying the signature sig, checked when a segment is reopened. When
-// legacy is set, a segment signed with it instead is accepted too and
-// reported to onLegacy.
-func segmentHeader(sig, legacy []byte, onLegacy func()) (journal.Header, error) {
+// legacy is set, a segment signed with it instead is accepted too, and
+// onCheck, when set, learns of every accepted segment whether it was.
+func segmentHeader(sig, legacy []byte, onCheck func(legacy bool)) (journal.Header, error) {
 	payload, err := encodeStreamFrame(frameStreamHeader, streamHeader{Signature: sig})
 	if err != nil {
 		return journal.Header{}, err
@@ -455,9 +431,11 @@ func segmentHeader(sig, legacy []byte, onLegacy func()) (journal.Header, error) 
 		switch {
 		case bytes.Equal(df.Sig, sig):
 		case legacy != nil && bytes.Equal(df.Sig, legacy):
-			onLegacy()
 		default:
 			return fmt.Errorf("segment belongs to a different run (config, world or schedule changed); delete the stream directory to start over")
+		}
+		if onCheck != nil {
+			onCheck(!bytes.Equal(df.Sig, sig))
 		}
 		return nil
 	})}, nil

@@ -2,36 +2,39 @@ package stream
 
 // The daemon journals' on-disk format, pinned by committed directories.
 //
-// testdata/golden-wal-packed/ is today's format, written by
+// testdata/golden-wal-append/ is today's format, written by
 // TestWriteWALGolden:
 //
 //	go test ./internal/stream -run '^TestWriteWALGolden$' -count=1 \
-//	    -args -golden-out "$PWD/internal/stream/testdata/golden-wal-packed"
+//	    -args -golden-out "$PWD/internal/stream/testdata/golden-wal-append"
 //
-// Two daemon lives ingest a one-block world's rounds under small segment
-// and compaction thresholds, refreshing every round once the baseline is
-// in. The round journal holds packed round frames in segments signed
-// with the round signature; it has been compacted to a 'K' base segment
-// and has rotated after it. The event journal holds events and refresh
-// checkpoints ('C' frames); it has been compacted to its events and the
-// checkpoint of the day, dropping the superseded ones, and has rotated
-// after that too. TestWALGoldenFormat re-runs the writer in a fresh
-// process (gob numbers its types in the order a process first encodes
-// them) and requires the same file names and bytes, manifests included.
-// It then resumes a copy of the fixture.
+// Two daemon lives ingest a one-block world's rounds under a small
+// segment threshold, refreshing every round once the baseline is in.
+// The round journal is append-only: packed round frames in segments
+// signed with the round signature, rotated several times and never
+// rewritten. The event journal holds events and refresh checkpoints ('C'
+// frames); it has been compacted to its events and the checkpoint of the
+// day, dropping the superseded ones, and has rotated after that.
+// TestWALGoldenFormat re-runs the writer in a fresh process and requires
+// the same file names and bytes, manifests included. It then resumes a
+// copy of the fixture.
 //
-// Two older fixtures are read-only; a test opens a copy of each and
+// Three older fixtures are read-only; a test opens a copy of each and
 // finishes the stream with the events and result of an uninterrupted
 // run:
 //
+//   - testdata/golden-wal-packed/ is the same world as written while the
+//     round journal was compacted: a 'K' base segment and packed round
+//     frames after it (TestWALGoldenPacked).
 //   - testdata/golden-wal-gob-rounds/ is the same world as written before
 //     packed round frames: gob round frames in segments signed with the
 //     plain run signature (TestWALGoldenGobRounds).
 //   - testdata/golden-wal/ is the format before refresh checkpoints,
 //     written by the writer of its day on a two-block world (and
 //     re-pinned when the run signature gained the daemon's schedule). It
-//     replays in full, and its first append rewrites its round journal
-//     under the round signature (TestWALGoldenBeforeCheckpoints).
+//     replays in full, and its first append seals its tail segment, which
+//     is signed with the plain run signature, by a rotation
+//     (TestWALGoldenBeforeCheckpoints).
 
 import (
 	"bytes"
@@ -42,6 +45,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/diurnalnet/diurnal/internal/changepoint"
@@ -57,7 +61,8 @@ import (
 var goldenOut = flag.String("golden-out", "", "directory TestWriteWALGolden writes the journal fixture into")
 
 const (
-	goldenDir          = "testdata/golden-wal-packed"
+	goldenDir          = "testdata/golden-wal-append"
+	packedGoldenDir    = "testdata/golden-wal-packed"
 	gobRoundsGoldenDir = "testdata/golden-wal-gob-rounds"
 	legacyGoldenDir    = "testdata/golden-wal"
 )
@@ -67,9 +72,7 @@ const (
 var goldenLives = []int64{31, 42}
 
 // goldenWAL is the fixture's world, feeder and config: one block over
-// six weeks, one observer, a refresh every round. The round journal is
-// compacted each time CompactBytes of rounds have been appended since its
-// last base, and the rounds after the last compaction rotate.
+// six weeks, one observer, a refresh every round, and 4 KiB segments.
 func goldenWAL(t *testing.T) ([]*dataset.WorldBlock, *Feeder, Config) {
 	t.Helper()
 	start, _ := testWindow()
@@ -82,7 +85,6 @@ func goldenWAL(t *testing.T) ([]*dataset.WorldBlock, *Feeder, Config) {
 	cfg.Core.AnalysisEnd = end
 	cfg.RefreshEvery = 1
 	cfg.SegmentBytes = 4 << 10
-	cfg.CompactBytes = 16 << 10
 	eng := &probe.Engine{Observers: probe.StandardObservers(1), QuarterSeed: 28}
 	return world, testFeeder(t, eng, world, cfg), cfg
 }
@@ -94,7 +96,6 @@ func legacyGoldenWAL(t *testing.T) ([]*dataset.WorldBlock, *Feeder, Config, int6
 	world := testWorld(t, 2, 2028)
 	cfg := testConfig()
 	cfg.SegmentBytes = 4 << 10
-	cfg.CompactBytes = 64 << 10
 	return world, testFeeder(t, testEngine(28), world, cfg), cfg, 10
 }
 
@@ -186,7 +187,7 @@ func journalTags(t *testing.T, dir, name string, cfg Config, world []*dataset.Wo
 	sig := runSignature(cfg.withDefaults(), world)
 	hdr, err := segmentHeader(sig, nil, nil)
 	if name == "rounds" {
-		hdr, err = segmentHeader(roundSignature(sig), sig, func() {})
+		hdr, err = segmentHeader(roundSignature(sig), sig, func(bool) {})
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -225,29 +226,32 @@ func TestWALGoldenFormat(t *testing.T) {
 		}
 	}
 
-	// The fixture has compacted and then rotated both journals: each
-	// manifest lists a base segment (not the first one ever written) and
-	// segments after it.
-	for _, name := range []string{"rounds", "events"} {
-		if segs := manifestSegments(t, want[name+".wal.manifest"]); len(segs) < 2 || segs[0] == name+"-00000001.wal" {
-			t.Fatalf("fixture's %s manifest %v shows no compaction followed by a rotation", name, segs)
-		}
-	}
+	// The round journal has rotated and was never rewritten: its manifest
+	// lists every segment from the first, each signed with the round
+	// signature and holding packed round frames only. The event journal
+	// has been compacted and then rotated: its manifest lists a base
+	// segment (not the first one ever written) and segments after it.
 	world, f, cfg := goldenWAL(t)
 	dir := writeTree(t, want)
+	sig := runSignature(cfg.withDefaults(), world)
+	segs := journalSegments(t, dir, "rounds")
+	if len(segs) < 2 || segs[0].name != "rounds-00000001.wal" {
+		t.Fatalf("fixture's round journal lists %d segments from %s; want the first and rotations after it", len(segs), segs[0].name)
+	}
+	for _, s := range segs {
+		if !bytes.Equal(s.sig, roundSignature(sig)) {
+			t.Fatalf("fixture's round segment %s is not signed with the round signature", s.name)
+		}
+		if len(s.tags) == 0 || bytes.Count(s.tags, []byte{frameRound}) != len(s.tags) {
+			t.Fatalf("fixture's round segment %s holds frames %q, want packed rounds only", s.name, s.tags)
+		}
+	}
+	if segs := manifestSegments(t, want["events.wal.manifest"]); len(segs) < 2 || segs[0] == "events-00000001.wal" {
+		t.Fatalf("fixture's events manifest %v shows no compaction followed by a rotation", segs)
+	}
 	tags := journalTags(t, dir, "events", cfg, world)
 	if !bytes.Contains(tags, []byte{frameEvent}) || !bytes.Contains(tags, []byte{frameRefresh}) {
 		t.Fatalf("fixture's event journal holds frames %q, want events and refresh checkpoints", tags)
-	}
-	tags = journalTags(t, dir, "rounds", cfg, world)
-	if tags[0] != frameCompactRounds || !bytes.Contains(tags, []byte{frameRound}) || bytes.Contains(tags, []byte{frameGobRound}) {
-		t.Fatalf("fixture's round journal holds frames %q, want a base and packed rounds", tags)
-	}
-	sig := runSignature(cfg.withDefaults(), world)
-	for i, s := range segmentSigs(t, dir, "rounds") {
-		if !bytes.Equal(s, roundSignature(sig)) {
-			t.Fatalf("fixture's round segment %d is not signed with the round signature", i)
-		}
 	}
 
 	// A copy resumes where the fixture stopped, with the events an
@@ -278,22 +282,30 @@ func TestWALGoldenFormat(t *testing.T) {
 	}
 }
 
-// testConfigFor is cfg without the fixture's storage thresholds, which a
+// testConfigFor is cfg without the fixture's segment threshold, which a
 // reference run does not need.
 func testConfigFor(cfg Config) Config {
-	cfg.SegmentBytes, cfg.CompactBytes = 0, 0
+	cfg.SegmentBytes = 0
 	return cfg
 }
 
-// segmentSigs returns the signature each segment of the journal name in
-// dir opens with, in manifest order.
-func segmentSigs(t *testing.T, dir, name string) [][]byte {
+// journalSegment is one segment of a journal, as its manifest lists it:
+// the signature its header carries and the tags of its data frames.
+type journalSegment struct {
+	name string
+	sig  []byte
+	tags []byte
+}
+
+// journalSegments returns the segments of the journal name in dir, in
+// manifest order.
+func journalSegments(t *testing.T, dir, name string) []journalSegment {
 	t.Helper()
 	manifest, err := os.ReadFile(filepath.Join(dir, name+".wal.manifest"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sigs [][]byte
+	var segs []journalSegment
 	for _, seg := range manifestSegments(t, manifest) {
 		data, err := os.ReadFile(filepath.Join(dir, seg))
 		if err != nil {
@@ -307,28 +319,42 @@ func segmentSigs(t *testing.T, dir, name string) [][]byte {
 		if err != nil || df.Tag != frameStreamHeader {
 			t.Fatalf("segment %s does not open with a signature header: %v", seg, err)
 		}
-		sigs = append(sigs, df.Sig)
+		s := journalSegment{name: seg, sig: df.Sig}
+		for _, fr := range frames[1:] {
+			s.tags = append(s.tags, fr.Payload[0])
+		}
+		segs = append(segs, s)
 	}
-	return sigs
+	return segs
 }
 
-// TestWALGoldenGobRounds: a directory whose round journal was written
-// before packed round frames — gob round frames, segments signed with the
-// plain run signature — opens from its last refresh checkpoint, and the
-// stream finishes with an uninterrupted run's events and result.
-func TestWALGoldenGobRounds(t *testing.T) {
-	world, f, cfg := goldenWAL(t)
-	refEvs, refFP := runStream(t, t.TempDir(), world, f, testConfigFor(cfg))
-	dir := writeTree(t, readTree(t, gobRoundsGoldenDir))
-	sig := runSignature(cfg.withDefaults(), world)
-	for i, s := range segmentSigs(t, dir, "rounds") {
-		if !bytes.Equal(s, sig) {
-			t.Fatalf("the gob-rounds fixture's round segment %d is not signed with the plain run signature", i)
+// checkLegacySealed: no segment of the round journal in dir signed with
+// the plain run signature sig holds a packed round frame, and its tail is
+// signed with the round signature — a journal an earlier version wrote,
+// once a round has been appended to it.
+func checkLegacySealed(t *testing.T, dir string, sig []byte) {
+	t.Helper()
+	segs := journalSegments(t, dir, "rounds")
+	for _, s := range segs {
+		if bytes.Equal(s.sig, sig) && bytes.Contains(s.tags, []byte{frameRound}) {
+			t.Fatalf("round segment %s is signed with the plain run signature and holds frames %q", s.name, s.tags)
 		}
 	}
-	if tags := journalTags(t, dir, "rounds", cfg, world); !bytes.Contains(tags, []byte{frameGobRound}) || bytes.Contains(tags, []byte{frameRound}) {
-		t.Fatalf("the gob-rounds fixture's round journal holds frames %q, want gob rounds only", tags)
+	if tail := segs[len(segs)-1]; !bytes.Equal(tail.sig, roundSignature(sig)) {
+		t.Fatalf("the round journal's tail %s is not signed with the round signature", tail.name)
 	}
+}
+
+// finishGolden opens dir, a copy of a read-only fixture of goldenWAL's
+// world that holds every round: it must resume at the last round from
+// its last refresh checkpoint, analyzing no block, and the stream must
+// finish with an uninterrupted run's events and result. With no round
+// left to append, the round journal is left as it was.
+func finishGolden(t *testing.T, fixture, dir string) {
+	t.Helper()
+	world, f, cfg := goldenWAL(t)
+	refEvs, refFP := runStream(t, t.TempDir(), world, f, testConfigFor(cfg))
+	before := readTree(t, dir)
 	var calls int
 	d, err := open(dir, world, f.Observers(), cfg, 1, func(int) { calls++ })
 	if err != nil {
@@ -339,23 +365,72 @@ func TestWALGoldenGobRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if last := goldenLives[len(goldenLives)-1]; next != last {
-		t.Fatalf("the gob-rounds fixture resumes at round %d, want %d", next, last)
+		t.Fatalf("the %s fixture resumes at round %d, want %d", fixture, next, last)
 	}
 	if calls != 0 {
-		t.Errorf("opening the gob-rounds fixture analyzed %d blocks; its last checkpoint covers every round", calls)
+		t.Errorf("opening the %s fixture analyzed %d blocks; its last checkpoint covers every round", fixture, calls)
 	}
 	evs, fp := runStream(t, dir, world, f, cfg)
 	if !reflect.DeepEqual(evs, refEvs) || fp != refFP {
-		t.Fatalf("the gob-rounds fixture finished with %d events and fingerprint %.16s, an uninterrupted run %d and %.16s",
-			len(evs), fp, len(refEvs), refFP)
+		t.Fatalf("the %s fixture finished with %d events and fingerprint %.16s, an uninterrupted run %d and %.16s",
+			fixture, len(evs), fp, len(refEvs), refFP)
 	}
+	after := readTree(t, dir)
+	for name, data := range before {
+		if strings.HasPrefix(name, "rounds") && !bytes.Equal(after[name], data) {
+			t.Errorf("finishing the %s fixture rewrote %s", fixture, name)
+		}
+	}
+}
+
+// TestWALGoldenPacked: a directory whose round journal an earlier version
+// compacted — a 'K' base segment, then packed round frames — opens and
+// finishes as an uninterrupted run does.
+func TestWALGoldenPacked(t *testing.T) {
+	world, _, cfg := goldenWAL(t)
+	dir := writeTree(t, readTree(t, packedGoldenDir))
+	sig := runSignature(cfg.withDefaults(), world)
+	segs := journalSegments(t, dir, "rounds")
+	if len(segs[0].tags) != 1 || segs[0].tags[0] != frameCompactRounds {
+		t.Fatalf("the packed fixture's first round segment holds frames %q, want one base", segs[0].tags)
+	}
+	for _, s := range segs {
+		if !bytes.Equal(s.sig, roundSignature(sig)) {
+			t.Fatalf("the packed fixture's round segment %s is not signed with the round signature", s.name)
+		}
+	}
+	if tags := journalTags(t, dir, "rounds", cfg, world); bytes.Count(tags, []byte{frameRound}) != len(tags)-1 {
+		t.Fatalf("the packed fixture's round journal holds frames %q, want a base and packed rounds", tags)
+	}
+	finishGolden(t, "packed", dir)
+}
+
+// TestWALGoldenGobRounds: a directory whose round journal was written
+// before packed round frames — gob round frames, segments signed with the
+// plain run signature — opens and finishes as an uninterrupted run does.
+func TestWALGoldenGobRounds(t *testing.T) {
+	world, _, cfg := goldenWAL(t)
+	dir := writeTree(t, readTree(t, gobRoundsGoldenDir))
+	sig := runSignature(cfg.withDefaults(), world)
+	for _, s := range journalSegments(t, dir, "rounds") {
+		if !bytes.Equal(s.sig, sig) {
+			t.Fatalf("the gob-rounds fixture's round segment %s is not signed with the plain run signature", s.name)
+		}
+	}
+	if tags := journalTags(t, dir, "rounds", cfg, world); !bytes.Contains(tags, []byte{frameGobRound}) || bytes.Contains(tags, []byte{frameRound}) {
+		t.Fatalf("the gob-rounds fixture's round journal holds frames %q, want gob rounds only", tags)
+	}
+	finishGolden(t, "gob-rounds", dir)
 }
 
 // TestWALGoldenBeforeCheckpoints: a directory written before the event
 // journal carried refresh checkpoints opens by replaying every round,
 // and the stream finishes with an uninterrupted run's events and result.
-// Its round segments are signed with the plain run signature; once a
-// round is appended, none is left.
+// Its round segments are signed with the plain run signature; the first
+// append seals the tail, so that no packed round frame lands in a
+// segment so signed, and a reopen still finishes identical. The daemon
+// that appends runs under the default segment threshold, which the tail
+// is far below, so only the seal can rotate it.
 func TestWALGoldenBeforeCheckpoints(t *testing.T) {
 	world, f, cfg, held := legacyGoldenWAL(t)
 	refEvs, refFP := runStream(t, t.TempDir(), world, f, testConfigFor(cfg))
@@ -363,7 +438,7 @@ func TestWALGoldenBeforeCheckpoints(t *testing.T) {
 	if tags := journalTags(t, dir, "events", cfg, world); bytes.Contains(tags, []byte{frameRefresh}) {
 		t.Fatalf("the legacy fixture's event journal holds refresh checkpoints: %q", tags)
 	}
-	d, err := Open(dir, world, f.Observers(), cfg)
+	d, err := Open(dir, world, f.Observers(), testConfigFor(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,13 +447,12 @@ func TestWALGoldenBeforeCheckpoints(t *testing.T) {
 		t.Fatalf("legacy fixture resumes at round %d, want %d", next, held)
 	}
 	sig := runSignature(cfg.withDefaults(), world)
-	for i, s := range segmentSigs(t, dir, "rounds") {
-		if !bytes.Equal(s, sig) {
+	for _, s := range journalSegments(t, dir, "rounds") {
+		if !bytes.Equal(s.sig, sig) {
 			d.Close()
-			t.Fatalf("the legacy fixture's round segment %d is not signed with the plain run signature", i)
+			t.Fatalf("the legacy fixture's round segment %s is not signed with the plain run signature", s.name)
 		}
 	}
-	// Its first append rewrites the round journal first.
 	d.Start()
 	r, err := f.Round(held)
 	if err != nil {
@@ -390,16 +464,13 @@ func TestWALGoldenBeforeCheckpoints(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range segmentSigs(t, dir, "rounds") {
-		if !bytes.Equal(s, roundSignature(sig)) {
-			t.Fatalf("after a round was appended to the legacy fixture, its round segment %d is still signed with the plain run signature", i)
-		}
-	}
+	checkLegacySealed(t, dir, sig)
 	evs, fp := runStream(t, dir, world, f, cfg)
 	if !reflect.DeepEqual(evs, refEvs) || fp != refFP {
 		t.Fatalf("legacy fixture finished with %d events and fingerprint %.16s, an uninterrupted run %d and %.16s",
 			len(evs), fp, len(refEvs), refFP)
 	}
+	checkLegacySealed(t, dir, sig)
 }
 
 // TestEventFrameDropsRemovedField: event frames journaled when Event still

@@ -1,13 +1,11 @@
 package stream
 
-// The round journal's codec and compaction trigger: packed round frames
-// come back bit-identical from a faulty feed, corrupt ones fail without
-// panicking or allocating past their size, and the journal is compacted
-// on the bytes appended since its last base.
+// The round journal's codec: packed round frames come back bit-identical
+// from a faulty feed, and corrupt ones fail without panicking or
+// allocating past their size.
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"math"
 	"testing"
@@ -138,61 +136,5 @@ func TestPackedRoundRejectsCorrupt(t *testing.T) {
 	huge = []byte{frameRound, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 1}
 	if _, err := decodeStreamFrame(huge); err == nil {
 		t.Fatal("a round frame counting 2^40 blocks decodes")
-	}
-}
-
-// TestRoundCompactionFollowsAppendedBytes: the round journal is compacted
-// once CompactBytes of frames have been appended since its last base,
-// however large the base has grown, and a reopen counts the frames
-// already behind the base. Writing the golden fixture's world, in lives
-// of five rounds that each append less than CompactBytes, compacts at
-// most appended/CompactBytes times.
-func TestRoundCompactionFollowsAppendedBytes(t *testing.T) {
-	world, f, cfg := goldenWAL(t)
-	cfg.CompactBytes = 16 << 10
-	dir := t.TempDir()
-	ctx := context.Background()
-	// want replays the rule over the frames appended, across the lives.
-	const life = 5
-	var appended, since, compactions, want int64
-	for from := int64(0); from < f.Rounds(); from += life {
-		to := min(from+life, f.Rounds())
-		d, err := Open(dir, world, f.Observers(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Start()
-		for seq := d.NextIngestSeq(); seq < to; seq++ {
-			r, err := f.Round(seq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Ingest(ctx, r); err != nil {
-				t.Fatal(err)
-			}
-			n := frameBytes(encodeRoundFrame(nil, r))
-			appended += n
-			if since += n; since > cfg.CompactBytes {
-				want, since = want+1, 0
-			}
-			if err := d.Drain(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d.mu.Lock()
-		compactions += d.rounds.Usage().Compactions
-		d.mu.Unlock()
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if compactions == 0 {
-		t.Fatalf("%d bytes of rounds appended under CompactBytes %d and no compaction", appended, cfg.CompactBytes)
-	}
-	if bound := appended / cfg.CompactBytes; compactions > bound {
-		t.Fatalf("%d compactions for %d bytes of rounds appended, more than one per CompactBytes (%d)", compactions, appended, bound)
-	}
-	if compactions != want {
-		t.Fatalf("%d compactions, want the %d of one each time CompactBytes were appended since the last", compactions, want)
 	}
 }

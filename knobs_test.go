@@ -41,6 +41,11 @@ var knobAllowlist = map[string]string{
 	"internal/stream.eventsAck.Count": "a read-only frame: event journals " +
 		"compacted before refresh checkpoints open with a 'P' frame, which " +
 		"Open still reads; nothing writes one any more",
+	"internal/stream.compactBase": "a read-only frame: round journals " +
+		"compacted before the journal became append-only hold a 'K' " +
+		"base, which Open still reads; nothing writes one any more",
+	"internal/stream.compactBlock":  "part of the read-only 'K' frame, as compactBase",
+	"internal/stream.compactStream": "part of the read-only 'K' frame, as compactBase",
 	"internal/outage.Params": "bench/staged.go passes outage.Params{} and " +
 		"bench/ is frozen between benchmark changes; the certificate " +
 		"tests vary every field",
